@@ -12,8 +12,12 @@ rails).  Failures are enumerated on stderr either way.
 
 Subcommands: verify-forms, transport, fillings, resolve, contact-check,
 and all, which runs each of the above with its defaults into a
-directory.  LBFKIT_THREADS bounds the worker pool for the form checks;
-results are sorted before emission so parallelism never reorders output.
+directory.  Every suite runs in one thread, in a fixed order.
+
+Input the numerics cannot represent is a usage error too: a
+``contact-check --n`` whose f^(n-1) overflows a double (n >= 1025 for the
+default profile), and a ``transport --t`` with 0 < |t| <= 5e-13, where the
+transport denominator starts at or under its singular floor.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -64,17 +67,6 @@ class SuiteResult:
         self.failures = failures
         self.csv_text = csv_text
         self.table_text = table_text
-
-
-def _threads() -> int:
-    raw = os.environ.get("LBFKIT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"LBFKIT_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise UsageError(f"LBFKIT_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _clean(obj: object) -> object:
@@ -136,10 +128,7 @@ def _cell(x: float) -> str:
 
 def _suite_verify_forms(n: int) -> SuiteResult:
     cfg = ModelConfig(n=n)
-    ids = list(models.IdentityId)
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        reports = list(pool.map(lambda i: models.verify_identity(i, cfg), ids))
-    reports.sort(key=lambda r: ids.index(models.IdentityId(r.identity)))
+    reports = models.verify_all(cfg)
 
     grid = models.positivity_grid(models.IdentityId.TOP_POWER, cfg)
     grid_ok = grid.min_value > 0.0
@@ -483,14 +472,17 @@ def _run_suite(args: argparse.Namespace) -> SuiteResult:
     raise UsageError(f"unknown command {args.command!r}")
 
 
+def _render(result: SuiteResult, fmt: str) -> str:
+    if fmt == "json":
+        return _json_text(result.report)
+    if fmt == "csv":
+        return result.csv_text
+    return result.table_text
+
+
 def _emit(result: SuiteResult, fmt: str, out: Path | None,
           elapsed_ms: float) -> None:
-    if fmt == "json":
-        text = _json_text(result.report)
-    elif fmt == "csv":
-        text = result.csv_text
-    else:
-        text = result.table_text
+    text = _render(result, fmt)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -519,13 +511,7 @@ def _run_all(fmt: str, out_dir: Path) -> int:
             print(f"lbfkit all/{name}: internal failure: {exc}", file=sys.stderr)
             return 3
         timings[name] = (time.perf_counter() - started) * 1e3
-        if fmt == "json":
-            text = _json_text(result.report)
-        elif fmt == "csv":
-            text = result.csv_text
-        else:
-            text = result.table_text
-        _write_atomic(out_dir / f"{name}{suffix}", text)
+        _write_atomic(out_dir / f"{name}{suffix}", _render(result, fmt))
         if not result.passed:
             for line in result.failures:
                 print(f"lbfkit all/{name}: FAIL: {line}", file=sys.stderr)

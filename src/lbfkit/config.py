@@ -1,35 +1,43 @@
 """Model configuration and the concrete smooth profiles built from it.
 
 Every cutoff or interpolation profile in the package is realized from one
-clamped quintic smoothstep, so each is C^2 with explicitly known first and
-second derivatives.  The symbolic identity layer never sees these numbers;
-they only feed the numeric positivity grids and the transport integrator.
+clamped quintic smoothstep, so each is C^2 with an explicitly known first
+derivative.  The symbolic identity layer never sees these numbers; they
+only feed the numeric positivity grids and the transport integrator.
+
+Each profile is written once and accepts a float or a numpy array: the
+argument is clamped to [0, 1] and the same polynomial runs either way, so
+a value computed alone and the same value computed on a grid agree to the
+last bit.  Floats keep float speed (the transport ODE evaluates profiles
+one point at a time).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 
-def smoothstep(x: float) -> float:
+# A profile argument or value: one float, or a numpy array of them.
+FloatOrArray = float | np.ndarray
+
+
+def _clamp01(x: FloatOrArray) -> FloatOrArray:
+    """x clamped to [0, 1]: np.clip for arrays, a compare for floats."""
+    if isinstance(x, np.ndarray):
+        return np.clip(x, 0.0, 1.0)
+    return 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else x
+
+
+def smoothstep(x: FloatOrArray) -> FloatOrArray:
     """Clamped quintic step: 0 below 0, 1 above 1, 6x^5-15x^4+10x^3 between."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
+    x = _clamp01(x)
     return x * x * x * (x * (6.0 * x - 15.0) + 10.0)
 
 
-def smoothstep_d(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
+def smoothstep_d(x: FloatOrArray) -> FloatOrArray:
+    x = _clamp01(x)
     return 30.0 * x * x * (x - 1.0) * (x - 1.0)
-
-
-def smoothstep_d2(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return 60.0 * x * (x - 1.0) * (2.0 * x - 1.0)
 
 
 @dataclass(frozen=True)
@@ -62,27 +70,25 @@ class ModelConfig:
                 "need 0 < collar_width < ramp_lo < ramp_hi < 1, got "
                 f"{self.collar_width}, {self.ramp_lo}, {self.ramp_hi}"
             )
-        if not (self.collar_width < self.disk1_radius < 1.0):
+        if not (self.collar_width < self.mu_flat_radius and self.disk1_radius < 1.0):
             raise ValueError(
-                f"disk1_radius must lie in (collar_width, 1), got {self.disk1_radius}"
+                "disk1_radius must lie in (1.5 collar_width, 1) so that mu is the "
+                f"identity up to collar_width and flat from mu_flat_radius, got "
+                f"{self.disk1_radius} with collar_width {self.collar_width}"
             )
         if self.disk2_radius <= 0.0:
             raise ValueError(f"disk2_radius must be positive, got {self.disk2_radius}")
 
-    # -- interpolation profile u and its derivatives, as functions of the
+    # -- interpolation profile u and its derivative, as functions of the
     #    squared total radius
 
-    def ramp(self, sq: float) -> float:
+    def ramp(self, sq: FloatOrArray) -> FloatOrArray:
         """0 below ramp_lo, 1 above ramp_hi, monotone C^2 in between."""
         return smoothstep((sq - self.ramp_lo) / (self.ramp_hi - self.ramp_lo))
 
-    def ramp_d(self, sq: float) -> float:
+    def ramp_d(self, sq: FloatOrArray) -> FloatOrArray:
         w = self.ramp_hi - self.ramp_lo
         return smoothstep_d((sq - self.ramp_lo) / w) / w
-
-    def ramp_d2(self, sq: float) -> float:
-        w = self.ramp_hi - self.ramp_lo
-        return smoothstep_d2((sq - self.ramp_lo) / w) / (w * w)
 
     # -- radial reparametrization mu: identity near 0, constant 1 before
     #    disk1_radius, nondecreasing throughout
@@ -92,21 +98,18 @@ class ModelConfig:
         """Radius from which mu is identically 1."""
         return self.disk1_radius - self.collar_width / 2.0
 
-    def mu(self, radius: float) -> float:
-        lo, hi = self.collar_width, self.mu_flat_radius
-        if radius <= lo:
-            return radius
-        if radius >= hi:
-            return 1.0
-        s = smoothstep((radius - lo) / (hi - lo))
-        return radius + (1.0 - radius) * s
+    def mu(self, radius: FloatOrArray) -> FloatOrArray:
+        """The blend radius + (1 - radius) S over the clamped smoothstep S.
 
-    def mu_d(self, radius: float) -> float:
+        S = 0 up to collar_width, so mu is exactly the radius there; S = 1
+        from mu_flat_radius on, and radius + (1 - radius) rounds to exactly
+        1 for every radius in [0, 1].
+        """
         lo, hi = self.collar_width, self.mu_flat_radius
-        if radius <= lo:
-            return 1.0
-        if radius >= hi:
-            return 0.0
+        return radius + (1.0 - radius) * smoothstep((radius - lo) / (hi - lo))
+
+    def mu_d(self, radius: FloatOrArray) -> FloatOrArray:
+        lo, hi = self.collar_width, self.mu_flat_radius
         w = hi - lo
         x = (radius - lo) / w
         # (1 - S) >= 0 and (1 - radius) S'/w >= 0 since radius < 1, so mu' >= 0
@@ -122,27 +125,17 @@ class ModelConfig:
     def cutoff_hi(self) -> float:
         return 0.9 * self.disk2_radius ** 2
 
-    def cutoff(self, t: float) -> float:
+    def cutoff(self, t: FloatOrArray) -> FloatOrArray:
         return smoothstep((t - self.cutoff_lo) / (self.cutoff_hi - self.cutoff_lo))
-
-    def cutoff_d(self, t: float) -> float:
-        w = self.cutoff_hi - self.cutoff_lo
-        return smoothstep_d((t - self.cutoff_lo) / w) / w
-
-    # -- numeric bindings for the symbolic layer
-
-    def bindings(self, r1: float, r2: float) -> dict[str, float]:
-        """Float values for the atoms appearing in the model coefficients."""
-        sq = r1 * r1 + r2 * r2
-        return {
-            "r1": r1,
-            "r2": r2,
-            "f": self.ramp(sq),
-            "up": self.ramp_d(sq),
-            "upp": self.ramp_d2(sq),
-            "mu": self.mu(r1),
-            "mup": self.mu_d(r1),
-        }
 
 
 DEFAULT_CONFIG = ModelConfig()
+
+
+def float_csv(header: str, *columns: np.ndarray) -> str:
+    """CSV text: the header line, then one row per index of the float columns.
+
+    Cells are the repr of builtin floats, the shortest round-trip form.
+    """
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)

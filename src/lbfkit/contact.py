@@ -18,12 +18,21 @@ match, cubic where one does).  The plateau bullets pin endpoint values
 and derivatives but not the shape in between; the realization here is
 one admissible representative, and every strict inequality is verified
 on a sampling grid rather than assumed.
+
+Every profile function accepts a float or a numpy array.  Arrays are
+filled piece by piece through masks, and exponentials and powers go
+through libm either way, so a value sampled on a grid has the same bits
+as the same value computed alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
+
+from .config import FloatOrArray, float_csv
 
 # Mapping-cylinder Hamiltonian value held constant near the boundary.
 BOUNDARY_HAMILTONIAN = 2.0 * math.pi
@@ -90,8 +99,39 @@ def _cubic_d(tau: float, p0: float, m0: float, p1: float, m1: float, w: float) -
     return (p0 * d00 + w * m0 * d10 + p1 * d01 + w * m1 * d11) / w
 
 
-def _cell(x: float) -> str:
-    return repr(float(x))
+def _libm(fn, x: FloatOrArray) -> FloatOrArray:
+    """fn(x) for a float, fn of each element for an array.
+
+    numpy's vectorized exp and power round differently from libm at a few
+    points in a thousand (this is what ``math.exp`` and ``**`` use), which
+    would make a grid value differ from the same value computed alone.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([fn(v) for v in x.tolist()], dtype=float).reshape(x.shape)
+    return fn(x)
+
+
+def _pieces(x: FloatOrArray, lo: float, hi: float, below, between, above) -> FloatOrArray:
+    """below(x) for x <= lo, above(x) for x >= hi, between(x) otherwise.
+
+    A float picks its piece by comparison; an array is filled through one
+    mask per piece, each piece evaluated only where it applies.  A piece
+    may return a constant.
+    """
+    if not isinstance(x, np.ndarray):
+        return below(x) if x <= lo else above(x) if x >= hi else between(x)
+    out = np.empty(x.shape)
+    low, high = x <= lo, x >= hi
+    for mask, piece in ((low, below), (high, above), (~(low | high), between)):
+        out[mask] = piece(x[mask])
+    return out
+
+
+def _check_within(name: str, x: FloatOrArray, lo: float, hi: float) -> None:
+    least, most = np.min(x), np.max(x)
+    if not (lo <= least and most <= hi):
+        bad = most if lo <= least else least
+        raise ValueError(f"{name}={bad} outside [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -116,56 +156,53 @@ class ContactProfile:
     def r_max(self) -> float:
         return 1.0 + self.eps
 
-    def _blend_tau(self, r: float) -> tuple[float, float]:
+    def _tau(self, r: FloatOrArray) -> FloatOrArray:
         a = self.eps / 2.0
-        w = 1.0 - a
-        return (r - a) / w, w
+        return (r - a) / (1.0 - a)
 
-    def _check_domain(self, r: float) -> None:
-        if not 0.0 <= r <= self.r_max:
-            raise ValueError(f"r={r} outside the profile domain [0, {self.r_max}]")
+    def _by_piece(self, r: FloatOrArray, below, between, above) -> FloatOrArray:
+        _check_within("r", r, 0.0, self.r_max)
+        return _pieces(r, self.eps / 2.0, 1.0, below, between, above)
 
-    def f(self, r: float) -> float:
-        self._check_domain(r)
-        if r <= self.eps / 2.0:
-            return self.c0
-        if r >= 1.0:
-            return math.exp(1.0 - r)
-        tau, w = self._blend_tau(r)
-        return _quintic(tau, self.c0, 0.0, 0.0, 1.0, -1.0, 1.0, w)
+    def f(self, r: FloatOrArray) -> FloatOrArray:
+        w = 1.0 - self.eps / 2.0
+        return self._by_piece(
+            r,
+            lambda r: self.c0,
+            lambda r: _quintic(self._tau(r), self.c0, 0.0, 0.0, 1.0, -1.0, 1.0, w),
+            lambda r: _libm(math.exp, 1.0 - r),
+        )
 
-    def f_prime(self, r: float) -> float:
-        self._check_domain(r)
-        if r <= self.eps / 2.0:
-            return 0.0
-        if r >= 1.0:
-            return -math.exp(1.0 - r)
-        tau, w = self._blend_tau(r)
-        return _quintic_d(tau, self.c0, 0.0, 0.0, 1.0, -1.0, 1.0, w)
+    def f_prime(self, r: FloatOrArray) -> FloatOrArray:
+        w = 1.0 - self.eps / 2.0
+        return self._by_piece(
+            r,
+            lambda r: 0.0,
+            lambda r: _quintic_d(self._tau(r), self.c0, 0.0, 0.0, 1.0, -1.0, 1.0, w),
+            lambda r: -_libm(math.exp, 1.0 - r),
+        )
 
-    def g(self, r: float) -> float:
-        self._check_domain(r)
+    def g(self, r: FloatOrArray) -> FloatOrArray:
         a = self.eps / 2.0
-        if r <= a:
-            return self.c1 * r * r
-        if r >= 1.0:
-            return self.k
-        tau, w = self._blend_tau(r)
-        return _quintic(tau, self.c1 * a * a, 2.0 * self.c1 * a, 2.0 * self.c1,
-                        self.k, 0.0, 0.0, w)
+        return self._by_piece(
+            r,
+            lambda r: self.c1 * r * r,
+            lambda r: _quintic(self._tau(r), self.c1 * a * a, 2.0 * self.c1 * a,
+                               2.0 * self.c1, self.k, 0.0, 0.0, 1.0 - a),
+            lambda r: self.k,
+        )
 
-    def g_prime(self, r: float) -> float:
-        self._check_domain(r)
+    def g_prime(self, r: FloatOrArray) -> FloatOrArray:
         a = self.eps / 2.0
-        if r <= a:
-            return 2.0 * self.c1 * r
-        if r >= 1.0:
-            return 0.0
-        tau, w = self._blend_tau(r)
-        return _quintic_d(tau, self.c1 * a * a, 2.0 * self.c1 * a, 2.0 * self.c1,
-                          self.k, 0.0, 0.0, w)
+        return self._by_piece(
+            r,
+            lambda r: 2.0 * self.c1 * r,
+            lambda r: _quintic_d(self._tau(r), self.c1 * a * a, 2.0 * self.c1 * a,
+                                 2.0 * self.c1, self.k, 0.0, 0.0, 1.0 - a),
+            lambda r: 0.0,
+        )
 
-    def determinant(self, r: float) -> float:
+    def determinant(self, r: FloatOrArray) -> FloatOrArray:
         """f g' - f' g: positive exactly when the curve misses its tangent."""
         return self.f(r) * self.g_prime(r) - self.f_prime(r) * self.g(r)
 
@@ -221,22 +258,24 @@ def verify_profile(profile: ContactProfile, n: int = 2, grid: int = 10_000) -> P
         raise ValueError(f"n must be >= 1, got {n}")
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
-    r_max = profile.r_max
-    best = math.inf
-    best_r = float("nan")
-    for i in range(1, grid + 1):
-        r = r_max * i / grid
-        fv = profile.f(r)
-        value = fv ** (n - 1) * (fv * profile.g_prime(r) - profile.f_prime(r) * profile.g(r))
-        if value < best:
-            best = value
-            best_r = r
+    r = profile.r_max * np.arange(1, grid + 1) / grid
+    try:
+        with np.errstate(over="raise"):
+            fv = profile.f(r)
+            values = _libm(lambda v: v ** (n - 1), fv) * (
+                fv * profile.g_prime(r) - profile.f_prime(r) * profile.g(r))
+    except (OverflowError, FloatingPointError) as exc:
+        raise ValueError(
+            f"n = {n} overflows f^(n-1) (f g' - f' g) in floating point"
+        ) from exc
+    i = int(np.argmin(values))
+    best = float(values[i])
     params = profile.params() if hasattr(profile, "params") else {}
     return ProfileReport(
         n=n,
         grid=grid,
         min_value=best,
-        argmin=best_r,
+        argmin=float(r[i]),
         passed=best > 0.0,
         params=params,
         notes=("blend regularity: C2 quintic joins, not C-infinity",),
@@ -247,12 +286,9 @@ def profile_csv(profile: ContactProfile, samples: int = 512) -> str:
     """CSV of (r, f, g, determinant) for plotting, r from 0 to 1+eps."""
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    lines = ["r,f,g,determinant"]
-    for i in range(samples + 1):
-        r = profile.r_max * i / samples
-        lines.append(",".join(_cell(v) for v in
-                              (r, profile.f(r), profile.g(r), profile.determinant(r))))
-    return "\n".join(lines) + "\n"
+    r = profile.r_max * np.arange(samples + 1) / samples
+    return float_csv("r,f,g,determinant", r, profile.f(r), profile.g(r),
+                     profile.determinant(r))
 
 
 # ---------------------------------------------------------------------------
@@ -270,51 +306,51 @@ class CornerCurve:
 
     eps: float
 
-    def _tau(self, r: float) -> tuple[float, float]:
+    def _tau(self, r: FloatOrArray) -> FloatOrArray:
         w = self.eps / 2.0
-        return (r + w) / w, w
+        return (r + w) / w
 
-    def _check_domain(self, r: float) -> None:
-        if not -self.eps <= r <= self.eps:
-            raise ValueError(f"r={r} outside [-{self.eps}, {self.eps}]")
+    def _by_piece(self, r: FloatOrArray, below, between, above) -> FloatOrArray:
+        _check_within("r", r, -self.eps, self.eps)
+        return _pieces(r, -self.eps / 2.0, 0.0, below, between, above)
 
-    def f(self, r: float) -> float:
-        self._check_domain(r)
-        if r <= -self.eps / 2.0:
-            return self.eps
-        if r >= 0.0:
-            return -r
-        tau, w = self._tau(r)
-        return _cubic(tau, self.eps, 0.0, 0.0, -1.0, w)
+    def f(self, r: FloatOrArray) -> FloatOrArray:
+        w = self.eps / 2.0
+        return self._by_piece(
+            r,
+            lambda r: self.eps,
+            lambda r: _cubic(self._tau(r), self.eps, 0.0, 0.0, -1.0, w),
+            lambda r: -r,
+        )
 
-    def f_prime(self, r: float) -> float:
-        self._check_domain(r)
-        if r <= -self.eps / 2.0:
-            return 0.0
-        if r >= 0.0:
-            return -1.0
-        tau, w = self._tau(r)
-        return _cubic_d(tau, self.eps, 0.0, 0.0, -1.0, w)
+    def f_prime(self, r: FloatOrArray) -> FloatOrArray:
+        w = self.eps / 2.0
+        return self._by_piece(
+            r,
+            lambda r: 0.0,
+            lambda r: _cubic_d(self._tau(r), self.eps, 0.0, 0.0, -1.0, w),
+            lambda r: -1.0,
+        )
 
-    def g(self, r: float) -> float:
-        self._check_domain(r)
-        if r <= -self.eps / 2.0:
-            return 1.0 + r
-        if r >= 0.0:
-            return 1.0
-        tau, w = self._tau(r)
-        return _cubic(tau, 1.0 - self.eps / 2.0, 1.0, 1.0, 0.0, w)
+    def g(self, r: FloatOrArray) -> FloatOrArray:
+        w = self.eps / 2.0
+        return self._by_piece(
+            r,
+            lambda r: 1.0 + r,
+            lambda r: _cubic(self._tau(r), 1.0 - w, 1.0, 1.0, 0.0, w),
+            lambda r: 1.0,
+        )
 
-    def g_prime(self, r: float) -> float:
-        self._check_domain(r)
-        if r <= -self.eps / 2.0:
-            return 1.0
-        if r >= 0.0:
-            return 0.0
-        tau, w = self._tau(r)
-        return _cubic_d(tau, 1.0 - self.eps / 2.0, 1.0, 1.0, 0.0, w)
+    def g_prime(self, r: FloatOrArray) -> FloatOrArray:
+        w = self.eps / 2.0
+        return self._by_piece(
+            r,
+            lambda r: 1.0,
+            lambda r: _cubic_d(self._tau(r), 1.0 - w, 1.0, 1.0, 0.0, w),
+            lambda r: 0.0,
+        )
 
-    def determinant(self, r: float) -> float:
+    def determinant(self, r: FloatOrArray) -> FloatOrArray:
         return self.f(r) * self.g_prime(r) - self.f_prime(r) * self.g(r)
 
 
@@ -363,26 +399,14 @@ def make_corner_curve(eps: float, samples: int = 2_000) -> tuple[CornerCurve, Co
         and curve.g(0.0) == 1.0
     )
 
-    interior = True
     half = eps / 2.0
-    for i in range(1, samples):
-        r = -half + half * i / samples
-        if not (curve.f_prime(r) < 0.0 and curve.g_prime(r) > 0.0):
-            interior = False
-            break
+    r = -half + half * np.arange(1, samples) / samples
+    interior = bool(np.all(curve.f_prime(r) < 0.0) and np.all(curve.g_prime(r) > 0.0))
 
-    f_noninc = True
-    g_nondec = True
-    prev_f = curve.f(-eps)
-    prev_g = curve.g(-eps)
-    for i in range(1, samples + 1):
-        r = -eps + 2.0 * eps * i / samples
-        fv, gv = curve.f(r), curve.g(r)
-        if fv > prev_f + 1e-15:
-            f_noninc = False
-        if gv < prev_g - 1e-15:
-            g_nondec = False
-        prev_f, prev_g = fv, gv
+    r = -eps + 2.0 * eps * np.arange(samples + 1) / samples
+    fv, gv = curve.f(r), curve.g(r)
+    f_noninc = bool(np.all(fv[1:] <= fv[:-1] + 1e-15))
+    g_nondec = bool(np.all(gv[1:] >= gv[:-1] - 1e-15))
 
     # One-sided limits of the bridge at tau = 0, 1 against the plateau
     # values and slopes; all closed forms, so 1e-12 is generous.
@@ -416,12 +440,8 @@ def corner_csv(curve: CornerCurve, samples: int = 512) -> str:
     """CSV of (r, f, g, determinant) along the corner arc."""
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    lines = ["r,f,g,determinant"]
-    for i in range(samples + 1):
-        r = -curve.eps + 2.0 * curve.eps * i / samples
-        lines.append(",".join(_cell(v) for v in
-                              (r, curve.f(r), curve.g(r), curve.determinant(r))))
-    return "\n".join(lines) + "\n"
+    r = -curve.eps + 2.0 * curve.eps * np.arange(samples + 1) / samples
+    return float_csv("r,f,g,determinant", r, curve.f(r), curve.g(r), curve.determinant(r))
 
 
 # ---------------------------------------------------------------------------
@@ -441,35 +461,32 @@ class BaseProfile:
     eps: float
     boundary_hamiltonian: float = BOUNDARY_HAMILTONIAN
 
-    def _check_domain(self, s: float) -> None:
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"s={s} outside [0, 1]")
+    def _by_piece(self, s: FloatOrArray, below, between, above) -> FloatOrArray:
+        _check_within("s", s, 0.0, 1.0)
+        return _pieces(s, self.eps, 1.0 - self.eps, below, between, above)
 
-    def _blend(self, s: float) -> tuple[float, float]:
-        w = 1.0 - 2.0 * self.eps
-        return (s - self.eps) / w, w
+    def _tau(self, s: FloatOrArray) -> FloatOrArray:
+        return (s - self.eps) / (1.0 - 2.0 * self.eps)
 
-    def h(self, s: float) -> float:
-        self._check_domain(s)
-        if s <= self.eps:
-            return self.k * s * s
-        if s >= 1.0 - self.eps:
-            return self.k * math.exp(s - 1.0)
-        tau, w = self._blend(s)
+    def h(self, s: FloatOrArray) -> FloatOrArray:
         e = self.k * math.exp(-self.eps)
-        return _quintic(tau, self.k * self.eps ** 2, 2.0 * self.k * self.eps,
-                        2.0 * self.k, e, e, e, w)
+        return self._by_piece(
+            s,
+            lambda s: self.k * s * s,
+            lambda s: _quintic(self._tau(s), self.k * self.eps ** 2, 2.0 * self.k * self.eps,
+                               2.0 * self.k, e, e, e, 1.0 - 2.0 * self.eps),
+            lambda s: self.k * _libm(math.exp, s - 1.0),
+        )
 
-    def h_prime(self, s: float) -> float:
-        self._check_domain(s)
-        if s <= self.eps:
-            return 2.0 * self.k * s
-        if s >= 1.0 - self.eps:
-            return self.k * math.exp(s - 1.0)
-        tau, w = self._blend(s)
+    def h_prime(self, s: FloatOrArray) -> FloatOrArray:
         e = self.k * math.exp(-self.eps)
-        return _quintic_d(tau, self.k * self.eps ** 2, 2.0 * self.k * self.eps,
-                          2.0 * self.k, e, e, e, w)
+        return self._by_piece(
+            s,
+            lambda s: 2.0 * self.k * s,
+            lambda s: _quintic_d(self._tau(s), self.k * self.eps ** 2, 2.0 * self.k * self.eps,
+                                 2.0 * self.k, e, e, e, 1.0 - 2.0 * self.eps),
+            lambda s: self.k * _libm(math.exp, s - 1.0),
+        )
 
 
 @dataclass(frozen=True)
@@ -508,18 +525,12 @@ def verify_base_profile(bp: BaseProfile, samples: int = 2_000) -> BaseReport:
         raise ValueError(f"samples must be >= 100, got {samples}")
     zero = bp.h(0.0) == 0.0
 
-    plateaus = True
-    for i in range(1, 11):
-        s = bp.eps * i / 10.0
-        if bp.h(s) != bp.k * s * s:
-            plateaus = False
-        s = 1.0 - bp.eps + bp.eps * i / 10.0
-        if bp.h(s) != bp.k * math.exp(s - 1.0):
-            plateaus = False
+    tenths = bp.eps * np.arange(1, 11) / 10.0
+    inner, outer = tenths, 1.0 - bp.eps + tenths
+    plateaus = bool(np.all(bp.h(inner) == bp.k * inner * inner)
+                    and np.all(bp.h(outer) == bp.k * _libm(math.exp, outer - 1.0)))
 
-    increasing = all(
-        bp.h_prime(i / samples) > 0.0 for i in range(1, samples + 1)
-    )
+    increasing = bool(np.all(bp.h_prime(np.arange(1, samples + 1) / samples) > 0.0))
     return BaseReport(
         k=bp.k,
         eps=bp.eps,

@@ -199,7 +199,11 @@ class ScalarExpr:
         return ScalarExpr(out)
 
     def evaluate(self, bindings: Mapping[str, float]) -> float:
-        """Floating evaluation; every atom present must be bound."""
+        """Floating evaluation; every atom present must be bound.
+
+        Bindings may be floats or numpy arrays; arrays broadcast, so one
+        call evaluates the expression over a whole grid.
+        """
         total = 0.0
         for mono, coeff in self.terms.items():
             term = float(coeff)
@@ -211,9 +215,6 @@ class ScalarExpr:
                 term *= base ** exp
             total += term
         return total
-
-    def atoms(self) -> set[str]:
-        return {a for mono in self.terms for a, _ in mono}
 
     # -- display
 
@@ -283,9 +284,6 @@ class DerivativeRules:
             raise MissingRuleError(
                 f"no derivative rule for atom '{atom}' with respect to '{var}'"
             ) from None
-
-    def knows(self, atom: str) -> bool:
-        return atom in self._variables or any(a == atom for a, _ in self._rules)
 
 
 VARIABLES = ("r1", "r2", "r", "t", "s")
@@ -569,9 +567,6 @@ class Form:
     def degrees(self) -> set[int]:
         return {_word_degree(self.algebra, w) for w in self.terms}
 
-    def substitute_atoms(self, values: Mapping[str, Rational]) -> "Form":
-        return Form(self.algebra, {w: c.substitute(values) for w, c in self.terms.items()})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Form):
             return NotImplemented
@@ -727,8 +722,3 @@ def interior(v: TangentSymbol, a: Form) -> Form:
 def equals(a: Form, b: Form) -> bool:
     a._check(b)
     return (a - b).is_zero()
-
-
-def eval_numeric(expr: ScalarExpr, bindings: Mapping[str, float]) -> float:
-    """Float evaluation of a scalar normal form; unbound atoms raise."""
-    return expr.evaluate(bindings)

@@ -48,7 +48,6 @@ __all__ = [
     "verify_all",
     "positivity_grid",
     "top_power_coefficient",
-    "evaluate_on_grid",
 ]
 
 
@@ -384,20 +383,6 @@ def verify_all(cfg: ModelConfig = DEFAULT_CONFIG) -> list[IdentityReport]:
 # numeric positivity grids
 
 
-def evaluate_on_grid(expr: ScalarExpr, bindings: dict[str, np.ndarray]) -> np.ndarray:
-    """Vectorized monomial-by-monomial evaluation over numpy arrays."""
-    shape = next(iter(bindings.values())).shape
-    total = np.zeros(shape)
-    for mono, coeff in expr.terms.items():
-        term = np.full(shape, float(coeff))
-        for atom, exp in mono:
-            if atom not in bindings:
-                raise KeyError(f"no binding for atom '{atom}'")
-            term = term * bindings[atom] ** exp
-        total += term
-    return total
-
-
 def positivity_grid(
     identity: IdentityId,
     cfg: ModelConfig = DEFAULT_CONFIG,
@@ -416,11 +401,8 @@ def positivity_grid(
         r2 = np.linspace(0.0, cfg.disk2_radius, resolution)
         g1, g2 = np.meshgrid(r1, r2, indexing="ij")
         sq = g1 ** 2 + g2 ** 2
-        ramp = np.vectorize(cfg.ramp)
-        ramp_d = np.vectorize(cfg.ramp_d)
-        values = evaluate_on_grid(
-            top_power_coefficient(cfg.n),
-            {"r1": g1, "r2": g2, "f": ramp(sq), "up": ramp_d(sq)},
+        values = top_power_coefficient(cfg.n).evaluate(
+            {"r1": g1, "r2": g2, "f": cfg.ramp(sq), "up": cfg.ramp_d(sq)}
         )
         flat = int(np.argmin(values))
         i, j = np.unravel_index(flat, values.shape)

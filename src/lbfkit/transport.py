@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import DEFAULT_CONFIG, ModelConfig
+from .config import DEFAULT_CONFIG, FloatOrArray, ModelConfig, float_csv
 
 __all__ = [
     "TransportParams",
@@ -56,12 +56,19 @@ __all__ = [
 ]
 
 
+# The stepper's tolerances, and the floor below which the transport
+# denominator counts as vanished.
+ATOL = 1e-10
+RTOL = 1e-10
+SINGULAR_FLOOR = 1e-12
+
+
 class SingularTransportError(RuntimeError):
     """Transport denominator vanished; carries the location it happened at."""
 
     def __init__(self, s: float, r1: float, r2: float, value: float):
         super().__init__(
-            f"transport denominator {value:.3e} below 1e-12 at "
+            f"transport denominator {value:.3e} below {SINGULAR_FLOOR:g} at "
             f"s={s:.6g}, (r1, r2)=({r1:.6g}, {r2:.6g})"
         )
         self.location = (s, r1, r2)
@@ -78,53 +85,20 @@ class RegimeError(ValueError):
 
 @dataclass
 class TransportParams:
-    """Shared configuration plus concrete profile evaluators and stepper knobs.
+    """The model configuration and the denominator convention.
 
-    The evaluators default to the smoothstep realizations of the ModelConfig;
-    tests may substitute their own.  Construction samples the radial
-    reparametrization and rejects evaluators violating its contract
-    (identity below collar_width, constant 1 from mu_flat_radius on,
-    nondecreasing everywhere).
+    The profiles u, u', mu, mu' and sigma are the smoothstep realizations of
+    ``cfg``; ``denominator="weighted"`` carries the mu' factor.
     """
 
     cfg: ModelConfig = DEFAULT_CONFIG
-    ramp: Callable[[float], float] | None = None
-    ramp_d: Callable[[float], float] | None = None
-    mu: Callable[[float], float] | None = None
-    mu_d: Callable[[float], float] | None = None
-    cutoff: Callable[[float], float] | None = None
-    cutoff_d: Callable[[float], float] | None = None
-    atol: float = 1e-10
-    rtol: float = 1e-10
-    max_step: float = math.inf
-    denominator: str = "weighted"   # "weighted" carries the mu' factor
+    denominator: str = "weighted"
 
     def __post_init__(self) -> None:
-        cfg = self.cfg
-        for name in ("ramp", "ramp_d", "mu", "mu_d", "cutoff", "cutoff_d"):
-            if getattr(self, name) is None:
-                setattr(self, name, getattr(cfg, name))
-        if self.atol <= 0 or self.rtol <= 0:
-            raise ValueError("integrator tolerances must be positive")
-        if self.max_step <= 0:
-            raise ValueError("max_step must be positive")
         if self.denominator not in ("weighted", "unweighted"):
             raise ValueError(
                 f"denominator must be 'weighted' or 'unweighted', got {self.denominator!r}"
             )
-        self._validate_mu()
-
-    def _validate_mu(self) -> None:
-        cfg = self.cfg
-        for r in np.linspace(0.0, cfg.collar_width, 40):
-            if abs(self.mu(r) - r) > 1e-12:
-                raise ValueError(f"mu({r}) != r below collar_width")
-        for r in np.linspace(cfg.mu_flat_radius, cfg.disk1_radius, 40):
-            if abs(self.mu(r) - 1.0) > 1e-12:
-                raise ValueError(f"mu({r}) != 1 on the flat region")
-        for r in np.linspace(0.0, cfg.disk1_radius, 200):
-            if self.mu_d(r) < -1e-12:
-                raise ValueError(f"mu'({r}) = {self.mu_d(r)} < 0")
 
 
 @dataclass
@@ -171,21 +145,22 @@ def initial_condition(t: float) -> tuple[float, float]:
     raise ValueError("t = 0 is the critical value; no transport is defined there")
 
 
-def h_value(params: TransportParams, r1: float, r2: float) -> float:
-    f = params.ramp(r1 * r1 + r2 * r2)
+def h_value(params: TransportParams, r1: FloatOrArray, r2: FloatOrArray) -> FloatOrArray:
+    f = params.cfg.ramp(r1 * r1 + r2 * r2)
     return -r1 * r1 + r2 * r2 - f * r1 * r1 * r2 * r2
 
 
 def _field_parts(params: TransportParams, r1: float, r2: float) -> tuple[float, float, float]:
     """(dh/dr1, dh/dr2, denominator) at a point."""
+    cfg = params.cfg
     sq = r1 * r1 + r2 * r2
-    f = params.ramp(sq)
-    up = params.ramp_d(sq)
+    f = cfg.ramp(sq)
+    up = cfg.ramp_d(sq)
     dh_r1 = -2.0 * r1 * (1.0 + f * r2 * r2 + up * r1 * r1 * r2 * r2)
     dh_r2 = 2.0 * r2 * (1.0 - f * r1 * r1 - up * r1 * r1 * r2 * r2)
-    m = params.mu(r1)
+    m = cfg.mu(r1)
     if params.denominator == "weighted":
-        den = params.mu_d(r1) * r2 * dh_r2 - m * dh_r1
+        den = cfg.mu_d(r1) * r2 * dh_r2 - m * dh_r1
     else:
         den = r2 * dh_r2 - m * dh_r1
     return dh_r1, dh_r2, den
@@ -198,6 +173,13 @@ def _validate_t(cfg: ModelConfig, t: float) -> None:
         raise ValueError("t = 0 is the critical value; no transport is defined there")
     if not (lo <= t <= hi):
         raise ValueError(f"t = {t} outside the fiber-coordinate range [{lo}, {hi}]")
+    # Both start points give the denominator 2|t|; at |t| = floor/2 exactly
+    # the computed value still rounds just under the floor.
+    if 2.0 * abs(t) <= SINGULAR_FLOOR:
+        raise ValueError(
+            f"|t| = {abs(t)} is at most {SINGULAR_FLOOR / 2:g}: the transport "
+            f"denominator starts at 2|t|, not above the singular floor {SINGULAR_FLOOR:g}"
+        )
 
 
 def integrate(
@@ -224,9 +206,11 @@ def integrate(
         )
 
     def rhs(s: float, y: np.ndarray) -> list[float]:
-        dh_r1, dh_r2, den = _field_parts(params, y[0], y[1])
-        if abs(den) < 1e-12:
-            raise SingularTransportError(s, y[0], y[1], den)
+        # Python floats, not numpy scalars: the profiles run at float speed.
+        r1, r2 = y.tolist()
+        dh_r1, dh_r2, den = _field_parts(params, r1, r2)
+        if abs(den) < SINGULAR_FLOOR:
+            raise SingularTransportError(s, r1, r2, den)
         return [dh_r2 / den, -dh_r1 / den]
 
     grid = np.linspace(0.0, s_max, samples)
@@ -236,18 +220,16 @@ def integrate(
         [r1_0, r2_0],
         method="RK45",
         t_eval=grid,
-        atol=params.atol,
-        rtol=params.rtol,
-        max_step=params.max_step,
+        atol=ATOL,
+        rtol=RTOL,
     )
     if not result.success:
         raise IntegrationFailureError(
             f"integration stalled at level t={t}: {result.message}"
         )
-    r1 = result.y[0]
-    r2 = result.y[1]
-    h_drift = np.array([h_value(params, a, b) - t for a, b in zip(r1, r2)])
-    radial = np.array([params.mu(a) * b for a, b in zip(r1, r2)]) - grid
+    r1, r2 = result.y
+    h_drift = h_value(params, r1, r2) - t
+    radial = params.cfg.mu(r1) * r2 - grid
     return Trajectory(t=t, s=grid, r1=r1, r2=r2, h_drift=h_drift, radial_residual=radial)
 
 
@@ -379,6 +361,10 @@ def _angle_value(r2_end: float, t: float) -> float:
 
 def _fd_step(cfg: ModelConfig, t: float) -> float:
     step = min(abs(t) / 8.0, 1e-3)
+    if step <= 1e-8:
+        raise ValueError(
+            f"t = {t} too close to the critical value t = 0 for a central stencil"
+        )
     if t > 0:
         step = min(step, 0.5 * (cfg.disk2_radius ** 2 - t))
     else:
@@ -426,8 +412,8 @@ def monodromy_profile(
         lo = _angle_at(params, s0, t - step)
         R[i] = center
         dR[i] = (hi - lo) / (2.0 * step)
-        cut_hi = (1.0 - params.cutoff(t + step)) * hi
-        cut_lo = (1.0 - params.cutoff(t - step)) * lo
+        cut_hi = (1.0 - cfg.cutoff(t + step)) * hi
+        cut_lo = (1.0 - cfg.cutoff(t - step)) * lo
         dR_cut[i] = (cut_hi - cut_lo) / (2.0 * step)
     return MonodromyProfile(s0=s0, t=ts, R=R, dR=dR, dR_cut=dR_cut)
 
@@ -449,34 +435,10 @@ def limits_at_zero(params: TransportParams, s0: float) -> tuple[float, float]:
 # CSV dumps
 
 
-def _cell(x: float) -> str:
-    # repr of a builtin float is the shortest round-trip form; numpy scalars
-    # would stringify with a type wrapper
-    return repr(float(x))
-
-
 def trajectory_csv(traj: Trajectory) -> str:
-    lines = ["s,r1,r2,h_drift,mu_r2_minus_s"]
-    for i in range(traj.s.size):
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    traj.s[i],
-                    traj.r1[i],
-                    traj.r2[i],
-                    traj.h_drift[i],
-                    traj.radial_residual[i],
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return float_csv("s,r1,r2,h_drift,mu_r2_minus_s", traj.s, traj.r1, traj.r2,
+                     traj.h_drift, traj.radial_residual)
 
 
 def profile_csv(prof: MonodromyProfile) -> str:
-    lines = ["t,R,dR,dR_cut"]
-    for i in range(prof.t.size):
-        lines.append(
-            ",".join(_cell(v) for v in (prof.t[i], prof.R[i], prof.dR[i], prof.dR_cut[i]))
-        )
-    return "\n".join(lines) + "\n"
+    return float_csv("t,R,dR,dR_cut", prof.t, prof.R, prof.dR, prof.dR_cut)

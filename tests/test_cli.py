@@ -88,21 +88,18 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "resolve", "--k", "-3")[0] == 2
     assert run(capsys, "transport", "--grid", "0:1:5")[0] == 2      # grid hits t=0
     assert run(capsys, "transport", "--grid", "1:2")[0] == 2
+    assert run(capsys, "transport", "--t", "1e-14")[0] == 2      # start under the floor
+    assert run(capsys, "transport", "--t=-1e-14")[0] == 2
     assert run(capsys, "verify-forms", "--n", "1")[0] == 2
 
 
-def test_bad_thread_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("LBFKIT_THREADS", "frog")
-    assert run(capsys, "verify-forms")[0] == 2
-    monkeypatch.setenv("LBFKIT_THREADS", "0")
-    assert run(capsys, "verify-forms")[0] == 2
-
-
-def test_thread_env_respected(capsys, monkeypatch):
-    monkeypatch.setenv("LBFKIT_THREADS", "4")
-    code, out, _ = run(capsys, "verify-forms")
-    assert code == 0
-    assert json.loads(out)["passed"] is True
+def test_contact_check_n_stops_where_the_power_overflows(capsys):
+    # f = c0 = 2 near r = 0, and 2.0 ** 1024 is the first power past a double
+    assert run(capsys, "contact-check", "--n", "1024")[0] == 0
+    code, out, err = run(capsys, "contact-check", "--n", "1025")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "n = 1025" in err
 
 
 def test_verification_failure_exits_1(capsys, monkeypatch):

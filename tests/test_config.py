@@ -1,0 +1,85 @@
+"""The smooth profiles: one definition for floats and arrays, and mu's contract."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from lbfkit.config import DEFAULT_CONFIG, ModelConfig
+
+
+@st.composite
+def configs(draw) -> ModelConfig:
+    """Configurations the constructor accepts."""
+    unit = st.floats(min_value=1e-3, max_value=0.999)
+    collar, lo, hi = sorted(draw(st.lists(unit, min_size=3, max_size=3, unique=True)))
+    disk1 = draw(st.floats(min_value=min(1.5 * collar, 0.999), max_value=1.0,
+                           exclude_max=True))
+    disk2 = draw(st.floats(min_value=0.1, max_value=100.0))
+    try:
+        return ModelConfig(n=2, collar_width=collar, ramp_lo=lo, ramp_hi=hi,
+                           disk1_radius=disk1, disk2_radius=disk2)
+    except ValueError:
+        assume(False)
+
+
+any_config = st.one_of(st.just(DEFAULT_CONFIG), configs())
+
+
+def _domains(cfg: ModelConfig) -> dict[str, tuple[float, float, tuple[float, ...]]]:
+    """Per profile: its documented domain and its plateau edges."""
+    sq_max = cfg.disk1_radius ** 2 + cfg.disk2_radius ** 2
+    radial = (0.0, cfg.disk1_radius, (cfg.collar_width, cfg.mu_flat_radius))
+    return {
+        "ramp": (0.0, sq_max, (cfg.ramp_lo, cfg.ramp_hi)),
+        "ramp_d": (0.0, sq_max, (cfg.ramp_lo, cfg.ramp_hi)),
+        "mu": radial,
+        "mu_d": radial,
+        "cutoff": (-cfg.disk1_radius ** 2, cfg.disk2_radius ** 2,
+                   (cfg.cutoff_lo, cfg.cutoff_hi)),
+    }
+
+
+def _sample(lo: float, hi: float, edges: tuple[float, ...], fractions: list[float]) -> list[float]:
+    points = [lo, hi] + [lo + (hi - lo) * u for u in fractions]
+    for edge in edges:
+        points += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    return [x for x in points if lo <= x <= hi]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=any_config,
+       fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
+def test_array_evaluation_is_float_evaluation_bit_for_bit(cfg, fractions):
+    for name, (lo, hi, edges) in _domains(cfg).items():
+        fn = getattr(cfg, name)
+        xs = _sample(lo, hi, edges, fractions)
+        one_by_one = np.array([fn(x) for x in xs], dtype=float)
+        whole = fn(np.array(xs))
+        assert all(type(fn(x)) is float for x in xs), name
+        assert np.array_equal(whole.view(np.int64), one_by_one.view(np.int64)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=any_config,
+       fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
+def test_mu_contract(cfg, fractions):
+    lo, hi, edges = _domains(cfg)["mu"]
+    r = np.array(_sample(lo, hi, edges, fractions))
+    inner = r[r <= cfg.collar_width]
+    assert np.array_equal(cfg.mu(inner), inner)              # identity on the collar
+    assert np.all(cfg.mu(r[r >= cfg.mu_flat_radius]) == 1.0)  # flat from mu_flat_radius
+    # nondecreasing: S rounds a few ulps above 1 just below mu_flat_radius,
+    # which puts mu' near -1e-15 there; 1e-12 is the contract's tolerance
+    assert np.all(cfg.mu_d(r) >= -1e-12)
+
+
+def test_collar_must_end_before_mu_flattens():
+    # mu_flat_radius = disk1_radius - collar_width / 2 must exceed collar_width
+    with pytest.raises(ValueError, match="disk1_radius"):
+        ModelConfig(collar_width=0.375, ramp_lo=0.5, ramp_hi=0.75, disk1_radius=0.5)
+    ModelConfig(collar_width=0.32, ramp_lo=0.5, ramp_hi=0.7, disk1_radius=0.9)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from lbfkit.contact import (
@@ -87,25 +88,25 @@ def test_profile_report_serialization():
 
 
 def test_degenerate_profile_detected():
-    # g = 3 f on a middle window makes the curve parallel to its tangent
+    # g = 3 f on a middle window makes the curve parallel to its tangent;
+    # verify_profile samples whole arrays, so the stub takes arrays
     class Stub:
         r_max = 1.0
+
+        def _window(self, r):
+            return (0.4 <= r) & (r <= 0.6)
 
         def f(self, r):
             return 2.0 - r
 
         def f_prime(self, r):
-            return -1.0
+            return np.full_like(r, -1.0)
 
         def g(self, r):
-            if 0.4 <= r <= 0.6:
-                return 3.0 * self.f(r)
-            return r * r
+            return np.where(self._window(r), 3.0 * self.f(r), r * r)
 
         def g_prime(self, r):
-            if 0.4 <= r <= 0.6:
-                return -3.0
-            return 2.0 * r
+            return np.where(self._window(r), -3.0, 2.0 * r)
 
     report = verify_profile(Stub(), n=2, grid=500)
     assert not report.passed

@@ -19,7 +19,6 @@ from lbfkit.exterior import (
     ZERO,
     ext_d,
     equals,
-    eval_numeric,
     interior,
     standard_rules,
     wedge,
@@ -65,7 +64,7 @@ def test_substitute_and_evaluate_agree():
     expr = ScalarExpr.atom("f") * ScalarExpr.atom("r1", 2) + Fraction(1, 2)
     subbed = expr.substitute({"f": Fraction(3), "r1": Fraction(2)})
     assert subbed == ScalarExpr.const(Fraction(25, 2))
-    assert eval_numeric(expr, {"f": 3.0, "r1": 2.0}) == 12.5
+    assert expr.evaluate({"f": 3.0, "r1": 2.0}) == 12.5
 
 
 def test_evaluate_names_the_unbound_atom():

@@ -7,7 +7,7 @@ import pytest
 
 from lbfkit import models
 from lbfkit.config import DEFAULT_CONFIG, ModelConfig
-from lbfkit.exterior import ScalarExpr, eval_numeric
+from lbfkit.exterior import ScalarExpr
 from lbfkit.models import IdentityId
 
 
@@ -53,8 +53,8 @@ def test_h_is_the_fiber_level_function():
     (coeff,) = h.terms.values()
     cfg = DEFAULT_CONFIG
     for r1, r2 in [(0.0, 0.5), (0.1, 0.3), (0.3, 0.0)]:
-        value = eval_numeric(coeff, cfg.bindings(r1, r2))
         f = cfg.ramp(r1 * r1 + r2 * r2)
+        value = coeff.evaluate({"r1": r1, "r2": r2, "f": f})
         assert value == pytest.approx(-r1 ** 2 + r2 ** 2 - f * r1 ** 2 * r2 ** 2)
 
 
@@ -79,20 +79,22 @@ def test_positivity_grid_rejects_other_identities():
 
 
 def test_evaluate_on_grid_matches_pointwise():
+    # ScalarExpr.evaluate broadcasts over arrays
     expr = (ScalarExpr.atom("r1") ** 2 * ScalarExpr.atom("f")
-            + ScalarExpr.atom("r2"))
+            + ScalarExpr.atom("r2") + ScalarExpr.const(3))
     r1 = np.linspace(0.0, 0.4, 7)
     r2 = np.linspace(0.0, 2.0, 7)
     f = np.linspace(0.0, 1.0, 7)
-    grid = models.evaluate_on_grid(expr, {"r1": r1, "r2": r2, "f": f})
+    grid = expr.evaluate({"r1": r1, "r2": r2, "f": f})
+    assert grid.shape == (7,)
     for i in range(7):
-        point = eval_numeric(expr, {"r1": r1[i], "r2": r2[i], "f": f[i]})
+        point = expr.evaluate({"r1": float(r1[i]), "r2": float(r2[i]), "f": float(f[i])})
         assert grid[i] == pytest.approx(point, rel=1e-14)
 
 
 def test_evaluate_on_grid_names_missing_binding():
     with pytest.raises(KeyError, match="up"):
-        models.evaluate_on_grid(ScalarExpr.atom("up"), {"r1": np.ones(3)})
+        ScalarExpr.atom("up").evaluate({"r1": np.ones(3)})
 
 
 def test_verify_identity_runtime_is_recorded():

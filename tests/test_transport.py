@@ -81,16 +81,12 @@ def test_unweighted_variant_loses_the_radial_invariant():
 
 def test_invalid_t_rejected():
     params = TransportParams()
-    for t in (0.0, -0.26, 101.0):
+    # +-1e-14: the starting denominator 2|t| is under the singular floor
+    for t in (0.0, -0.26, 101.0, 1e-14, -1e-14):
         with pytest.raises(ValueError):
             integrate(params, t, 0.1)
     with pytest.raises(ValueError):
         integrate(params, 0.25, 1.5)
-
-
-def test_mu_override_must_satisfy_the_contract():
-    with pytest.raises(ValueError):
-        TransportParams(mu=lambda r: 1.0, mu_d=lambda r: 0.0)
 
 
 def test_singular_error_carries_location():
@@ -215,6 +211,10 @@ def test_monodromy_rejects_bad_grids():
         monodromy_profile(params, 1e-3, [0.0, 0.1])
     with pytest.raises(ValueError):
         monodromy_profile(params, 0.5, [0.1])  # s0 beyond collar_width/4
+    with pytest.raises(ValueError, match="critical value"):
+        monodromy_profile(params, 1e-3, [5e-8])  # stencil step under 1e-8
+    with pytest.raises(ValueError, match="boundary"):
+        monodromy_profile(params, 1e-3, [-0.25 + 1e-9])
 
 
 # ---------------------------------------------------------------------------
