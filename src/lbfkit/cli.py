@@ -205,13 +205,14 @@ def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
     prof = transport.monodromy_profile(params, s0, grid)
     lim_plus, lim_minus = transport.limits_at_zero(params, s0)
 
+    gate = transport.DRIFT_GATE
     failures = []
     for variant, data in trajectories.items():
-        if data["max_h_drift"] > 1e-8:
-            failures.append(f"{variant} h drift {data['max_h_drift']} above 1e-8")
-        if data["radial_drift_gated"] and data["max_radial_drift"] > 1e-8:
+        if data["max_h_drift"] > gate:
+            failures.append(f"{variant} h drift {data['max_h_drift']} above {gate:g}")
+        if data["radial_drift_gated"] and data["max_radial_drift"] > gate:
             failures.append(
-                f"{variant} radial drift {data['max_radial_drift']} above 1e-8"
+                f"{variant} radial drift {data['max_radial_drift']} above {gate:g}"
             )
     if abs(lim_plus - 0.5) > 1e-3:
         failures.append(f"limit at 0+ = {lim_plus}, expected 0.5 within 1e-3")

@@ -23,21 +23,27 @@ FloatOrArray = float | np.ndarray
 
 
 def _clamp01(x: FloatOrArray) -> FloatOrArray:
-    """x clamped to [0, 1]: np.clip for arrays, a compare for floats."""
+    """x clamped to [0, 1]: ndarray.clip for arrays, a compare for floats."""
     if isinstance(x, np.ndarray):
-        return np.clip(x, 0.0, 1.0)
+        return x.clip(0.0, 1.0)
     return 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else x
 
 
+def smoothstep_and_slope(x: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+    """The clamped quintic step S and its slope S'.
+
+    S is 0 below 0, 1 above 1 and 6x^5 - 15x^4 + 10x^3 between.
+    """
+    x = _clamp01(x)
+    s = x * x * x * (x * (6.0 * x - 15.0) + 10.0)
+    # the polynomial rounds a few ulps above 1 just below x = 1
+    s = np.minimum(s, 1.0) if isinstance(s, np.ndarray) else min(s, 1.0)
+    d = x - 1.0
+    return s, 30.0 * x * x * d * d
+
+
 def smoothstep(x: FloatOrArray) -> FloatOrArray:
-    """Clamped quintic step: 0 below 0, 1 above 1, 6x^5-15x^4+10x^3 between."""
-    x = _clamp01(x)
-    return x * x * x * (x * (6.0 * x - 15.0) + 10.0)
-
-
-def smoothstep_d(x: FloatOrArray) -> FloatOrArray:
-    x = _clamp01(x)
-    return 30.0 * x * x * (x - 1.0) * (x - 1.0)
+    return smoothstep_and_slope(x)[0]
 
 
 @dataclass(frozen=True)
@@ -82,13 +88,14 @@ class ModelConfig:
     # -- interpolation profile u and its derivative, as functions of the
     #    squared total radius
 
-    def ramp(self, sq: FloatOrArray) -> FloatOrArray:
-        """0 below ramp_lo, 1 above ramp_hi, monotone C^2 in between."""
-        return smoothstep((sq - self.ramp_lo) / (self.ramp_hi - self.ramp_lo))
-
-    def ramp_d(self, sq: FloatOrArray) -> FloatOrArray:
+    def ramp_and_slope(self, sq: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+        """u and u': 0 below ramp_lo, 1 above ramp_hi, monotone C^2 in between."""
         w = self.ramp_hi - self.ramp_lo
-        return smoothstep_d((sq - self.ramp_lo) / w) / w
+        s, ds = smoothstep_and_slope((sq - self.ramp_lo) / w)
+        return s, ds / w
+
+    def ramp(self, sq: FloatOrArray) -> FloatOrArray:
+        return self.ramp_and_slope(sq)[0]
 
     # -- radial reparametrization mu: identity near 0, constant 1 before
     #    disk1_radius, nondecreasing throughout
@@ -98,22 +105,22 @@ class ModelConfig:
         """Radius from which mu is identically 1."""
         return self.disk1_radius - self.collar_width / 2.0
 
-    def mu(self, radius: FloatOrArray) -> FloatOrArray:
-        """The blend radius + (1 - radius) S over the clamped smoothstep S.
+    def mu_and_slope(self, radius: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+        """mu and mu': the blend radius + (1 - radius) S over the clamped smoothstep S.
 
         S = 0 up to collar_width, so mu is exactly the radius there; S = 1
         from mu_flat_radius on, and radius + (1 - radius) rounds to exactly
         1 for every radius in [0, 1].
         """
         lo, hi = self.collar_width, self.mu_flat_radius
-        return radius + (1.0 - radius) * smoothstep((radius - lo) / (hi - lo))
-
-    def mu_d(self, radius: FloatOrArray) -> FloatOrArray:
-        lo, hi = self.collar_width, self.mu_flat_radius
         w = hi - lo
-        x = (radius - lo) / w
-        # (1 - S) >= 0 and (1 - radius) S'/w >= 0 since radius < 1, so mu' >= 0
-        return (1.0 - smoothstep(x)) + (1.0 - radius) * smoothstep_d(x) / w
+        s, ds = smoothstep_and_slope((radius - lo) / w)
+        rest = 1.0 - radius
+        # S <= 1 by its clamp, S' >= 0 and radius < 1, so mu' >= 0
+        return radius + rest * s, (1.0 - s) + rest * ds / w
+
+    def mu(self, radius: FloatOrArray) -> FloatOrArray:
+        return self.mu_and_slope(radius)[0]
 
     # -- monodromy cutoff sigma, a function of the fibration value t
 

@@ -26,7 +26,7 @@ All values are immutable; all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 Rational = Union[int, Fraction]
 

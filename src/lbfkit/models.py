@@ -15,7 +15,7 @@ from :mod:`lbfkit.config` to certify positivity on the stated window.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
@@ -24,7 +24,6 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ModelConfig
 from .exterior import (
-    Algebra,
     DerivativeRules,
     Form,
     ScalarExpr,
@@ -400,10 +399,8 @@ def positivity_grid(
         r1 = np.linspace(0.0, 0.9 * cfg.disk1_radius, resolution)
         r2 = np.linspace(0.0, cfg.disk2_radius, resolution)
         g1, g2 = np.meshgrid(r1, r2, indexing="ij")
-        sq = g1 ** 2 + g2 ** 2
-        values = top_power_coefficient(cfg.n).evaluate(
-            {"r1": g1, "r2": g2, "f": cfg.ramp(sq), "up": cfg.ramp_d(sq)}
-        )
+        f, up = cfg.ramp_and_slope(g1 ** 2 + g2 ** 2)
+        values = top_power_coefficient(cfg.n).evaluate({"r1": g1, "r2": g2, "f": f, "up": up})
         flat = int(np.argmin(values))
         i, j = np.unravel_index(flat, values.shape)
         return GridResult(float(values[i, j]), (float(g1[i, j]), float(g2[i, j])), resolution)

@@ -18,6 +18,18 @@ mu(r) = r, but only the weighted one keeps mu(r1) r2 = s once mu flattens,
 which the flat-region argument r2(s0, t) = s0 depends on.  Reports print the
 invariant drifts of both variants side by side.
 
+The ODE is stepped by one Dormand & Prince (1980) 5(4) pair with the step
+control of Hairer, Norsett and Wanner (Solving ODEs I, II.4-5).  It steps a
+(2, N) numpy batch of levels at once: each column has its own step size,
+its own accept/reject decision and its own position, and columns never mix,
+so a level integrated in a batch equals the level integrated alone, bit
+for bit.  ``integrate`` cuts steps to land exactly on each of its sample
+points (no dense output); ``monodromy_profile`` integrates its 3C stencil
+levels in one batch, and ``limits_at_zero`` its 12.  The local tolerances
+ATOL = RTOL sit four decades under DRIFT_GATE, the bound the reports audit
+both invariants against.  No step is projected back onto the invariants:
+that would zero the very drift the audit reports.
+
 The monodromy angle profile is
 
     R(t) = -r2(s0, t)^2 + t   (t > 0),      R(t) = -r2(s0, t)^2 - 1  (t < 0),
@@ -30,11 +42,10 @@ zero derivative near the outer ceiling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .config import DEFAULT_CONFIG, FloatOrArray, ModelConfig, float_csv
 
@@ -56,11 +67,29 @@ __all__ = [
 ]
 
 
-# The stepper's tolerances, and the floor below which the transport
-# denominator counts as vanished.
-ATOL = 1e-10
-RTOL = 1e-10
+# The drift gate the reports audit both invariants against; the stepper's
+# local tolerances, four decades under it so that the error accumulated
+# over a few hundred steps stays well inside the gate; and the floor below
+# which the transport denominator counts as vanished.
+DRIFT_GATE = 1e-8
+ATOL = RTOL = DRIFT_GATE * 1e-4
 SINGULAR_FLOOR = 1e-12
+
+# Dormand & Prince (1980) 5(4) pair, as in Hairer, Norsett and Wanner,
+# Solving ODEs I, Table II.5.2: stage nodes _C and rows _A of the stages
+# after the first.  The last row is also the fifth-order solution's weights,
+# so the last stage is the field at the new point (first same as last).
+# _E holds the fifth- minus fourth-order weights, the local error estimate.
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
 class SingularTransportError(RuntimeError):
@@ -150,20 +179,94 @@ def h_value(params: TransportParams, r1: FloatOrArray, r2: FloatOrArray) -> Floa
     return -r1 * r1 + r2 * r2 - f * r1 * r1 * r2 * r2
 
 
-def _field_parts(params: TransportParams, r1: float, r2: float) -> tuple[float, float, float]:
-    """(dh/dr1, dh/dr2, denominator) at a point."""
-    cfg = params.cfg
-    sq = r1 * r1 + r2 * r2
-    f = cfg.ramp(sq)
-    up = cfg.ramp_d(sq)
-    dh_r1 = -2.0 * r1 * (1.0 + f * r2 * r2 + up * r1 * r1 * r2 * r2)
-    dh_r2 = 2.0 * r2 * (1.0 - f * r1 * r1 - up * r1 * r1 * r2 * r2)
-    m = cfg.mu(r1)
+def _field(params: TransportParams, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d(r1, r2)/ds = (dh/dr2, -dh/dr1) / D for a (2, N) batch at arc parameters s."""
+    r1, r2 = y[0], y[1]
+    f, up = params.cfg.ramp_and_slope(r1 * r1 + r2 * r2)
+    cross = up * r1 * r1 * r2 * r2
+    dh_r1 = -2.0 * r1 * (1.0 + f * r2 * r2 + cross)
+    dh_r2 = 2.0 * r2 * (1.0 - f * r1 * r1 - cross)
+    m, m_d = params.cfg.mu_and_slope(r1)
     if params.denominator == "weighted":
-        den = cfg.mu_d(r1) * r2 * dh_r2 - m * dh_r1
+        den = m_d * r2 * dh_r2 - m * dh_r1
     else:
         den = r2 * dh_r2 - m * dh_r1
-    return dh_r1, dh_r2, den
+    singular = np.abs(den) < SINGULAR_FLOOR
+    if singular.any():
+        i = int(np.argmax(singular))
+        raise SingularTransportError(float(s[i]), float(r1[i]), float(r2[i]), float(den[i]))
+    return np.array([dh_r2, -dh_r1]) / den
+
+
+def _rms(x: np.ndarray) -> np.ndarray:
+    """Root mean square of each column of a (2, N) array."""
+    return np.sqrt(0.5 * (x * x).sum(axis=0))
+
+
+def _initial_step(rhs, s: np.ndarray, y: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """A first step size per column (Hairer, Norsett and Wanner, II.4)."""
+    scale = ATOL + RTOL * np.abs(y)
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
+    d2 = _rms((rhs(s + h0, y + h0 * f) - f) / scale) / h0
+    d = np.maximum(d1, d2)
+    h1 = np.where(d <= 1e-15, np.maximum(1e-6, 1e-3 * h0),
+                  (0.01 / np.maximum(d, 1e-15)) ** 0.2)
+    return np.minimum(100.0 * h0, h1)
+
+
+def _dopri5(rhs, y0: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Integrate dy/ds = rhs(s, y) for a (2, N) batch y0 through ``stops``.
+
+    ``stops`` increase from the common start s = stops[0].  Every column
+    keeps its own step size and accept/reject decision; a column that
+    reaches a stop waits there for the others, and the step that reaches it
+    is cut to land on it exactly.  Columns never mix, so a column computed
+    in a batch equals the same column computed alone, bit for bit.
+    Returns the states at the stops, shape (len(stops), 2, N).
+    """
+    y = np.array(y0, dtype=float)
+    out = np.empty((len(stops),) + y.shape)
+    out[0] = y
+    s = np.full(y.shape[1], float(stops[0]))
+    f = rhs(s, y)
+    h = _initial_step(rhs, s, y, f)
+    rejected = np.zeros(s.size, dtype=bool)
+    for j in range(1, len(stops)):
+        end = float(stops[j])
+        live = np.flatnonzero(s < end)
+        while live.size:
+            ss, ys, hs = s[live], y[:, live], h[live]
+            underflow = hs < 16.0 * np.spacing(ss)
+            if underflow.any():
+                i = int(np.argmax(underflow))
+                raise IntegrationFailureError(
+                    f"step size {hs[i]:.3e} underflowed at s={ss[i]:.6g}, "
+                    f"(r1, r2)=({ys[0, i]:.6g}, {ys[1, i]:.6g})"
+                )
+            room = end - ss
+            last = hs >= room
+            step = np.where(last, room, hs)
+            ks = [f[:, live]]
+            for c, row in zip(_C, _A):
+                y_new = ys + step * sum(a * k for a, k in zip(row, ks) if a)
+                ks.append(rhs(ss + c * step, y_new))
+            error = step * sum(e * k for e, k in zip(_E, ks) if e)
+            norm = _rms(error / (ATOL + RTOL * np.maximum(np.abs(ys), np.abs(y_new))))
+            ok = norm <= 1.0
+            # step-size control of II.4: no growth right after a rejection
+            grow = np.fmin(np.where(rejected[live], 1.0, 10.0),
+                           np.fmax(0.2, 0.9 * np.maximum(norm, 1e-10) ** -0.2))
+            # a step cut short to land on a stop keeps the proposal it cut
+            h[live] = np.where(ok & last, hs, step * grow)
+            rejected[live] = ~ok
+            done = live[ok]
+            s[done] = np.where(last[ok], end, ss[ok] + step[ok])
+            y[:, done] = y_new[:, ok]
+            f[:, done] = ks[-1][:, ok]
+            live = live[s[live] < end]
+        out[j] = y
+    return out
 
 
 def _validate_t(cfg: ModelConfig, t: float) -> None:
@@ -182,52 +285,28 @@ def _validate_t(cfg: ModelConfig, t: float) -> None:
         )
 
 
+def _transport(params: TransportParams, levels: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """(r1, r2) at each stop for each level, shape (len(stops), 2, len(levels))."""
+    for t in levels:
+        _validate_t(params.cfg, t)
+    y0 = np.array([initial_condition(t) for t in levels]).T
+    return _dopri5(lambda s, y: _field(params, s, y), y0, stops)
+
+
 def integrate(
     params: TransportParams,
     t: float,
     s_max: float,
     samples: int = 129,
 ) -> Trajectory:
-    """Integrate the transport ODE from s = 0 to s = s_max at level t."""
-    _validate_t(params.cfg, t)
+    """Integrate the transport ODE from s = 0 to s = s_max at level t.
+
+    The stepper lands on each of the ``samples`` evenly spaced values of s.
+    """
     if s_max < 0 or s_max > 1:
         raise ValueError(f"s_max must lie in [0, 1], got {s_max}")
-    r1_0, r2_0 = initial_condition(t)
-
-    if s_max == 0.0:
-        zero = np.zeros(1)
-        return Trajectory(
-            t=t,
-            s=zero,
-            r1=np.array([r1_0]),
-            r2=np.array([r2_0]),
-            h_drift=zero.copy(),
-            radial_residual=zero.copy(),
-        )
-
-    def rhs(s: float, y: np.ndarray) -> list[float]:
-        # Python floats, not numpy scalars: the profiles run at float speed.
-        r1, r2 = y.tolist()
-        dh_r1, dh_r2, den = _field_parts(params, r1, r2)
-        if abs(den) < SINGULAR_FLOOR:
-            raise SingularTransportError(s, r1, r2, den)
-        return [dh_r2 / den, -dh_r1 / den]
-
-    grid = np.linspace(0.0, s_max, samples)
-    result = solve_ivp(
-        rhs,
-        (0.0, s_max),
-        [r1_0, r2_0],
-        method="RK45",
-        t_eval=grid,
-        atol=ATOL,
-        rtol=RTOL,
-    )
-    if not result.success:
-        raise IntegrationFailureError(
-            f"integration stalled at level t={t}: {result.message}"
-        )
-    r1, r2 = result.y
+    grid = np.linspace(0.0, s_max, samples if s_max > 0 else 1)
+    r1, r2 = _transport(params, np.array([t]), grid)[:, :, 0].T
     h_drift = h_value(params, r1, r2) - t
     radial = params.cfg.mu(r1) * r2 - grid
     return Trajectory(t=t, s=grid, r1=r1, r2=r2, h_drift=h_drift, radial_residual=radial)
@@ -355,10 +434,6 @@ def small_t_branch_audit(s: float, t: float) -> dict[str, float]:
 # monodromy profile
 
 
-def _angle_value(r2_end: float, t: float) -> float:
-    return -r2_end * r2_end + t if t > 0 else -r2_end * r2_end - 1.0
-
-
 def _fd_step(cfg: ModelConfig, t: float) -> float:
     step = min(abs(t) / 8.0, 1e-3)
     if step <= 1e-8:
@@ -376,11 +451,6 @@ def _fd_step(cfg: ModelConfig, t: float) -> float:
     return step
 
 
-def _angle_at(params: TransportParams, s0: float, t: float) -> float:
-    traj = integrate(params, t, s0, samples=2)
-    return _angle_value(traj.r2[-1], t)
-
-
 def monodromy_profile(
     params: TransportParams,
     s0: float,
@@ -388,9 +458,10 @@ def monodromy_profile(
 ) -> MonodromyProfile:
     """Angle profile R, its derivative, and the cutoff-corrected derivative.
 
-    Three integrations per grid label: the label itself and a central
-    stencil t +/- step with step = min(|t|/8, 1e-3), shrunk near the
-    domain ends.  The grid must avoid the critical value 0.
+    Three levels per grid label: the label itself and a central stencil
+    t +/- step with step = min(|t|/8, 1e-3), shrunk near the domain ends.
+    All 3C levels are integrated to s0 in one batch.  The grid must avoid
+    the critical value 0.
     """
     cfg = params.cfg
     if not (0.0 < s0 <= cfg.collar_width / 4.0):
@@ -402,20 +473,16 @@ def monodromy_profile(
         raise ValueError("empty t grid")
     if np.any(ts == 0.0):
         raise ValueError("t grid must avoid the critical value 0")
-    R = np.empty(ts.size)
-    dR = np.empty(ts.size)
-    dR_cut = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        step = _fd_step(cfg, t)
-        center = _angle_at(params, s0, t)
-        hi = _angle_at(params, s0, t + step)
-        lo = _angle_at(params, s0, t - step)
-        R[i] = center
-        dR[i] = (hi - lo) / (2.0 * step)
-        cut_hi = (1.0 - cfg.cutoff(t + step)) * hi
-        cut_lo = (1.0 - cfg.cutoff(t - step)) * lo
-        dR_cut[i] = (cut_hi - cut_lo) / (2.0 * step)
-    return MonodromyProfile(s0=s0, t=ts, R=R, dR=dR, dR_cut=dR_cut)
+    step = np.array([_fd_step(cfg, t) for t in ts])
+    levels = np.concatenate([ts, ts + step, ts - step])
+    r2 = _transport(params, levels, np.array([0.0, s0]))[-1, 1]
+    R = np.where(levels > 0, -r2 * r2 + levels, -r2 * r2 - 1.0)
+    center, hi, lo = R.reshape(3, ts.size)
+    dR = (hi - lo) / (2.0 * step)
+    cut_hi = (1.0 - cfg.cutoff(ts + step)) * hi
+    cut_lo = (1.0 - cfg.cutoff(ts - step)) * lo
+    dR_cut = (cut_hi - cut_lo) / (2.0 * step)
+    return MonodromyProfile(s0=s0, t=ts, R=center, dR=dR, dR_cut=dR_cut)
 
 
 def limits_at_zero(params: TransportParams, s0: float) -> tuple[float, float]:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import pytest
-
+import lbfkit
 from lbfkit import cli, topo
 
 
@@ -168,3 +171,12 @@ def test_all_is_byte_deterministic(capsys, tmp_path):
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "transport", "--help")[0] == 0
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(lbfkit.__file__).resolve().parents[1])
+    probe = "import sys, lbfkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"

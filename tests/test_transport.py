@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lbfkit import transport
 from lbfkit.config import DEFAULT_CONFIG, ModelConfig
@@ -79,6 +81,42 @@ def test_unweighted_variant_loses_the_radial_invariant():
     assert u.max_radial_drift > 1e-3
 
 
+# Levels over the documented range [-0.25, 100], log-spaced in |t| down to
+# just above the singular floor, plus plain uniform draws.
+LEVELS = st.one_of(
+    st.floats(min_value=-12.0, max_value=2.0).map(lambda e: 10.0 ** e),
+    st.floats(min_value=-12.0, max_value=math.log10(0.25)).map(lambda e: -min(10.0 ** e, 0.25)),
+    st.floats(min_value=-0.25, max_value=100.0).filter(lambda t: abs(t) > 1e-12),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(t=LEVELS)
+@example(t=0.0037121).via("h drift 1.2e-8 with scipy RK45 at 1e-10")
+@example(t=-0.1403).via("radial drift 1.6e-8 with scipy RK45 at 1e-10")
+@example(t=7.257).via("radial drift 2.1e-8 with scipy RK45 at 1e-10")
+@example(t=23.29).via("radial drift 2.4e-8 with scipy RK45 at 1e-10")
+def test_drift_gate_holds_over_the_documented_range(t):
+    # the CLI's audit: both variants to s_max = 0.5, h drift for both,
+    # radial drift for the weighted denominator only
+    weighted = integrate(TransportParams(denominator="weighted"), t, 0.5)
+    unweighted = integrate(TransportParams(denominator="unweighted"), t, 0.5)
+    assert transport.DRIFT_GATE == 1e-8
+    assert weighted.max_h_drift <= 1e-8
+    assert weighted.max_radial_drift <= 1e-8
+    assert unweighted.max_h_drift <= 1e-8
+
+
+def test_step_size_underflow_raises():
+    # a field that jumps by 1e6 at s = 0.5 cannot be stepped across within
+    # the tolerance: the step shrinks under 16 ulp of s
+    def jump(s, y):
+        return np.where(s < 0.5, 0.0, 1e6) + 0.0 * y
+
+    with pytest.raises(IntegrationFailureError, match="underflowed at s=0.5"):
+        transport._dopri5(jump, np.array([[1.0], [0.0]]), np.array([0.0, 1.0]))
+
+
 def test_invalid_t_rejected():
     params = TransportParams()
     # +-1e-14: the starting denominator 2|t| is under the singular floor
@@ -94,6 +132,11 @@ def test_singular_error_carries_location():
     assert "below 1e-12" in str(err)
     assert "s=0.3" in str(err).replace("s = ", "s=")
     assert err.location == (0.3, 0.1, 0.2)
+    # in a batch, the first column whose denominator vanishes is named
+    with pytest.raises(SingularTransportError) as raised:
+        transport._field(TransportParams(), np.array([0.1, 0.2]),
+                         np.array([[0.01, 0.0], [0.3, 0.0]]))
+    assert raised.value.location == (0.2, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +215,17 @@ def test_profile_on_the_documented_grid():
     # R' has the sign of t on both sides of 0
     for t, d in zip(prof.t, prof.dR):
         assert d * t > 0.0
+
+
+def test_batched_profile_equals_levels_one_by_one():
+    params = TransportParams()
+    grid = [-0.24, -0.1403, -1e-3, 2e-4, 0.0037121, 0.5, 7.257, 23.29, 99.0]
+    batch = monodromy_profile(params, 1e-3, grid)
+    alone = [monodromy_profile(params, 1e-3, [t]) for t in grid]
+    for name in ("R", "dR", "dR_cut"):
+        one_by_one = np.concatenate([getattr(p, name) for p in alone])
+        assert np.array_equal(getattr(batch, name).view(np.int64),
+                              one_by_one.view(np.int64)), name
 
 
 def test_profile_flat_region_derivative_vanishes():
