@@ -4,7 +4,8 @@ Every subcommand runs a fixed suite of checks and emits one report in
 json, csv, or table form, either to stdout or atomically to a file.
 Reports are deterministic: keys sorted, floats printed via repr, no
 timestamps inside.  Wall-clock timings go to a sidecar file instead so
-two runs of the same invocation stay byte-identical.
+two runs of the same invocation stay byte-identical; for verify-forms the
+sidecar also times each identity and the positivity grid.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage,
 3 an internal failure (integration blew up, classification ran off the
@@ -16,8 +17,9 @@ directory.  Every suite runs in one thread, in a fixed order.
 
 Input the numerics cannot represent is a usage error too: a
 ``contact-check --n`` whose f^(n-1) overflows a double (n >= 1025 for the
-default profile), and a ``transport --t`` with 0 < |t| <= 5e-13, where the
-transport denominator starts at or under its singular floor.
+default profile), a ``transport --t`` with 0 < |t| <= 5e-13, where the
+transport denominator starts at or under its singular floor, and a
+``transport --grid`` COUNT above ``MAX_GRID_COUNT`` (10,000).
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ ALL_SUITES: tuple[tuple[str, list[str]], ...] = (
 )
 
 DEFAULT_T_GRID = "-0.16:0.16:8"
+# Largest --grid COUNT; checked before the grid is allocated.
+MAX_GRID_COUNT = 10_000
 
 
 class UsageError(ValueError):
@@ -60,13 +64,15 @@ class SuiteResult:
     """One suite's report plus bookkeeping for emission and exit codes."""
 
     def __init__(self, name: str, report: dict, passed: bool,
-                 failures: list[str], csv_text: str, table_text: str) -> None:
+                 failures: list[str], csv_text: str, table_text: str,
+                 timing: dict | None = None) -> None:
         self.name = name
         self.report = report
         self.passed = passed
         self.failures = failures
         self.csv_text = csv_text
         self.table_text = table_text
+        self.timing = timing or {}    # per-stage wall times for the sidecar
 
 
 def _clean(obj: object) -> object:
@@ -130,7 +136,9 @@ def _suite_verify_forms(n: int) -> SuiteResult:
     cfg = ModelConfig(n=n)
     reports = models.verify_all(cfg)
 
+    started = time.perf_counter()
     grid = models.positivity_grid(models.IdentityId.TOP_POWER, cfg)
+    grid_ms = (time.perf_counter() - started) * 1e3
     grid_ok = grid.min_value > 0.0
 
     failures = [f"{r.identity}: {r.verdict}" for r in reports if not r.passed]
@@ -160,8 +168,10 @@ def _suite_verify_forms(n: int) -> SuiteResult:
         ["TOP_POWER grid min", _cell(grid.min_value)],
         ["result", "PASS" if not failures else "FAIL"],
     ]
+    timing = {"identities_ms": {r.identity: r.ms for r in reports},
+              "top_power_grid_ms": grid_ms}
     return SuiteResult("verify-forms", report, not failures, failures,
-                       csv_text, _table(table_rows))
+                       csv_text, _table(table_rows), timing)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -173,8 +183,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError as exc:
         raise UsageError(f"unparseable grid spec {spec!r}") from exc
-    if count < 1:
-        raise UsageError(f"grid count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_GRID_COUNT:
+        raise UsageError(f"grid count must be in 1..{MAX_GRID_COUNT}, got {count}")
     if hi < lo:
         raise UsageError(f"grid bounds out of order in {spec!r}")
     grid = np.linspace(lo, hi, count)
@@ -422,7 +432,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transport", help="trajectory drifts and the angle profile")
     p.add_argument("--t", type=float, default=0.25)
     p.add_argument("--s0", type=float, default=1e-3)
-    p.add_argument("--grid", default=DEFAULT_T_GRID, metavar="LO:HI:COUNT")
+    p.add_argument("--grid", default=DEFAULT_T_GRID, metavar="LO:HI:COUNT",
+                   help=f"COUNT evenly spaced levels in [LO, HI]; "
+                        f"COUNT runs from 1 to {MAX_GRID_COUNT}")
     common(p)
 
     p = sub.add_parser("fillings", help="twist words and Euler characteristics")
@@ -493,6 +505,7 @@ def _emit(result: SuiteResult, fmt: str, out: Path | None,
             "schema": TIMING_SCHEMA,
             "command": result.name,
             "elapsed_ms": elapsed_ms,
+            **result.timing,
         }
         _write_atomic(sidecar, json.dumps(timing, sort_keys=True, indent=2) + "\n")
 

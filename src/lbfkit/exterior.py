@@ -20,12 +20,24 @@ Truncation encodes the contact dimension: odd generators square to zero and
 the even generators dalpha / dlam satisfy (dalpha)^m = 0 for m >= n.  The
 parameter n is fixed per algebra instance; identity checks loop over small n.
 
+Coefficients are exact: a coefficient is stored as an ``int`` whenever its
+denominator is 1 and as a ``Fraction`` only otherwise, so the common
+integer case never pays for ``Fraction`` arithmetic.  Floats are refused
+with ``TypeError`` wherever a coefficient enters (``ScalarExpr.const`` and
+the ring operators, ``substitute``, the interior-product pairings), since
+``Fraction(0.1)`` would silently take the binary expansion of 0.1.
+
+``wedge_power`` takes even forms only (every word of even degree, so the
+form is central) and expands the power by the binomial theorem; odd or
+mixed-parity input raises ``ValueError``.
+
 All values are immutable; all operations are pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Callable, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -60,30 +72,57 @@ def _norm_monomial(powers: Mapping[str, int]) -> ScalarMonomial:
     return tuple(sorted((a, e) for a, e in powers.items() if e != 0))
 
 
+def _norm(q: Rational) -> Rational:
+    """Coefficient normal form: an int when the denominator is 1."""
+    if q.__class__ is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
+def _rational(value: object) -> Rational:
+    """Validate an incoming exact coefficient and put it in normal form."""
+    if isinstance(value, Fraction):
+        return _norm(value)
+    if isinstance(value, int):
+        return int(value)
+    raise TypeError(
+        f"exact coefficient {value!r} of type {type(value).__name__} is not an "
+        "int or a Fraction"
+    )
+
+
+def _rpow(q: Rational, exp: int) -> Rational:
+    """Exact power of a coefficient; a negative exponent inverts exactly."""
+    return _norm(q ** exp if exp >= 0 else Fraction(q) ** exp)
+
+
 class ScalarExpr:
     """A finite sum of atom monomials with exact rational coefficients.
 
     The stored dict *is* the normal form: no zero coefficients, monomials
-    keyed canonically.  Equality is therefore dict equality.
+    keyed canonically, and each coefficient an ``int`` when its denominator
+    is 1, a ``Fraction`` otherwise.  Equality is therefore dict equality;
+    ``3`` and ``Fraction(3)`` print, compare, hash and convert to float
+    alike.  Anything other than an int or a Fraction raises ``TypeError``.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[ScalarMonomial, Fraction] | None = None):
-        self.terms: dict[ScalarMonomial, Fraction] = dict(terms or {})
+    def __init__(self, terms: Mapping[ScalarMonomial, Rational] | None = None):
+        self.terms: dict[ScalarMonomial, Rational] = dict(terms or {})
 
     # -- constructors
 
     @staticmethod
     def const(value: Rational) -> "ScalarExpr":
-        q = Fraction(value)
+        q = _rational(value)
         return ScalarExpr({(): q} if q else {})
 
     @staticmethod
     def atom(name: str, power: int = 1) -> "ScalarExpr":
         if power == 0:
             return ScalarExpr.const(1)
-        return ScalarExpr({((name, power),): Fraction(1)})
+        return ScalarExpr({((name, power),): 1})
 
     # -- ring structure
 
@@ -91,9 +130,9 @@ class ScalarExpr:
         other = _as_scalar(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = out.get(mono, Fraction(0)) + coeff
+            acc = out.get(mono, 0) + coeff
             if acc:
-                out[mono] = acc
+                out[mono] = _norm(acc)
             else:
                 out.pop(mono, None)
         return ScalarExpr(out)
@@ -111,13 +150,13 @@ class ScalarExpr:
 
     def __mul__(self, other: "ScalarExpr | Rational") -> "ScalarExpr":
         other = _as_scalar(other)
-        out: dict[ScalarMonomial, Fraction] = {}
+        out: dict[ScalarMonomial, Rational] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _mul_monomials(m1, m2)
-                acc = out.get(mono, Fraction(0)) + c1 * c2
+                acc = out.get(mono, 0) + c1 * c2
                 if acc:
-                    out[mono] = acc
+                    out[mono] = _norm(acc)
                 else:
                     out.pop(mono, None)
         return ScalarExpr(out)
@@ -130,7 +169,7 @@ class ScalarExpr:
             if len(self.terms) == 1:
                 ((mono, coeff),) = self.terms.items()
                 return ScalarExpr(
-                    {tuple((a, e * exponent) for a, e in mono): Fraction(coeff) ** exponent}
+                    {tuple((a, e * exponent) for a, e in mono): _rpow(coeff, exponent)}
                 )
             raise ValueError("negative power of a non-monomial expression")
         out = ScalarExpr.const(1)
@@ -172,28 +211,28 @@ class ScalarExpr:
                     del rest[atom]
                 else:
                     rest[atom] = exp - 1
-                out = out + ScalarExpr({_norm_monomial(rest): coeff * exp}) * datom
+                out = out + ScalarExpr({_norm_monomial(rest): _norm(coeff * exp)}) * datom
         return out
 
     def substitute(self, values: Mapping[str, Rational]) -> "ScalarExpr":
-        """Replace atoms by rational constants.  Used e.g. to pin f = 0."""
-        out: dict[ScalarMonomial, Fraction] = {}
+        """Replace atoms by int or Fraction constants.  Used e.g. to pin f = 0."""
+        out: dict[ScalarMonomial, Rational] = {}
         for mono, coeff in self.terms.items():
             acc = coeff
             rest: dict[str, int] = {}
             for atom, exp in mono:
                 if atom in values:
-                    v = Fraction(values[atom])
+                    v = _rational(values[atom])
                     if v == 0 and exp < 0:
                         raise ZeroDivisionError(f"substituting 0 for {atom}^{exp}")
-                    acc = acc * v ** exp
+                    acc = acc * _rpow(v, exp)
                 else:
                     rest[atom] = exp
             if acc:
                 key = _norm_monomial(rest)
-                tot = out.get(key, Fraction(0)) + acc
+                tot = out.get(key, 0) + acc
                 if tot:
-                    out[key] = tot
+                    out[key] = _norm(tot)
                 else:
                     out.pop(key, None)
         return ScalarExpr(out)
@@ -238,14 +277,29 @@ def _as_scalar(x: "ScalarExpr | Rational") -> ScalarExpr:
 
 
 def _mul_monomials(m1: ScalarMonomial, m2: ScalarMonomial) -> ScalarMonomial:
-    powers = dict(m1)
-    for atom, exp in m2:
-        acc = powers.get(atom, 0) + exp
-        if acc:
-            powers[atom] = acc
+    """Merge two atom-sorted monomials, adding exponents and dropping zeros."""
+    if not m2:
+        return m1
+    if not m1:
+        return m2
+    out: list[tuple[str, int]] = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        (a, e), (b, f) = m1[i], m2[j]
+        if a < b:
+            out.append(m1[i])
+            i += 1
+        elif b < a:
+            out.append(m2[j])
+            j += 1
         else:
-            del powers[atom]
-    return tuple(sorted(powers.items()))
+            if e + f:
+                out.append((a, e + f))
+            i += 1
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out)
 
 
 ZERO = ScalarExpr.const(0)
@@ -651,11 +705,45 @@ def wedge_all(*forms: Form) -> Form:
 
 
 def wedge_power(a: Form, k: int) -> Form:
+    """k-th wedge power of an even form, by the binomial theorem.
+
+    Every word of ``a`` must have even degree; odd or mixed-parity input
+    raises ValueError.  Even forms are central, so split a = P + Q, where Q
+    holds the words made only of even generators (the scalar word included)
+    and P the rest.  Every word of P holds at least two distinct odd
+    generators, so P^j = 0 once 2j exceeds the number of odd generators, and
+    a^k = sum_j C(k, j) P^j ^ Q^(k-j) takes a few wedges of P-sized forms
+    plus the powers of Q.
+    """
     if k < 0:
         raise ValueError("negative wedge power")
-    out = Form.scalar(a.algebra, 1)
-    for _ in range(k):
-        out = wedge(out, a)
+    algebra = a.algebra
+    if any(d % 2 for d in a.degrees()):
+        raise ValueError("wedge_power needs an even form: every word of even degree")
+    gens = algebra.generators
+    p_terms: dict[WedgeWord, ScalarExpr] = {}
+    q_terms: dict[WedgeWord, ScalarExpr] = {}
+    for word, coeff in a.terms.items():
+        odd = any(gens[i].degree % 2 for i, _ in word)
+        (p_terms if odd else q_terms)[word] = coeff
+    p, q = Form(algebra, p_terms), Form(algebra, q_terms)
+
+    p_powers = [Form.scalar(algebra, 1)]          # P^0 .. P^top, all nonzero
+    while len(p_powers) <= k:
+        nxt = wedge(p_powers[-1], p)
+        if nxt.is_zero():
+            break
+        p_powers.append(nxt)
+    top = len(p_powers) - 1
+
+    q_power = Form.scalar(algebra, 1)
+    for _ in range(k - top):
+        q_power = wedge(q_power, q)
+    out = Form.zero(algebra)
+    for j in range(top, -1, -1):
+        out = out + wedge(p_powers[j], q_power).scale(comb(k, j))
+        if j:
+            q_power = wedge(q_power, q)
     return out
 
 
@@ -704,11 +792,11 @@ def interior(v: TangentSymbol, a: Form) -> Form:
             for pos, (idx, exp) in enumerate(word):
                 g = algebra.generators[idx]
                 if g.degree == 1:
-                    pairing = table.get(g.name, 0)
+                    pairing = _rational(table.get(g.name, 0))
                     if pairing:
                         rest = word[:pos] + word[pos + 1 :]
                         sign = (-1) ** parity
-                        contrib = coeff * vcoeff * Fraction(pairing) * sign
+                        contrib = coeff * vcoeff * pairing * sign
                         prev = out.terms.get(rest, ZERO) + contrib
                         if prev.is_zero():
                             out.terms.pop(rest, None)

@@ -63,6 +63,22 @@ def random_form(algebra: Algebra, rng: random.Random, max_terms: int = 3) -> For
     return result
 
 
+def random_even_form(algebra: Algebra, rng: random.Random, max_terms: int = 4) -> Form:
+    """A random even form (a central element): a scalar plus terms made of
+    zero, two or four odd generators and up to two even ones."""
+    odd = [g.name for g in algebra.generators if g.degree == 1]
+    even = [g.name for g in algebra.generators if g.degree == 2]
+    result = Form.scalar(algebra, random_scalar(rng, depth=1))
+    for _ in range(rng.randint(1, max_terms)):
+        names = rng.sample(odd, rng.choice([c for c in (0, 2, 2, 4) if c <= len(odd)]))
+        names += [rng.choice(even)] * rng.randint(0, 2)
+        term = Form.scalar(algebra, random_scalar(rng, depth=1))
+        for name in names:
+            term = exterior.wedge(term, Form.gen(algebra, name))
+        result = result + term
+    return result
+
+
 def random_homogeneous(algebra: Algebra, rng: random.Random) -> Form:
     """Random form whose terms all share one wedge word (hence one degree)."""
     form = random_form(algebra, rng, max_terms=1)

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import lbfkit
-from lbfkit import cli, topo
+from lbfkit import cli, models, topo
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -96,6 +96,18 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "verify-forms", "--n", "1")[0] == 2
 
 
+def test_transport_grid_count_is_bounded(capsys):
+    # refused before np.linspace would try to allocate 800 GB
+    code, out, err = run(capsys, "transport", "--grid=0.1:0.2:100000000000")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and str(cli.MAX_GRID_COUNT) in err
+    assert run(capsys, "transport", f"--grid=0.1:0.2:{cli.MAX_GRID_COUNT + 1}")[0] == 2
+    assert run(capsys, "transport", "--grid=0.1:0.2:0")[0] == 2
+    assert len(cli._parse_grid(f"0.1:0.2:{cli.MAX_GRID_COUNT}")) == cli.MAX_GRID_COUNT
+    assert run(capsys, "transport", "--help")[1].count(str(cli.MAX_GRID_COUNT)) == 1
+
+
 def test_contact_check_n_stops_where_the_power_overflows(capsys):
     # f = c0 = 2 near r = 0, and 2.0 ** 1024 is the first power past a double
     assert run(capsys, "contact-check", "--n", "1024")[0] == 0
@@ -126,6 +138,10 @@ def test_out_file_and_timing_sidecar(capsys, tmp_path):
     assert timing["schema"] == "lbf-kit/1-timing"
     assert timing["command"] == "verify-forms"
     assert timing["elapsed_ms"] > 0.0
+    assert sorted(timing["identities_ms"]) == sorted(i.value for i in models.IdentityId)
+    assert all(ms > 0.0 for ms in timing["identities_ms"].values())
+    assert timing["top_power_grid_ms"] > 0.0
+    assert '"ms"' not in target.read_text()        # wall clocks stay out of reports
 
 
 def test_csv_out(capsys, tmp_path):

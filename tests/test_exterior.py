@@ -29,6 +29,7 @@ from lbfkit.exterior import (
 from conftest import (
     DUALS,
     make_algebras,
+    random_even_form,
     random_form,
     random_homogeneous,
     random_scalar,
@@ -65,6 +66,51 @@ def test_substitute_and_evaluate_agree():
     subbed = expr.substitute({"f": Fraction(3), "r1": Fraction(2)})
     assert subbed == ScalarExpr.const(Fraction(25, 2))
     assert expr.evaluate({"f": 3.0, "r1": 2.0}) == 12.5
+
+
+def test_coefficients_are_ints_when_the_denominator_is_1():
+    three = ScalarExpr.const(Fraction(6, 2))
+    assert three.terms == {(): 3} and type(three.terms[()]) is int
+    half = ScalarExpr.const(Fraction(1, 2))
+    assert type((half + half).terms[()]) is int
+    assert type((half * 2).terms[()]) is int
+    assert type((ScalarExpr.atom("r") * half).diff("r", standard_rules()).terms[()]) is Fraction
+    assert type((ScalarExpr.atom("r", 2) * half).diff("r", standard_rules()).terms[(("r", 1),)]) is int
+    assert type((ScalarExpr.atom("f") * Fraction(2, 3)).substitute({"f": Fraction(3, 2)}).terms[()]) is int
+    assert type(((half * ScalarExpr.atom("f")) ** -1).terms[(("f", -1),)]) is int
+    # 3 and Fraction(3) print, compare, hash and convert alike
+    raw = ScalarExpr({(("f", 1),): Fraction(3)})
+    assert raw == ScalarExpr.atom("f") * 3 and hash(raw) == hash(ScalarExpr.atom("f") * 3)
+    assert raw.to_text() == (ScalarExpr.atom("f") * 3).to_text() == "3*f"
+    assert raw.evaluate({"f": 0.1}) == (ScalarExpr.atom("f") * 3).evaluate({"f": 0.1})
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, float("nan"), "1/2", None])
+def test_const_and_ring_operators_refuse_non_rationals(bad):
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        ScalarExpr.const(bad)
+    with pytest.raises(TypeError):
+        ScalarExpr.const(1) + bad
+    with pytest.raises(TypeError):
+        ScalarExpr.atom("f") * bad
+    with pytest.raises(TypeError):
+        Form.gen(exterior.disk_bundle_algebra(2), "dr", bad)
+
+
+def test_substitute_refuses_floats():
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        ScalarExpr.atom("f").substitute({"f": 0.1})
+    # an unused binding is never read
+    assert ScalarExpr.atom("r").substitute({"f": 0.1}) == ScalarExpr.atom("r")
+    assert ScalarExpr.atom("f", -2).substitute({"f": 2}) == ScalarExpr.const(Fraction(1, 4))
+
+
+def test_interior_refuses_float_pairings():
+    alg = exterior.Algebra(
+        "toy", 2, [exterior.Generator("dx", 1, None, None)], {}, {"d_x": {"dx": 0.5}}
+    )
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        interior(TangentSymbol(alg, {"d_x": 1}), Form.gen(alg, "dx"))
 
 
 def test_evaluate_names_the_unbound_atom():
@@ -134,6 +180,41 @@ def test_even_generator_power_cap():
         da = Form.gen(alg, "dalpha")
         assert not wedge_power(da, n - 1).is_zero()
         assert wedge_power(da, n).is_zero()
+
+
+def _assert_power_matches_fold(form: Form, kmax: int) -> None:
+    folded = Form.scalar(form.algebra, 1)          # plain left fold of wedge
+    for k in range(kmax + 1):
+        assert equals(wedge_power(form, k), folded), (form, k)
+        folded = wedge(folded, form)
+
+
+def test_binomial_wedge_power_matches_a_plain_fold(rng):
+    for n in (2, 3, 4, 5):
+        for alg in make_algebras(n).values():
+            for _ in range(5):
+                _assert_power_matches_fold(random_even_form(alg, rng), n + 2)
+
+
+def test_wedge_power_of_a_model_form_matches_a_plain_fold():
+    alg = exterior.double_disk_algebra(4)
+    omega = ext_d(wedge(Form.scalar(alg, ScalarExpr.atom("f") * ScalarExpr.atom("r1", 2)),
+                        Form.gen(alg, "dtheta1") - Form.gen(alg, "alpha"))
+                  + Form.gen(alg, "dtheta2", ScalarExpr.atom("r2", 2)))
+    _assert_power_matches_fold(omega + Form.scalar(alg, Fraction(1, 3)), 6)
+
+
+def test_wedge_power_refuses_odd_and_mixed_forms():
+    alg = exterior.double_disk_algebra(3)
+    odd = Form.gen(alg, "alpha")
+    mixed = Form.gen(alg, "dalpha") + Form.gen(alg, "dr1")
+    for form in (odd, mixed, Form.scalar(alg, 1) + odd):
+        with pytest.raises(ValueError, match="even"):
+            wedge_power(form, 2)
+    with pytest.raises(ValueError):
+        wedge_power(Form.gen(alg, "dalpha"), -1)
+    assert equals(wedge_power(Form.zero(alg), 0), Form.scalar(alg, 1))
+    assert wedge_power(Form.zero(alg), 3).is_zero()
 
 
 def test_algebra_mismatch_raises():

@@ -101,3 +101,11 @@ def test_verify_identity_runtime_is_recorded():
     report = models.verify_identity(IdentityId.TOP_POWER, ModelConfig(n=2))
     assert report.passed
     assert report.ms > 0.0
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_top_power_and_contact_volume_exact_at_large_n(n):
+    cfg = ModelConfig(n=n)
+    for identity in (IdentityId.TOP_POWER, IdentityId.CONTACT_VOLUME):
+        report = models.verify_identity(identity, cfg)
+        assert report.verdict == "exact-equal", (n, identity, report.residual_text[:200])

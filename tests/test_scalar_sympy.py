@@ -1,0 +1,105 @@
+"""Differential test of the exact scalar ring against sympy polynomials.
+
+Random chains of +, *, ** and d/dvar over mixed int and Fraction(p, q)
+coefficients run side by side in ``ScalarExpr`` and in sympy; after every
+operation the two must agree exactly, and every stored coefficient must be
+in normal form (an int, or a Fraction whose denominator is not 1).  sympy
+is not a dependency of lbfkit; the module is skipped when it is absent.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from lbfkit.exterior import ScalarExpr, standard_rules
+
+sympy = pytest.importorskip("sympy")
+
+# coordinate variables only: their derivative rules are d(v)/d(v) = 1
+VARS = ("r1", "r2", "r", "t", "s")
+SYMBOLS = {v: sympy.Symbol(v) for v in VARS}
+RULES = standard_rules()
+
+
+def _to_sympy(expr: ScalarExpr):
+    total = sympy.Integer(0)
+    for mono, coeff in expr.terms.items():
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for atom, exp in mono:
+            term *= SYMBOLS[atom] ** exp
+        total += term
+    return total
+
+
+def _coeff(rng: random.Random) -> int | Fraction:
+    if rng.random() < 0.5:
+        return rng.randint(-4, 4)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+
+def _random_pair(rng: random.Random):
+    expr, sym = ScalarExpr.const(0), sympy.Integer(0)
+    for _ in range(rng.randint(1, 3)):
+        c = _coeff(rng)
+        term, sterm = ScalarExpr.const(c), sympy.Rational(c.numerator, c.denominator)
+        for _ in range(rng.randint(0, 2)):
+            v, e = rng.choice(VARS), rng.randint(1, 2)
+            term, sterm = term * ScalarExpr.atom(v, e), sterm * SYMBOLS[v] ** e
+        expr, sym = expr + term, sym + sterm
+    return expr, sym
+
+
+def _assert_normal_form(expr: ScalarExpr) -> None:
+    for coeff in expr.terms.values():
+        assert coeff != 0
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1), coeff
+
+
+def _assert_same(expr: ScalarExpr, sym) -> None:
+    _assert_normal_form(expr)
+    assert sympy.expand(_to_sympy(expr) - sym) == 0, (expr, sym)
+
+
+def test_scalar_ring_matches_sympy():
+    rng = random.Random(7)
+    for _ in range(60):
+        a, sa = _random_pair(rng)
+        _assert_same(a, sa)
+        for _ in range(4):
+            op = rng.choice(("add", "sub", "mul", "pow", "diff", "const"))
+            if op in ("add", "sub", "mul"):
+                b, sb = _random_pair(rng)
+                if op == "add":
+                    a, sa = a + b, sa + sb
+                elif op == "sub":
+                    a, sa = a - b, sa - sb
+                else:
+                    a, sa = a * b, sa * sb
+            elif op == "pow":
+                e = rng.randint(0, 3 if len(a.terms) <= 4 else 1)
+                a, sa = a ** e, sa ** e
+            elif op == "diff":
+                v = rng.choice(VARS)
+                a, sa = a.diff(v, RULES), sympy.diff(sa, SYMBOLS[v])
+            else:
+                c = _coeff(rng)
+                a, sa = c * a + c, (sa + 1) * sympy.Rational(c.numerator, c.denominator)
+            _assert_same(a, sa)
+
+
+def test_monomial_inverse_and_substitution_match_sympy():
+    rng = random.Random(11)
+    for _ in range(40):
+        c = _coeff(rng) or 1
+        v, e = rng.choice(VARS), rng.randint(1, 3)
+        mono = ScalarExpr.atom(v, e) * c
+        smono = SYMBOLS[v] ** e * sympy.Rational(c.numerator, c.denominator)
+        k = rng.randint(-3, -1)
+        _assert_same(mono ** k, smono ** k)
+        a, sa = _random_pair(rng)
+        value = _coeff(rng)
+        subbed = a.substitute({v: value})
+        _assert_same(subbed, sa.subs(SYMBOLS[v], sympy.Rational(value.numerator, value.denominator)))
