@@ -21,7 +21,6 @@ words: each blow-up trades two sphere twists for one boundary twist.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
@@ -204,11 +203,6 @@ class MultiPoly:
     def divisible_by(self, index: int) -> bool:
         return bool(self.terms) and self.min_exponent(index) >= 1
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     # -- canonical form ----------------------------------------------------
 
     def _ordered(self) -> list[tuple[Exponents, Fraction]]:
@@ -315,31 +309,6 @@ def proper_transform(p: MultiPoly, j: int) -> tuple[MultiPoly, int]:
         new[j] -= m
         terms[tuple(new)] = c
     return MultiPoly(p.nvars, terms, prefix="y"), m
-
-
-@dataclass(frozen=True)
-class ChartTransform:
-    """One blow-up chart applied to one polynomial, fully recorded."""
-
-    chart: int
-    source: MultiPoly
-    total: MultiPoly
-    proper: MultiPoly
-    multiplicity: int
-
-    @classmethod
-    def compute(cls, p: MultiPoly, j: int) -> "ChartTransform":
-        total = blowup_chart(p, j)
-        proper, m = proper_transform(p, j)
-        return cls(chart=j, source=p, total=total, proper=proper, multiplicity=m)
-
-    def substitution_text(self) -> str:
-        j = self.chart
-        rules = [
-            f"x{i} = y{i}*y{j}" if i != j else f"x{j} = y{j}"
-            for i in range(self.source.nvars)
-        ]
-        return ", ".join(rules)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +457,6 @@ class ResolutionTrace:
             out["diagnostic"] = self.diagnostic
         return out
 
-    def to_json(self, **kwargs: object) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.as_dict(), **kwargs)  # type: ignore[arg-type]
-
 
 def resolve_A(k: int, n: int) -> ResolutionTrace:
     """Blow up x_0^2+...+x_n^2+x_{n+1}^(k+1) in the last chart until smooth.
@@ -522,47 +486,6 @@ def resolve_A(k: int, n: int) -> ResolutionTrace:
         current = proper
     trace.diagnostic = f"no smooth transform after {trace.step_count} steps"
     return trace
-
-
-def off_chart_report(k: int, n: int, j: int) -> dict[str, object]:
-    """Recompute the first-step proper transform on a chart j != n+1.
-
-    The expected shape, derived from the substitution rule alone, is
-
-        1 + sum of y_i^2 over i <= n, i != j  +  y_j^(k-1) * y_{n+1}^(k+1),
-
-    with multiplicity 2.  The report compares the recomputation against
-    that shape term by term instead of assuming it.
-    """
-    last = n + 1
-    if not 0 <= j < last:
-        raise ValueError(f"chart {j} is not an off chart for n={n}; need 0..{n}")
-    proper, mult = proper_transform(a_type_polynomial(k, n), j)
-
-    nvars = n + 2
-    expected = MultiPoly.constant(nvars, 1, prefix="y")
-    for i in range(n + 1):
-        if i != j:
-            expected = expected + MultiPoly.variable(nvars, i, 2, prefix="y")
-    if k > 1:
-        mixed = MultiPoly.variable(nvars, j, k - 1, prefix="y") * MultiPoly.variable(
-            nvars, last, k + 1, prefix="y"
-        )
-    else:
-        # k = 1 leaves no y_j factor at all on the mixed term.
-        mixed = MultiPoly.variable(nvars, last, k + 1, prefix="y")
-    expected = expected + mixed
-
-    return {
-        "k": k,
-        "n": n,
-        "chart": j,
-        "computed": proper.to_text(),
-        "expected": expected.to_text(),
-        "multiplicity": mult,
-        "matches": proper == expected and mult == 2,
-        "verdict": str(classify(proper)),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ timestamps inside.  Wall-clock timings go to a sidecar file instead so
 two runs of the same invocation stay byte-identical; for verify-forms the
 sidecar also times each identity and the positivity grid.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage,
-3 an internal failure (integration blew up, classification ran off the
-rails).  Failures are enumerated on stderr either way.
+Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage
+(input outside the documented domain, raised as ``DomainError``), 3 an
+internal failure: any other exception, or a resolution trace that halted
+with a diagnostic.  Exit 3 prints one ``internal failure`` line on stderr
+and no traceback; failed checks are enumerated on stderr.
 
 Subcommands: verify-forms, transport, fillings, resolve, contact-check,
 and all, which runs each of the above with its defaults into a
@@ -25,18 +27,19 @@ transport denominator starts at or under its singular floor, and a
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 import tempfile
 import time
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import blowup, contact, mcg, models, topo, transport
-from .config import DEFAULT_CONFIG, ModelConfig
+from .config import DEFAULT_CONFIG, DomainError, ModelConfig
 
 SCHEMA = "lbf-kit/1"
 TIMING_SCHEMA = "lbf-kit/1-timing"
@@ -56,27 +59,31 @@ DEFAULT_T_GRID = "-0.16:0.16:8"
 MAX_GRID_COUNT = 10_000
 
 
-class UsageError(ValueError):
-    """Bad arguments discovered after argparse got out of the way."""
-
-
+@dataclass
 class SuiteResult:
-    """One suite's report plus bookkeeping for emission and exit codes."""
+    """One suite's outcome: report fields, failures, rows and sidecar timings.
 
-    def __init__(self, name: str, report: dict, passed: bool,
-                 failures: list[str], csv_text: str, table_text: str,
-                 timing: dict | None = None) -> None:
-        self.name = name
-        self.report = report
-        self.passed = passed
-        self.failures = failures
-        self.csv_text = csv_text
-        self.table_text = table_text
-        self.timing = timing or {}    # per-stage wall times for the sidecar
+    ``report`` holds the suite's own fields; the schema, the command and
+    ``passed`` are added when it is rendered.  Rows are lists of string
+    cells, the header first.
+    """
+
+    report: dict
+    failures: list[str]
+    csv_rows: list[list[str]]
+    table_rows: list[list[str]]
+    timing: dict = field(default_factory=dict)    # per-stage wall times for the sidecar
+    internal_failure: str | None = None           # exit 3, after the report is written
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def _clean(obj: object) -> object:
-    """Recursively coerce report values into plain JSON-stable types."""
+    """Recursively coerce report values, dataclasses included, into plain JSON types."""
+    if is_dataclass(obj):
+        return _clean(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -87,8 +94,6 @@ def _clean(obj: object) -> object:
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, float):
-        return float(obj)
     return obj
 
 
@@ -97,9 +102,7 @@ def _json_text(report: dict) -> str:
 
 
 def _config_dict(cfg: ModelConfig, **run_params: object) -> dict:
-    out: dict = dataclasses.asdict(cfg)
-    out.update(run_params)
-    return out
+    return {**asdict(cfg), **run_params}
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -116,16 +119,27 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _table(rows: list[list[str]]) -> str:
-    if not rows:
-        return ""
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]
     return "\n".join(lines) + "\n"
 
 
+def _csv(rows: list[list[str]]) -> str:
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 def _cell(x: float) -> str:
     return repr(float(x))
+
+
+def _float_rows(*columns: np.ndarray) -> list[list[str]]:
+    """One row of float cells per index of the columns."""
+    return [[_cell(v) for v in row] for row in zip(*(c.tolist() for c in columns))]
+
+
+def _pass_fail(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
 # ---------------------------------------------------------------------------
@@ -146,50 +160,43 @@ def _suite_verify_forms(n: int) -> SuiteResult:
         failures.append(f"TOP_POWER grid minimum {grid.min_value} is not positive")
 
     report = {
-        "schema": SCHEMA,
-        "command": "verify-forms",
         "config": _config_dict(cfg),
-        "identities": [r.as_dict(include_timing=False) for r in reports],
+        # wall times stay out of reports; they go to the timing sidecar
+        "identities": [{k: v for k, v in asdict(r).items() if k != "ms"} for r in reports],
         "top_power_grid": {
             "min_value": grid.min_value,
-            "argmin": list(grid.argmin),
+            "argmin": grid.argmin,
             "resolution": grid.resolution,
             "positive": grid_ok,
         },
-        "passed": not failures,
     }
 
-    rows = [["identity", "verdict"]]
-    rows += [[r.identity, r.verdict] for r in reports]
-    csv_text = "identity,verdict\n" + "".join(
-        f"{r.identity},{r.verdict}\n" for r in reports
-    )
+    rows = [["identity", "verdict"]] + [[r.identity, r.verdict] for r in reports]
     table_rows = rows + [
         ["TOP_POWER grid min", _cell(grid.min_value)],
-        ["result", "PASS" if not failures else "FAIL"],
+        ["result", _pass_fail(not failures)],
     ]
     timing = {"identities_ms": {r.identity: r.ms for r in reports},
               "top_power_grid_ms": grid_ms}
-    return SuiteResult("verify-forms", report, not failures, failures,
-                       csv_text, _table(table_rows), timing)
+    return SuiteResult(report, failures, rows, table_rows, timing)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
-        raise UsageError(f"grid spec must be lo:hi:count, got {spec!r}")
+        raise DomainError(f"grid spec must be lo:hi:count, got {spec!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError as exc:
-        raise UsageError(f"unparseable grid spec {spec!r}") from exc
+        raise DomainError(f"unparseable grid spec {spec!r}") from exc
     if not 1 <= count <= MAX_GRID_COUNT:
-        raise UsageError(f"grid count must be in 1..{MAX_GRID_COUNT}, got {count}")
+        raise DomainError(f"grid count must be in 1..{MAX_GRID_COUNT}, got {count}")
     if hi < lo:
-        raise UsageError(f"grid bounds out of order in {spec!r}")
+        raise DomainError(f"grid bounds out of order in {spec!r}")
     grid = np.linspace(lo, hi, count)
     if np.any(grid == 0.0):
-        raise UsageError(f"grid {spec!r} contains the critical value t = 0")
+        raise DomainError(f"grid {spec!r} contains the critical value t = 0")
     return grid
 
 
@@ -207,7 +214,7 @@ def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
         trajectories[variant] = {
             "max_h_drift": traj.max_h_drift,
             "max_radial_drift": traj.max_radial_drift,
-            "endpoint": list(traj.endpoint),
+            "endpoint": traj.endpoint,
             "radial_drift_gated": variant == "weighted",
         }
 
@@ -230,8 +237,6 @@ def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
         failures.append(f"limit at 0- = {lim_minus}, expected -0.5 within 1e-3")
 
     report = {
-        "schema": SCHEMA,
-        "command": "transport",
         "config": _config_dict(cfg, t=t, s0=s0, grid=grid_spec),
         "trajectory": {"t": t, "s_max": 0.5, "variants": trajectories},
         "limits_at_zero": {
@@ -240,27 +245,19 @@ def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
             "target": 0.5,
             "tolerance": 1e-3,
         },
-        "profile": {
-            "s0": s0,
-            "t": [float(v) for v in prof.t],
-            "R": [float(v) for v in prof.R],
-            "dR": [float(v) for v in prof.dR],
-            "dR_cut": [float(v) for v in prof.dR_cut],
-        },
-        "passed": not failures,
+        "profile": {"s0": s0, "t": prof.t, "R": prof.R, "dR": prof.dR,
+                    "dR_cut": prof.dR_cut},
     }
 
-    csv_text = transport.profile_csv(prof)
-    rows = [["t", "R", "dR", "dR_cut"]]
-    rows += [[_cell(a), _cell(b), _cell(c), _cell(d)]
-             for a, b, c, d in zip(prof.t, prof.R, prof.dR, prof.dR_cut)]
-    for variant, data in trajectories.items():
-        rows.append([f"{variant} drifts", _cell(data["max_h_drift"]),
-                     _cell(data["max_radial_drift"]), ""])
-    rows.append(["limits at 0", _cell(lim_plus), _cell(lim_minus), ""])
-    rows.append(["result", "PASS" if not failures else "FAIL", "", ""])
-    return SuiteResult("transport", report, not failures, failures,
-                       csv_text, _table(rows))
+    rows = [["t", "R", "dR", "dR_cut"]] + _float_rows(prof.t, prof.R, prof.dR, prof.dR_cut)
+    table_rows = rows + [
+        [f"{variant} drifts", _cell(data["max_h_drift"]),
+         _cell(data["max_radial_drift"]), ""]
+        for variant, data in trajectories.items()
+    ]
+    table_rows.append(["limits at 0", _cell(lim_plus), _cell(lim_minus), ""])
+    table_rows.append(["result", _pass_fail(not failures), "", ""])
+    return SuiteResult(report, failures, rows, table_rows)
 
 
 def _suite_fillings(n: int, k: int, include_zero: bool) -> SuiteResult:
@@ -295,26 +292,21 @@ def _suite_fillings(n: int, k: int, include_zero: bool) -> SuiteResult:
         failures.append(f"weight != k+1 at ell in {bad_weight}")
 
     report = {
-        "schema": SCHEMA,
-        "command": "fillings",
         "config": _config_dict(ModelConfig(n=n), k=k, include_zero=include_zero),
         "fillings": rows_data,
         "summary": summary,
         "milnor_chi": euler.milnor_value,
         "slopes": {"betti": euler.betti_slope, "alternate": euler.alternate_slope},
         "euler_verdict": euler.verdict,
-        "notes": list(euler.notes),
-        "passed": not failures,
+        "notes": euler.notes,
     }
 
-    header = ["ell", "word", "weight", "chi_betti", "chi_alternate", "differs"]
-    body = [[str(r["ell"]), r["word"], str(r["weight"]), str(r["chi_betti"]),
-             str(r["chi_alternate"]), str(r["conventions_differ"]).lower()]
-            for r in rows_data]
-    csv_text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in body)
-    table_rows = [header] + body + [[summary, "", "", "", "", ""]]
-    return SuiteResult("fillings", report, not failures, failures,
-                       csv_text, _table(table_rows))
+    rows = [["ell", "word", "weight", "chi_betti", "chi_alternate", "differs"]]
+    rows += [[str(r["ell"]), r["word"], str(r["weight"]), str(r["chi_betti"]),
+              str(r["chi_alternate"]), str(r["conventions_differ"]).lower()]
+             for r in rows_data]
+    table_rows = rows + [[summary, "", "", "", "", ""]]
+    return SuiteResult(report, failures, rows, table_rows)
 
 
 def _suite_resolve(k: int, dim: int) -> SuiteResult:
@@ -323,7 +315,6 @@ def _suite_resolve(k: int, dim: int) -> SuiteResult:
 
     failures = []
     if trace.diagnostic is not None:
-        # surfaced via exit 3 by the caller
         failures.append(trace.diagnostic)
     elif not trace.resolved:
         failures.append("trace did not end Smooth")
@@ -338,8 +329,6 @@ def _suite_resolve(k: int, dim: int) -> SuiteResult:
         )
 
     report = {
-        "schema": SCHEMA,
-        "command": "resolve",
         "config": _config_dict(DEFAULT_CONFIG, k=k, dim=dim),
         "trace": trace.as_dict(),
         "word_chain": [
@@ -351,28 +340,24 @@ def _suite_resolve(k: int, dim: int) -> SuiteResult:
             }
             for s in chain
         ],
-        "passed": not failures,
     }
 
     header = ["step", "chart", "polynomial", "multiplicity", "verdict"]
-    body = [[str(i + 1), str(s.chart), s.polynomial.to_text(),
-             str(s.multiplicity), str(s.verdict)]
-            for i, s in enumerate(trace.steps)]
-    csv_text = ",".join(header) + "\n" + "".join(
-        f"{row[0]},{row[1]},\"{row[2]}\",{row[3]},{row[4]}\n" for row in body
-    )
-    table_rows = [header] + body
-    table_rows.append(["result", "PASS" if not failures else "FAIL", "", "", ""])
-    return SuiteResult("resolve", report, not failures, failures,
-                       csv_text, _table(table_rows))
+    steps = [(str(i + 1), str(s.chart), s.polynomial.to_text(), str(s.multiplicity),
+              str(s.verdict)) for i, s in enumerate(trace.steps)]
+    # the csv quotes the polynomial, the one cell that holds spaces and signs
+    csv_rows = [header] + [[i, c, f'"{p}"', m, v] for i, c, p, m, v in steps]
+    table_rows = [header] + [list(step) for step in steps]
+    table_rows.append(["result", _pass_fail(not failures), "", "", ""])
+    return SuiteResult(report, failures, csv_rows, table_rows,
+                       internal_failure=trace.diagnostic)
 
 
 def _suite_contact_check(n: int) -> SuiteResult:
     profile = contact.make_profile()
     prof_report = contact.verify_profile(profile, n=n)
-    curve, corner_report = contact.make_corner_curve(profile.eps)
-    base = contact.make_base_profile()
-    base_report = contact.verify_base_profile(base)
+    _, corner_report = contact.make_corner_curve(profile.eps)
+    base_report = contact.verify_base_profile(contact.make_base_profile())
 
     failures = []
     if not prof_report.passed:
@@ -386,27 +371,24 @@ def _suite_contact_check(n: int) -> SuiteResult:
         failures.append("base profile verification failed")
 
     report = {
-        "schema": SCHEMA,
-        "command": "contact-check",
         "config": _config_dict(ModelConfig(n=max(n, 2)), n=n),
-        "profile": prof_report.as_dict(),
-        "corner": corner_report.as_dict(),
-        "base": base_report.as_dict(),
+        "profile": prof_report,
+        "corner": corner_report,
+        "base": base_report,
         "boundary_hamiltonian": contact.BOUNDARY_HAMILTONIAN,
-        "passed": not failures,
     }
 
-    csv_text = contact.profile_csv(profile)
-    rows = [
+    csv_rows = [["r", "f", "g", "determinant"]]
+    csv_rows += _float_rows(*contact.profile_samples(profile))
+    table_rows = [
         ["check", "outcome", "detail"],
         ["profile min", _cell(prof_report.min_value),
          f"at r={_cell(prof_report.argmin)}"],
-        ["corner", "PASS" if corner_report.passed else "FAIL", ""],
-        ["base", "PASS" if base_report.passed else "FAIL", ""],
-        ["result", "PASS" if not failures else "FAIL", ""],
+        ["corner", _pass_fail(corner_report.passed), ""],
+        ["base", _pass_fail(base_report.passed), ""],
+        ["result", _pass_fail(not failures), ""],
     ]
-    return SuiteResult("contact-check", report, not failures, failures,
-                       csv_text, _table(rows))
+    return SuiteResult(report, failures, csv_rows, table_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -462,52 +444,59 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_suite(args: argparse.Namespace) -> SuiteResult:
     if args.command == "verify-forms":
         if args.n < 2:
-            raise UsageError(f"--n must be >= 2, got {args.n}")
+            raise DomainError(f"--n must be >= 2, got {args.n}")
         return _suite_verify_forms(args.n)
     if args.command == "transport":
         return _suite_transport(args.t, args.s0, args.grid)
     if args.command == "fillings":
         if args.n < 2:
-            raise UsageError(f"--n must be >= 2, got {args.n}")
+            raise DomainError(f"--n must be >= 2, got {args.n}")
         if args.k < 1:
-            raise UsageError(f"--k must be >= 1, got {args.k}")
+            raise DomainError(f"--k must be >= 1, got {args.k}")
         return _suite_fillings(args.n, args.k, args.include_zero)
     if args.command == "resolve":
         if args.k < 1:
-            raise UsageError(f"--k must be >= 1, got {args.k}")
+            raise DomainError(f"--k must be >= 1, got {args.k}")
         if args.dim < 0:
-            raise UsageError(f"--dim must be >= 0, got {args.dim}")
+            raise DomainError(f"--dim must be >= 0, got {args.dim}")
         return _suite_resolve(args.k, args.dim)
-    if args.command == "contact-check":
-        if args.n < 1:
-            raise UsageError(f"--n must be >= 1, got {args.n}")
-        return _suite_contact_check(args.n)
-    raise UsageError(f"unknown command {args.command!r}")
+    if args.n < 1:    # contact-check
+        raise DomainError(f"--n must be >= 1, got {args.n}")
+    return _suite_contact_check(args.n)
 
 
-def _render(result: SuiteResult, fmt: str) -> str:
+def _render(command: str, result: SuiteResult, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(result.report)
-    if fmt == "csv":
-        return result.csv_text
-    return result.table_text
+        return _json_text({"schema": SCHEMA, "command": command, **result.report,
+                           "passed": result.passed})
+    return _csv(result.csv_rows) if fmt == "csv" else _table(result.table_rows)
 
 
-def _emit(result: SuiteResult, fmt: str, out: Path | None,
-          elapsed_ms: float) -> None:
-    text = _render(result, fmt)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic(out, text)
-        sidecar = out.with_name(out.name + ".timing.json")
-        timing = {
-            "schema": TIMING_SCHEMA,
-            "command": result.name,
-            "elapsed_ms": elapsed_ms,
-            **result.timing,
-        }
-        _write_atomic(sidecar, json.dumps(timing, sort_keys=True, indent=2) + "\n")
+def _execute(args: argparse.Namespace, prefix: str,
+             emit: Callable[[SuiteResult, float], None]) -> int:
+    """Run one suite, pass its result and wall time in ms to ``emit``; the exit code.
+
+    A ``DomainError`` is exit 2 and any other exception exit 3, each with one
+    stderr line; a halted trace is exit 3 after its report is emitted.
+    Otherwise every failed check gets a stderr line and the code is 1 if
+    any failed, else 0.
+    """
+    started = time.perf_counter()
+    try:
+        result = _run_suite(args)
+    except DomainError as exc:
+        print(f"{prefix}: usage error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"{prefix}: internal failure: {exc}", file=sys.stderr)
+        return 3
+    emit(result, (time.perf_counter() - started) * 1e3)
+    if result.internal_failure:
+        print(f"{prefix}: internal failure: {result.internal_failure}", file=sys.stderr)
+        return 3
+    for line in result.failures:
+        print(f"{prefix}: FAIL: {line}", file=sys.stderr)
+    return 0 if result.passed else 1
 
 
 def _run_all(fmt: str, out_dir: Path) -> int:
@@ -516,25 +505,16 @@ def _run_all(fmt: str, out_dir: Path) -> int:
     worst = 0
     timings: dict[str, float] = {}
     for name, extra in ALL_SUITES:
-        args = parser.parse_args([name, *extra])
-        started = time.perf_counter()
-        try:
-            result = _run_suite(args)
-        except (transport.SingularTransportError,
-                transport.IntegrationFailureError) as exc:
-            print(f"lbfkit all/{name}: internal failure: {exc}", file=sys.stderr)
-            return 3
-        timings[name] = (time.perf_counter() - started) * 1e3
-        _write_atomic(out_dir / f"{name}{suffix}", _render(result, fmt))
-        if not result.passed:
-            for line in result.failures:
-                print(f"lbfkit all/{name}: FAIL: {line}", file=sys.stderr)
-            worst = max(worst, 1)
-        if result.name == "resolve" and result.report["trace"].get("diagnostic"):
-            return 3
+        def emit(result: SuiteResult, elapsed_ms: float, name: str = name) -> None:
+            timings[name] = elapsed_ms
+            _write_atomic(out_dir / f"{name}{suffix}", _render(name, result, fmt))
+
+        code = _execute(parser.parse_args([name, *extra]), f"lbfkit all/{name}", emit)
+        if code > 1:
+            return code
+        worst = max(worst, code)
     timing = {"schema": TIMING_SCHEMA, "command": "all", "elapsed_ms": timings}
-    _write_atomic(out_dir / "timing.json",
-                  json.dumps(timing, sort_keys=True, indent=2) + "\n")
+    _write_atomic(out_dir / "timing.json", _json_text(timing))
     return worst
 
 
@@ -546,34 +526,20 @@ def main(argv: list[str] | None = None) -> int:
         # argparse has already printed its message; normalize the code
         code = exc.code
         return 0 if code in (0, None) else 2
+    if args.command == "all":
+        return _run_all(args.format, args.out)
 
-    try:
-        if args.command == "all":
-            return _run_all(args.format, args.out)
-        started = time.perf_counter()
-        result = _run_suite(args)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-    except UsageError as exc:
-        print(f"lbfkit: usage error: {exc}", file=sys.stderr)
-        return 2
-    except (transport.SingularTransportError,
-            transport.IntegrationFailureError) as exc:
-        print(f"lbfkit: internal failure: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"lbfkit: usage error: {exc}", file=sys.stderr)
-        return 2
+    def emit(result: SuiteResult, elapsed_ms: float) -> None:
+        text = _render(args.command, result, args.format)
+        if args.out is None:
+            sys.stdout.write(text)
+            return
+        _write_atomic(args.out, text)
+        timing = {"schema": TIMING_SCHEMA, "command": args.command,
+                  "elapsed_ms": elapsed_ms, **result.timing}
+        _write_atomic(args.out.with_name(args.out.name + ".timing.json"), _json_text(timing))
 
-    _emit(result, args.format, args.out, elapsed_ms)
-    if result.name == "resolve" and result.report["trace"].get("diagnostic"):
-        print(f"lbfkit: internal failure: {result.report['trace']['diagnostic']}",
-              file=sys.stderr)
-        return 3
-    if not result.passed:
-        for line in result.failures:
-            print(f"lbfkit: FAIL: {line}", file=sys.stderr)
-        return 1
-    return 0
+    return _execute(args, "lbfkit", emit)
 
 
 if __name__ == "__main__":

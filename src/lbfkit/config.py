@@ -22,6 +22,14 @@ import numpy as np
 FloatOrArray = float | np.ndarray
 
 
+class DomainError(ValueError):
+    """Input outside the domain the README and ``--help`` document.
+
+    The command line reports it as a usage error (exit 2); any other
+    exception that reaches it is an internal failure (exit 3).
+    """
+
+
 def _clamp01(x: FloatOrArray) -> FloatOrArray:
     """x clamped to [0, 1]: ndarray.clip for arrays, a compare for floats."""
     if isinstance(x, np.ndarray):
@@ -137,12 +145,3 @@ class ModelConfig:
 
 
 DEFAULT_CONFIG = ModelConfig()
-
-
-def float_csv(header: str, *columns: np.ndarray) -> str:
-    """CSV text: the header line, then one row per index of the float columns.
-
-    Cells are the repr of builtin floats, the shortest round-trip form.
-    """
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import FloatOrArray, float_csv
+from .config import DomainError, FloatOrArray
 
 # Mapping-cylinder Hamiltonian value held constant near the boundary.
 BOUNDARY_HAMILTONIAN = 2.0 * math.pi
@@ -236,17 +236,6 @@ class ProfileReport:
     params: dict[str, float] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "n": self.n,
-            "grid": self.grid,
-            "min_value": self.min_value,
-            "argmin": self.argmin,
-            "passed": self.passed,
-            "params": dict(self.params),
-            "notes": list(self.notes),
-        }
-
 
 def verify_profile(profile: ContactProfile, n: int = 2, grid: int = 10_000) -> ProfileReport:
     """Sample the contact positivity quantity on (0, 1+eps].
@@ -265,7 +254,7 @@ def verify_profile(profile: ContactProfile, n: int = 2, grid: int = 10_000) -> P
             values = _libm(lambda v: v ** (n - 1), fv) * (
                 fv * profile.g_prime(r) - profile.f_prime(r) * profile.g(r))
     except (OverflowError, FloatingPointError) as exc:
-        raise ValueError(
+        raise DomainError(
             f"n = {n} overflows f^(n-1) (f g' - f' g) in floating point"
         ) from exc
     i = int(np.argmin(values))
@@ -282,13 +271,11 @@ def verify_profile(profile: ContactProfile, n: int = 2, grid: int = 10_000) -> P
     )
 
 
-def profile_csv(profile: ContactProfile, samples: int = 512) -> str:
-    """CSV of (r, f, g, determinant) for plotting, r from 0 to 1+eps."""
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    r = profile.r_max * np.arange(samples + 1) / samples
-    return float_csv("r,f,g,determinant", r, profile.f(r), profile.g(r),
-                     profile.determinant(r))
+def profile_samples(profile: ContactProfile
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """r, f, g and the determinant at 513 evenly spaced r from 0 to 1+eps."""
+    r = profile.r_max * np.arange(513) / 512
+    return r, profile.f(r), profile.g(r), profile.determinant(r)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +337,6 @@ class CornerCurve:
             lambda r: 0.0,
         )
 
-    def determinant(self, r: FloatOrArray) -> FloatOrArray:
-        return self.f(r) * self.g_prime(r) - self.f_prime(r) * self.g(r)
-
 
 @dataclass(frozen=True)
 class CornerReport:
@@ -364,18 +348,6 @@ class CornerReport:
     g_nondecreasing: bool
     joins_c1: bool
     passed: bool
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "eps": self.eps,
-            "samples": self.samples,
-            "endpoints_exact": self.endpoints_exact,
-            "interior_signs_ok": self.interior_signs_ok,
-            "f_nonincreasing": self.f_nonincreasing,
-            "g_nondecreasing": self.g_nondecreasing,
-            "joins_c1": self.joins_c1,
-            "passed": self.passed,
-        }
 
 
 def make_corner_curve(eps: float, samples: int = 2_000) -> tuple[CornerCurve, CornerReport]:
@@ -436,14 +408,6 @@ def make_corner_curve(eps: float, samples: int = 2_000) -> tuple[CornerCurve, Co
     return curve, report
 
 
-def corner_csv(curve: CornerCurve, samples: int = 512) -> str:
-    """CSV of (r, f, g, determinant) along the corner arc."""
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    r = -curve.eps + 2.0 * curve.eps * np.arange(samples + 1) / samples
-    return float_csv("r,f,g,determinant", r, curve.f(r), curve.g(r), curve.determinant(r))
-
-
 # ---------------------------------------------------------------------------
 # base profile
 
@@ -498,17 +462,6 @@ class BaseReport:
     plateaus_exact: bool
     increasing: bool
     passed: bool
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "k": self.k,
-            "eps": self.eps,
-            "samples": self.samples,
-            "zero_at_origin": self.zero_at_origin,
-            "plateaus_exact": self.plateaus_exact,
-            "increasing": self.increasing,
-            "passed": self.passed,
-        }
 
 
 def make_base_profile(k: float = 1.0, eps: float = 0.1) -> BaseProfile:

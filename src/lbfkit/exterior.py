@@ -178,8 +178,9 @@ class ScalarExpr:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:    # a square past the top bit would go unused
+                base = base * base
         return out
 
     def __eq__(self, other: object) -> bool:

@@ -26,7 +26,6 @@ __all__ = [
     "NotRelatedError",
     "disk_cotangent_sphere",
     "substitute",
-    "weight",
     "aa_count",
     "enumerate_fillings",
     "substitution_chain",
@@ -109,10 +108,6 @@ class SubstitutionStep:
     direction: str     # "contract" or "expand"
     before: TwistWord
     after: TwistWord
-
-
-def weight(word: TwistWord) -> int:
-    return word.weight
 
 
 def substitute(word: TwistWord, pos: int, direction: str) -> TwistWord:

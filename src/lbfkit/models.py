@@ -70,28 +70,11 @@ class IdentityReport:
     n: int
     verdict: str                      # "exact-equal" or "residual"
     residual_text: str
-    min_value: float | None = None    # filled by grid runs only
-    argmin: tuple[float, ...] | None = None
-    ms: float = 0.0
+    ms: float = 0.0                   # wall time; goes to the timing sidecar only
 
     @property
     def passed(self) -> bool:
         return self.verdict == "exact-equal"
-
-    def as_dict(self, include_timing: bool = True) -> dict:
-        out: dict = {
-            "identity": self.identity,
-            "n": self.n,
-            "verdict": self.verdict,
-            "residual_text": self.residual_text,
-        }
-        if self.min_value is not None:
-            out["min_value"] = self.min_value
-        if self.argmin is not None:
-            out["argmin"] = list(self.argmin)
-        if include_timing:
-            out["ms"] = self.ms
-        return out
 
 
 @dataclass

@@ -30,7 +30,6 @@ __all__ = [
     "DiskBundleOverQuadric",
     "Disk",
     "DiskCotangentSphere",
-    "Custom",
     "SpaceDescriptor",
     "EulerReport",
     "chi_space",
@@ -79,13 +78,7 @@ class DiskCotangentSphere:
     n: int
 
 
-@dataclass(frozen=True)
-class Custom:
-    name: str
-    chi: int
-
-
-SpaceDescriptor = Sphere | Quadric | DiskBundleOverQuadric | Disk | DiskCotangentSphere | Custom
+SpaceDescriptor = Sphere | Quadric | DiskBundleOverQuadric | Disk | DiskCotangentSphere
 
 
 def _check_convention(convention: str) -> None:
@@ -115,8 +108,6 @@ def chi_space(space: SpaceDescriptor, convention: str = "betti") -> int:
         return 1
     if isinstance(space, DiskCotangentSphere):
         return 1 + (-1) ** space.n
-    if isinstance(space, Custom):
-        return space.chi
     raise TypeError(f"unknown space descriptor {space!r}")
 
 
@@ -181,40 +172,6 @@ class EulerReport:
     milnor_value: int
     verdict: str
     notes: list[str]
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "rows": [
-                {"l": l, "chi_betti": a, "chi_alternate": b, "differs": d}
-                for (l, a, b, d) in self.rows
-            ],
-            "betti_injective": self.betti_injective,
-            "alternate_injective": self.alternate_injective,
-            "betti_slope": self.betti_slope,
-            "alternate_slope": self.alternate_slope,
-            "milnor_value": self.milnor_value,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
-
-    def as_table(self) -> str:
-        head = f"{'l':>3} {'chi_betti':>10} {'chi_alternate':>14} {'differs':>8}"
-        lines = [head, "-" * len(head)]
-        for l, a, b, d in self.rows:
-            lines.append(f"{l:>3} {a:>10} {b:>14} {'yes' if d else '':>8}")
-        lines.append(
-            f"slopes: betti {self.betti_slope}, alternate {self.alternate_slope}; "
-            f"milnor check {self.milnor_value}; verdict: {self.verdict}"
-        )
-        return "\n".join(lines) + "\n"
-
-    def as_csv(self) -> str:
-        lines = ["l,chi_betti,chi_alternate,differs"]
-        for l, a, b, d in self.rows:
-            lines.append(f"{l},{a},{b},{int(d)}")
-        return "\n".join(lines) + "\n"
 
 
 def distinctness_report(n: int, k: int) -> EulerReport:

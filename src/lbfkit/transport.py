@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, FloatOrArray, ModelConfig, float_csv
+from .config import DEFAULT_CONFIG, DomainError, FloatOrArray, ModelConfig
 
 __all__ = [
     "TransportParams",
@@ -59,11 +59,8 @@ __all__ = [
     "initial_condition",
     "integrate",
     "closed_form",
-    "small_t_branch_audit",
     "monodromy_profile",
     "limits_at_zero",
-    "trajectory_csv",
-    "profile_csv",
 ]
 
 
@@ -273,13 +270,13 @@ def _validate_t(cfg: ModelConfig, t: float) -> None:
     lo = -cfg.disk1_radius ** 2
     hi = cfg.disk2_radius ** 2
     if t == 0.0:
-        raise ValueError("t = 0 is the critical value; no transport is defined there")
+        raise DomainError("t = 0 is the critical value; no transport is defined there")
     if not (lo <= t <= hi):
-        raise ValueError(f"t = {t} outside the fiber-coordinate range [{lo}, {hi}]")
+        raise DomainError(f"t = {t} outside the fiber-coordinate range [{lo}, {hi}]")
     # Both start points give the denominator 2|t|; at |t| = floor/2 exactly
     # the computed value still rounds just under the floor.
     if 2.0 * abs(t) <= SINGULAR_FLOOR:
-        raise ValueError(
+        raise DomainError(
             f"|t| = {abs(t)} is at most {SINGULAR_FLOOR / 2:g}: the transport "
             f"denominator starts at 2|t|, not above the singular floor {SINGULAR_FLOOR:g}"
         )
@@ -382,54 +379,6 @@ def closed_form(
     raise RegimeError(f"unknown regime {regime!r}; use 'small_t' or 'outer_large_t'")
 
 
-def small_t_branch_audit(s: float, t: float) -> dict[str, float]:
-    """Compare the two branch assignments of the small-t closed form.
-
-    The assignment used here puts the larger radius on the disk matching the
-    start point; the alternative (roles of r1 and r2 exchanged per branch)
-    misses the start point by sqrt(|t|) and flips the sign of the conserved
-    difference r2^2 - r1^2.  Returns the start-point and conservation errors
-    of both so the discrepancy stays visible in reports.
-    """
-    if t == 0:
-        raise ValueError("t = 0 is the critical value")
-    at = abs(t)
-    u = 2.0 * s / at + math.sqrt(4.0 * s * s / (at * at) + 1.0)
-    ru = math.sqrt(u)
-    plus = 0.5 * (ru + 1.0 / ru) * math.sqrt(at)
-    minus = 0.5 * (ru - 1.0 / ru) * math.sqrt(at)
-    if t > 0:
-        used = (minus, plus)
-        alternative = (plus, minus)
-    else:
-        used = (plus, minus)
-        alternative = (minus, plus)
-    start = initial_condition(t)
-    # at s = 0 the auxiliary quotient is exactly 1, so the radii collapse
-    start_used = (
-        (0.5 * (1.0 - 1.0) * math.sqrt(at), 0.5 * (1.0 + 1.0) * math.sqrt(at))
-        if t > 0
-        else (0.5 * (1.0 + 1.0) * math.sqrt(at), 0.5 * (1.0 - 1.0) * math.sqrt(at))
-    )
-    start_alt = (start_used[1], start_used[0])
-
-    def dist(a: tuple[float, float], b: tuple[float, float]) -> float:
-        return math.hypot(a[0] - b[0], a[1] - b[1])
-
-    return {
-        "s": s,
-        "t": t,
-        "used_r1": used[0],
-        "used_r2": used[1],
-        "alt_r1": alternative[0],
-        "alt_r2": alternative[1],
-        "used_start_error": dist(start_used, start),
-        "alt_start_error": dist(start_alt, start),
-        "used_conservation": used[1] ** 2 - used[0] ** 2 - t,
-        "alt_conservation": alternative[1] ** 2 - alternative[0] ** 2 - t,
-    }
-
-
 # ---------------------------------------------------------------------------
 # monodromy profile
 
@@ -437,7 +386,7 @@ def small_t_branch_audit(s: float, t: float) -> dict[str, float]:
 def _fd_step(cfg: ModelConfig, t: float) -> float:
     step = min(abs(t) / 8.0, 1e-3)
     if step <= 1e-8:
-        raise ValueError(
+        raise DomainError(
             f"t = {t} too close to the critical value t = 0 for a central stencil"
         )
     if t > 0:
@@ -445,7 +394,7 @@ def _fd_step(cfg: ModelConfig, t: float) -> float:
     else:
         step = min(step, 0.5 * (t + cfg.disk1_radius ** 2))
     if step <= 1e-8:
-        raise ValueError(
+        raise DomainError(
             f"t = {t} too close to the fiber-coordinate boundary for a central stencil"
         )
     return step
@@ -465,14 +414,14 @@ def monodromy_profile(
     """
     cfg = params.cfg
     if not (0.0 < s0 <= cfg.collar_width / 4.0):
-        raise ValueError(
+        raise DomainError(
             f"s0 must lie in (0, collar_width/4 = {cfg.collar_width / 4}], got {s0}"
         )
     ts = np.asarray(list(t_grid), dtype=float)
     if ts.size == 0:
-        raise ValueError("empty t grid")
+        raise DomainError("empty t grid")
     if np.any(ts == 0.0):
-        raise ValueError("t grid must avoid the critical value 0")
+        raise DomainError("t grid must avoid the critical value 0")
     step = np.array([_fd_step(cfg, t) for t in ts])
     levels = np.concatenate([ts, ts + step, ts - step])
     r2 = _transport(params, levels, np.array([0.0, s0]))[-1, 1]
@@ -496,16 +445,3 @@ def limits_at_zero(params: TransportParams, s0: float) -> tuple[float, float]:
     plus = 2.0 * prof.dR[0] - prof.dR[1]
     minus = 2.0 * prof.dR[2] - prof.dR[3]
     return float(plus), float(minus)
-
-
-# ---------------------------------------------------------------------------
-# CSV dumps
-
-
-def trajectory_csv(traj: Trajectory) -> str:
-    return float_csv("s,r1,r2,h_drift,mu_r2_minus_s", traj.s, traj.r1, traj.r2,
-                     traj.h_drift, traj.radial_residual)
-
-
-def profile_csv(prof: MonodromyProfile) -> str:
-    return float_csv("t,R,dR,dR_cut", prof.t, prof.R, prof.dR, prof.dR_cut)

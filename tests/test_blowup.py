@@ -9,7 +9,6 @@ import pytest
 
 from lbfkit import mcg
 from lbfkit.blowup import (
-    ChartTransform,
     MultiPoly,
     NonRationalCoefficientError,
     OriginError,
@@ -18,7 +17,6 @@ from lbfkit.blowup import (
     blowup_chart,
     classify,
     milnor_word,
-    off_chart_report,
     proper_transform,
     resolution_word_chain,
     resolve_A,
@@ -162,16 +160,6 @@ def test_proper_transform_never_divisible(rng):
         assert m >= p.multiplicity_at_origin
 
 
-def test_chart_transform_record():
-    ct = ChartTransform.compute(a_type_polynomial(3, 1), 2)
-    assert ct.chart == 2
-    assert ct.multiplicity == 2
-    assert ct.proper == var(3, 0) ** 2 + var(3, 1) ** 2 + var(3, 2) ** 2
-    text = ct.substitution_text()
-    assert "x0 = y0*y2" in text
-    assert "x2 = y2" in text
-
-
 def test_classify_normal_forms():
     for k in (1, 2, 5, 9):
         v = classify(a_type_polynomial(k, 2))
@@ -251,7 +239,7 @@ def test_resolution_first_step_literal_shape():
 
 def test_trace_json_round_trip():
     trace = resolve_A(4, 1)
-    data = json.loads(trace.to_json())
+    data = json.loads(json.dumps(trace.as_dict()))
     assert data["k"] == 4
     assert data["n"] == 1
     assert data["initial_verdict"] == "AType(4)"
@@ -266,14 +254,22 @@ def test_trace_json_round_trip():
 
 
 def test_off_chart_reports_match_recomputation():
+    # On a chart j <= n the first proper transform is, from the substitution
+    # rule alone, 1 + sum of y_i^2 over i <= n, i != j + y_j^(k-1) y_(n+1)^(k+1).
+    n, last = 2, 3
     for k in (1, 2, 3, 6):
-        for j in range(0, 3):
-            rep = off_chart_report(k, 2, j)
-            assert rep["matches"], rep
-            assert rep["verdict"] == "Smooth"
-            assert rep["multiplicity"] == 2
-    with pytest.raises(ValueError, match="off chart"):
-        off_chart_report(3, 2, 3)
+        for j in range(0, last):
+            proper, m = proper_transform(a_type_polynomial(k, n), j)
+            expected = MultiPoly.constant(n + 2, 1)
+            for i in range(n + 1):
+                if i != j:
+                    expected = expected + var(n + 2, i, 2)
+            mixed = var(n + 2, last, k + 1)
+            if k > 1:
+                mixed = var(n + 2, j, k - 1) * mixed
+            assert proper == expected + mixed
+            assert m == 2
+            assert classify(proper).is_smooth
 
 
 def test_milnor_word_examples():
@@ -282,7 +278,7 @@ def test_milnor_word_examples():
     assert w.fiber.name == "DT*S2"
     assert len(milnor_word(3)) == 4
     for k in (1, 4, 9):
-        assert mcg.weight(milnor_word(k)) == k + 1
+        assert milnor_word(k).weight == k + 1
 
 
 def test_word_chain_mirrors_the_resolution():

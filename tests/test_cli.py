@@ -2,14 +2,31 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lbfkit
 from lbfkit import cli, models, topo
+
+GOLDEN = Path(__file__).parent / "golden"
+# Each file under tests/golden is the expected stdout of one run, byte for byte.
+# A deliberate report change (a schema bump) rewrites the files it changes.
+GOLDEN_RUNS = {
+    **{f"{suite}{suffix}": [suite, "--format", fmt]
+       for suite in ("verify-forms", "transport", "fillings", "resolve", "contact-check")
+       for fmt, suffix in (("json", ".json"), ("csv", ".csv"), ("table", ".txt"))},
+    "transport_t-0.1_grid6.json": ["transport", "--t", "-0.1", "--grid=-0.2:0.2:6"],
+    "resolve_k6_dim0.json": ["resolve", "--k", "6", "--dim", "0"],
+    "fillings_n3_k8_include-zero.json": ["fillings", "--n", "3", "--k", "8", "--include-zero"],
+    "contact-check_n7.json": ["contact-check", "--n", "7"],
+}
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -94,6 +111,23 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "transport", "--t", "1e-14")[0] == 2      # start under the floor
     assert run(capsys, "transport", "--t=-1e-14")[0] == 2
     assert run(capsys, "verify-forms", "--n", "1")[0] == 2
+    assert run(capsys, "transport", "--t", "200")[0] == 2         # outside [-0.25, 100]
+    assert run(capsys, "transport", "--s0", "1")[0] == 2          # beyond collar_width/4
+    assert run(capsys, "transport", "--grid=5e-8:6e-8:2")[0] == 2  # stencil step under 1e-8
+
+
+def test_other_exceptions_are_internal_failures(capsys, monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise ValueError("not a domain error")
+
+    monkeypatch.setattr(models, "verify_all", broken)
+    code, out, err = run(capsys, "verify-forms")
+    assert (code, out) == (3, "")
+    assert err == "lbfkit: internal failure: not a domain error\n"
+    code, _, err = run(capsys, "all", "--out", str(tmp_path))
+    assert code == 3
+    assert err == "lbfkit all/verify-forms: internal failure: not a domain error\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_transport_grid_count_is_bounded(capsys):
@@ -182,6 +216,24 @@ def test_all_is_byte_deterministic(capsys, tmp_path):
         if path.name == "timing.json":
             continue                       # the one file allowed to differ
         assert path.read_bytes() == (b / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_reports_match_the_golden_files(capsys, name):
+    code, out, err = run(capsys, *GOLDEN_RUNS[name])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_golden_files_are_all_checked():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(GOLDEN_RUNS)
+
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(lbfkit.__path__):
+        module = importlib.import_module(f"lbfkit.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"lbfkit.{info.name}.{name}"
 
 
 def test_help_exits_0(capsys):

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from lbfkit.cli import _clean, main
 from lbfkit.contact import (
     BOUNDARY_HAMILTONIAN,
-    corner_csv,
     make_base_profile,
     make_corner_curve,
     make_profile,
-    profile_csv,
     verify_base_profile,
     verify_profile,
 )
@@ -80,11 +80,12 @@ def test_profile_positivity_across_dimensions():
 
 def test_profile_report_serialization():
     report = verify_profile(make_profile(), n=2, grid=2_000)
-    d = report.as_dict()
+    d = _clean(report)
     assert d["grid"] == 2_000
     assert d["passed"] is True
     assert d["params"]["c0"] == 2.0
     assert any("C2" in note for note in d["notes"])
+    assert isinstance(d["notes"], list)
 
 
 def test_degenerate_profile_detected():
@@ -124,14 +125,16 @@ def test_make_profile_validation():
         make_profile(eps=0.5)
 
 
-def test_profile_csv_shape():
-    text = profile_csv(make_profile(), samples=64)
-    lines = text.strip().splitlines()
+def test_profile_csv_shape(capsys):
+    assert main(["contact-check", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "r,f,g,determinant"
-    assert len(lines) == 66              # header + samples + endpoint row
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == 2.0
+    assert len(lines) == 514             # header + 512 steps + endpoint row
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    p = make_profile()
+    assert rows[0][:2] == [0.0, 2.0]
+    assert rows[-1][0] == p.r_max
+    assert [row[3] for row in rows] == [p.determinant(row[0]) for row in rows]
 
 
 def test_corner_endpoints_exact():
@@ -169,13 +172,6 @@ def test_corner_validation():
         make_corner_curve(0.1, samples=10)
 
 
-def test_corner_csv_shape():
-    curve, _ = make_corner_curve(0.1)
-    lines = corner_csv(curve, samples=50).strip().splitlines()
-    assert lines[0] == "r,f,g,determinant"
-    assert len(lines) >= 51
-
-
 def test_base_profile_plateaus():
     bp = make_base_profile(k=2.0, eps=0.1)
     for s in (0.0, 0.02, 0.05, 0.1):
@@ -192,7 +188,7 @@ def test_base_profile_monotone():
     assert report.plateaus_exact
     assert report.increasing
     assert report.passed
-    d = report.as_dict()
+    d = asdict(report)
     assert d["passed"] is True
     assert d["samples"] >= 100
 

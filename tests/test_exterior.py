@@ -56,6 +56,24 @@ def test_scalar_power_and_monomial_inverse():
     assert a * inv == ScalarExpr.const(1)
 
 
+def test_scalar_power_squares_only_up_to_the_top_bit(monkeypatch):
+    # square-and-multiply needs bit_length - 1 squares and popcount products
+    calls = 0
+    mul = ScalarExpr.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(ScalarExpr, "__mul__", counting_mul)
+    base = ScalarExpr.atom("f") + 1
+    for exponent in range(1, 41):
+        calls = 0
+        base ** exponent
+        assert calls <= exponent.bit_length() - 1 + bin(exponent).count("1"), exponent
+
+
 def test_scalar_negative_power_rejects_sums():
     with pytest.raises(ValueError):
         (ScalarExpr.atom("f") + 1) ** -1

@@ -17,7 +17,6 @@ from lbfkit.mcg import (
     enumerate_fillings,
     substitute,
     substitution_chain,
-    weight,
 )
 
 FIBER = disk_cotangent_sphere(2)
@@ -92,13 +91,12 @@ def test_substitute_leaves_other_letters_alone():
 
 
 def test_weight_examples():
-    assert weight(word("S S S S")) == 4
-    assert weight(word("D S S")) == 4
-    assert weight(TwistWord((), FIBER)) == 0
+    assert word("S S S S").weight == 4
+    assert word("D S S").weight == 4
+    assert TwistWord((), FIBER).weight == 0
 
 
 def test_weight_counts_both_kinds():
-    assert weight(word("D D S")) == 5
     assert word("D D S").weight == 5
 
 

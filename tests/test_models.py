@@ -24,13 +24,6 @@ def test_identity_count_matches_enum():
     assert len(IdentityId) == 9
 
 
-def test_report_timing_toggle():
-    report = models.verify_identity(IdentityId.OMEGA_ALPHA_KERNEL)
-    assert report.ms >= 0.0
-    assert "ms" in report.as_dict()
-    assert "ms" not in report.as_dict(include_timing=False)
-
-
 def test_top_power_coefficient_matches_displayed_formula():
     # n (n+1) (1 - r1^2 + r2^2 (1 - f r1^2))^(n-1) (r1^2 r2^2 u' + f r2^2 + 1)
     r1, r2 = ScalarExpr.atom("r1"), ScalarExpr.atom("r2")

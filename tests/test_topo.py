@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from lbfkit.topo import (
-    Custom,
     Disk,
     DiskBundleOverQuadric,
     DiskCotangentSphere,
@@ -49,7 +48,6 @@ def test_remaining_building_blocks():
     assert chi_space(DiskBundleOverQuadric(3), "alternate") == 4
     assert chi_space(DiskCotangentSphere(2)) == 2
     assert chi_space(DiskCotangentSphere(3)) == 0
-    assert chi_space(Custom("mystery", -7)) == -7
 
 
 def test_chi_space_validation():
@@ -168,18 +166,3 @@ def test_distinctness_report_n1_not_distinguished():
     assert rep.betti_slope == 0
     assert not rep.betti_injective
     assert rep.verdict == "not distinguished by chi"
-
-
-def test_report_serializations():
-    rep = distinctness_report(2, 5)
-    d = rep.as_dict()
-    assert d["rows"][1] == {"l": 1, "chi_betti": 0, "chi_alternate": 1, "differs": True}
-    assert d["verdict"] == "distinct"
-    table = rep.as_table()
-    assert "chi_betti" in table.splitlines()[0]
-    assert "verdict: distinct" in table
-    csv = rep.as_csv()
-    lines = csv.strip().splitlines()
-    assert lines[0] == "l,chi_betti,chi_alternate,differs"
-    assert lines[1] == "0,-4,2,1"
-    assert len(lines) == len(rep.rows) + 1

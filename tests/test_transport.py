@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lbfkit import transport
-from lbfkit.config import DEFAULT_CONFIG, ModelConfig
+from lbfkit import cli, transport
+from lbfkit.config import DEFAULT_CONFIG, DomainError, ModelConfig
 from lbfkit.transport import (
     IntegrationFailureError,
     RegimeError,
@@ -21,7 +21,6 @@ from lbfkit.transport import (
     integrate,
     limits_at_zero,
     monodromy_profile,
-    small_t_branch_audit,
 )
 
 # Wide collar keeps the small-t regime assumptions valid out to s = 0.1.
@@ -121,7 +120,7 @@ def test_invalid_t_rejected():
     params = TransportParams()
     # +-1e-14: the starting denominator 2|t| is under the singular floor
     for t in (0.0, -0.26, 101.0, 1e-14, -1e-14):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             integrate(params, t, 0.1)
     with pytest.raises(ValueError):
         integrate(params, 0.25, 1.5)
@@ -162,16 +161,6 @@ def test_small_t_closed_form_tracks_the_integrator():
         r1n, r2n = traj.endpoint
         assert abs(r1c - r1n) < 1e-6
         assert abs(r2c - r2n) < 1e-6
-
-
-def test_small_t_branch_audit_flags_the_swapped_assignment():
-    audit = small_t_branch_audit(0.05, 0.02)
-    assert audit["used_start_error"] < 1e-12
-    assert abs(audit["used_conservation"]) < 1e-12
-    # the swapped assignment misses the initial condition by sqrt(t)
-    # and negates the conserved difference
-    assert audit["alt_start_error"] > 0.1 * math.sqrt(0.02)
-    assert abs(audit["alt_conservation"] + 2 * 0.02) < 1e-12
 
 
 def test_outer_closed_form_initial_point():
@@ -259,15 +248,15 @@ def test_trajectories_depend_continuously_on_t():
 
 def test_monodromy_rejects_bad_grids():
     params = TransportParams()
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         monodromy_profile(params, 1e-3, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         monodromy_profile(params, 1e-3, [0.0, 0.1])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         monodromy_profile(params, 0.5, [0.1])  # s0 beyond collar_width/4
-    with pytest.raises(ValueError, match="critical value"):
+    with pytest.raises(DomainError, match="critical value"):
         monodromy_profile(params, 1e-3, [5e-8])  # stencil step under 1e-8
-    with pytest.raises(ValueError, match="boundary"):
+    with pytest.raises(DomainError, match="boundary"):
         monodromy_profile(params, 1e-3, [-0.25 + 1e-9])
 
 
@@ -275,21 +264,12 @@ def test_monodromy_rejects_bad_grids():
 # serialization
 
 
-def test_trajectory_csv_shape():
-    traj = integrate(TransportParams(), 0.25, 0.2, samples=5)
-    text = transport.trajectory_csv(traj)
-    lines = text.strip().split("\n")
-    assert lines[0] == "s,r1,r2,h_drift,mu_r2_minus_s"
-    assert len(lines) == 6
-    assert "np.float64" not in text
-
-
-def test_profile_csv_shape():
-    prof = monodromy_profile(TransportParams(), 1e-3, [0.1, 0.2])
-    text = transport.profile_csv(prof)
-    lines = text.strip().split("\n")
+def test_profile_csv_shape(capsys):
+    assert cli.main(["transport", "--grid=0.1:0.2:2", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "t,R,dR,dR_cut"
     assert len(lines) == 3
+    assert [float(row.split(",")[0]) for row in lines[1:]] == [0.1, 0.2]
 
 
 def test_integration_failure_error_is_distinct():
