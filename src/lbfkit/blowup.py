@@ -168,8 +168,9 @@ class MultiPoly:
         while power:
             if power & 1:
                 out = out * base
-            base = base * base
             power >>= 1
+            if power:    # a square past the top bit would go unused
+                base = base * base
         return out
 
     # -- queries -----------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -151,7 +152,7 @@ def _suite_verify_forms(n: int) -> SuiteResult:
     reports = models.verify_all(cfg)
 
     started = time.perf_counter()
-    grid = models.positivity_grid(models.IdentityId.TOP_POWER, cfg)
+    grid = models.positivity_grid(cfg)
     grid_ms = (time.perf_counter() - started) * 1e3
     grid_ok = grid.min_value > 0.0
 
@@ -194,6 +195,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise DomainError(f"grid count must be in 1..{MAX_GRID_COUNT}, got {count}")
     if hi < lo:
         raise DomainError(f"grid bounds out of order in {spec!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid bounds must be finite, got {spec!r}")
     grid = np.linspace(lo, hi, count)
     if np.any(grid == 0.0):
         raise DomainError(f"grid {spec!r} contains the critical value t = 0")
@@ -207,20 +210,18 @@ def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
     # Both denominator conventions ride along on every trajectory report.
     # Only the corrected one is expected to conserve mu*r2 - s; the other
     # column documents how far the uncorrected form drifts.
-    trajectories: dict[str, dict] = {}
-    for variant in ("weighted", "unweighted"):
-        params = transport.TransportParams(cfg=cfg, denominator=variant)
-        traj = transport.integrate(params, t, 0.5)
-        trajectories[variant] = {
+    trajectories = {
+        variant: {
             "max_h_drift": traj.max_h_drift,
             "max_radial_drift": traj.max_radial_drift,
             "endpoint": traj.endpoint,
             "radial_drift_gated": variant == "weighted",
         }
+        for variant, traj in transport.integrate(cfg, t, 0.5).items()
+    }
 
-    params = transport.TransportParams(cfg=cfg)
-    prof = transport.monodromy_profile(params, s0, grid)
-    lim_plus, lim_minus = transport.limits_at_zero(params, s0)
+    prof = transport.monodromy_profile(cfg, s0, grid)
+    lim_plus, lim_minus = transport.limits_at_zero(cfg, s0)
 
     gate = transport.DRIFT_GATE
     failures = []

@@ -80,7 +80,7 @@ class IdentityReport:
 @dataclass
 class GridResult:
     min_value: float
-    argmin: tuple[float, ...]
+    argmin: tuple[float, float]
     resolution: int
 
 
@@ -362,35 +362,23 @@ def verify_all(cfg: ModelConfig = DEFAULT_CONFIG) -> list[IdentityReport]:
 
 
 # ---------------------------------------------------------------------------
-# numeric positivity grids
+# numeric positivity grid
+
+# Samples per axis of the TOP_POWER positivity grid.
+GRID_RESOLUTION = 200
 
 
-def positivity_grid(
-    identity: IdentityId,
-    cfg: ModelConfig = DEFAULT_CONFIG,
-    resolution: int = 200,
-) -> GridResult:
-    """Minimum of the certified coefficient on the stated parameter window.
+def positivity_grid(cfg: ModelConfig = DEFAULT_CONFIG) -> GridResult:
+    """Minimum of the TOP_POWER coefficient on the stated parameter window.
 
-    TOP_POWER scans (r1, r2) in [0, 0.9 * disk1_radius] x [0, disk2_radius]
-    with the concrete interpolation profile bound for f and u'.
-    CONTACT_VOLUME scans the collar radius in [1e-3, 1 + eps] with the
-    default contact profile.
+    Scans (r1, r2) in [0, 0.9 * disk1_radius] x [0, disk2_radius] on a
+    GRID_RESOLUTION x GRID_RESOLUTION grid, with the concrete interpolation
+    profile bound for f and u'.
     """
-    identity = IdentityId(identity)
-    if identity == IdentityId.TOP_POWER:
-        r1 = np.linspace(0.0, 0.9 * cfg.disk1_radius, resolution)
-        r2 = np.linspace(0.0, cfg.disk2_radius, resolution)
-        g1, g2 = np.meshgrid(r1, r2, indexing="ij")
-        f, up = cfg.ramp_and_slope(g1 ** 2 + g2 ** 2)
-        values = top_power_coefficient(cfg.n).evaluate({"r1": g1, "r2": g2, "f": f, "up": up})
-        flat = int(np.argmin(values))
-        i, j = np.unravel_index(flat, values.shape)
-        return GridResult(float(values[i, j]), (float(g1[i, j]), float(g2[i, j])), resolution)
-    if identity == IdentityId.CONTACT_VOLUME:
-        from . import contact
-
-        profile = contact.make_profile()
-        report = contact.verify_profile(profile, n=cfg.n, grid=resolution)
-        return GridResult(report.min_value, (report.argmin,), resolution)
-    raise ValueError(f"no positivity grid for identity '{identity.value}'")
+    r1 = np.linspace(0.0, 0.9 * cfg.disk1_radius, GRID_RESOLUTION)
+    r2 = np.linspace(0.0, cfg.disk2_radius, GRID_RESOLUTION)
+    g1, g2 = np.meshgrid(r1, r2, indexing="ij")
+    f, up = cfg.ramp_and_slope(g1 ** 2 + g2 ** 2)
+    values = top_power_coefficient(cfg.n).evaluate({"r1": g1, "r2": g2, "f": f, "up": up})
+    i, j = np.unravel_index(int(np.argmin(values)), values.shape)
+    return GridResult(float(values[i, j]), (float(g1[i, j]), float(g2[i, j])), GRID_RESOLUTION)

@@ -15,8 +15,10 @@ times D, so that coordinate moves at unit speed).
 The denominator above carries a mu' factor on its first term.  The variant
 without it ("unweighted") is also implemented: the two coincide wherever
 mu(r) = r, but only the weighted one keeps mu(r1) r2 = s once mu flattens,
-which the flat-region argument r2(s0, t) = s0 depends on.  Reports print the
-invariant drifts of both variants side by side.
+which the flat-region argument r2(s0, t) = s0 depends on.  Each batch
+column carries its own variant flag, so ``integrate`` steps both variants
+of one level as a single two-column batch, and reports print their
+invariant drifts side by side.
 
 The ODE is stepped by one Dormand & Prince (1980) 5(4) pair with the step
 control of Hairer, Norsett and Wanner (Solving ODEs I, II.4-5).  It steps a
@@ -50,7 +52,6 @@ import numpy as np
 from .config import DEFAULT_CONFIG, DomainError, FloatOrArray, ModelConfig
 
 __all__ = [
-    "TransportParams",
     "Trajectory",
     "MonodromyProfile",
     "SingularTransportError",
@@ -110,24 +111,6 @@ class RegimeError(ValueError):
 
 
 @dataclass
-class TransportParams:
-    """The model configuration and the denominator convention.
-
-    The profiles u, u', mu, mu' and sigma are the smoothstep realizations of
-    ``cfg``; ``denominator="weighted"`` carries the mu' factor.
-    """
-
-    cfg: ModelConfig = DEFAULT_CONFIG
-    denominator: str = "weighted"
-
-    def __post_init__(self) -> None:
-        if self.denominator not in ("weighted", "unweighted"):
-            raise ValueError(
-                f"denominator must be 'weighted' or 'unweighted', got {self.denominator!r}"
-            )
-
-
-@dataclass
 class Trajectory:
     t: float
     s: np.ndarray
@@ -171,23 +154,24 @@ def initial_condition(t: float) -> tuple[float, float]:
     raise ValueError("t = 0 is the critical value; no transport is defined there")
 
 
-def h_value(params: TransportParams, r1: FloatOrArray, r2: FloatOrArray) -> FloatOrArray:
-    f = params.cfg.ramp(r1 * r1 + r2 * r2)
+def h_value(cfg: ModelConfig, r1: FloatOrArray, r2: FloatOrArray) -> FloatOrArray:
+    f = cfg.ramp(r1 * r1 + r2 * r2)
     return -r1 * r1 + r2 * r2 - f * r1 * r1 * r2 * r2
 
 
-def _field(params: TransportParams, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d(r1, r2)/ds = (dh/dr2, -dh/dr1) / D for a (2, N) batch at arc parameters s."""
+def _field(cfg: ModelConfig, weight: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d(r1, r2)/ds = (dh/dr2, -dh/dr1) / D for a (2, N) batch at arc parameters s.
+
+    ``weight`` flags the columns whose denominator carries the mu' factor;
+    the others multiply by 1.0, which leaves r2 bit for bit.
+    """
     r1, r2 = y[0], y[1]
-    f, up = params.cfg.ramp_and_slope(r1 * r1 + r2 * r2)
+    f, up = cfg.ramp_and_slope(r1 * r1 + r2 * r2)
     cross = up * r1 * r1 * r2 * r2
     dh_r1 = -2.0 * r1 * (1.0 + f * r2 * r2 + cross)
     dh_r2 = 2.0 * r2 * (1.0 - f * r1 * r1 - cross)
-    m, m_d = params.cfg.mu_and_slope(r1)
-    if params.denominator == "weighted":
-        den = m_d * r2 * dh_r2 - m * dh_r1
-    else:
-        den = r2 * dh_r2 - m * dh_r1
+    m, m_d = cfg.mu_and_slope(r1)
+    den = np.where(weight, m_d, 1.0) * r2 * dh_r2 - m * dh_r1
     singular = np.abs(den) < SINGULAR_FLOOR
     if singular.any():
         i = int(np.argmax(singular))
@@ -200,12 +184,13 @@ def _rms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * (x * x).sum(axis=0))
 
 
-def _initial_step(rhs, s: np.ndarray, y: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _initial_step(rhs, s: np.ndarray, y: np.ndarray, f: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
     """A first step size per column (Hairer, Norsett and Wanner, II.4)."""
     scale = ATOL + RTOL * np.abs(y)
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
-    d2 = _rms((rhs(s + h0, y + h0 * f) - f) / scale) / h0
+    d2 = _rms((rhs(s + h0, y + h0 * f, cols) - f) / scale) / h0
     d = np.maximum(d1, d2)
     h1 = np.where(d <= 1e-15, np.maximum(1e-6, 1e-3 * h0),
                   (0.01 / np.maximum(d, 1e-15)) ** 0.2)
@@ -213,21 +198,24 @@ def _initial_step(rhs, s: np.ndarray, y: np.ndarray, f: np.ndarray) -> np.ndarra
 
 
 def _dopri5(rhs, y0: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Integrate dy/ds = rhs(s, y) for a (2, N) batch y0 through ``stops``.
+    """Integrate dy/ds = rhs(s, y, cols) for a (2, N) batch y0 through ``stops``.
 
     ``stops`` increase from the common start s = stops[0].  Every column
     keeps its own step size and accept/reject decision; a column that
     reaches a stop waits there for the others, and the step that reaches it
     is cut to land on it exactly.  Columns never mix, so a column computed
     in a batch equals the same column computed alone, bit for bit.
-    Returns the states at the stops, shape (len(stops), 2, N).
+    ``rhs`` sees only the columns still stepping; ``cols`` holds their
+    indices into the batch.  Returns the states at the stops, shape
+    (len(stops), 2, N).
     """
     y = np.array(y0, dtype=float)
     out = np.empty((len(stops),) + y.shape)
     out[0] = y
     s = np.full(y.shape[1], float(stops[0]))
-    f = rhs(s, y)
-    h = _initial_step(rhs, s, y, f)
+    every = np.arange(s.size)
+    f = rhs(s, y, every)
+    h = _initial_step(rhs, s, y, f, every)
     rejected = np.zeros(s.size, dtype=bool)
     for j in range(1, len(stops)):
         end = float(stops[j])
@@ -247,7 +235,7 @@ def _dopri5(rhs, y0: np.ndarray, stops: np.ndarray) -> np.ndarray:
             ks = [f[:, live]]
             for c, row in zip(_C, _A):
                 y_new = ys + step * sum(a * k for a, k in zip(row, ks) if a)
-                ks.append(rhs(ss + c * step, y_new))
+                ks.append(rhs(ss + c * step, y_new, live))
             error = step * sum(e * k for e, k in zip(_E, ks) if e)
             norm = _rms(error / (ATOL + RTOL * np.maximum(np.abs(ys), np.abs(y_new))))
             ok = norm <= 1.0
@@ -282,31 +270,43 @@ def _validate_t(cfg: ModelConfig, t: float) -> None:
         )
 
 
-def _transport(params: TransportParams, levels: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """(r1, r2) at each stop for each level, shape (len(stops), 2, len(levels))."""
+def _transport(cfg: ModelConfig, levels: np.ndarray, stops: np.ndarray,
+               weight: bool | np.ndarray = True) -> np.ndarray:
+    """(r1, r2) at each stop for each level, shape (len(stops), 2, len(levels)).
+
+    ``weight`` flags the levels (one bool: all of them) whose D carries mu'.
+    """
     for t in levels:
-        _validate_t(params.cfg, t)
+        _validate_t(cfg, t)
     y0 = np.array([initial_condition(t) for t in levels]).T
-    return _dopri5(lambda s, y: _field(params, s, y), y0, stops)
+    weight = np.broadcast_to(weight, levels.shape)
+    return _dopri5(lambda s, y, cols: _field(cfg, weight[cols], s, y), y0, stops)
 
 
 def integrate(
-    params: TransportParams,
+    cfg: ModelConfig,
     t: float,
     s_max: float,
     samples: int = 129,
-) -> Trajectory:
+) -> dict[str, Trajectory]:
     """Integrate the transport ODE from s = 0 to s = s_max at level t.
 
-    The stepper lands on each of the ``samples`` evenly spaced values of s.
+    Both denominator variants run as one two-column batch; the result maps
+    "weighted" and "unweighted" to their trajectories.  The stepper lands
+    on each of the ``samples`` evenly spaced values of s.
     """
     if s_max < 0 or s_max > 1:
         raise ValueError(f"s_max must lie in [0, 1], got {s_max}")
     grid = np.linspace(0.0, s_max, samples if s_max > 0 else 1)
-    r1, r2 = _transport(params, np.array([t]), grid)[:, :, 0].T
-    h_drift = h_value(params, r1, r2) - t
-    radial = params.cfg.mu(r1) * r2 - grid
-    return Trajectory(t=t, s=grid, r1=r1, r2=r2, h_drift=h_drift, radial_residual=radial)
+    ys = _transport(cfg, np.array([t, t]), grid, np.array([True, False]))
+    r1, r2 = ys[:, 0], ys[:, 1]
+    h_drift = h_value(cfg, r1, r2) - t
+    radial = cfg.mu(r1) * r2 - grid[:, None]
+    return {
+        name: Trajectory(t=t, s=grid, r1=r1[:, k], r2=r2[:, k], h_drift=h_drift[:, k],
+                         radial_residual=radial[:, k])
+        for k, name in enumerate(("weighted", "unweighted"))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ def _fd_step(cfg: ModelConfig, t: float) -> float:
 
 
 def monodromy_profile(
-    params: TransportParams,
+    cfg: ModelConfig,
     s0: float,
     t_grid: Sequence[float],
 ) -> MonodromyProfile:
@@ -412,7 +412,6 @@ def monodromy_profile(
     All 3C levels are integrated to s0 in one batch.  The grid must avoid
     the critical value 0.
     """
-    cfg = params.cfg
     if not (0.0 < s0 <= cfg.collar_width / 4.0):
         raise DomainError(
             f"s0 must lie in (0, collar_width/4 = {cfg.collar_width / 4}], got {s0}"
@@ -424,7 +423,7 @@ def monodromy_profile(
         raise DomainError("t grid must avoid the critical value 0")
     step = np.array([_fd_step(cfg, t) for t in ts])
     levels = np.concatenate([ts, ts + step, ts - step])
-    r2 = _transport(params, levels, np.array([0.0, s0]))[-1, 1]
+    r2 = _transport(cfg, levels, np.array([0.0, s0]))[-1, 1]
     R = np.where(levels > 0, -r2 * r2 + levels, -r2 * r2 - 1.0)
     center, hi, lo = R.reshape(3, ts.size)
     dR = (hi - lo) / (2.0 * step)
@@ -434,14 +433,14 @@ def monodromy_profile(
     return MonodromyProfile(s0=s0, t=ts, R=center, dR=dR, dR_cut=dR_cut)
 
 
-def limits_at_zero(params: TransportParams, s0: float) -> tuple[float, float]:
+def limits_at_zero(cfg: ModelConfig, s0: float) -> tuple[float, float]:
     """One-sided limits of R' at 0, Richardson-extrapolated from s0/4, s0/8.
 
     R'(t) is linear in t to leading order near 0 on either side, so the
     two-point rule 2 R'(+-s0/8) - R'(+-s0/4) cancels the linear term and
     leaves a cubic remainder well below the 1e-3 acceptance window.
     """
-    prof = monodromy_profile(params, s0, [s0 / 8.0, s0 / 4.0, -s0 / 8.0, -s0 / 4.0])
+    prof = monodromy_profile(cfg, s0, [s0 / 8.0, s0 / 4.0, -s0 / 8.0, -s0 / 4.0])
     plus = 2.0 * prof.dR[0] - prof.dR[1]
     minus = 2.0 * prof.dR[2] - prof.dR[3]
     return float(plus), float(minus)

@@ -23,9 +23,7 @@ from lbfkit.blowup import (
 from lbfkit.config import DEFAULT_CONFIG, ModelConfig
 from lbfkit.contact import make_profile, verify_profile
 from lbfkit.exterior import ScalarExpr, equals, ext_d, interior, wedge
-from lbfkit.models import IdentityId
 from lbfkit.transport import (
-    TransportParams,
     closed_form,
     integrate,
     limits_at_zero,
@@ -66,7 +64,7 @@ def test_criterion_1_symbolic_identities():
 
 def test_criterion_2_positivity():
     failures: list[str] = []
-    grid = models.positivity_grid(IdentityId.TOP_POWER, DEFAULT_CONFIG)
+    grid = models.positivity_grid(DEFAULT_CONFIG)
     if grid.resolution != 200:
         failures.append(f"grid resolution {grid.resolution} != 200")
     if not grid.min_value > 0.0:
@@ -87,9 +85,9 @@ def test_criterion_3_transport():
     started = time.perf_counter()
     failures: list[str] = []
     s0 = 1e-3
-    params = TransportParams()
+    cfg = DEFAULT_CONFIG
 
-    plus, minus = limits_at_zero(params, s0)
+    plus, minus = limits_at_zero(cfg, s0)
     if abs(plus - 0.5) > 1e-3:
         failures.append(f"limit at 0+ is {plus}, not 1/2 within 1e-3")
     if abs(minus + 0.5) > 1e-3:
@@ -98,7 +96,7 @@ def test_criterion_3_transport():
     drift_ts = [float(t) for t in np.linspace(-0.16, 0.16, 9) if t != 0.0]
     drift_ts += [1.0, 5.0, 25.0, 60.0, 99.0, -0.24, -0.235, -0.23]
     for t in drift_ts:
-        traj = integrate(params, t, s0)
+        traj = integrate(cfg, t, s0)["weighted"]
         if traj.max_h_drift >= 1e-8:
             failures.append(f"h drift {traj.max_h_drift} at t={t}")
         if traj.max_radial_drift >= 1e-8:
@@ -107,12 +105,11 @@ def test_criterion_3_transport():
     # 50 (s, t) pairs against the corrected closed form; the wide-collar
     # configuration keeps the whole arc inside the small-t regime
     wide = ModelConfig(collar_width=0.32, ramp_lo=0.5, ramp_hi=0.7, disk1_radius=0.9)
-    wide_params = TransportParams(wide)
     pairs = 0
     for s in np.linspace(5e-4, 0.05, 10):
         for t in (-0.02, -0.008, 0.002, 0.008, 0.02):
             ref = closed_form("small_t", float(s), float(t), wide)
-            got = integrate(wide_params, float(t), float(s)).endpoint
+            got = integrate(wide, float(t), float(s))["weighted"].endpoint
             rel = math.hypot(ref[0] - got[0], ref[1] - got[1]) / math.hypot(*ref)
             if rel >= 1e-6:
                 failures.append(f"closed form off by {rel} at (s={s}, t={t})")
@@ -121,15 +118,15 @@ def test_criterion_3_transport():
         failures.append(f"expected 50 pairs, ran {pairs}")
 
     for t in (-0.24, -0.235, -0.23):
-        r2 = integrate(params, t, s0).endpoint[1]
+        r2 = integrate(cfg, t, s0)["weighted"].endpoint[1]
         if abs(r2 - s0) > 1e-6:
             failures.append(f"mu=1 region: r2(s0, {t}) = {r2}, not s0")
 
     # outer regime: the stencil needs room above t, so the grids stop at 99
-    dense = monodromy_profile(params, s0, np.linspace(1.0, 99.0, 50))
+    dense = monodromy_profile(cfg, s0, np.linspace(1.0, 99.0, 50))
     if not np.all(dense.dR > 0.0):
         failures.append("outer profile derivative not positive everywhere")
-    coarse = monodromy_profile(params, s0, np.geomspace(1.0, 99.0, 25))
+    coarse = monodromy_profile(cfg, s0, np.geomspace(1.0, 99.0, 25))
     if not np.all(np.diff(coarse.dR) < 0.0):
         failures.append("outer profile derivative not decaying")
 

@@ -114,6 +114,11 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "transport", "--t", "200")[0] == 2         # outside [-0.25, 100]
     assert run(capsys, "transport", "--s0", "1")[0] == 2          # beyond collar_width/4
     assert run(capsys, "transport", "--grid=5e-8:6e-8:2")[0] == 2  # stencil step under 1e-8
+    # non-finite grid bounds are refused before np.linspace sees them
+    for spec in ("--grid=-inf:inf:2", "--grid=nan:nan:1"):
+        code, out, err = run(capsys, "transport", spec)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "finite" in err, err
 
 
 def test_other_exceptions_are_internal_failures(capsys, monkeypatch, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lbfkit import exterior
+from lbfkit.blowup import MultiPoly
 from lbfkit.exterior import (
     AlgebraMismatchError,
     Form,
@@ -57,21 +58,25 @@ def test_scalar_power_and_monomial_inverse():
 
 
 def test_scalar_power_squares_only_up_to_the_top_bit(monkeypatch):
-    # square-and-multiply needs bit_length - 1 squares and popcount products
+    # square-and-multiply needs bit_length - 1 squares and popcount products,
+    # both in the exact engine and in the blow-up layer's polynomials
     calls = 0
-    mul = ScalarExpr.__mul__
+    bases = [ScalarExpr.atom("f") + 1,
+             MultiPoly.variable(1, 0) + MultiPoly.constant(1, 1)]
+    for base in bases:
+        mul = type(base).__mul__
 
-    def counting_mul(self, other):
-        nonlocal calls
-        calls += 1
-        return mul(self, other)
+        def counting_mul(self, other, _mul=mul):
+            nonlocal calls
+            calls += 1
+            return _mul(self, other)
 
-    monkeypatch.setattr(ScalarExpr, "__mul__", counting_mul)
-    base = ScalarExpr.atom("f") + 1
-    for exponent in range(1, 41):
-        calls = 0
-        base ** exponent
-        assert calls <= exponent.bit_length() - 1 + bin(exponent).count("1"), exponent
+        monkeypatch.setattr(type(base), "__mul__", counting_mul)
+        for exponent in range(1, 41):
+            calls = 0
+            base ** exponent
+            assert calls <= exponent.bit_length() - 1 + bin(exponent).count("1"), \
+                (type(base).__name__, exponent)
 
 
 def test_scalar_negative_power_rejects_sums():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lbfkit import models
+from lbfkit import contact, models
 from lbfkit.config import DEFAULT_CONFIG, ModelConfig
 from lbfkit.exterior import ScalarExpr
 from lbfkit.models import IdentityId
@@ -52,7 +52,7 @@ def test_h_is_the_fiber_level_function():
 
 
 def test_top_power_grid_positive_at_default_resolution():
-    result = models.positivity_grid(IdentityId.TOP_POWER, DEFAULT_CONFIG)
+    result = models.positivity_grid(DEFAULT_CONFIG)
     assert result.resolution == 200
     assert result.min_value > 0.0
     r1_min, r2_min = result.argmin
@@ -61,14 +61,8 @@ def test_top_power_grid_positive_at_default_resolution():
 
 
 def test_contact_volume_grid_positive():
-    result = models.positivity_grid(IdentityId.CONTACT_VOLUME, ModelConfig(n=2),
-                                    resolution=2000)
+    result = contact.verify_profile(contact.make_profile(), n=2, grid=2000)
     assert result.min_value > 0.0
-
-
-def test_positivity_grid_rejects_other_identities():
-    with pytest.raises(ValueError):
-        models.positivity_grid(IdentityId.HESSIAN, DEFAULT_CONFIG)
 
 
 def test_evaluate_on_grid_matches_pointwise():
