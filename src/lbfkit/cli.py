@@ -17,6 +17,14 @@ Subcommands: verify-forms, transport, fillings, resolve, contact-check,
 and all, which runs each of the above with its defaults into a
 directory.  Every suite runs in one thread, in a fixed order.
 
+Each process loads only the layers its subcommand runs: importing this
+module loads the standard library and ``config``, and each suite imports
+its layers when it starts (verify-forms ``models`` and ``exterior``,
+transport ``transport``, fillings ``mcg`` and ``topo``, resolve
+``blowup`` and ``mcg``, contact-check ``contact``).  ``--help``, fillings
+and resolve never import numpy.  Suites call a layer through its module
+(``transport.integrate``), so patching a module attribute reaches them.
+
 Input the numerics cannot represent is a usage error too: a
 ``contact-check --n`` whose f^(n-1) overflows a double (n >= 1025 for the
 default profile), a ``transport --t`` with 0 < |t| <= 5e-13, where the
@@ -37,9 +45,6 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import blowup, contact, mcg, models, topo, transport
 from .config import DEFAULT_CONFIG, DomainError, ModelConfig
 
 SCHEMA = "lbf-kit/1"
@@ -89,9 +94,12 @@ def _clean(obj: object) -> object:
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
+    np = sys.modules.get("numpy")
+    if np is None:    # no numpy value can exist before numpy is loaded
+        return obj
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_clean(v) for v in obj.tolist()]
@@ -148,6 +156,8 @@ def _pass_fail(ok: bool) -> str:
 
 
 def _suite_verify_forms(n: int) -> SuiteResult:
+    from . import models
+
     cfg = ModelConfig(n=n)
     reports = models.verify_all(cfg)
 
@@ -183,6 +193,9 @@ def _suite_verify_forms(n: int) -> SuiteResult:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
+    """The levels of a LO:HI:COUNT spec, refused before any of them is integrated."""
+    import numpy as np
+
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid spec must be lo:hi:count, got {spec!r}")
@@ -197,6 +210,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise DomainError(f"grid bounds out of order in {spec!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"grid bounds must be finite, got {spec!r}")
+    t_lo, t_hi = DEFAULT_CONFIG.level_range
+    if not (t_lo <= lo and hi <= t_hi):
+        raise DomainError(f"grid {spec!r} leaves the fiber-coordinate range [{t_lo}, {t_hi}]")
     grid = np.linspace(lo, hi, count)
     if np.any(grid == 0.0):
         raise DomainError(f"grid {spec!r} contains the critical value t = 0")
@@ -204,8 +220,13 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
-    grid = _parse_grid(grid_spec)
+    from . import transport
+
     cfg = DEFAULT_CONFIG
+    grid = _parse_grid(grid_spec)
+    # a bad --t or --s0 is a usage error before anything is integrated
+    transport._validate_t(cfg, t)
+    transport._validate_s0(cfg, s0)
 
     # Both denominator conventions ride along on every trajectory report.
     # Only the corrected one is expected to conserve mu*r2 - s; the other
@@ -262,6 +283,8 @@ def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
 
 
 def _suite_fillings(n: int, k: int, include_zero: bool) -> SuiteResult:
+    from . import mcg, topo
+
     words = mcg.enumerate_fillings(k, n, include_zero=include_zero)
     euler = topo.distinctness_report(n, k)
 
@@ -311,6 +334,8 @@ def _suite_fillings(n: int, k: int, include_zero: bool) -> SuiteResult:
 
 
 def _suite_resolve(k: int, dim: int) -> SuiteResult:
+    from . import blowup
+
     trace = blowup.resolve_A(k, dim)
     chain = blowup.resolution_word_chain(k)
 
@@ -355,6 +380,8 @@ def _suite_resolve(k: int, dim: int) -> SuiteResult:
 
 
 def _suite_contact_check(n: int) -> SuiteResult:
+    from . import contact
+
     profile = contact.make_profile()
     prof_report = contact.verify_profile(profile, n=n)
     _, corner_report = contact.make_corner_curve(profile.eps)

@@ -8,18 +8,22 @@ only feed the numeric positivity grids and the transport integrator.
 Each profile is written once and accepts a float or a numpy array: the
 argument is clamped to [0, 1] and the same polynomial runs either way, so
 a value computed alone and the same value computed on a grid agree to the
-last bit.  Floats keep float speed (the transport ODE evaluates profiles
-one point at a time).
+last bit.  A float (``np.float64`` is one) is clamped by compares and an
+array by its own ``clip``, so this module never imports numpy: the
+integer-only subcommands put a ``ModelConfig`` in their reports without
+loading it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # A profile argument or value: one float, or a numpy array of them.
-FloatOrArray = float | np.ndarray
+FloatOrArray = Union[float, "np.ndarray"]
 
 
 class DomainError(ValueError):
@@ -31,10 +35,10 @@ class DomainError(ValueError):
 
 
 def _clamp01(x: FloatOrArray) -> FloatOrArray:
-    """x clamped to [0, 1]: ndarray.clip for arrays, a compare for floats."""
-    if isinstance(x, np.ndarray):
-        return x.clip(0.0, 1.0)
-    return 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else x
+    """x clamped to [0, 1]: a compare for floats and ints, ndarray.clip for arrays."""
+    if isinstance(x, (float, int)):
+        return 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else x
+    return x.clip(0.0, 1.0)
 
 
 def smoothstep_and_slope(x: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
@@ -45,7 +49,7 @@ def smoothstep_and_slope(x: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
     x = _clamp01(x)
     s = x * x * x * (x * (6.0 * x - 15.0) + 10.0)
     # the polynomial rounds a few ulps above 1 just below x = 1
-    s = np.minimum(s, 1.0) if isinstance(s, np.ndarray) else min(s, 1.0)
+    s = min(s, 1.0) if isinstance(s, float) else s.clip(None, 1.0)
     d = x - 1.0
     return s, 30.0 * x * x * d * d
 
@@ -130,7 +134,13 @@ class ModelConfig:
     def mu(self, radius: FloatOrArray) -> FloatOrArray:
         return self.mu_and_slope(radius)[0]
 
-    # -- monodromy cutoff sigma, a function of the fibration value t
+    # -- levels t of the fibration: their documented range, and the
+    #    monodromy cutoff sigma as a function of t
+
+    @property
+    def level_range(self) -> tuple[float, float]:
+        """The documented range [-disk1_radius^2, disk2_radius^2] of levels t."""
+        return -self.disk1_radius ** 2, self.disk2_radius ** 2
 
     @property
     def cutoff_lo(self) -> float:

@@ -255,8 +255,7 @@ def _dopri5(rhs, y0: np.ndarray, stops: np.ndarray) -> np.ndarray:
 
 
 def _validate_t(cfg: ModelConfig, t: float) -> None:
-    lo = -cfg.disk1_radius ** 2
-    hi = cfg.disk2_radius ** 2
+    lo, hi = cfg.level_range
     if t == 0.0:
         raise DomainError("t = 0 is the critical value; no transport is defined there")
     if not (lo <= t <= hi):
@@ -400,6 +399,13 @@ def _fd_step(cfg: ModelConfig, t: float) -> float:
     return step
 
 
+def _validate_s0(cfg: ModelConfig, s0: float) -> None:
+    if not (0.0 < s0 <= cfg.collar_width / 4.0):
+        raise DomainError(
+            f"s0 must lie in (0, collar_width/4 = {cfg.collar_width / 4}], got {s0}"
+        )
+
+
 def monodromy_profile(
     cfg: ModelConfig,
     s0: float,
@@ -412,10 +418,7 @@ def monodromy_profile(
     All 3C levels are integrated to s0 in one batch.  The grid must avoid
     the critical value 0.
     """
-    if not (0.0 < s0 <= cfg.collar_width / 4.0):
-        raise DomainError(
-            f"s0 must lie in (0, collar_width/4 = {cfg.collar_width / 4}], got {s0}"
-        )
+    _validate_s0(cfg, s0)
     ts = np.asarray(list(t_grid), dtype=float)
     if ts.size == 0:
         raise DomainError("empty t grid")

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import lbfkit
-from lbfkit import cli, models, topo
+from lbfkit import cli, models, topo, transport
 
 GOLDEN = Path(__file__).parent / "golden"
 # Each file under tests/golden is the expected stdout of one run, byte for byte.
@@ -119,6 +119,23 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run(capsys, "transport", spec)
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and "finite" in err, err
+    # so are bounds outside the documented level range [-0.25, 100]
+    code, out, err = run(capsys, "transport", "--grid=-5:-1:3")
+    assert (code, out) == (2, "")
+    assert err == ("lbfkit: usage error: grid '-5:-1:3' leaves the "
+                   "fiber-coordinate range [-0.25, 100.0]\n")
+
+
+@pytest.mark.parametrize("arg", ["--grid=-5:-1:3", "--grid=99:101:3", "--t=200",
+                                 "--t=1e-14", "--s0=0.5", "--s0=0"])
+def test_transport_input_is_refused_before_integrating(capsys, monkeypatch, arg):
+    def integrator(*args, **kwargs):
+        raise AssertionError("integrated before the input was checked")
+
+    monkeypatch.setattr(transport, "_dopri5", integrator)
+    code, out, err = run(capsys, "transport", arg)
+    assert (code, out) == (2, "")
+    assert err.startswith("lbfkit: usage error: ") and len(err.splitlines()) == 1, err
 
 
 def test_other_exceptions_are_internal_failures(capsys, monkeypatch, tmp_path):
@@ -246,10 +263,35 @@ def test_help_exits_0(capsys):
     assert run(capsys, "transport", "--help")[0] == 0
 
 
-def test_cli_import_loads_no_scipy():
-    src = str(Path(lbfkit.__file__).resolve().parents[1])
-    probe = "import sys, lbfkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.strip() == "[]"
+# Per run: its argv, the layers it may load besides cli and config, and
+# whether it imports numpy.
+IMPORT_RUNS = {
+    "help": (["--help"], set(), False),
+    "fillings": (["fillings"], {"mcg", "topo"}, False),
+    "resolve": (["resolve"], {"blowup", "mcg"}, False),
+    "transport": (["transport"], {"transport"}, True),
+    "verify-forms": (["verify-forms"], {"models", "exterior"}, True),
+    "contact-check": (["contact-check"], {"contact"}, True),
+}
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from lbfkit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(IMPORT_RUNS))
+def test_subcommand_loads_only_its_layers(name):
+    argv, layers, loads_numpy = IMPORT_RUNS[name]
+    env = {**os.environ, "PYTHONPATH": str(Path(lbfkit.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    code, modules = json.loads(out)
+    assert code == 0
+    assert {m for m in modules if m.startswith("lbfkit.")} == {
+        f"lbfkit.{m}" for m in ("cli", "config", *layers)}
+    assert ("numpy" in modules) == loads_numpy
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -10,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lbfkit.config import DEFAULT_CONFIG, ModelConfig
+import lbfkit
+from lbfkit.config import DEFAULT_CONFIG, ModelConfig, smoothstep_and_slope
 
 
 @st.composite
@@ -37,6 +42,8 @@ def _domains(cfg: ModelConfig) -> dict[str, tuple[Callable, float, float, tuple[
     ramp = (0.0, sq_max, (cfg.ramp_lo, cfg.ramp_hi))
     radial = (0.0, cfg.disk1_radius, (cfg.collar_width, cfg.mu_flat_radius))
     return {
+        "smoothstep": (lambda x: smoothstep_and_slope(x)[0], -0.5, 1.5, (0.0, 1.0)),
+        "smoothstep_d": (lambda x: smoothstep_and_slope(x)[1], -0.5, 1.5, (0.0, 1.0)),
         "ramp": (cfg.ramp, *ramp),
         "ramp_d": (lambda sq: cfg.ramp_and_slope(sq)[1], *ramp),
         "mu": (cfg.mu, *radial),
@@ -57,11 +64,15 @@ def _sample(lo: float, hi: float, edges: tuple[float, ...], fractions: list[floa
 @given(cfg=any_config,
        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
 def test_array_evaluation_is_float_evaluation_bit_for_bit(cfg, fractions):
+    # floats, np.float64 scalars (a float subclass), 0-d arrays and 1-d arrays
     for name, (fn, lo, hi, edges) in _domains(cfg).items():
         xs = _sample(lo, hi, edges, fractions)
         one_by_one = np.array([fn(x) for x in xs], dtype=float)
-        whole = fn(np.array(xs))
         assert all(type(fn(x)) is float for x in xs), name
+        for kind in (np.float64, np.array):
+            values = np.array([fn(kind(x)) for x in xs], dtype=float)
+            assert np.array_equal(values.view(np.int64), one_by_one.view(np.int64)), name
+        whole = fn(np.array(xs))
         assert np.array_equal(whole.view(np.int64), one_by_one.view(np.int64)), name
 
 
@@ -88,3 +99,13 @@ def test_collar_must_end_before_mu_flattens():
     with pytest.raises(ValueError, match="disk1_radius"):
         ModelConfig(collar_width=0.375, ramp_lo=0.5, ramp_hi=0.75, disk1_radius=0.5)
     ModelConfig(collar_width=0.32, ramp_lo=0.5, ramp_hi=0.7, disk1_radius=0.9)
+
+
+def test_config_and_float_profiles_load_no_numpy():
+    probe = ("import sys; from lbfkit.config import ModelConfig; cfg = ModelConfig(n=3); "
+             "cfg.mu_and_slope(0.3), cfg.ramp_and_slope(0.15); "
+             "print('numpy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(lbfkit.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "False"
