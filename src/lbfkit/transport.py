@@ -15,22 +15,26 @@ times D, so that coordinate moves at unit speed).
 The denominator above carries a mu' factor on its first term.  The variant
 without it ("unweighted") is also implemented: the two coincide wherever
 mu(r) = r, but only the weighted one keeps mu(r1) r2 = s once mu flattens,
-which the flat-region argument r2(s0, t) = s0 depends on.  Each batch
-column carries its own variant flag, so ``integrate`` steps both variants
-of one level as a single two-column batch, and reports print their
-invariant drifts side by side.
+which the flat-region argument r2(s0, t) = s0 depends on.  ``integrate``
+steps both variants of one level, and reports print their invariant
+drifts side by side.
 
 The ODE is stepped by one Dormand & Prince (1980) 5(4) pair with the step
-control of Hairer, Norsett and Wanner (Solving ODEs I, II.4-5).  It steps a
-(2, N) numpy batch of levels at once: each column has its own step size,
-its own accept/reject decision and its own position, and columns never mix,
-so a level integrated in a batch equals the level integrated alone, bit
-for bit.  ``integrate`` cuts steps to land exactly on each of its sample
-points (no dense output); ``monodromy_profile`` integrates its 3C stencil
-levels in one batch, and ``limits_at_zero`` its 12.  The local tolerances
-ATOL = RTOL sit four decades under DRIFT_GATE, the bound the reports audit
-both invariants against.  No step is projected back onto the invariants:
-that would zero the very drift the audit reports.
+control of Hairer, Norsett and Wanner (Solving ODEs I, II.4-5), written
+twice.  ``_dopri5`` steps a (2, N) numpy batch of levels at once: each
+column has its own step size, its own accept/reject decision and its own
+position, and columns never mix, so a level integrated in a batch equals
+the level integrated alone, bit for bit.  ``monodromy_profile`` integrates
+its 3C stencil levels in one batch, and ``limits_at_zero`` its 12.
+``_dopri5_column`` steps one column on Python floats with the same
+operations in the same order, so it gives the batch's bits too; numpy's
+per-call overhead dominates a batch of one or two columns, so
+``integrate`` steps its two trajectories there, one after the other, and
+cuts steps to land exactly on each of its sample points (no dense
+output).  The local tolerances ATOL = RTOL sit four decades under
+DRIFT_GATE, the bound the reports audit both invariants against.  No step
+is projected back onto the invariants: that would zero the very drift the
+audit reports.
 
 The monodromy angle profile is
 
@@ -159,24 +163,41 @@ def h_value(cfg: ModelConfig, r1: FloatOrArray, r2: FloatOrArray) -> FloatOrArra
     return -r1 * r1 + r2 * r2 - f * r1 * r1 * r2 * r2
 
 
-def _field(cfg: ModelConfig, weight: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d(r1, r2)/ds = (dh/dr2, -dh/dr1) / D for a (2, N) batch at arc parameters s.
+def _field_terms(cfg: ModelConfig, weight: bool, r1: FloatOrArray,
+                 r2: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
+    """(dh/dr2, -dh/dr1) and the denominator D at (r1, r2), floats or arrays alike.
 
-    ``weight`` flags the columns whose denominator carries the mu' factor;
-    the others multiply by 1.0, which leaves r2 bit for bit.
+    ``weight`` keeps the mu' factor on the first term of D; the unweighted
+    variant drops it.
     """
-    r1, r2 = y[0], y[1]
     f, up = cfg.ramp_and_slope(r1 * r1 + r2 * r2)
     cross = up * r1 * r1 * r2 * r2
     dh_r1 = -2.0 * r1 * (1.0 + f * r2 * r2 + cross)
     dh_r2 = 2.0 * r2 * (1.0 - f * r1 * r1 - cross)
     m, m_d = cfg.mu_and_slope(r1)
-    den = np.where(weight, m_d, 1.0) * r2 * dh_r2 - m * dh_r1
+    den = (m_d * r2 if weight else r2) * dh_r2 - m * dh_r1
+    return dh_r2, -dh_r1, den
+
+
+def _field(cfg: ModelConfig, weight: bool, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d(r1, r2)/ds = (dh/dr2, -dh/dr1) / D for a (2, N) batch at arc parameters s."""
+    r1, r2 = y[0], y[1]
+    a, b, den = _field_terms(cfg, weight, r1, r2)
     singular = np.abs(den) < SINGULAR_FLOOR
     if singular.any():
         i = int(np.argmax(singular))
         raise SingularTransportError(float(s[i]), float(r1[i]), float(r2[i]), float(den[i]))
-    return np.array([dh_r2, -dh_r1]) / den
+    return np.array([a, b]) / den
+
+
+def _field_column(cfg: ModelConfig, weight: bool, s: float,
+                  y: tuple[float, float]) -> tuple[float, float]:
+    """``_field`` for one column on floats."""
+    r1, r2 = y
+    a, b, den = _field_terms(cfg, weight, r1, r2)
+    if abs(den) < SINGULAR_FLOOR:
+        raise SingularTransportError(s, r1, r2, den)
+    return a / den, b / den
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
@@ -184,13 +205,12 @@ def _rms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * (x * x).sum(axis=0))
 
 
-def _initial_step(rhs, s: np.ndarray, y: np.ndarray, f: np.ndarray,
-                  cols: np.ndarray) -> np.ndarray:
+def _initial_step(rhs, s: np.ndarray, y: np.ndarray, f: np.ndarray) -> np.ndarray:
     """A first step size per column (Hairer, Norsett and Wanner, II.4)."""
     scale = ATOL + RTOL * np.abs(y)
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
-    d2 = _rms((rhs(s + h0, y + h0 * f, cols) - f) / scale) / h0
+    d2 = _rms((rhs(s + h0, y + h0 * f) - f) / scale) / h0
     d = np.maximum(d1, d2)
     h1 = np.where(d <= 1e-15, np.maximum(1e-6, 1e-3 * h0),
                   (0.01 / np.maximum(d, 1e-15)) ** 0.2)
@@ -198,24 +218,22 @@ def _initial_step(rhs, s: np.ndarray, y: np.ndarray, f: np.ndarray,
 
 
 def _dopri5(rhs, y0: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Integrate dy/ds = rhs(s, y, cols) for a (2, N) batch y0 through ``stops``.
+    """Integrate dy/ds = rhs(s, y) for a (2, N) batch y0 through ``stops``.
 
     ``stops`` increase from the common start s = stops[0].  Every column
     keeps its own step size and accept/reject decision; a column that
     reaches a stop waits there for the others, and the step that reaches it
     is cut to land on it exactly.  Columns never mix, so a column computed
     in a batch equals the same column computed alone, bit for bit.
-    ``rhs`` sees only the columns still stepping; ``cols`` holds their
-    indices into the batch.  Returns the states at the stops, shape
-    (len(stops), 2, N).
+    ``rhs`` sees only the columns still stepping.  Returns the states at the
+    stops, shape (len(stops), 2, N).
     """
     y = np.array(y0, dtype=float)
     out = np.empty((len(stops),) + y.shape)
     out[0] = y
     s = np.full(y.shape[1], float(stops[0]))
-    every = np.arange(s.size)
-    f = rhs(s, y, every)
-    h = _initial_step(rhs, s, y, f, every)
+    f = rhs(s, y)
+    h = _initial_step(rhs, s, y, f)
     rejected = np.zeros(s.size, dtype=bool)
     for j in range(1, len(stops)):
         end = float(stops[j])
@@ -235,7 +253,7 @@ def _dopri5(rhs, y0: np.ndarray, stops: np.ndarray) -> np.ndarray:
             ks = [f[:, live]]
             for c, row in zip(_C, _A):
                 y_new = ys + step * sum(a * k for a, k in zip(row, ks) if a)
-                ks.append(rhs(ss + c * step, y_new, live))
+                ks.append(rhs(ss + c * step, y_new))
             error = step * sum(e * k for e, k in zip(_E, ks) if e)
             norm = _rms(error / (ATOL + RTOL * np.maximum(np.abs(ys), np.abs(y_new))))
             ok = norm <= 1.0
@@ -254,6 +272,104 @@ def _dopri5(rhs, y0: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the same stepper for one column on Python floats
+#
+# The functions below repeat ``_initial_step`` and ``_dopri5`` operation for
+# operation, in the same order, so a column comes out bit for bit as the
+# batch computes it.  +, -, *, / and sqrt round the same way in Python and
+# numpy; x ** e does not, so ``_pow`` goes through numpy's array loop.
+
+
+def _rms_pair(a: float, b: float) -> float:
+    """``_rms`` of one column (a, b)."""
+    return math.sqrt(0.5 * (a * a + b * b))
+
+
+def _pow(x: float, e: float) -> float:
+    """x ** e rounded as the batch rounds it.
+
+    libm's pow (Python's **) and numpy's scalar power each differ from
+    numpy's array loop in the last bit on about 5% of inputs; a one-element
+    array takes the array loop.
+    """
+    return float((np.array([x]) ** e)[0])
+
+
+def _stage_sum(weights: Sequence[float], ks: list[tuple[float, float]]) -> tuple[float, float]:
+    """The batch's sum(w * k for w, k in zip(weights, ks) if w), per component.
+
+    Accumulated left to right from 0 as sum() adds arrays; sum() of floats
+    compensates its rounding from Python 3.12 on, so it is not used here.
+    """
+    a = b = 0
+    for w, (k1, k2) in zip(weights, ks):
+        if w:
+            a += w * k1
+            b += w * k2
+    return a, b
+
+
+def _initial_step_column(rhs, s: float, y: tuple[float, float],
+                         f: tuple[float, float]) -> float:
+    """``_initial_step`` for one column."""
+    scale = (ATOL + RTOL * abs(y[0]), ATOL + RTOL * abs(y[1]))
+    d0 = _rms_pair(y[0] / scale[0], y[1] / scale[1])
+    d1 = _rms_pair(f[0] / scale[0], f[1] / scale[1])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / max(d1, 1e-5)
+    f1 = rhs(s + h0, (y[0] + h0 * f[0], y[1] + h0 * f[1]))
+    d2 = _rms_pair((f1[0] - f[0]) / scale[0], (f1[1] - f[1]) / scale[1]) / h0
+    d = max(d1, d2)
+    h1 = max(1e-6, 1e-3 * h0) if d <= 1e-15 else _pow(0.01 / max(d, 1e-15), 0.2)
+    return min(100.0 * h0, h1)
+
+
+def _dopri5_column(rhs, y0: tuple[float, float], stops: Sequence[float]) -> np.ndarray:
+    """``_dopri5`` for one column: rhs(s, (r1, r2)) returns a pair of floats.
+
+    Returns the states at the stops, shape (len(stops), 2), equal bit for
+    bit to the column ``_dopri5`` computes.
+    """
+    y = y0
+    out = [y]
+    s = float(stops[0])
+    f = rhs(s, y)
+    h = _initial_step_column(rhs, s, y, f)
+    rejected = False
+    for end in stops[1:]:
+        end = float(end)
+        while s < end:
+            if h < 16.0 * math.ulp(s):    # math.ulp(s) == np.spacing(s) for s >= 0
+                raise IntegrationFailureError(
+                    f"step size {h:.3e} underflowed at s={s:.6g}, "
+                    f"(r1, r2)=({y[0]:.6g}, {y[1]:.6g})"
+                )
+            room = end - s
+            last = h >= room
+            step = room if last else h
+            ks = [f]
+            for c, row in zip(_C, _A):
+                a, b = _stage_sum(row, ks)
+                y_new = (y[0] + step * a, y[1] + step * b)
+                ks.append(rhs(s + c * step, y_new))
+            a, b = _stage_sum(_E, ks)
+            norm = _rms_pair(
+                step * a / (ATOL + RTOL * max(abs(y[0]), abs(y_new[0]))),
+                step * b / (ATOL + RTOL * max(abs(y[1]), abs(y_new[1]))),
+            )
+            ok = norm <= 1.0
+            grow = min(1.0 if rejected else 10.0,
+                       max(0.2, 0.9 * _pow(max(norm, 1e-10), -0.2)))
+            if not (ok and last):
+                h = step * grow
+            rejected = not ok
+            if ok:
+                s = end if last else s + step
+                y, f = y_new, ks[-1]
+        out.append(y)
+    return np.array(out)
+
+
 def _validate_t(cfg: ModelConfig, t: float) -> None:
     lo, hi = cfg.level_range
     if t == 0.0:
@@ -270,16 +386,15 @@ def _validate_t(cfg: ModelConfig, t: float) -> None:
 
 
 def _transport(cfg: ModelConfig, levels: np.ndarray, stops: np.ndarray,
-               weight: bool | np.ndarray = True) -> np.ndarray:
+               weight: bool = True) -> np.ndarray:
     """(r1, r2) at each stop for each level, shape (len(stops), 2, len(levels)).
 
-    ``weight`` flags the levels (one bool: all of them) whose D carries mu'.
+    ``weight`` selects the denominator that carries mu'.
     """
     for t in levels:
         _validate_t(cfg, t)
     y0 = np.array([initial_condition(t) for t in levels]).T
-    weight = np.broadcast_to(weight, levels.shape)
-    return _dopri5(lambda s, y, cols: _field(cfg, weight[cols], s, y), y0, stops)
+    return _dopri5(lambda s, y: _field(cfg, weight, s, y), y0, stops)
 
 
 def integrate(
@@ -290,14 +405,20 @@ def integrate(
 ) -> dict[str, Trajectory]:
     """Integrate the transport ODE from s = 0 to s = s_max at level t.
 
-    Both denominator variants run as one two-column batch; the result maps
-    "weighted" and "unweighted" to their trajectories.  The stepper lands
-    on each of the ``samples`` evenly spaced values of s.
+    Both denominator variants are stepped, one column each on floats; the
+    result maps "weighted" and "unweighted" to their trajectories.  The
+    stepper lands on each of the ``samples`` evenly spaced values of s.
     """
     if s_max < 0 or s_max > 1:
         raise ValueError(f"s_max must lie in [0, 1], got {s_max}")
+    _validate_t(cfg, t)
     grid = np.linspace(0.0, s_max, samples if s_max > 0 else 1)
-    ys = _transport(cfg, np.array([t, t]), grid, np.array([True, False]))
+    stops = grid.tolist()
+    ys = np.stack([
+        _dopri5_column(lambda s, y: _field_column(cfg, weight, s, y),
+                       initial_condition(t), stops)
+        for weight in (True, False)
+    ], axis=2)
     r1, r2 = ys[:, 0], ys[:, 1]
     h_drift = h_value(cfg, r1, r2) - t
     radial = cfg.mu(r1) * r2 - grid[:, None]

@@ -124,6 +124,12 @@ def test_usage_errors_exit_2(capsys):
     assert (code, out) == (2, "")
     assert err == ("lbfkit: usage error: grid '-5:-1:3' leaves the "
                    "fiber-coordinate range [-0.25, 100.0]\n")
+    # --k stops at MAX_K, which --help states: both reports grow as k^2
+    for command in ("fillings", "resolve"):
+        code, out, err = run(capsys, command, "--k", str(cli.MAX_K + 1))
+        assert (code, out) == (2, "")
+        assert err == f"lbfkit: usage error: --k must be at most {cli.MAX_K}, got {cli.MAX_K + 1}\n"
+        assert run(capsys, command, "--help")[1].count(str(cli.MAX_K)) == 1
 
 
 @pytest.mark.parametrize("arg", ["--grid=-5:-1:3", "--grid=99:101:3", "--t=200",
@@ -133,6 +139,7 @@ def test_transport_input_is_refused_before_integrating(capsys, monkeypatch, arg)
         raise AssertionError("integrated before the input was checked")
 
     monkeypatch.setattr(transport, "_dopri5", integrator)
+    monkeypatch.setattr(transport, "_dopri5_column", integrator)
     code, out, err = run(capsys, "transport", arg)
     assert (code, out) == (2, "")
     assert err.startswith("lbfkit: usage error: ") and len(err.splitlines()) == 1, err

@@ -71,19 +71,6 @@ def test_denominator_variants_agree_where_mu_is_radius():
     assert np.allclose(w.r2, u.r2, atol=1e-9)
 
 
-def test_batched_variants_equal_each_variant_alone():
-    # integrate steps both variants as one two-column batch; each column
-    # must equal its variant integrated on its own, bit for bit
-    for t in (1e-4, 0.25, -0.2, 50.0):
-        batch = integrate(DEFAULT_CONFIG, t, 0.5)
-        for name, weight in (("weighted", True), ("unweighted", False)):
-            alone = transport._transport(DEFAULT_CONFIG, np.array([t]),
-                                         batch[name].s, weight)[:, :, 0]
-            for k, got in enumerate((batch[name].r1, batch[name].r2)):
-                assert np.array_equal(got.view(np.int64),
-                                      alone[:, k].view(np.int64)), (t, name, k)
-
-
 def test_unweighted_variant_loses_the_radial_invariant():
     # outside the collar the printed denominator breaks mu*r2 = s
     u = integrate(DEFAULT_CONFIG, 0.25, 0.5)["unweighted"]
@@ -97,6 +84,24 @@ LEVELS = st.one_of(
     st.floats(min_value=-12.0, max_value=math.log10(0.25)).map(lambda e: -min(10.0 ** e, 0.25)),
     st.floats(min_value=-0.25, max_value=100.0).filter(lambda t: abs(t) > 1e-12),
 )
+
+
+@settings(max_examples=8, deadline=None)
+@given(t=LEVELS, s_max=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+@example(t=1e-4, s_max=0.5)
+@example(t=0.25, s_max=0.5)
+@example(t=-0.2, s_max=0.5)
+@example(t=50.0, s_max=0.5)
+def test_batched_variants_equal_each_variant_alone(t, s_max):
+    # integrate steps each variant as one column on floats; each must equal
+    # the batch stepper on that variant alone, bit for bit
+    trajectories = integrate(DEFAULT_CONFIG, t, s_max)
+    for name, weight in (("weighted", True), ("unweighted", False)):
+        got = trajectories[name]
+        alone = transport._transport(DEFAULT_CONFIG, np.array([t]), got.s, weight)[:, :, 0]
+        for k, column in enumerate((got.r1, got.r2)):
+            assert np.array_equal(column.view(np.int64),
+                                  alone[:, k].view(np.int64)), (t, s_max, name, k)
 
 
 @settings(max_examples=12, deadline=None)
@@ -116,14 +121,17 @@ def test_drift_gate_holds_over_the_documented_range(t):
     assert unweighted.max_h_drift <= 1e-8
 
 
-def test_step_size_underflow_raises():
+@pytest.mark.parametrize("stepper, jump, y0", [
+    (transport._dopri5, lambda s, y: np.where(s < 0.5, 0.0, 1e6) + 0.0 * y,
+     np.array([[1.0], [0.0]])),
+    (transport._dopri5_column, lambda s, y: (0.0, 0.0) if s < 0.5 else (1e6, 1e6),
+     (1.0, 0.0)),
+], ids=["batch", "column"])
+def test_step_size_underflow_raises(stepper, jump, y0):
     # a field that jumps by 1e6 at s = 0.5 cannot be stepped across within
     # the tolerance: the step shrinks under 16 ulp of s
-    def jump(s, y, cols):
-        return np.where(s < 0.5, 0.0, 1e6) + 0.0 * y
-
     with pytest.raises(IntegrationFailureError, match="underflowed at s=0.5"):
-        transport._dopri5(jump, np.array([[1.0], [0.0]]), np.array([0.0, 1.0]))
+        stepper(jump, y0, np.array([0.0, 1.0]))
 
 
 def test_invalid_t_rejected():
@@ -145,6 +153,11 @@ def test_singular_error_carries_location():
         transport._field(DEFAULT_CONFIG, True, np.array([0.1, 0.2]),
                          np.array([[0.01, 0.0], [0.3, 0.0]]))
     assert raised.value.location == (0.2, 0.0, 0.0)
+    # the float field raises the same error at the same point
+    with pytest.raises(SingularTransportError) as column:
+        transport._field_column(DEFAULT_CONFIG, True, 0.2, (0.0, 0.0))
+    assert str(column.value) == str(raised.value)
+    assert column.value.location == raised.value.location
 
 
 # ---------------------------------------------------------------------------
