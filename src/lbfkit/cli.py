@@ -31,7 +31,9 @@ default profile), a ``transport --t`` with 0 < |t| <= 5e-13, where the
 transport denominator starts at or under its singular floor, and a
 ``transport --grid`` COUNT above ``MAX_GRID_COUNT`` (10,000).  A
 ``fillings --k`` or ``resolve --k`` above ``MAX_K`` (1,000) is refused
-before any word is built: both reports grow as k^2.
+before any word is built: both reports grow as k^2.  So are a
+``verify-forms --n`` above ``MAX_N`` (24) and a ``resolve --dim`` above
+``MAX_DIM`` (100), where the run time grows steeply.
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ MAX_GRID_COUNT = 10_000
 # two x86-64 cores, writes up to 2 MB and peaks at 25 MB RSS; the report
 # grows as k^2.
 MAX_K = 1_000
+# Largest verify-forms --n: the exact TOP_POWER expansion grows steeply in
+# n.  On two x86-64 cores a run takes 1.6 s at n = 16, 5.0 s at 24 and
+# 14 s at 32.
+MAX_N = 24
+# Largest resolve --dim: at k = MAX_K a run takes 1.0 s at dim 30, 1.9 s
+# at 50 and 5.2 s at 100 on two x86-64 cores; smaller k is faster.
+MAX_DIM = 100
 
 
 @dataclass
@@ -297,15 +306,15 @@ def _suite_fillings(n: int, k: int, include_zero: bool) -> SuiteResult:
     rows_data = []
     for word in words:
         ell = sum(1 for g in word.letters if g.kind == mcg.BOUNDARY)
+        _, chi_betti, chi_alternate, differs = euler.rows[ell]    # rows run over l = 0, 1, ...
         rows_data.append({
             "ell": ell,
             "word": word.serialize(),
             "weight": word.weight,
-            "chi_betti": topo.chi_filling(n, k, ell, "betti"),
-            "chi_alternate": topo.chi_filling(n, k, ell, "alternate"),
+            "chi_betti": chi_betti,
+            "chi_alternate": chi_alternate,
+            "conventions_differ": differs,
         })
-    for row in rows_data:
-        row["conventions_differ"] = row["chi_betti"] != row["chi_alternate"]
 
     chis = [row["chi_betti"] for row in rows_data]
     distinct = len(set(chis)) == len(chis)
@@ -442,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the report here instead of stdout")
 
     p = sub.add_parser("verify-forms", help="check the nine form identities")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help=f"N runs from 2 to {MAX_N}")
     common(p)
 
     p = sub.add_parser("transport", help="trajectory drifts and the angle profile")
@@ -461,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve", help="blow-up resolution trace")
     p.add_argument("--k", type=int, default=3, help=f"K runs from 1 to {MAX_K}")
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=int, default=1, help=f"DIM runs from 0 to {MAX_DIM}")
     common(p)
 
     p = sub.add_parser("contact-check", help="profile, corner, and base checks")
@@ -475,32 +484,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise DomainError(f"--k must be >= 1, got {k}")
-    if k > MAX_K:
-        raise DomainError(f"--k must be at most {MAX_K}, got {k}")
+def _check_range(option: str, value: int, lo: int, hi: float = math.inf) -> None:
+    """Refuse an integer option outside [lo, hi] as a usage error."""
+    if value < lo:
+        raise DomainError(f"{option} must be >= {lo}, got {value}")
+    if value > hi:
+        raise DomainError(f"{option} must be at most {hi}, got {value}")
 
 
 def _run_suite(args: argparse.Namespace) -> SuiteResult:
     if args.command == "verify-forms":
-        if args.n < 2:
-            raise DomainError(f"--n must be >= 2, got {args.n}")
+        _check_range("--n", args.n, 2, MAX_N)
         return _suite_verify_forms(args.n)
     if args.command == "transport":
         return _suite_transport(args.t, args.s0, args.grid)
     if args.command == "fillings":
-        if args.n < 2:
-            raise DomainError(f"--n must be >= 2, got {args.n}")
-        _check_k(args.k)
+        _check_range("--n", args.n, 2)
+        _check_range("--k", args.k, 1, MAX_K)
         return _suite_fillings(args.n, args.k, args.include_zero)
     if args.command == "resolve":
-        _check_k(args.k)
-        if args.dim < 0:
-            raise DomainError(f"--dim must be >= 0, got {args.dim}")
+        _check_range("--k", args.k, 1, MAX_K)
+        _check_range("--dim", args.dim, 0, MAX_DIM)
         return _suite_resolve(args.k, args.dim)
-    if args.n < 1:    # contact-check
-        raise DomainError(f"--n must be >= 1, got {args.n}")
+    _check_range("--n", args.n, 1)    # contact-check
     return _suite_contact_check(args.n)
 
 
@@ -527,7 +533,7 @@ def _execute(args: argparse.Namespace, prefix: str,
         print(f"{prefix}: usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"{prefix}: internal failure: {exc}", file=sys.stderr)
+        print(f"{prefix}: internal failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     emit(result, (time.perf_counter() - started) * 1e3)
     if result.internal_failure:

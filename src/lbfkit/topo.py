@@ -166,7 +166,6 @@ class EulerReport:
     k: int
     rows: list[tuple[int, int, int, bool]]   # (l, chi betti, chi alternate, differs)
     betti_injective: bool
-    alternate_injective: bool
     betti_slope: int
     alternate_slope: int
     milnor_value: int
@@ -182,9 +181,7 @@ def distinctness_report(n: int, k: int) -> EulerReport:
         b = chi_filling(n, k, ell, "alternate")
         rows.append((ell, a, b, a != b))
     betti_vals = [r[1] for r in rows]
-    alt_vals = [r[2] for r in rows]
     betti_inj = len(set(betti_vals)) == len(betti_vals)
-    alt_inj = len(set(alt_vals)) == len(alt_vals)
     notes = []
     qb = chi_space(Quadric(n), "betti")
     qa = chi_space(Quadric(n), "alternate")
@@ -202,7 +199,6 @@ def distinctness_report(n: int, k: int) -> EulerReport:
         k=k,
         rows=rows,
         betti_injective=betti_inj,
-        alternate_injective=alt_inj,
         betti_slope=filling_slope(n, "betti"),
         alternate_slope=filling_slope(n, "alternate"),
         milnor_value=milnor_fiber_chi(n, k),

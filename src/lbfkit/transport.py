@@ -20,21 +20,23 @@ steps both variants of one level, and reports print their invariant
 drifts side by side.
 
 The ODE is stepped by one Dormand & Prince (1980) 5(4) pair with the step
-control of Hairer, Norsett and Wanner (Solving ODEs I, II.4-5), written
-twice.  ``_dopri5`` steps a (2, N) numpy batch of levels at once: each
-column has its own step size, its own accept/reject decision and its own
-position, and columns never mix, so a level integrated in a batch equals
-the level integrated alone, bit for bit.  ``monodromy_profile`` integrates
-its 3C stencil levels in one batch, and ``limits_at_zero`` its 12.
-``_dopri5_column`` steps one column on Python floats with the same
-operations in the same order, so it gives the batch's bits too; numpy's
-per-call overhead dominates a batch of one or two columns, so
-``integrate`` steps its two trajectories there, one after the other, and
-cuts steps to land exactly on each of its sample points (no dense
-output).  The local tolerances ATOL = RTOL sit four decades under
-DRIFT_GATE, the bound the reports audit both invariants against.  No step
-is projected back onto the invariants: that would zero the very drift the
-audit reports.
+control of Hairer, Norsett and Wanner (Solving ODEs I, II.4-5).  The step
+(``_attempt``) and the starting-step rule (``_initial_step``) are written
+once, for a pair (r1, r2) of floats or of 1-D arrays and a namespace of
+the numpy functions they call, and two drivers loop around them.
+``_dopri5`` steps a (2, N) numpy batch of levels at once: each column has
+its own step size, its own accept/reject decision and its own position,
+and columns never mix, so a level integrated in a batch equals the level
+integrated alone, bit for bit.  ``monodromy_profile`` integrates its 3C
+stencil levels in one batch, and ``limits_at_zero`` its 12.
+``_dopri5_column`` steps one column on Python floats and gives the
+batch's bits too; numpy's per-call overhead dominates a batch of one or
+two columns, so ``integrate`` steps its two trajectories there, one after
+the other.  Steps are cut to land exactly on each stop (no dense output).
+The local tolerances ATOL = RTOL sit four decades under DRIFT_GATE, the
+bound the reports audit both invariants against.  No step is projected
+back onto the invariants: that would zero the very drift the audit
+reports.
 
 The monodromy angle profile is
 
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -179,42 +182,112 @@ def _field_terms(cfg: ModelConfig, weight: bool, r1: FloatOrArray,
     return dh_r2, -dh_r1, den
 
 
-def _field(cfg: ModelConfig, weight: bool, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d(r1, r2)/ds = (dh/dr2, -dh/dr1) / D for a (2, N) batch at arc parameters s."""
-    r1, r2 = y[0], y[1]
-    a, b, den = _field_terms(cfg, weight, r1, r2)
-    singular = np.abs(den) < SINGULAR_FLOOR
-    if singular.any():
-        i = int(np.argmax(singular))
-        raise SingularTransportError(float(s[i]), float(r1[i]), float(r2[i]), float(den[i]))
-    return np.array([a, b]) / den
+def _field(cfg: ModelConfig, weight: bool, s, y, xp):
+    """d(r1, r2)/ds = (dh/dr2, -dh/dr1) / D at arc parameters s, as a pair.
 
-
-def _field_column(cfg: ModelConfig, weight: bool, s: float,
-                  y: tuple[float, float]) -> tuple[float, float]:
-    """``_field`` for one column on floats."""
+    ``y`` is the pair (r1, r2) of floats or of 1-D arrays, and ``xp`` the
+    matching namespace (``_FLOATS`` or numpy).  A vanished denominator is
+    reported at the first column it vanishes in.
+    """
     r1, r2 = y
     a, b, den = _field_terms(cfg, weight, r1, r2)
-    if abs(den) < SINGULAR_FLOOR:
-        raise SingularTransportError(s, r1, r2, den)
+    singular = abs(den) < SINGULAR_FLOOR
+    if xp.any(singular):
+        i = np.argmax(singular)
+        raise SingularTransportError(*(float(np.ravel(v)[i]) for v in (s, r1, r2, den)))
     return a / den, b / den
 
 
-def _rms(x: np.ndarray) -> np.ndarray:
-    """Root mean square of each column of a (2, N) array."""
-    return np.sqrt(0.5 * (x * x).sum(axis=0))
+def _pow(x: float, e: float) -> float:
+    """x ** e rounded as numpy's array loop rounds it.
+
+    libm's pow (Python's **) and numpy's scalar power each differ from
+    numpy's array loop in the last bit on about 5% of inputs; a one-element
+    array takes the array loop.
+    """
+    return float((np.array([x]) ** e)[0])
 
 
-def _initial_step(rhs, s: np.ndarray, y: np.ndarray, f: np.ndarray) -> np.ndarray:
+# The numpy functions the step calls, on Python floats: a column stepped on
+# floats performs the batch's operations in the batch's order, so it gets
+# the batch's bits.  +, -, *, /, abs and sqrt round the same way in Python
+# and numpy; x ** e does not, hence ``_pow``.
+_FLOATS = SimpleNamespace(
+    any=bool,
+    where=lambda cond, a, b: a if cond else b,
+    maximum=max, fmax=max,
+    minimum=min, fmin=min,
+    sqrt=math.sqrt,
+    power=_pow,
+)
+
+
+def _rms(a, b, xp):
+    """Root mean square of the pair (a, b), per column."""
+    return xp.sqrt(0.5 * (a * a + b * b))
+
+
+def _stage_sum(weights: Sequence[float], ks: list) -> tuple:
+    """sum(w * k for w, k in zip(weights, ks) if w), per component of the pairs ks.
+
+    Accumulated left to right from 0, as sum() adds arrays; sum() of floats
+    compensates its rounding from Python 3.12 on, so it is not used here.
+    """
+    a = b = 0
+    for w, k in zip(weights, ks):
+        if w:
+            a += w * k[0]
+            b += w * k[1]
+    return a, b
+
+
+def _initial_step(rhs, s, y, f, xp):
     """A first step size per column (Hairer, Norsett and Wanner, II.4)."""
-    scale = ATOL + RTOL * np.abs(y)
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
-    d2 = _rms((rhs(s + h0, y + h0 * f) - f) / scale) / h0
-    d = np.maximum(d1, d2)
-    h1 = np.where(d <= 1e-15, np.maximum(1e-6, 1e-3 * h0),
-                  (0.01 / np.maximum(d, 1e-15)) ** 0.2)
-    return np.minimum(100.0 * h0, h1)
+    scale = (ATOL + RTOL * abs(y[0]), ATOL + RTOL * abs(y[1]))
+    d0 = _rms(y[0] / scale[0], y[1] / scale[1], xp)
+    d1 = _rms(f[0] / scale[0], f[1] / scale[1], xp)
+    h0 = xp.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / xp.maximum(d1, 1e-5))
+    f1 = rhs(s + h0, (y[0] + h0 * f[0], y[1] + h0 * f[1]))
+    d2 = _rms((f1[0] - f[0]) / scale[0], (f1[1] - f[1]) / scale[1], xp) / h0
+    d = xp.maximum(d1, d2)
+    h1 = xp.where(d <= 1e-15, xp.maximum(1e-6, 1e-3 * h0),
+                  xp.power(0.01 / xp.maximum(d, 1e-15), 0.2))
+    return xp.minimum(100.0 * h0, h1)
+
+
+def _attempt(rhs, end: float, s, y, f, h, rejected, xp):
+    """One Dormand-Prince step of size h from s towards ``end``, per column.
+
+    ``y`` and its slope ``f`` are pairs; a step that would pass ``end`` is
+    cut to land on it.  Returns whether the step is accepted, the new s, y
+    and slope, and the next step size.  The drivers negate ``ok``
+    themselves: ``~`` on a Python bool is integer negation (~True == -2).
+    """
+    room = end - s
+    last = h >= room
+    step = xp.where(last, room, h)
+    ks = [f]
+    for c, row in zip(_C, _A):
+        a, b = _stage_sum(row, ks)
+        y_new = (y[0] + step * a, y[1] + step * b)
+        ks.append(rhs(s + c * step, y_new))
+    a, b = _stage_sum(_E, ks)
+    norm = _rms(step * a / (ATOL + RTOL * xp.maximum(abs(y[0]), abs(y_new[0]))),
+                step * b / (ATOL + RTOL * xp.maximum(abs(y[1]), abs(y_new[1]))), xp)
+    ok = norm <= 1.0
+    # step-size control of II.4: no growth right after a rejection
+    grow = xp.fmin(xp.where(rejected, 1.0, 10.0),
+                   xp.fmax(0.2, 0.9 * xp.power(xp.maximum(norm, 1e-10), -0.2)))
+    # a step cut short to land on a stop keeps the proposal it cut
+    h_next = xp.where(ok & last, h, step * grow)
+    return ok, xp.where(last, end, s + step), y_new, ks[-1], h_next
+
+
+def _underflow(h: float, s: float, y) -> IntegrationFailureError:
+    """The error either driver raises when its step size h underflows at (s, y)."""
+    return IntegrationFailureError(
+        f"step size {h:.3e} underflowed at s={s:.6g}, (r1, r2)=({y[0]:.6g}, {y[1]:.6g})"
+    )
 
 
 def _dopri5(rhs, y0: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -225,15 +298,15 @@ def _dopri5(rhs, y0: np.ndarray, stops: np.ndarray) -> np.ndarray:
     reaches a stop waits there for the others, and the step that reaches it
     is cut to land on it exactly.  Columns never mix, so a column computed
     in a batch equals the same column computed alone, bit for bit.
-    ``rhs`` sees only the columns still stepping.  Returns the states at the
-    stops, shape (len(stops), 2, N).
+    ``rhs`` sees only the columns still stepping, as a pair of rows, and
+    returns a pair.  Returns the states at the stops, shape (len(stops), 2, N).
     """
     y = np.array(y0, dtype=float)
     out = np.empty((len(stops),) + y.shape)
     out[0] = y
     s = np.full(y.shape[1], float(stops[0]))
-    f = rhs(s, y)
-    h = _initial_step(rhs, s, y, f)
+    f = np.array(rhs(s, y))
+    h = _initial_step(rhs, s, y, f, np)
     rejected = np.zeros(s.size, dtype=bool)
     for j in range(1, len(stops)):
         end = float(stops[j])
@@ -243,89 +316,23 @@ def _dopri5(rhs, y0: np.ndarray, stops: np.ndarray) -> np.ndarray:
             underflow = hs < 16.0 * np.spacing(ss)
             if underflow.any():
                 i = int(np.argmax(underflow))
-                raise IntegrationFailureError(
-                    f"step size {hs[i]:.3e} underflowed at s={ss[i]:.6g}, "
-                    f"(r1, r2)=({ys[0, i]:.6g}, {ys[1, i]:.6g})"
-                )
-            room = end - ss
-            last = hs >= room
-            step = np.where(last, room, hs)
-            ks = [f[:, live]]
-            for c, row in zip(_C, _A):
-                y_new = ys + step * sum(a * k for a, k in zip(row, ks) if a)
-                ks.append(rhs(ss + c * step, y_new))
-            error = step * sum(e * k for e, k in zip(_E, ks) if e)
-            norm = _rms(error / (ATOL + RTOL * np.maximum(np.abs(ys), np.abs(y_new))))
-            ok = norm <= 1.0
-            # step-size control of II.4: no growth right after a rejection
-            grow = np.fmin(np.where(rejected[live], 1.0, 10.0),
-                           np.fmax(0.2, 0.9 * np.maximum(norm, 1e-10) ** -0.2))
-            # a step cut short to land on a stop keeps the proposal it cut
-            h[live] = np.where(ok & last, hs, step * grow)
+                raise _underflow(hs[i], ss[i], ys[:, i])
+            ok, s_new, y_new, f_new, h_next = _attempt(
+                rhs, end, ss, ys, f[:, live], hs, rejected[live], np)
+            h[live] = h_next
             rejected[live] = ~ok
             done = live[ok]
-            s[done] = np.where(last[ok], end, ss[ok] + step[ok])
-            y[:, done] = y_new[:, ok]
-            f[:, done] = ks[-1][:, ok]
+            s[done] = s_new[ok]
+            for i in (0, 1):
+                y[i, done] = y_new[i][ok]
+                f[i, done] = f_new[i][ok]
             live = live[s[live] < end]
         out[j] = y
     return out
 
 
-# ---------------------------------------------------------------------------
-# the same stepper for one column on Python floats
-#
-# The functions below repeat ``_initial_step`` and ``_dopri5`` operation for
-# operation, in the same order, so a column comes out bit for bit as the
-# batch computes it.  +, -, *, / and sqrt round the same way in Python and
-# numpy; x ** e does not, so ``_pow`` goes through numpy's array loop.
-
-
-def _rms_pair(a: float, b: float) -> float:
-    """``_rms`` of one column (a, b)."""
-    return math.sqrt(0.5 * (a * a + b * b))
-
-
-def _pow(x: float, e: float) -> float:
-    """x ** e rounded as the batch rounds it.
-
-    libm's pow (Python's **) and numpy's scalar power each differ from
-    numpy's array loop in the last bit on about 5% of inputs; a one-element
-    array takes the array loop.
-    """
-    return float((np.array([x]) ** e)[0])
-
-
-def _stage_sum(weights: Sequence[float], ks: list[tuple[float, float]]) -> tuple[float, float]:
-    """The batch's sum(w * k for w, k in zip(weights, ks) if w), per component.
-
-    Accumulated left to right from 0 as sum() adds arrays; sum() of floats
-    compensates its rounding from Python 3.12 on, so it is not used here.
-    """
-    a = b = 0
-    for w, (k1, k2) in zip(weights, ks):
-        if w:
-            a += w * k1
-            b += w * k2
-    return a, b
-
-
-def _initial_step_column(rhs, s: float, y: tuple[float, float],
-                         f: tuple[float, float]) -> float:
-    """``_initial_step`` for one column."""
-    scale = (ATOL + RTOL * abs(y[0]), ATOL + RTOL * abs(y[1]))
-    d0 = _rms_pair(y[0] / scale[0], y[1] / scale[1])
-    d1 = _rms_pair(f[0] / scale[0], f[1] / scale[1])
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / max(d1, 1e-5)
-    f1 = rhs(s + h0, (y[0] + h0 * f[0], y[1] + h0 * f[1]))
-    d2 = _rms_pair((f1[0] - f[0]) / scale[0], (f1[1] - f[1]) / scale[1]) / h0
-    d = max(d1, d2)
-    h1 = max(1e-6, 1e-3 * h0) if d <= 1e-15 else _pow(0.01 / max(d, 1e-15), 0.2)
-    return min(100.0 * h0, h1)
-
-
 def _dopri5_column(rhs, y0: tuple[float, float], stops: Sequence[float]) -> np.ndarray:
-    """``_dopri5`` for one column: rhs(s, (r1, r2)) returns a pair of floats.
+    """``_dopri5`` for one column on floats: rhs(s, (r1, r2)) returns a pair of floats.
 
     Returns the states at the stops, shape (len(stops), 2), equal bit for
     bit to the column ``_dopri5`` computes.
@@ -334,38 +341,17 @@ def _dopri5_column(rhs, y0: tuple[float, float], stops: Sequence[float]) -> np.n
     out = [y]
     s = float(stops[0])
     f = rhs(s, y)
-    h = _initial_step_column(rhs, s, y, f)
+    h = _initial_step(rhs, s, y, f, _FLOATS)
     rejected = False
     for end in stops[1:]:
         end = float(end)
         while s < end:
             if h < 16.0 * math.ulp(s):    # math.ulp(s) == np.spacing(s) for s >= 0
-                raise IntegrationFailureError(
-                    f"step size {h:.3e} underflowed at s={s:.6g}, "
-                    f"(r1, r2)=({y[0]:.6g}, {y[1]:.6g})"
-                )
-            room = end - s
-            last = h >= room
-            step = room if last else h
-            ks = [f]
-            for c, row in zip(_C, _A):
-                a, b = _stage_sum(row, ks)
-                y_new = (y[0] + step * a, y[1] + step * b)
-                ks.append(rhs(s + c * step, y_new))
-            a, b = _stage_sum(_E, ks)
-            norm = _rms_pair(
-                step * a / (ATOL + RTOL * max(abs(y[0]), abs(y_new[0]))),
-                step * b / (ATOL + RTOL * max(abs(y[1]), abs(y_new[1]))),
-            )
-            ok = norm <= 1.0
-            grow = min(1.0 if rejected else 10.0,
-                       max(0.2, 0.9 * _pow(max(norm, 1e-10), -0.2)))
-            if not (ok and last):
-                h = step * grow
+                raise _underflow(h, s, y)
+            ok, s_new, y_new, f_new, h = _attempt(rhs, end, s, y, f, h, rejected, _FLOATS)
             rejected = not ok
             if ok:
-                s = end if last else s + step
-                y, f = y_new, ks[-1]
+                s, y, f = s_new, y_new, f_new
         out.append(y)
     return np.array(out)
 
@@ -394,7 +380,7 @@ def _transport(cfg: ModelConfig, levels: np.ndarray, stops: np.ndarray,
     for t in levels:
         _validate_t(cfg, t)
     y0 = np.array([initial_condition(t) for t in levels]).T
-    return _dopri5(lambda s, y: _field(cfg, weight, s, y), y0, stops)
+    return _dopri5(lambda s, y: _field(cfg, weight, s, y, np), y0, stops)
 
 
 def integrate(
@@ -415,7 +401,7 @@ def integrate(
     grid = np.linspace(0.0, s_max, samples if s_max > 0 else 1)
     stops = grid.tolist()
     ys = np.stack([
-        _dopri5_column(lambda s, y: _field_column(cfg, weight, s, y),
+        _dopri5_column(lambda s, y: _field(cfg, weight, s, y, _FLOATS),
                        initial_condition(t), stops)
         for weight in (True, False)
     ], axis=2)

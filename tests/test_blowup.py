@@ -31,7 +31,7 @@ def test_polynomial_arithmetic_is_exact():
     x0, x1 = var(2, 0), var(2, 1)
     p = (x0 + x1) * (x0 - x1)
     assert p == x0 ** 2 - x1 ** 2
-    assert (p - p).is_zero
+    assert (p - p).is_zero()
     q = x0.scale(Fraction(1, 3)) + x0.scale(Fraction(2, 3))
     assert q == x0
     assert (x0 + x1) ** 2 == x0 ** 2 + (x0 * x1).scale(2) + x1 ** 2
@@ -41,7 +41,7 @@ def test_zero_coefficients_never_stored():
     x0 = var(1, 0)
     assert not (x0 - x0).terms
     combined = x0.scale(2) + x0.scale(-2)
-    assert combined.is_zero
+    assert combined.is_zero()
 
 
 def test_float_coefficients_rejected():
@@ -152,12 +152,12 @@ def test_proper_transform_never_divisible(rng):
                 if e:
                     term = term * var(nv, i, e)
             p = p + term.scale(rng.choice((1, 2, -1, Fraction(1, 2))))
-        if p.is_zero:
+        if p.is_zero():
             continue
         j = rng.randrange(nv)
         q, m = proper_transform(p, j)
         assert not q.divisible_by(j)
-        assert m >= p.multiplicity_at_origin
+        assert m >= p.multiplicity_at_origin()
 
 
 def test_classify_normal_forms():

@@ -130,6 +130,14 @@ def test_usage_errors_exit_2(capsys):
         assert (code, out) == (2, "")
         assert err == f"lbfkit: usage error: --k must be at most {cli.MAX_K}, got {cli.MAX_K + 1}\n"
         assert run(capsys, command, "--help")[1].count(str(cli.MAX_K)) == 1
+    # so do verify-forms --n and resolve --dim, refused before any work
+    for command, option, bound in (("verify-forms", "--n", cli.MAX_N),
+                                   ("resolve", "--dim", cli.MAX_DIM)):
+        for value in (bound + 1, 10 ** 9):
+            code, out, err = run(capsys, command, option, str(value))
+            assert (code, out) == (2, "")
+            assert err == f"lbfkit: usage error: {option} must be at most {bound}, got {value}\n"
+        assert f"runs from {2 if option == '--n' else 0} to {bound}" in run(capsys, command, "--help")[1]
 
 
 @pytest.mark.parametrize("arg", ["--grid=-5:-1:3", "--grid=99:101:3", "--t=200",
@@ -146,17 +154,20 @@ def test_transport_input_is_refused_before_integrating(capsys, monkeypatch, arg)
 
 
 def test_other_exceptions_are_internal_failures(capsys, monkeypatch, tmp_path):
-    def broken(*args, **kwargs):
-        raise ValueError("not a domain error")
+    # an exception without text is named by its type
+    for exc, reason in ((ValueError("not a domain error"), "not a domain error"),
+                        (MemoryError(), "MemoryError")):
+        def broken(*args, **kwargs):
+            raise exc
 
-    monkeypatch.setattr(models, "verify_all", broken)
-    code, out, err = run(capsys, "verify-forms")
-    assert (code, out) == (3, "")
-    assert err == "lbfkit: internal failure: not a domain error\n"
-    code, _, err = run(capsys, "all", "--out", str(tmp_path))
-    assert code == 3
-    assert err == "lbfkit all/verify-forms: internal failure: not a domain error\n"
-    assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(models, "verify_all", broken)
+        code, out, err = run(capsys, "verify-forms")
+        assert (code, out) == (3, "")
+        assert err == f"lbfkit: internal failure: {reason}\n"
+        code, _, err = run(capsys, "all", "--out", str(tmp_path))
+        assert code == 3
+        assert err == f"lbfkit all/verify-forms: internal failure: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_transport_grid_count_is_bounded(capsys):

@@ -122,7 +122,7 @@ def test_drift_gate_holds_over_the_documented_range(t):
 
 
 @pytest.mark.parametrize("stepper, jump, y0", [
-    (transport._dopri5, lambda s, y: np.where(s < 0.5, 0.0, 1e6) + 0.0 * y,
+    (transport._dopri5, lambda s, y: (np.where(s < 0.5, 0.0, 1e6),) * 2,
      np.array([[1.0], [0.0]])),
     (transport._dopri5_column, lambda s, y: (0.0, 0.0) if s < 0.5 else (1e6, 1e6),
      (1.0, 0.0)),
@@ -151,11 +151,11 @@ def test_singular_error_carries_location():
     # in a batch, the first column whose denominator vanishes is named
     with pytest.raises(SingularTransportError) as raised:
         transport._field(DEFAULT_CONFIG, True, np.array([0.1, 0.2]),
-                         np.array([[0.01, 0.0], [0.3, 0.0]]))
+                         (np.array([0.01, 0.0]), np.array([0.3, 0.0])), np)
     assert raised.value.location == (0.2, 0.0, 0.0)
     # the float field raises the same error at the same point
     with pytest.raises(SingularTransportError) as column:
-        transport._field_column(DEFAULT_CONFIG, True, 0.2, (0.0, 0.0))
+        transport._field(DEFAULT_CONFIG, True, 0.2, (0.0, 0.0), transport._FLOATS)
     assert str(column.value) == str(raised.value)
     assert column.value.location == raised.value.location
 
