@@ -164,13 +164,8 @@ class MultiPoly:
         if power < 0:
             raise ValueError("negative powers are not polynomial")
         out = MultiPoly.constant(self.nvars, 1, prefix=self.prefix)
-        base = self
-        while power:
-            if power & 1:
-                out = out * base
-            power >>= 1
-            if power:    # a square past the top bit would go unused
-                base = base * base
+        for _ in range(power):
+            out = out * self
         return out
 
     # -- queries -----------------------------------------------------------

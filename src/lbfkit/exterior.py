@@ -60,10 +60,6 @@ class AlgebraMismatchError(ValueError):
     """Raised when two forms built over different algebras are combined."""
 
 
-class UnboundAtomError(KeyError):
-    """Raised by numeric evaluation when an atom has no binding."""
-
-
 # ---------------------------------------------------------------------------
 # scalar layer
 
@@ -102,8 +98,8 @@ class ScalarExpr:
     The stored dict *is* the normal form: no zero coefficients, monomials
     keyed canonically, and each coefficient an ``int`` when its denominator
     is 1, a ``Fraction`` otherwise.  Equality is therefore dict equality;
-    ``3`` and ``Fraction(3)`` print, compare, hash and convert to float
-    alike.  Anything other than an int or a Fraction raises ``TypeError``.
+    ``3`` and ``Fraction(3)`` print, compare and hash alike.  Anything
+    other than an int or a Fraction raises ``TypeError``.
     """
 
     __slots__ = ("terms",)
@@ -172,15 +168,10 @@ class ScalarExpr:
                     {tuple((a, e * exponent) for a, e in mono): _rpow(coeff, exponent)}
                 )
             raise ValueError("negative power of a non-monomial expression")
+        # a left fold: for a sparse base it beats repeated squaring
         out = ScalarExpr.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:    # a square past the top bit would go unused
-                base = base * base
+        for _ in range(exponent):
+            out = out * self
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -237,24 +228,6 @@ class ScalarExpr:
                 else:
                     out.pop(key, None)
         return ScalarExpr(out)
-
-    def evaluate(self, bindings: Mapping[str, float]) -> float:
-        """Floating evaluation; every atom present must be bound.
-
-        Bindings may be floats or numpy arrays; arrays broadcast, so one
-        call evaluates the expression over a whole grid.
-        """
-        total = 0.0
-        for mono, coeff in self.terms.items():
-            term = float(coeff)
-            for atom, exp in mono:
-                try:
-                    base = bindings[atom]
-                except KeyError:
-                    raise UnboundAtomError(f"no binding for atom '{atom}'") from None
-                term *= base ** exp
-            total += term
-        return total
 
     # -- display
 

@@ -160,7 +160,7 @@ def test_other_exceptions_are_internal_failures(capsys, monkeypatch, tmp_path):
         def broken(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(models, "verify_all", broken)
+        monkeypatch.setattr(models, "verify_identity", broken)
         code, out, err = run(capsys, "verify-forms")
         assert (code, out) == (3, "")
         assert err == f"lbfkit: internal failure: {reason}\n"

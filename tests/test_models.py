@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lbfkit
 from lbfkit import contact, models
+from lbfkit.cli import MAX_N
 from lbfkit.config import DEFAULT_CONFIG, ModelConfig
 from lbfkit.exterior import ScalarExpr
 from lbfkit.models import IdentityId
@@ -44,11 +53,11 @@ def test_build_form_rejects_unknown_name():
 def test_h_is_the_fiber_level_function():
     h = models.build_form("h")
     (coeff,) = h.terms.values()
-    cfg = DEFAULT_CONFIG
-    for r1, r2 in [(0.0, 0.5), (0.1, 0.3), (0.3, 0.0)]:
-        f = cfg.ramp(r1 * r1 + r2 * r2)
-        value = coeff.evaluate({"r1": r1, "r2": r2, "f": f})
-        assert value == pytest.approx(-r1 ** 2 + r2 ** 2 - f * r1 ** 2 * r2 ** 2)
+    half, tenth = Fraction(1, 2), Fraction(1, 10)
+    for r1, r2, f in [(0, half, 0), (tenth, 3 * tenth, Fraction(1, 3)), (3 * tenth, 0, 1),
+                      (half, 7, Fraction(2, 3))]:
+        value = coeff.substitute({"r1": r1, "r2": r2, "f": f})
+        assert value == ScalarExpr.const(-r1 ** 2 + r2 ** 2 - f * r1 ** 2 * r2 ** 2)
 
 
 def test_top_power_grid_positive_at_default_resolution():
@@ -60,34 +69,37 @@ def test_top_power_grid_positive_at_default_resolution():
     assert 0.0 <= r2_min <= 10.0 + 1e-12
 
 
+def test_top_power_grid_minimum_is_the_exact_bound():
+    # On the window base >= 1 - r1^2 and last >= 1, both with equality at
+    # (r1max, 0), so the minimum is n(n+1)(1 - r1max^2)^(n-1) exactly.
+    r1max = 0.9 * DEFAULT_CONFIG.disk1_radius
+    for n in range(2, MAX_N + 1):
+        result = models.positivity_grid(ModelConfig(n=n))
+        exact = n * (n + 1) * (1 - Fraction(r1max) ** 2) ** (n - 1)
+        assert abs(Fraction(result.min_value) - exact) <= 4 * math.ulp(exact), n
+        assert result.argmin == (0.45, 0.0)
+
+
+def test_top_power_grid_bits_do_not_depend_on_simd():
+    # numpy's AVX-512 loops may round differently from its other loops
+    targets = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    if not set(targets) & set(found):
+        pytest.skip(f"numpy dispatches none of {', '.join(targets)} on this host")
+    ns = (3, 5, 10, 16, 24)
+    probe = ("from lbfkit import models\n"
+             "from lbfkit.config import ModelConfig\n"
+             f"for n in {ns}: print(repr(models.positivity_grid(ModelConfig(n=n)).min_value))\n")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+           "PYTHONPATH": str(Path(lbfkit.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == [repr(models.positivity_grid(ModelConfig(n=n)).min_value) for n in ns]
+
+
 def test_contact_volume_grid_positive():
     result = contact.verify_profile(contact.make_profile(), n=2, grid=2000)
     assert result.min_value > 0.0
-
-
-def test_evaluate_on_grid_matches_pointwise():
-    # ScalarExpr.evaluate broadcasts over arrays
-    expr = (ScalarExpr.atom("r1") ** 2 * ScalarExpr.atom("f")
-            + ScalarExpr.atom("r2") + ScalarExpr.const(3))
-    r1 = np.linspace(0.0, 0.4, 7)
-    r2 = np.linspace(0.0, 2.0, 7)
-    f = np.linspace(0.0, 1.0, 7)
-    grid = expr.evaluate({"r1": r1, "r2": r2, "f": f})
-    assert grid.shape == (7,)
-    for i in range(7):
-        point = expr.evaluate({"r1": float(r1[i]), "r2": float(r2[i]), "f": float(f[i])})
-        assert grid[i] == pytest.approx(point, rel=1e-14)
-
-
-def test_evaluate_on_grid_names_missing_binding():
-    with pytest.raises(KeyError, match="up"):
-        ScalarExpr.atom("up").evaluate({"r1": np.ones(3)})
-
-
-def test_verify_identity_runtime_is_recorded():
-    report = models.verify_identity(IdentityId.TOP_POWER, ModelConfig(n=2))
-    assert report.passed
-    assert report.ms > 0.0
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
