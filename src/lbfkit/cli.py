@@ -4,9 +4,11 @@ Every subcommand runs a fixed suite of checks and emits one report in
 json, csv, or table form, either to stdout or atomically to a file.
 Reports are deterministic: keys sorted, floats printed via repr, no
 timestamps inside.  Wall-clock timings go to a sidecar file instead so
-two runs of the same invocation stay byte-identical; for verify-forms the
-sidecar also holds the time of each identity check and of the positivity
-grid.  Every wall clock is read in this module alone.
+two runs of the same invocation stay byte-identical.  The sidecar also
+times each stage: each identity check and the positivity grid for
+verify-forms, the trajectories, profile and limits for transport, and the
+profile, corner, base and samples for contact-check.  Every wall clock is
+read in this module alone.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage
 (input outside the documented domain, raised as ``DomainError``), 3 an
@@ -22,9 +24,10 @@ Each process loads only the layers its subcommand runs: importing this
 module loads the standard library and ``config``, and each suite imports
 its layers when it starts (verify-forms ``models`` and ``exterior``,
 transport ``transport``, fillings ``mcg`` and ``topo``, resolve
-``blowup`` and ``mcg``, contact-check ``contact``).  ``--help``, fillings
-and resolve never import numpy.  Suites call a layer through its module
-(``transport.integrate``), so patching a module attribute reaches them.
+``blowup`` and ``mcg``, contact-check ``contact``).  ``--help``,
+fillings, resolve and contact-check never import numpy.  Suites call a
+layer through its module (``transport.integrate``), so patching a module
+attribute reaches them.
 
 Input the numerics cannot represent is a usage error too: a
 ``contact-check --n`` whose f^(n-1) overflows a double (n >= 1025 for the
@@ -46,11 +49,11 @@ import os
 import sys
 import tempfile
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
-from .config import DEFAULT_CONFIG, DomainError, ModelConfig
+from .config import DEFAULT_CONFIG, STENCIL_FLOOR, DomainError, ModelConfig
 
 SCHEMA = "lbf-kit/1"
 TIMING_SCHEMA = "lbf-kit/1-timing"
@@ -158,13 +161,21 @@ def _cell(x: float) -> str:
     return repr(float(x))
 
 
-def _float_rows(*columns: np.ndarray) -> list[list[str]]:
+def _float_rows(*columns: Sequence[float]) -> list[list[str]]:
     """One row of float cells per index of the columns."""
-    return [[_cell(v) for v in row] for row in zip(*(c.tolist() for c in columns))]
+    return [[_cell(v) for v in row] for row in zip(*columns)]
 
 
 def _pass_fail(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
+
+
+def _timed(timing: dict, key: str, fn: Callable, *args: object, **kwargs: object):
+    """fn(*args, **kwargs), its wall time in ms stored under ``timing[key]``."""
+    started = time.perf_counter()
+    result = fn(*args, **kwargs)
+    timing[key] = (time.perf_counter() - started) * 1e3
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +186,11 @@ def _suite_verify_forms(n: int) -> SuiteResult:
     from . import models
 
     cfg = ModelConfig(n=n)
-    reports, identities_ms = [], {}
-    for identity in models.IdentityId:
-        started = time.perf_counter()
-        reports.append(models.verify_identity(identity, cfg))
-        identities_ms[identity.value] = (time.perf_counter() - started) * 1e3
-
-    started = time.perf_counter()
-    grid = models.positivity_grid(cfg)
-    grid_ms = (time.perf_counter() - started) * 1e3
+    identities_ms: dict[str, float] = {}
+    timing = {"identities_ms": identities_ms}
+    reports = [_timed(identities_ms, identity.value, models.verify_identity, identity, cfg)
+               for identity in models.IdentityId]
+    grid = _timed(timing, "top_power_grid_ms", models.positivity_grid, cfg)
     grid_ok = grid.min_value > 0.0
 
     failures = [f"{r.identity}: {r.verdict}" for r in reports if not r.passed]
@@ -206,7 +213,6 @@ def _suite_verify_forms(n: int) -> SuiteResult:
         ["TOP_POWER grid min", _cell(grid.min_value)],
         ["result", _pass_fail(not failures)],
     ]
-    timing = {"identities_ms": identities_ms, "top_power_grid_ms": grid_ms}
     return SuiteResult(report, failures, rows, table_rows, timing)
 
 
@@ -249,6 +255,7 @@ def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
     # Both denominator conventions ride along on every trajectory report.
     # Only the corrected one is expected to conserve mu*r2 - s; the other
     # column documents how far the uncorrected form drifts.
+    timing: dict[str, float] = {}
     trajectories = {
         variant: {
             "max_h_drift": traj.max_h_drift,
@@ -256,11 +263,12 @@ def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
             "endpoint": traj.endpoint,
             "radial_drift_gated": variant == "weighted",
         }
-        for variant, traj in transport.integrate(cfg, t, 0.5).items()
+        for variant, traj in _timed(timing, "integrate_ms", transport.integrate,
+                                    cfg, t, 0.5).items()
     }
 
-    prof = transport.monodromy_profile(cfg, s0, grid)
-    lim_plus, lim_minus = transport.limits_at_zero(cfg, s0)
+    prof = _timed(timing, "profile_ms", transport.monodromy_profile, cfg, s0, grid)
+    lim_plus, lim_minus = _timed(timing, "limits_ms", transport.limits_at_zero, cfg, s0)
 
     gate = transport.DRIFT_GATE
     failures = []
@@ -297,7 +305,7 @@ def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
     ]
     table_rows.append(["limits at 0", _cell(lim_plus), _cell(lim_minus), ""])
     table_rows.append(["result", _pass_fail(not failures), "", ""])
-    return SuiteResult(report, failures, rows, table_rows)
+    return SuiteResult(report, failures, rows, table_rows, timing)
 
 
 def _suite_fillings(n: int, k: int, include_zero: bool) -> SuiteResult:
@@ -400,10 +408,13 @@ def _suite_resolve(k: int, dim: int) -> SuiteResult:
 def _suite_contact_check(n: int) -> SuiteResult:
     from . import contact
 
+    timing: dict[str, float] = {}
     profile = contact.make_profile()
-    prof_report = contact.verify_profile(profile, n=n)
-    _, corner_report = contact.make_corner_curve(profile.eps)
-    base_report = contact.verify_base_profile(contact.make_base_profile())
+    prof_report = _timed(timing, "profile_ms", contact.verify_profile, profile, n=n)
+    _, corner_report = _timed(timing, "corner_ms", contact.make_corner_curve, profile.eps)
+    base_report = _timed(timing, "base_ms", contact.verify_base_profile,
+                         contact.make_base_profile())
+    samples = _timed(timing, "samples_ms", contact.profile_samples, profile)
 
     failures = []
     if not prof_report.passed:
@@ -425,7 +436,7 @@ def _suite_contact_check(n: int) -> SuiteResult:
     }
 
     csv_rows = [["r", "f", "g", "determinant"]]
-    csv_rows += _float_rows(*contact.profile_samples(profile))
+    csv_rows += _float_rows(*samples)
     table_rows = [
         ["check", "outcome", "detail"],
         ["profile min", _cell(prof_report.min_value),
@@ -434,7 +445,7 @@ def _suite_contact_check(n: int) -> SuiteResult:
         ["base", _pass_fail(base_report.passed), ""],
         ["result", _pass_fail(not failures), ""],
     ]
-    return SuiteResult(report, failures, csv_rows, table_rows)
+    return SuiteResult(report, failures, csv_rows, table_rows, timing)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +470,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transport", help="trajectory drifts and the angle profile")
     p.add_argument("--t", type=float, default=0.25)
-    p.add_argument("--s0", type=float, default=1e-3)
+    s0_lo, s0_hi = DEFAULT_CONFIG.s0_range
+    p.add_argument("--s0", type=float, default=1e-3,
+                   help=f"S0 lies in ({s0_lo!r}, {s0_hi!r}]: the limit stencil's "
+                        f"smallest step S0/64 stays above {STENCIL_FLOOR:g}, and its "
+                        "arcs stay in the small-t regime")
     p.add_argument("--grid", default=DEFAULT_T_GRID, metavar="LO:HI:COUNT",
                    help=f"COUNT evenly spaced levels in [LO, HI]; "
                         f"COUNT runs from 1 to {MAX_GRID_COUNT}")

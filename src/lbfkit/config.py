@@ -16,6 +16,7 @@ loading it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
@@ -24,6 +25,11 @@ if TYPE_CHECKING:
 
 # A profile argument or value: one float, or a numpy array of them.
 FloatOrArray = Union[float, "np.ndarray"]
+
+
+# The monodromy profile differentiates R(t) by a central stencil whose step
+# must stay above this floor.
+STENCIL_FLOOR = 1e-8
 
 
 class DomainError(ValueError):
@@ -141,6 +147,24 @@ class ModelConfig:
     def level_range(self) -> tuple[float, float]:
         """The documented range [-disk1_radius^2, disk2_radius^2] of levels t."""
         return -self.disk1_radius ** 2, self.disk2_radius ** 2
+
+    @property
+    def s0_range(self) -> tuple[float, float]:
+        """The documented range (lo, hi] of the arc length s0 of the angle profile.
+
+        The limits of R' at 0 are differenced at the levels +-s0/8 and
+        +-s0/4, each with a step of an eighth of the level, so the smallest
+        step is s0/64, which must exceed STENCIL_FLOOR, and the levels
+        reach |t| = 9 s0/32.  At arc length s0 on level t the small-t
+        closed form puts r1^2 at (hypot(2 s0, t) - t) / 2 and r1^2 + r2^2 at
+        hypot(2 s0, t).  hi keeps every stencil level inside that form's
+        regime, r1 <= collar_width and r1^2 + r2^2 <= ramp_lo, so the limits
+        there are the regime's own values; a few percent past hi they move.
+        """
+        reach = 9.0 / 32.0
+        spread = math.hypot(2.0, reach)
+        hi = min(2.0 * self.collar_width ** 2 / (spread + reach), self.ramp_lo / spread)
+        return 64.0 * STENCIL_FLOOR, hi
 
     @property
     def cutoff_lo(self) -> float:

@@ -19,10 +19,11 @@ and derivatives but not the shape in between; the realization here is
 one admissible representative, and every strict inequality is verified
 on a sampling grid rather than assumed.
 
-Every profile function accepts a float or a numpy array.  Arrays are
-filled piece by piece through masks, and exponentials and powers go
-through libm either way, so a value sampled on a grid has the same bits
-as the same value computed alone.
+Every profile function takes and returns Python floats, and the
+verifiers loop over plain lists, so the layer needs nothing beyond the
+standard library.  Each curve picks a point's piece once and returns its
+values and slopes together; f, g and the other single values read one of
+them.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .config import DomainError, FloatOrArray
+from .config import DomainError
 
 # Mapping-cylinder Hamiltonian value held constant near the boundary.
 BOUNDARY_HAMILTONIAN = 2.0 * math.pi
@@ -43,11 +42,12 @@ BOUNDARY_HAMILTONIAN = 2.0 * math.pi
 
 
 def _quintic(tau: float, p0: float, m0: float, s0: float,
-             p1: float, m1: float, s1: float, w: float) -> float:
-    """Quintic Hermite value: endpoint values, slopes, curvatures given.
+             p1: float, m1: float, s1: float, w: float) -> tuple[float, float]:
+    """Quintic Hermite value and slope: endpoint values, slopes, curvatures given.
 
-    Slopes and curvatures are with respect to the original variable,
-    over an interval of width w; tau runs over [0, 1].
+    Slopes and curvatures, the returned slope included, are with respect
+    to the original variable, over an interval of width w; tau runs over
+    [0, 1].
     """
     t2 = tau * tau
     t3 = t2 * tau
@@ -59,79 +59,39 @@ def _quintic(tau: float, p0: float, m0: float, s0: float,
     h01 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
     h11 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
     h21 = 0.5 * (t3 - 2.0 * t4 + t5)
-    return (p0 * h00 + w * m0 * h10 + w * w * s0 * h20
-            + p1 * h01 + w * m1 * h11 + w * w * s1 * h21)
-
-
-def _quintic_d(tau: float, p0: float, m0: float, s0: float,
-               p1: float, m1: float, s1: float, w: float) -> float:
-    """Derivative of _quintic with respect to the original variable."""
-    t2 = tau * tau
-    t3 = t2 * tau
-    t4 = t3 * tau
     d00 = -30.0 * t2 + 60.0 * t3 - 30.0 * t4
     d10 = 1.0 - 18.0 * t2 + 32.0 * t3 - 15.0 * t4
     d20 = 0.5 * (2.0 * tau - 9.0 * t2 + 12.0 * t3 - 5.0 * t4)
     d01 = 30.0 * t2 - 60.0 * t3 + 30.0 * t4
     d11 = -12.0 * t2 + 28.0 * t3 - 15.0 * t4
     d21 = 0.5 * (3.0 * t2 - 8.0 * t3 + 5.0 * t4)
+    value = (p0 * h00 + w * m0 * h10 + w * w * s0 * h20
+             + p1 * h01 + w * m1 * h11 + w * w * s1 * h21)
     dtau = (p0 * d00 + w * m0 * d10 + w * w * s0 * d20
             + p1 * d01 + w * m1 * d11 + w * w * s1 * d21)
-    return dtau / w
+    return value, dtau / w
 
 
-def _cubic(tau: float, p0: float, m0: float, p1: float, m1: float, w: float) -> float:
+def _cubic(tau: float, p0: float, m0: float, p1: float, m1: float,
+           w: float) -> tuple[float, float]:
+    """Cubic Hermite value and slope, as ``_quintic`` with slopes alone given."""
     t2 = tau * tau
     t3 = t2 * tau
     h00 = 2.0 * t3 - 3.0 * t2 + 1.0
     h10 = t3 - 2.0 * t2 + tau
     h01 = -2.0 * t3 + 3.0 * t2
     h11 = t3 - t2
-    return p0 * h00 + w * m0 * h10 + p1 * h01 + w * m1 * h11
-
-
-def _cubic_d(tau: float, p0: float, m0: float, p1: float, m1: float, w: float) -> float:
-    t2 = tau * tau
     d00 = 6.0 * t2 - 6.0 * tau
     d10 = 3.0 * t2 - 4.0 * tau + 1.0
     d01 = -6.0 * t2 + 6.0 * tau
     d11 = 3.0 * t2 - 2.0 * tau
-    return (p0 * d00 + w * m0 * d10 + p1 * d01 + w * m1 * d11) / w
+    return (p0 * h00 + w * m0 * h10 + p1 * h01 + w * m1 * h11,
+            (p0 * d00 + w * m0 * d10 + p1 * d01 + w * m1 * d11) / w)
 
 
-def _libm(fn, x: FloatOrArray) -> FloatOrArray:
-    """fn(x) for a float, fn of each element for an array.
-
-    numpy's vectorized exp and power round differently from libm at a few
-    points in a thousand (this is what ``math.exp`` and ``**`` use), which
-    would make a grid value differ from the same value computed alone.
-    """
-    if isinstance(x, np.ndarray):
-        return np.array([fn(v) for v in x.tolist()], dtype=float).reshape(x.shape)
-    return fn(x)
-
-
-def _pieces(x: FloatOrArray, lo: float, hi: float, below, between, above) -> FloatOrArray:
-    """below(x) for x <= lo, above(x) for x >= hi, between(x) otherwise.
-
-    A float picks its piece by comparison; an array is filled through one
-    mask per piece, each piece evaluated only where it applies.  A piece
-    may return a constant.
-    """
-    if not isinstance(x, np.ndarray):
-        return below(x) if x <= lo else above(x) if x >= hi else between(x)
-    out = np.empty(x.shape)
-    low, high = x <= lo, x >= hi
-    for mask, piece in ((low, below), (high, above), (~(low | high), between)):
-        out[mask] = piece(x[mask])
-    return out
-
-
-def _check_within(name: str, x: FloatOrArray, lo: float, hi: float) -> None:
-    least, most = np.min(x), np.max(x)
-    if not (lo <= least and most <= hi):
-        bad = most if lo <= least else least
-        raise ValueError(f"{name}={bad} outside [{lo}, {hi}]")
+def _check_within(name: str, x: float, lo: float, hi: float) -> None:
+    if not lo <= x <= hi:
+        raise ValueError(f"{name}={x} outside [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -156,55 +116,37 @@ class ContactProfile:
     def r_max(self) -> float:
         return 1.0 + self.eps
 
-    def _tau(self, r: FloatOrArray) -> FloatOrArray:
-        a = self.eps / 2.0
-        return (r - a) / (1.0 - a)
-
-    def _by_piece(self, r: FloatOrArray, below, between, above) -> FloatOrArray:
+    def point_and_tangent(self, r: float) -> tuple[float, float, float, float]:
+        """f, g, f' and g' at r."""
         _check_within("r", r, 0.0, self.r_max)
-        return _pieces(r, self.eps / 2.0, 1.0, below, between, above)
-
-    def f(self, r: FloatOrArray) -> FloatOrArray:
-        w = 1.0 - self.eps / 2.0
-        return self._by_piece(
-            r,
-            lambda r: self.c0,
-            lambda r: _quintic(self._tau(r), self.c0, 0.0, 0.0, 1.0, -1.0, 1.0, w),
-            lambda r: _libm(math.exp, 1.0 - r),
-        )
-
-    def f_prime(self, r: FloatOrArray) -> FloatOrArray:
-        w = 1.0 - self.eps / 2.0
-        return self._by_piece(
-            r,
-            lambda r: 0.0,
-            lambda r: _quintic_d(self._tau(r), self.c0, 0.0, 0.0, 1.0, -1.0, 1.0, w),
-            lambda r: -_libm(math.exp, 1.0 - r),
-        )
-
-    def g(self, r: FloatOrArray) -> FloatOrArray:
         a = self.eps / 2.0
-        return self._by_piece(
-            r,
-            lambda r: self.c1 * r * r,
-            lambda r: _quintic(self._tau(r), self.c1 * a * a, 2.0 * self.c1 * a,
-                               2.0 * self.c1, self.k, 0.0, 0.0, 1.0 - a),
-            lambda r: self.k,
-        )
+        if r <= a:
+            return self.c0, self.c1 * r * r, 0.0, 2.0 * self.c1 * r
+        if r >= 1.0:
+            e = math.exp(1.0 - r)
+            return e, self.k, -e, 0.0
+        tau = (r - a) / (1.0 - a)
+        f, fp = _quintic(tau, self.c0, 0.0, 0.0, 1.0, -1.0, 1.0, 1.0 - a)
+        g, gp = _quintic(tau, self.c1 * a * a, 2.0 * self.c1 * a, 2.0 * self.c1,
+                         self.k, 0.0, 0.0, 1.0 - a)
+        return f, g, fp, gp
 
-    def g_prime(self, r: FloatOrArray) -> FloatOrArray:
-        a = self.eps / 2.0
-        return self._by_piece(
-            r,
-            lambda r: 2.0 * self.c1 * r,
-            lambda r: _quintic_d(self._tau(r), self.c1 * a * a, 2.0 * self.c1 * a,
-                                 2.0 * self.c1, self.k, 0.0, 0.0, 1.0 - a),
-            lambda r: 0.0,
-        )
+    def f(self, r: float) -> float:
+        return self.point_and_tangent(r)[0]
 
-    def determinant(self, r: FloatOrArray) -> FloatOrArray:
+    def g(self, r: float) -> float:
+        return self.point_and_tangent(r)[1]
+
+    def f_prime(self, r: float) -> float:
+        return self.point_and_tangent(r)[2]
+
+    def g_prime(self, r: float) -> float:
+        return self.point_and_tangent(r)[3]
+
+    def determinant(self, r: float) -> float:
         """f g' - f' g: positive exactly when the curve misses its tangent."""
-        return self.f(r) * self.g_prime(r) - self.f_prime(r) * self.g(r)
+        f, g, fp, gp = self.point_and_tangent(r)
+        return f * gp - fp * g
 
     def params(self) -> dict[str, float]:
         return {"c0": self.c0, "c1": self.c1, "k": self.k, "eps": self.eps}
@@ -240,31 +182,32 @@ class ProfileReport:
 def verify_profile(profile: ContactProfile, n: int = 2, grid: int = 10_000) -> ProfileReport:
     """Sample the contact positivity quantity on (0, 1+eps].
 
-    Works on anything exposing f, f_prime, g, g_prime, and r_max, so a
-    deliberately degenerate profile can be fed in to watch it fail.
+    Works on anything exposing ``point_and_tangent`` and ``r_max``, so a
+    deliberately degenerate profile can be fed in to watch it fail.  The
+    argmin is the first sample that attains the minimum.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
-    r = profile.r_max * np.arange(1, grid + 1) / grid
-    try:
-        with np.errstate(over="raise"):
-            fv = profile.f(r)
-            values = _libm(lambda v: v ** (n - 1), fv) * (
-                fv * profile.g_prime(r) - profile.f_prime(r) * profile.g(r))
-    except (OverflowError, FloatingPointError) as exc:
-        raise DomainError(
-            f"n = {n} overflows f^(n-1) (f g' - f' g) in floating point"
-        ) from exc
-    i = int(np.argmin(values))
-    best = float(values[i])
+    r_max, best, argmin = profile.r_max, math.inf, 0.0
+    for i in range(1, grid + 1):
+        r = r_max * i / grid
+        f, g, fp, gp = profile.point_and_tangent(r)
+        try:
+            value = f ** (n - 1) * (f * gp - fp * g)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"n = {n} overflows f^(n-1) (f g' - f' g) in floating point")
+        if value < best:
+            best, argmin = value, r
     params = profile.params() if hasattr(profile, "params") else {}
     return ProfileReport(
         n=n,
         grid=grid,
         min_value=best,
-        argmin=float(r[i]),
+        argmin=argmin,
         passed=best > 0.0,
         params=params,
         notes=("blend regularity: C2 quintic joins, not C-infinity",),
@@ -272,10 +215,12 @@ def verify_profile(profile: ContactProfile, n: int = 2, grid: int = 10_000) -> P
 
 
 def profile_samples(profile: ContactProfile
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[list[float], list[float], list[float], list[float]]:
     """r, f, g and the determinant at 513 evenly spaced r from 0 to 1+eps."""
-    r = profile.r_max * np.arange(513) / 512
-    return r, profile.f(r), profile.g(r), profile.determinant(r)
+    rs = [profile.r_max * i / 512 for i in range(513)]
+    points = [profile.point_and_tangent(r) for r in rs]
+    return (rs, [f for f, _, _, _ in points], [g for _, g, _, _ in points],
+            [f * gp - fp * g for f, g, fp, gp in points])
 
 
 # ---------------------------------------------------------------------------
@@ -293,49 +238,30 @@ class CornerCurve:
 
     eps: float
 
-    def _tau(self, r: FloatOrArray) -> FloatOrArray:
-        w = self.eps / 2.0
-        return (r + w) / w
-
-    def _by_piece(self, r: FloatOrArray, below, between, above) -> FloatOrArray:
+    def point_and_tangent(self, r: float) -> tuple[float, float, float, float]:
+        """f, g, f' and g' at r."""
         _check_within("r", r, -self.eps, self.eps)
-        return _pieces(r, -self.eps / 2.0, 0.0, below, between, above)
-
-    def f(self, r: FloatOrArray) -> FloatOrArray:
         w = self.eps / 2.0
-        return self._by_piece(
-            r,
-            lambda r: self.eps,
-            lambda r: _cubic(self._tau(r), self.eps, 0.0, 0.0, -1.0, w),
-            lambda r: -r,
-        )
+        if r <= -w:
+            return self.eps, 1.0 + r, 0.0, 1.0
+        if r >= 0.0:
+            return -r, 1.0, -1.0, 0.0
+        tau = (r + w) / w
+        f, fp = _cubic(tau, self.eps, 0.0, 0.0, -1.0, w)
+        g, gp = _cubic(tau, 1.0 - w, 1.0, 1.0, 0.0, w)
+        return f, g, fp, gp
 
-    def f_prime(self, r: FloatOrArray) -> FloatOrArray:
-        w = self.eps / 2.0
-        return self._by_piece(
-            r,
-            lambda r: 0.0,
-            lambda r: _cubic_d(self._tau(r), self.eps, 0.0, 0.0, -1.0, w),
-            lambda r: -1.0,
-        )
+    def f(self, r: float) -> float:
+        return self.point_and_tangent(r)[0]
 
-    def g(self, r: FloatOrArray) -> FloatOrArray:
-        w = self.eps / 2.0
-        return self._by_piece(
-            r,
-            lambda r: 1.0 + r,
-            lambda r: _cubic(self._tau(r), 1.0 - w, 1.0, 1.0, 0.0, w),
-            lambda r: 1.0,
-        )
+    def g(self, r: float) -> float:
+        return self.point_and_tangent(r)[1]
 
-    def g_prime(self, r: FloatOrArray) -> FloatOrArray:
-        w = self.eps / 2.0
-        return self._by_piece(
-            r,
-            lambda r: 1.0,
-            lambda r: _cubic_d(self._tau(r), 1.0 - w, 1.0, 1.0, 0.0, w),
-            lambda r: 0.0,
-        )
+    def f_prime(self, r: float) -> float:
+        return self.point_and_tangent(r)[2]
+
+    def g_prime(self, r: float) -> float:
+        return self.point_and_tangent(r)[3]
 
 
 @dataclass(frozen=True)
@@ -363,37 +289,27 @@ def make_corner_curve(eps: float, samples: int = 2_000) -> tuple[CornerCurve, Co
     curve = CornerCurve(eps=eps)
 
     endpoints_exact = (
-        curve.f(-eps) == eps
-        and curve.g(-eps) == 1.0 - eps
-        and curve.f(eps) == -eps
-        and curve.g(eps) == 1.0
-        and curve.f(0.0) == 0.0
-        and curve.g(0.0) == 1.0
+        curve.point_and_tangent(-eps)[:2] == (eps, 1.0 - eps)
+        and curve.point_and_tangent(eps)[:2] == (-eps, 1.0)
+        and curve.point_and_tangent(0.0)[:2] == (0.0, 1.0)
     )
 
     half = eps / 2.0
-    r = -half + half * np.arange(1, samples) / samples
-    interior = bool(np.all(curve.f_prime(r) < 0.0) and np.all(curve.g_prime(r) > 0.0))
+    bridge = [curve.point_and_tangent(-half + half * i / samples) for i in range(1, samples)]
+    interior = all(fp < 0.0 and gp > 0.0 for _, _, fp, gp in bridge)
 
-    r = -eps + 2.0 * eps * np.arange(samples + 1) / samples
-    fv, gv = curve.f(r), curve.g(r)
-    f_noninc = bool(np.all(fv[1:] <= fv[:-1] + 1e-15))
-    g_nondec = bool(np.all(gv[1:] >= gv[:-1] - 1e-15))
+    points = [curve.point_and_tangent(-eps + 2.0 * eps * i / samples)
+              for i in range(samples + 1)]
+    f_noninc = all(b[0] <= a[0] + 1e-15 for a, b in zip(points, points[1:]))
+    g_nondec = all(b[1] >= a[1] - 1e-15 for a, b in zip(points, points[1:]))
 
     # One-sided limits of the bridge at tau = 0, 1 against the plateau
     # values and slopes; all closed forms, so 1e-12 is generous.
-    w = half
-    join_residuals = (
-        _cubic(0.0, eps, 0.0, 0.0, -1.0, w) - eps,
-        _cubic(1.0, eps, 0.0, 0.0, -1.0, w) - 0.0,
-        _cubic_d(0.0, eps, 0.0, 0.0, -1.0, w) - 0.0,
-        _cubic_d(1.0, eps, 0.0, 0.0, -1.0, w) - (-1.0),
-        _cubic(0.0, 1.0 - half, 1.0, 1.0, 0.0, w) - (1.0 - half),
-        _cubic(1.0, 1.0 - half, 1.0, 1.0, 0.0, w) - 1.0,
-        _cubic_d(0.0, 1.0 - half, 1.0, 1.0, 0.0, w) - 1.0,
-        _cubic_d(1.0, 1.0 - half, 1.0, 1.0, 0.0, w) - 0.0,
-    )
-    joins = max(abs(v) for v in join_residuals) < 1e-12
+    f_args, g_args = (eps, 0.0, 0.0, -1.0, half), (1.0 - half, 1.0, 1.0, 0.0, half)
+    bridge_ends = (_cubic(0.0, *f_args) + _cubic(1.0, *f_args)
+                   + _cubic(0.0, *g_args) + _cubic(1.0, *g_args))
+    plateau_ends = (eps, 0.0, 0.0, -1.0, 1.0 - half, 1.0, 1.0, 0.0)
+    joins = max(abs(got - want) for got, want in zip(bridge_ends, plateau_ends)) < 1e-12
 
     report = CornerReport(
         eps=eps,
@@ -425,32 +341,23 @@ class BaseProfile:
     eps: float
     boundary_hamiltonian: float = BOUNDARY_HAMILTONIAN
 
-    def _by_piece(self, s: FloatOrArray, below, between, above) -> FloatOrArray:
+    def h_and_slope(self, s: float) -> tuple[float, float]:
+        """h and h' at s."""
         _check_within("s", s, 0.0, 1.0)
-        return _pieces(s, self.eps, 1.0 - self.eps, below, between, above)
-
-    def _tau(self, s: FloatOrArray) -> FloatOrArray:
-        return (s - self.eps) / (1.0 - 2.0 * self.eps)
-
-    def h(self, s: FloatOrArray) -> FloatOrArray:
+        if s <= self.eps:
+            return self.k * s * s, 2.0 * self.k * s
+        if s >= 1.0 - self.eps:
+            e = self.k * math.exp(s - 1.0)
+            return e, e
         e = self.k * math.exp(-self.eps)
-        return self._by_piece(
-            s,
-            lambda s: self.k * s * s,
-            lambda s: _quintic(self._tau(s), self.k * self.eps ** 2, 2.0 * self.k * self.eps,
-                               2.0 * self.k, e, e, e, 1.0 - 2.0 * self.eps),
-            lambda s: self.k * _libm(math.exp, s - 1.0),
-        )
+        return _quintic((s - self.eps) / (1.0 - 2.0 * self.eps), self.k * self.eps ** 2,
+                        2.0 * self.k * self.eps, 2.0 * self.k, e, e, e, 1.0 - 2.0 * self.eps)
 
-    def h_prime(self, s: FloatOrArray) -> FloatOrArray:
-        e = self.k * math.exp(-self.eps)
-        return self._by_piece(
-            s,
-            lambda s: 2.0 * self.k * s,
-            lambda s: _quintic_d(self._tau(s), self.k * self.eps ** 2, 2.0 * self.k * self.eps,
-                                 2.0 * self.k, e, e, e, 1.0 - 2.0 * self.eps),
-            lambda s: self.k * _libm(math.exp, s - 1.0),
-        )
+    def h(self, s: float) -> float:
+        return self.h_and_slope(s)[0]
+
+    def h_prime(self, s: float) -> float:
+        return self.h_and_slope(s)[1]
 
 
 @dataclass(frozen=True)
@@ -478,12 +385,12 @@ def verify_base_profile(bp: BaseProfile, samples: int = 2_000) -> BaseReport:
         raise ValueError(f"samples must be >= 100, got {samples}")
     zero = bp.h(0.0) == 0.0
 
-    tenths = bp.eps * np.arange(1, 11) / 10.0
-    inner, outer = tenths, 1.0 - bp.eps + tenths
-    plateaus = bool(np.all(bp.h(inner) == bp.k * inner * inner)
-                    and np.all(bp.h(outer) == bp.k * _libm(math.exp, outer - 1.0)))
+    tenths = [bp.eps * i / 10.0 for i in range(1, 11)]
+    plateaus = (all(bp.h(s) == bp.k * s * s for s in tenths)
+                and all(bp.h(s) == bp.k * math.exp(s - 1.0)
+                        for s in (1.0 - bp.eps + x for x in tenths)))
 
-    increasing = bool(np.all(bp.h_prime(np.arange(1, samples + 1) / samples) > 0.0))
+    increasing = all(bp.h_prime(i / samples) > 0.0 for i in range(1, samples + 1))
     return BaseReport(
         k=bp.k,
         eps=bp.eps,

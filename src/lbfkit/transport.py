@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, DomainError, FloatOrArray, ModelConfig
+from .config import DEFAULT_CONFIG, STENCIL_FLOOR, DomainError, FloatOrArray, ModelConfig
 
 __all__ = [
     "Trajectory",
@@ -491,7 +491,7 @@ def closed_form(
 
 def _fd_step(cfg: ModelConfig, t: float) -> float:
     step = min(abs(t) / 8.0, 1e-3)
-    if step <= 1e-8:
+    if step <= STENCIL_FLOOR:
         raise DomainError(
             f"t = {t} too close to the critical value t = 0 for a central stencil"
         )
@@ -499,7 +499,7 @@ def _fd_step(cfg: ModelConfig, t: float) -> float:
         step = min(step, 0.5 * (cfg.disk2_radius ** 2 - t))
     else:
         step = min(step, 0.5 * (t + cfg.disk1_radius ** 2))
-    if step <= 1e-8:
+    if step <= STENCIL_FLOOR:
         raise DomainError(
             f"t = {t} too close to the fiber-coordinate boundary for a central stencil"
         )
@@ -507,9 +507,11 @@ def _fd_step(cfg: ModelConfig, t: float) -> float:
 
 
 def _validate_s0(cfg: ModelConfig, s0: float) -> None:
-    if not (0.0 < s0 <= cfg.collar_width / 4.0):
+    lo, hi = cfg.s0_range
+    if not lo < s0 <= hi:
         raise DomainError(
-            f"s0 must lie in (0, collar_width/4 = {cfg.collar_width / 4}], got {s0}"
+            f"s0 = {s0} outside ({lo!r}, {hi!r}]: the limit stencil needs s0/64 above "
+            f"{STENCIL_FLOOR:g} and its arcs inside the small-t regime"
         )
 
 
@@ -548,7 +550,9 @@ def limits_at_zero(cfg: ModelConfig, s0: float) -> tuple[float, float]:
 
     R'(t) is linear in t to leading order near 0 on either side, so the
     two-point rule 2 R'(+-s0/8) - R'(+-s0/4) cancels the linear term and
-    leaves a cubic remainder well below the 1e-3 acceptance window.
+    leaves a cubic remainder well below the 1e-3 acceptance window.  s0
+    must lie in ``cfg.s0_range``, where every stencil level stays in the
+    small-t regime.
     """
     prof = monodromy_profile(cfg, s0, [s0 / 8.0, s0 / 4.0, -s0 / 8.0, -s0 / 4.0])
     plus = 2.0 * prof.dR[0] - prof.dR[1]

@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict
 
-import numpy as np
 import pytest
 
 from lbfkit.cli import _clean, main
+from lbfkit.config import DomainError
 from lbfkit.contact import (
     BOUNDARY_HAMILTONIAN,
     make_base_profile,
@@ -89,29 +89,24 @@ def test_profile_report_serialization():
 
 
 def test_degenerate_profile_detected():
-    # g = 3 f on a middle window makes the curve parallel to its tangent;
-    # verify_profile samples whole arrays, so the stub takes arrays
+    # g = 3 f on a middle window makes the curve parallel to its tangent
     class Stub:
         r_max = 1.0
 
-        def _window(self, r):
-            return (0.4 <= r) & (r <= 0.6)
-
-        def f(self, r):
-            return 2.0 - r
-
-        def f_prime(self, r):
-            return np.full_like(r, -1.0)
-
-        def g(self, r):
-            return np.where(self._window(r), 3.0 * self.f(r), r * r)
-
-        def g_prime(self, r):
-            return np.where(self._window(r), -3.0, 2.0 * r)
+        def point_and_tangent(self, r):
+            if 0.4 <= r <= 0.6:
+                return 2.0 - r, 3.0 * (2.0 - r), -1.0, -3.0
+            return 2.0 - r, r * r, -1.0, 2.0 * r
 
     report = verify_profile(Stub(), n=2, grid=500)
     assert not report.passed
     assert report.min_value <= 0.0
+
+
+def test_non_finite_contact_quantity_is_a_domain_error():
+    # f g' = c0 * 2 c1 r overflows a double near r = 0 while f^(n-1) does not
+    with pytest.raises(DomainError, match="n = 2 overflows"):
+        verify_profile(make_profile(c0=1e200, c1=1e200), n=2)
 
 
 def test_make_profile_validation():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -216,6 +219,55 @@ def test_limits_at_zero_are_plus_minus_half():
     assert minus == pytest.approx(-0.5, abs=1e-3)
 
 
+# The default configuration, whose collar sets the upper end of the s0
+# range, and a configuration drawn from the valid ones whose ramp_lo sets it.
+S0_CONFIGS = {
+    "default": DEFAULT_CONFIG,
+    "ramp-bound": ModelConfig(collar_width=0.65, ramp_lo=0.7, ramp_hi=0.9, disk1_radius=0.99),
+}
+
+
+def _log_spaced_s0(cfg: ModelConfig, u: float) -> float:
+    """The s0 a fraction u of the way across the log-scaled range; u = 0, 1 give its ends."""
+    lo, hi = cfg.s0_range
+    if u == 1.0:
+        return hi
+    return min(max(lo * (hi / lo) ** u, math.nextafter(lo, math.inf)), hi)
+
+
+@pytest.mark.parametrize("cfg", S0_CONFIGS.values(), ids=S0_CONFIGS.keys())
+@settings(max_examples=10, deadline=None)
+@given(u=st.floats(min_value=0.0, max_value=1.0))
+@example(u=0.0)
+@example(u=1.0)
+def test_limits_hold_across_the_s0_range(cfg, u):
+    s0 = _log_spaced_s0(cfg, u)
+    plus, minus = limits_at_zero(cfg, s0)
+    assert abs(plus - 0.5) <= 1e-3 and abs(minus + 0.5) <= 1e-3, (s0, plus, minus)
+
+
+@settings(max_examples=6, deadline=None)
+@given(u=st.floats(min_value=0.0, max_value=1.0))
+@example(u=0.0)
+@example(u=1.0)
+def test_transport_passes_across_the_s0_range(u):
+    s0 = _log_spaced_s0(DEFAULT_CONFIG, u)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["transport", f"--s0={s0!r}"]) == 0
+    assert json.loads(out.getvalue())["profile"]["s0"] == s0
+
+
+def test_s0_outside_its_range_is_refused(capsys):
+    lo, hi = DEFAULT_CONFIG.s0_range
+    assert (lo, hi) == (6.4e-07, 0.0021730357237588326)      # as README and --help state
+    for s0 in (lo, 1e-7, math.nextafter(hi, math.inf), 0.003, 0.0125):
+        assert cli.main(["transport", f"--s0={s0!r}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"lbfkit: usage error: s0 = {s0!r} outside ({lo!r}, {hi!r}]"), err
+
+
 def test_profile_on_the_documented_grid():
     s0 = 1e-3
     grid = [1e-2, -1e-2] + [s0 * 2 ** k for k in range(3)] \
@@ -272,7 +324,7 @@ def test_monodromy_rejects_bad_grids():
     with pytest.raises(DomainError):
         monodromy_profile(cfg, 1e-3, [0.0, 0.1])
     with pytest.raises(DomainError):
-        monodromy_profile(cfg, 0.5, [0.1])  # s0 beyond collar_width/4
+        monodromy_profile(cfg, 0.5, [0.1])  # s0 beyond cfg.s0_range
     with pytest.raises(DomainError, match="critical value"):
         monodromy_profile(cfg, 1e-3, [5e-8])  # stencil step under 1e-8
     with pytest.raises(DomainError, match="boundary"):
