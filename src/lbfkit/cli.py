@@ -59,14 +59,8 @@ SCHEMA = "lbf-kit/1"
 TIMING_SCHEMA = "lbf-kit/1-timing"
 FORMATS = ("json", "csv", "table")
 
-# (suite name, default argv) pairs executed by `all`, in emission order.
-ALL_SUITES: tuple[tuple[str, list[str]], ...] = (
-    ("verify-forms", ["--n", "2"]),
-    ("transport", []),
-    ("fillings", ["--n", "2", "--k", "5"]),
-    ("resolve", ["--k", "3", "--dim", "1"]),
-    ("contact-check", ["--n", "2"]),
-)
+# The suites `all` runs, each with its parser's defaults, in emission order.
+ALL_SUITES = ("verify-forms", "transport", "fillings", "resolve", "contact-check")
 
 DEFAULT_T_GRID = "-0.16:0.16:8"
 # Largest --grid COUNT; checked before the grid is allocated.
@@ -567,12 +561,12 @@ def _run_all(fmt: str, out_dir: Path) -> int:
     suffix = {"json": ".json", "csv": ".csv", "table": ".txt"}[fmt]
     worst = 0
     timings: dict[str, float] = {}
-    for name, extra in ALL_SUITES:
+    for name in ALL_SUITES:
         def emit(result: SuiteResult, elapsed_ms: float, name: str = name) -> None:
             timings[name] = elapsed_ms
             _write_atomic(out_dir / f"{name}{suffix}", _render(name, result, fmt))
 
-        code = _execute(parser.parse_args([name, *extra]), f"lbfkit all/{name}", emit)
+        code = _execute(parser.parse_args([name]), f"lbfkit all/{name}", emit)
         if code > 1:
             return code
         worst = max(worst, code)

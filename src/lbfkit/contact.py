@@ -29,6 +29,7 @@ them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .config import DomainError
@@ -192,7 +193,7 @@ def verify_profile(profile: ContactProfile, n: int = 2, grid: int = 10_000) -> P
         raise ValueError(f"grid must be >= 2, got {grid}")
     r_max, best, argmin = profile.r_max, math.inf, 0.0
     for i in range(1, grid + 1):
-        r = r_max * i / grid
+        r = r_max * i / grid if i < grid else r_max    # r_max * i / grid can round past it
         f, g, fp, gp = profile.point_and_tangent(r)
         try:
             value = f ** (n - 1) * (f * gp - fp * g)
@@ -248,8 +249,10 @@ class CornerCurve:
             return -r, 1.0, -1.0, 0.0
         tau = (r + w) / w
         f, fp = _cubic(tau, self.eps, 0.0, 0.0, -1.0, w)
-        g, gp = _cubic(tau, 1.0 - w, 1.0, 1.0, 0.0, w)
-        return f, g, fp, gp
+        # g - 1, so that g' is not the difference of two values near 1
+        # divided by w, which loses its sign once eps nears 1e-16
+        dg, gp = _cubic(tau, -w, 1.0, 0.0, 0.0, w)
+        return f, 1.0 + dg, fp, gp
 
     def f(self, r: float) -> float:
         return self.point_and_tangent(r)[0]
@@ -280,10 +283,14 @@ def make_corner_curve(eps: float, samples: int = 2_000) -> tuple[CornerCurve, Co
     """Build the corner arc and verify its three bullet conditions.
 
     Endpoint identities are checked exactly; the strict interior signs
-    and the global monotonicity are sampled (samples >= 1000).
+    and the global monotonicity are sampled (samples >= 1000).  eps must
+    be a normal float: a subnormal eps/2 has too few bits to place the
+    bridge samples strictly inside the bridge.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
+    if eps < sys.float_info.min:
+        raise ValueError(f"eps = {eps} is subnormal; the corner curve needs a normal float")
     if samples < 1_000:
         raise ValueError(f"need at least 1000 sample points, got {samples}")
     curve = CornerCurve(eps=eps)
@@ -298,8 +305,9 @@ def make_corner_curve(eps: float, samples: int = 2_000) -> tuple[CornerCurve, Co
     bridge = [curve.point_and_tangent(-half + half * i / samples) for i in range(1, samples)]
     interior = all(fp < 0.0 and gp > 0.0 for _, _, fp, gp in bridge)
 
-    points = [curve.point_and_tangent(-eps + 2.0 * eps * i / samples)
-              for i in range(samples + 1)]
+    # the last point is eps itself: -eps + 2 eps can round past it
+    rs = [-eps + 2.0 * eps * i / samples for i in range(samples)] + [eps]
+    points = [curve.point_and_tangent(r) for r in rs]
     f_noninc = all(b[0] <= a[0] + 1e-15 for a, b in zip(points, points[1:]))
     g_nondec = all(b[1] >= a[1] - 1e-15 for a, b in zip(points, points[1:]))
 
@@ -385,7 +393,8 @@ def verify_base_profile(bp: BaseProfile, samples: int = 2_000) -> BaseReport:
         raise ValueError(f"samples must be >= 100, got {samples}")
     zero = bp.h(0.0) == 0.0
 
-    tenths = [bp.eps * i / 10.0 for i in range(1, 11)]
+    # the last tenth is eps itself: eps * 10 / 10 can round past it, into the bridge
+    tenths = [bp.eps * i / 10.0 for i in range(1, 10)] + [bp.eps]
     plateaus = (all(bp.h(s) == bp.k * s * s for s in tenths)
                 and all(bp.h(s) == bp.k * math.exp(s - 1.0)
                         for s in (1.0 - bp.eps + x for x in tenths)))

@@ -27,12 +27,15 @@ the numpy functions they call, and two drivers loop around them.
 ``_dopri5`` steps a (2, N) numpy batch of levels at once: each column has
 its own step size, its own accept/reject decision and its own position,
 and columns never mix, so a level integrated in a batch equals the level
-integrated alone, bit for bit.  ``monodromy_profile`` integrates its 3C
-stencil levels in one batch, and ``limits_at_zero`` its 12.
-``_dopri5_column`` steps one column on Python floats and gives the
-batch's bits too; numpy's per-call overhead dominates a batch of one or
-two columns, so ``integrate`` steps its two trajectories there, one after
-the other.  Steps are cut to land exactly on each stop (no dense output).
+integrated alone, bit for bit.  ``_dopri5_column`` steps one level on
+Python floats and gives the batch's bits too.  ``_transport`` is the one
+entry point, and it picks the driver from the level count: numpy's
+per-call overhead outweighs the arithmetic on a few columns, so fewer
+than ``BATCH_MIN`` levels are stepped one after the other on floats and
+more in one batch.  ``integrate``'s two trajectories (one level each) and
+the 12 levels of ``limits_at_zero`` run on floats; ``monodromy_profile``'s
+3C stencil levels run in the batch once 3C reaches ``BATCH_MIN``.  Steps
+are cut to land exactly on each stop (no dense output).
 The local tolerances ATOL = RTOL sit four decades under DRIFT_GATE, the
 bound the reports audit both invariants against.  No step is projected
 back onto the invariants: that would zero the very drift the audit
@@ -79,6 +82,13 @@ __all__ = [
 DRIFT_GATE = 1e-8
 ATOL = RTOL = DRIFT_GATE * 1e-4
 SINGULAR_FLOOR = 1e-12
+# The values of s each audit trajectory lands on, evenly spaced from 0.
+TRAJECTORY_SAMPLES = 129
+# The level count from which ``_transport`` steps one numpy batch instead
+# of one float column per level.  On profile stencils to s0 = 1e-3 (2-core
+# x86-64, numpy 2.4) the floats were faster up to 42 levels and the batch
+# from 48 on, by 1.25x at 72 levels and 2x at 192.
+BATCH_MIN = 48
 
 # Dormand & Prince (1980) 5(4) pair, as in Hairer, Norsett and Wanner,
 # Solving ODEs I, Table II.5.2: stage nodes _C and rows _A of the stages
@@ -371,40 +381,36 @@ def _validate_t(cfg: ModelConfig, t: float) -> None:
         )
 
 
-def _transport(cfg: ModelConfig, levels: np.ndarray, stops: np.ndarray,
+def _transport(cfg: ModelConfig, levels: Sequence[float], stops: Sequence[float],
                weight: bool = True) -> np.ndarray:
     """(r1, r2) at each stop for each level, shape (len(stops), 2, len(levels)).
 
-    ``weight`` selects the denominator that carries mu'.
+    The one function that steps the ODE: every level is validated, and
+    fewer than ``BATCH_MIN`` levels run one by one on floats, more in one
+    numpy batch.  ``weight`` selects the denominator that carries mu'.
     """
     for t in levels:
         _validate_t(cfg, t)
+    if len(levels) < BATCH_MIN:
+        columns = [_dopri5_column(lambda s, y: _field(cfg, weight, s, y, _FLOATS),
+                                  initial_condition(t), stops) for t in levels]
+        return np.stack(columns, axis=2)
     y0 = np.array([initial_condition(t) for t in levels]).T
     return _dopri5(lambda s, y: _field(cfg, weight, s, y, np), y0, stops)
 
 
-def integrate(
-    cfg: ModelConfig,
-    t: float,
-    s_max: float,
-    samples: int = 129,
-) -> dict[str, Trajectory]:
+def integrate(cfg: ModelConfig, t: float, s_max: float) -> dict[str, Trajectory]:
     """Integrate the transport ODE from s = 0 to s = s_max at level t.
 
-    Both denominator variants are stepped, one column each on floats; the
-    result maps "weighted" and "unweighted" to their trajectories.  The
-    stepper lands on each of the ``samples`` evenly spaced values of s.
+    Both denominator variants are stepped; the result maps "weighted" and
+    "unweighted" to their trajectories.  The stepper lands on each of
+    ``TRAJECTORY_SAMPLES`` evenly spaced values of s.
     """
     if s_max < 0 or s_max > 1:
         raise ValueError(f"s_max must lie in [0, 1], got {s_max}")
-    _validate_t(cfg, t)
-    grid = np.linspace(0.0, s_max, samples if s_max > 0 else 1)
-    stops = grid.tolist()
-    ys = np.stack([
-        _dopri5_column(lambda s, y: _field(cfg, weight, s, y, _FLOATS),
-                       initial_condition(t), stops)
-        for weight in (True, False)
-    ], axis=2)
+    grid = np.linspace(0.0, s_max, TRAJECTORY_SAMPLES if s_max > 0 else 1)
+    ys = np.concatenate([_transport(cfg, [t], grid, weight) for weight in (True, False)],
+                        axis=2)
     r1, r2 = ys[:, 0], ys[:, 1]
     h_drift = h_value(cfg, r1, r2) - t
     radial = cfg.mu(r1) * r2 - grid[:, None]
@@ -524,8 +530,8 @@ def monodromy_profile(
 
     Three levels per grid label: the label itself and a central stencil
     t +/- step with step = min(|t|/8, 1e-3), shrunk near the domain ends.
-    All 3C levels are integrated to s0 in one batch.  The grid must avoid
-    the critical value 0.
+    All 3C levels are integrated to s0 in one ``_transport`` call.  The
+    grid must avoid the critical value 0.
     """
     _validate_s0(cfg, s0)
     ts = np.asarray(list(t_grid), dtype=float)

@@ -258,6 +258,18 @@ def test_all_runs_every_suite(capsys, tmp_path):
         json.loads((out_dir / name).read_text())     # every file is valid JSON
 
 
+@pytest.mark.parametrize("fmt, suffix", [("json", ".json"), ("csv", ".csv"), ("table", ".txt")])
+def test_all_writes_each_suite_at_its_defaults(capsys, tmp_path, fmt, suffix):
+    # each file equals the suite run alone with its defaults, as pinned in tests/golden
+    assert run(capsys, "all", "--out", str(tmp_path), "--format", fmt) == (0, "", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"{suite}{suffix}" for suite in cli.ALL_SUITES] + ["timing.json"])
+    for suite in cli.ALL_SUITES:
+        assert GOLDEN_RUNS[f"{suite}{suffix}"] == [suite, "--format", fmt]
+        got = (tmp_path / f"{suite}{suffix}").read_bytes()
+        assert got == (GOLDEN / f"{suite}{suffix}").read_bytes(), suite
+
+
 def test_all_is_byte_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()

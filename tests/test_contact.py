@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lbfkit.cli import _clean, main
 from lbfkit.config import DomainError
@@ -163,6 +166,8 @@ def test_corner_monotonicity_and_eps_variants():
 def test_corner_validation():
     with pytest.raises(ValueError):
         make_corner_curve(0.0)
+    with pytest.raises(ValueError, match="subnormal"):
+        make_corner_curve(math.nextafter(sys.float_info.min, 0.0))
     with pytest.raises(ValueError):
         make_corner_curve(0.1, samples=10)
 
@@ -200,3 +205,24 @@ def test_base_profile_validation():
         make_base_profile(k=0.0)
     with pytest.raises(ValueError):
         verify_base_profile(make_base_profile(), samples=10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(eps=st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True))
+@example(eps=0.4172110217520951).via("verify_profile sampled r = 1 + eps + 1 ulp")
+@example(eps=0.15207751844459297).via("make_corner_curve sampled r = eps + 1 ulp")
+@example(eps=0.2228028226392911).via("verify_base_profile took eps * 10 / 10 for a plateau")
+@example(eps=5e-16).via("the corner bridge's g' lost its sign")
+@example(eps=sys.float_info.min)
+@example(eps=math.nextafter(0.5, 0.0))
+def test_contact_verifiers_pass_for_every_eps(eps):
+    # every sample stays in its domain, and every check holds; the corner
+    # curve refuses a subnormal eps
+    for grid in (1_000, 10_000):
+        assert verify_profile(make_profile(eps=eps), grid=grid).passed, grid
+    if eps < sys.float_info.min:
+        with pytest.raises(ValueError, match="subnormal"):
+            make_corner_curve(eps)
+    else:
+        assert make_corner_curve(eps)[1].passed
+    assert verify_base_profile(make_base_profile(eps=eps)).passed

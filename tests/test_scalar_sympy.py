@@ -4,7 +4,8 @@ Random chains of +, *, ** and d/dvar over mixed int and Fraction(p, q)
 coefficients run side by side in ``ScalarExpr`` and in sympy; after every
 operation the two must agree exactly, and every stored coefficient must be
 in normal form (an int, or a Fraction whose denominator is not 1).  sympy
-is not a dependency of lbfkit; the module is skipped when it is absent.
+is in the ``test`` extra, not a runtime dependency of lbfkit; the module is
+skipped when it is absent.
 """
 
 from __future__ import annotations

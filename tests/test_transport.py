@@ -97,14 +97,75 @@ LEVELS = st.one_of(
 @example(t=50.0, s_max=0.5)
 def test_batched_variants_equal_each_variant_alone(t, s_max):
     # integrate steps each variant as one column on floats; each must equal
-    # the batch stepper on that variant alone, bit for bit
+    # the batch driver on that variant alone, bit for bit
     trajectories = integrate(DEFAULT_CONFIG, t, s_max)
     for name, weight in (("weighted", True), ("unweighted", False)):
         got = trajectories[name]
-        alone = transport._transport(DEFAULT_CONFIG, np.array([t]), got.s, weight)[:, :, 0]
+        alone = _batch(DEFAULT_CONFIG, [t], got.s, weight)[:, :, 0]
         for k, column in enumerate((got.r1, got.r2)):
-            assert np.array_equal(column.view(np.int64),
-                                  alone[:, k].view(np.int64)), (t, s_max, name, k)
+            assert _same_bits(column, alone[:, k]), (t, s_max, name, k)
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def _batch(cfg, levels, stops, weight=True):
+    """The levels stepped as one numpy batch."""
+    y0 = np.array([initial_condition(t) for t in levels]).T
+    return transport._dopri5(lambda s, y: transport._field(cfg, weight, s, y, np), y0, stops)
+
+
+def _columns(cfg, levels, stops, weight=True):
+    """The levels stepped one after the other on floats."""
+    def rhs(s, y):
+        return transport._field(cfg, weight, s, y, transport._FLOATS)
+
+    return np.stack([transport._dopri5_column(rhs, initial_condition(t), stops)
+                     for t in levels], axis=2)
+
+
+def _stencil(labels) -> np.ndarray:
+    """The levels monodromy_profile steps for these grid labels."""
+    labels = np.asarray(labels, dtype=float)
+    step = np.array([transport._fd_step(DEFAULT_CONFIG, t) for t in labels])
+    return np.concatenate([labels, labels + step, labels - step])
+
+
+# Enough levels of each stencil kind for BATCH_MIN: a transport grid's, and
+# limits_at_zero's 12 levels for s0 spread over (1e-6, the top of its range].
+STENCILS = {
+    "profile": _stencil(np.linspace(-0.24, 0.24, 2 * math.ceil(transport.BATCH_MIN / 6))),
+    "limits": np.concatenate([
+        _stencil(s0 * np.array([1 / 8, 1 / 4, -1 / 8, -1 / 4]))
+        for s0 in np.geomspace(1e-6, DEFAULT_CONFIG.s0_range[1], transport.BATCH_MIN // 12 + 1)
+    ]),
+}
+
+
+@pytest.mark.parametrize("kind", STENCILS)
+@pytest.mark.parametrize("count", [transport.BATCH_MIN - 1, transport.BATCH_MIN])
+def test_transport_picks_its_driver_from_the_level_count(monkeypatch, kind, count):
+    levels = STENCILS[kind][:count]
+    stops = np.array([0.0, 1e-3])
+    batch = _batch(DEFAULT_CONFIG, levels, stops)
+    columns = _columns(DEFAULT_CONFIG, levels, stops)
+    runs = []
+
+    def spy(name, driver):
+        def run(*args):
+            runs.append(name)
+            return driver(*args)
+        return run
+
+    monkeypatch.setattr(transport, "_dopri5", spy("batch", transport._dopri5))
+    monkeypatch.setattr(transport, "_dopri5_column", spy("column", transport._dopri5_column))
+    got = transport._transport(DEFAULT_CONFIG, levels, stops)
+    # under BATCH_MIN every level is one float column; from it on, one batch
+    assert runs == (["column"] * count if count < transport.BATCH_MIN else ["batch"])
+    assert got.shape == (2, 2, count)
+    assert _same_bits(got, batch)
+    assert _same_bits(got, columns)
 
 
 @settings(max_examples=12, deadline=None)
