@@ -13,8 +13,9 @@ read in this module alone.
 Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage
 (input outside the documented domain, raised as ``DomainError``), 3 an
 internal failure: any other exception, or a resolution trace that halted
-with a diagnostic.  Exit 3 prints one ``internal failure`` line on stderr
-and no traceback; failed checks are enumerated on stderr.
+with a diagnostic.  An ``--out`` that cannot be written is a usage error
+too.  Exits 2 and 3 print one line on stderr and no traceback; failed
+checks are enumerated on stderr.
 
 Subcommands: verify-forms, transport, fillings, resolve, contact-check,
 and all, which runs each of the above with its defaults into a
@@ -24,10 +25,10 @@ Each process loads only the layers its subcommand runs: importing this
 module loads the standard library and ``config``, and each suite imports
 its layers when it starts (verify-forms ``models`` and ``exterior``,
 transport ``transport``, fillings ``mcg`` and ``topo``, resolve
-``blowup`` and ``mcg``, contact-check ``contact``).  ``--help``,
-fillings, resolve and contact-check never import numpy.  Suites call a
-layer through its module (``transport.integrate``), so patching a module
-attribute reaches them.
+``blowup`` and ``mcg``, contact-check ``contact``).  Every layer computes
+on Python floats and exact rationals, so no subcommand imports anything
+beyond the standard library.  Suites call a layer through its module
+(``transport.integrate``), so patching a module attribute reaches them.
 
 Input the numerics cannot represent is a usage error too: a
 ``contact-check --n`` whose f^(n-1) overflows a double (n >= 1025 for the
@@ -53,7 +54,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
-from .config import DEFAULT_CONFIG, STENCIL_FLOOR, DomainError, ModelConfig
+from .config import DEFAULT_CONFIG, STENCIL_FLOOR, DomainError, ModelConfig, linspace
 
 SCHEMA = "lbf-kit/1"
 TIMING_SCHEMA = "lbf-kit/1-timing"
@@ -107,15 +108,6 @@ def _clean(obj: object) -> object:
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    np = sys.modules.get("numpy")
-    if np is None:    # no numpy value can exist before numpy is loaded
-        return obj
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
     return obj
 
 
@@ -128,15 +120,23 @@ def _config_dict(cfg: ModelConfig, **run_params: object) -> dict:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
+    """Write ``text`` to ``path`` through a temporary file beside it.
+
+    A path that cannot be written is a ``DomainError``, and no temporary
+    file is left behind.
+    """
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -210,10 +210,8 @@ def _suite_verify_forms(n: int) -> SuiteResult:
     return SuiteResult(report, failures, rows, table_rows, timing)
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str) -> list[float]:
     """The levels of a LO:HI:COUNT spec, refused before any of them is integrated."""
-    import numpy as np
-
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid spec must be lo:hi:count, got {spec!r}")
@@ -231,8 +229,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     t_lo, t_hi = DEFAULT_CONFIG.level_range
     if not (t_lo <= lo and hi <= t_hi):
         raise DomainError(f"grid {spec!r} leaves the fiber-coordinate range [{t_lo}, {t_hi}]")
-    grid = np.linspace(lo, hi, count)
-    if np.any(grid == 0.0):
+    grid = linspace(lo, hi, count)
+    if 0.0 in grid:
         raise DomainError(f"grid {spec!r} contains the critical value t = 0")
     return grid
 
@@ -533,21 +531,21 @@ def _execute(args: argparse.Namespace, prefix: str,
              emit: Callable[[SuiteResult, float], None]) -> int:
     """Run one suite, pass its result and wall time in ms to ``emit``; the exit code.
 
-    A ``DomainError`` is exit 2 and any other exception exit 3, each with one
-    stderr line; a halted trace is exit 3 after its report is emitted.
-    Otherwise every failed check gets a stderr line and the code is 1 if
-    any failed, else 0.
+    A ``DomainError``, from the suite or from writing its report, is exit 2
+    and any other exception exit 3, each with one stderr line; a halted
+    trace is exit 3 after its report is emitted.  Otherwise every failed
+    check gets a stderr line and the code is 1 if any failed, else 0.
     """
     started = time.perf_counter()
     try:
         result = _run_suite(args)
+        emit(result, (time.perf_counter() - started) * 1e3)
     except DomainError as exc:
         print(f"{prefix}: usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"{prefix}: internal failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
-    emit(result, (time.perf_counter() - started) * 1e3)
     if result.internal_failure:
         print(f"{prefix}: internal failure: {result.internal_failure}", file=sys.stderr)
         return 3
@@ -571,7 +569,11 @@ def _run_all(fmt: str, out_dir: Path) -> int:
             return code
         worst = max(worst, code)
     timing = {"schema": TIMING_SCHEMA, "command": "all", "elapsed_ms": timings}
-    _write_atomic(out_dir / "timing.json", _json_text(timing))
+    try:
+        _write_atomic(out_dir / "timing.json", _json_text(timing))
+    except DomainError as exc:
+        print(f"lbfkit all: usage error: {exc}", file=sys.stderr)
+        return 2
     return worst
 
 

@@ -5,26 +5,16 @@ clamped quintic smoothstep, so each is C^2 with an explicitly known first
 derivative.  The symbolic identity layer never sees these numbers; they
 only feed the numeric positivity grids and the transport integrator.
 
-Each profile is written once and accepts a float or a numpy array: the
-argument is clamped to [0, 1] and the same polynomial runs either way, so
-a value computed alone and the same value computed on a grid agree to the
-last bit.  A float (``np.float64`` is one) is clamped by compares and an
-array by its own ``clip``, so this module never imports numpy: the
-integer-only subcommands put a ``ModelConfig`` in their reports without
-loading it.
+Every profile works on Python floats alone, and so does ``linspace``, the
+one evenly spaced grid of the package (the ``--grid`` levels, the
+trajectory samples and the positivity grid's axes); this module imports
+nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# A profile argument or value: one float, or a numpy array of them.
-FloatOrArray = Union[float, "np.ndarray"]
 
 
 # The monodromy profile differentiates R(t) by a central stencil whose step
@@ -40,27 +30,39 @@ class DomainError(ValueError):
     """
 
 
-def _clamp01(x: FloatOrArray) -> FloatOrArray:
-    """x clamped to [0, 1]: a compare for floats and ints, ndarray.clip for arrays."""
-    if isinstance(x, (float, int)):
-        return 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else x
-    return x.clip(0.0, 1.0)
+def linspace(lo: float, hi: float, num: int) -> list[float]:
+    """``num`` evenly spaced floats from lo to hi, equal bit for bit to ``np.linspace``.
+
+    Point i is i * step + lo with step = (hi - lo) / (num - 1), or
+    (i / (num - 1)) * (hi - lo) + lo where that step rounds to 0; the last
+    point is hi itself, and a single point is lo.
+    """
+    div = num - 1
+    delta = hi - lo
+    if div <= 0:
+        return [0.0 * delta + lo] * num
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + lo for i in range(num)]
+    else:
+        points = [i * step + lo for i in range(num)]
+    points[-1] = hi
+    return points
 
 
-def smoothstep_and_slope(x: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+def smoothstep_and_slope(x: float) -> tuple[float, float]:
     """The clamped quintic step S and its slope S'.
 
     S is 0 below 0, 1 above 1 and 6x^5 - 15x^4 + 10x^3 between.
     """
-    x = _clamp01(x)
+    x = 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else x
     s = x * x * x * (x * (6.0 * x - 15.0) + 10.0)
-    # the polynomial rounds a few ulps above 1 just below x = 1
-    s = min(s, 1.0) if isinstance(s, float) else s.clip(None, 1.0)
     d = x - 1.0
-    return s, 30.0 * x * x * d * d
+    # the polynomial rounds a few ulps above 1 just below x = 1
+    return min(s, 1.0), 30.0 * x * x * d * d
 
 
-def smoothstep(x: FloatOrArray) -> FloatOrArray:
+def smoothstep(x: float) -> float:
     return smoothstep_and_slope(x)[0]
 
 
@@ -106,13 +108,13 @@ class ModelConfig:
     # -- interpolation profile u and its derivative, as functions of the
     #    squared total radius
 
-    def ramp_and_slope(self, sq: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+    def ramp_and_slope(self, sq: float) -> tuple[float, float]:
         """u and u': 0 below ramp_lo, 1 above ramp_hi, monotone C^2 in between."""
         w = self.ramp_hi - self.ramp_lo
         s, ds = smoothstep_and_slope((sq - self.ramp_lo) / w)
         return s, ds / w
 
-    def ramp(self, sq: FloatOrArray) -> FloatOrArray:
+    def ramp(self, sq: float) -> float:
         return self.ramp_and_slope(sq)[0]
 
     # -- radial reparametrization mu: identity near 0, constant 1 before
@@ -123,7 +125,7 @@ class ModelConfig:
         """Radius from which mu is identically 1."""
         return self.disk1_radius - self.collar_width / 2.0
 
-    def mu_and_slope(self, radius: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+    def mu_and_slope(self, radius: float) -> tuple[float, float]:
         """mu and mu': the blend radius + (1 - radius) S over the clamped smoothstep S.
 
         S = 0 up to collar_width, so mu is exactly the radius there; S = 1
@@ -137,7 +139,7 @@ class ModelConfig:
         # S <= 1 by its clamp, S' >= 0 and radius < 1, so mu' >= 0
         return radius + rest * s, (1.0 - s) + rest * ds / w
 
-    def mu(self, radius: FloatOrArray) -> FloatOrArray:
+    def mu(self, radius: float) -> float:
         return self.mu_and_slope(radius)[0]
 
     # -- levels t of the fibration: their documented range, and the
@@ -174,7 +176,7 @@ class ModelConfig:
     def cutoff_hi(self) -> float:
         return 0.9 * self.disk2_radius ** 2
 
-    def cutoff(self, t: FloatOrArray) -> FloatOrArray:
+    def cutoff(self, t: float) -> float:
         return smoothstep((t - self.cutoff_lo) / (self.cutoff_hi - self.cutoff_lo))
 
 

@@ -8,21 +8,20 @@ engine, and a verdict of ``exact-equal`` means the residual is literally the
 zero form, identically in the function atoms f, u', mu, mu', fc, gc.
 
 Grid evaluation is separate and numeric: the one formula that builds the
-TOP_POWER coefficient for the symbolic check is evaluated again on floats,
-over a grid with the concrete profiles from :mod:`lbfkit.config`, to
-certify positivity on the stated window.
+TOP_POWER coefficient for the symbolic check is evaluated again on Python
+floats, point by point over a grid with the concrete profiles from
+:mod:`lbfkit.config`, to certify positivity on the stated window.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
-from .config import DEFAULT_CONFIG, ModelConfig
+from .config import DEFAULT_CONFIG, ModelConfig, linspace
 from .exterior import (
     DerivativeRules,
     Form,
@@ -161,8 +160,8 @@ def top_power_coefficient(n: int) -> ScalarExpr:
 def _top_power(n, r1, r2, f, up, one):
     """The TOP_POWER coefficient from +, -, * and the given one alone.
 
-    Atoms and ``_ONE`` give the exact ``ScalarExpr``; broadcast float arrays
-    and ``1.0`` give the grid values, with no ``**`` whose bits vary by host.
+    Atoms and ``_ONE`` give the exact ``ScalarExpr``; floats and ``1.0``
+    give one grid value.
     """
     r1sq, r2sq = r1 * r1, r2 * r2
     base = one - r1sq + r2sq * (one - f * r1sq)
@@ -372,13 +371,15 @@ def positivity_grid(cfg: ModelConfig = DEFAULT_CONFIG) -> GridResult:
 
     Scans (r1, r2) in [0, 0.9 * disk1_radius] x [0, disk2_radius] on a
     GRID_RESOLUTION x GRID_RESOLUTION grid, with the concrete interpolation
-    profile bound for f and u'.  The r1 axis runs down the rows and the r2
-    axis across the columns, so every array broadcasts from the two axes.
+    profile bound for f and u'.  The r1 axis is the outer loop; the first
+    minimum in that order is reported.
     """
-    r1 = np.linspace(0.0, 0.9 * cfg.disk1_radius, GRID_RESOLUTION)
-    r2 = np.linspace(0.0, cfg.disk2_radius, GRID_RESOLUTION)
-    col, row = r1[:, None], r2[None, :]
-    f, up = cfg.ramp_and_slope(col * col + row * row)
-    values = _top_power(cfg.n, col, row, f, up, 1.0)
-    i, j = np.unravel_index(int(np.argmin(values)), values.shape)
-    return GridResult(float(values[i, j]), (float(r1[i]), float(r2[j])), GRID_RESOLUTION)
+    r2_axis = linspace(0.0, cfg.disk2_radius, GRID_RESOLUTION)
+    best = (math.inf, (math.nan, math.nan))
+    for r1 in linspace(0.0, 0.9 * cfg.disk1_radius, GRID_RESOLUTION):
+        for r2 in r2_axis:
+            f, up = cfg.ramp_and_slope(r1 * r1 + r2 * r2)
+            value = _top_power(cfg.n, r1, r2, f, up, 1.0)
+            if value < best[0]:
+                best = (value, (r1, r2))
+    return GridResult(*best, GRID_RESOLUTION)

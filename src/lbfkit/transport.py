@@ -20,22 +20,12 @@ steps both variants of one level, and reports print their invariant
 drifts side by side.
 
 The ODE is stepped by one Dormand & Prince (1980) 5(4) pair with the step
-control of Hairer, Norsett and Wanner (Solving ODEs I, II.4-5).  The step
-(``_attempt``) and the starting-step rule (``_initial_step``) are written
-once, for a pair (r1, r2) of floats or of 1-D arrays and a namespace of
-the numpy functions they call, and two drivers loop around them.
-``_dopri5`` steps a (2, N) numpy batch of levels at once: each column has
-its own step size, its own accept/reject decision and its own position,
-and columns never mix, so a level integrated in a batch equals the level
-integrated alone, bit for bit.  ``_dopri5_column`` steps one level on
-Python floats and gives the batch's bits too.  ``_transport`` is the one
-entry point, and it picks the driver from the level count: numpy's
-per-call overhead outweighs the arithmetic on a few columns, so fewer
-than ``BATCH_MIN`` levels are stepped one after the other on floats and
-more in one batch.  ``integrate``'s two trajectories (one level each) and
-the 12 levels of ``limits_at_zero`` run on floats; ``monodromy_profile``'s
-3C stencil levels run in the batch once 3C reaches ``BATCH_MIN``.  Steps
-are cut to land exactly on each stop (no dense output).
+control of Hairer, Norsett and Wanner (Solving ODEs I, II.4-5), on Python
+floats, one level at a time: ``_transport`` validates the levels and runs
+``_dopri5`` on each.  ``integrate``'s two trajectories, the 12 levels of
+``limits_at_zero`` and ``monodromy_profile``'s 3C stencil levels all go
+through it.  Steps are cut to land exactly on each stop (no dense output),
+and the step control's fifth roots are Python's ``**``, the C library's pow.
 The local tolerances ATOL = RTOL sit four decades under DRIFT_GATE, the
 bound the reports audit both invariants against.  No step is projected
 back onto the invariants: that would zero the very drift the audit
@@ -54,12 +44,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Sequence
 
-import numpy as np
-
-from .config import DEFAULT_CONFIG, STENCIL_FLOOR, DomainError, FloatOrArray, ModelConfig
+from .config import DEFAULT_CONFIG, STENCIL_FLOOR, DomainError, ModelConfig, linspace
 
 __all__ = [
     "Trajectory",
@@ -84,11 +71,6 @@ ATOL = RTOL = DRIFT_GATE * 1e-4
 SINGULAR_FLOOR = 1e-12
 # The values of s each audit trajectory lands on, evenly spaced from 0.
 TRAJECTORY_SAMPLES = 129
-# The level count from which ``_transport`` steps one numpy batch instead
-# of one float column per level.  On profile stencils to s0 = 1e-3 (2-core
-# x86-64, numpy 2.4) the floats were faster up to 42 levels and the batch
-# from 48 on, by 1.25x at 72 levels and 2x at 192.
-BATCH_MIN = 48
 
 # Dormand & Prince (1980) 5(4) pair, as in Hairer, Norsett and Wanner,
 # Solving ODEs I, Table II.5.2: stage nodes _C and rows _A of the stages
@@ -130,32 +112,32 @@ class RegimeError(ValueError):
 @dataclass
 class Trajectory:
     t: float
-    s: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    h_drift: np.ndarray            # h(r1, r2) - t per sample
-    radial_residual: np.ndarray    # mu(r1) r2 - s per sample
+    s: list[float]
+    r1: list[float]
+    r2: list[float]
+    h_drift: list[float]            # h(r1, r2) - t per sample
+    radial_residual: list[float]    # mu(r1) r2 - s per sample
 
     @property
     def max_h_drift(self) -> float:
-        return float(np.max(np.abs(self.h_drift)))
+        return max(map(abs, self.h_drift))
 
     @property
     def max_radial_drift(self) -> float:
-        return float(np.max(np.abs(self.radial_residual)))
+        return max(map(abs, self.radial_residual))
 
     @property
     def endpoint(self) -> tuple[float, float]:
-        return float(self.r1[-1]), float(self.r2[-1])
+        return self.r1[-1], self.r2[-1]
 
 
 @dataclass
 class MonodromyProfile:
     s0: float
-    t: np.ndarray
-    R: np.ndarray
-    dR: np.ndarray       # central finite differences of R
-    dR_cut: np.ndarray   # central differences of (1 - sigma) R
+    t: list[float]
+    R: list[float]
+    dR: list[float]       # central finite differences of R
+    dR_cut: list[float]   # central differences of (1 - sigma) R
 
 
 # ---------------------------------------------------------------------------
@@ -171,79 +153,41 @@ def initial_condition(t: float) -> tuple[float, float]:
     raise ValueError("t = 0 is the critical value; no transport is defined there")
 
 
-def h_value(cfg: ModelConfig, r1: FloatOrArray, r2: FloatOrArray) -> FloatOrArray:
+def h_value(cfg: ModelConfig, r1: float, r2: float) -> float:
     f = cfg.ramp(r1 * r1 + r2 * r2)
     return -r1 * r1 + r2 * r2 - f * r1 * r1 * r2 * r2
 
 
-def _field_terms(cfg: ModelConfig, weight: bool, r1: FloatOrArray,
-                 r2: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
-    """(dh/dr2, -dh/dr1) and the denominator D at (r1, r2), floats or arrays alike.
+def _field(cfg: ModelConfig, weight: bool, s: float,
+           y: tuple[float, float]) -> tuple[float, float]:
+    """d(r1, r2)/ds = (dh/dr2, -dh/dr1) / D at arc parameter s and y = (r1, r2).
 
     ``weight`` keeps the mu' factor on the first term of D; the unweighted
     variant drops it.
     """
+    r1, r2 = y
     f, up = cfg.ramp_and_slope(r1 * r1 + r2 * r2)
     cross = up * r1 * r1 * r2 * r2
     dh_r1 = -2.0 * r1 * (1.0 + f * r2 * r2 + cross)
     dh_r2 = 2.0 * r2 * (1.0 - f * r1 * r1 - cross)
     m, m_d = cfg.mu_and_slope(r1)
     den = (m_d * r2 if weight else r2) * dh_r2 - m * dh_r1
-    return dh_r2, -dh_r1, den
+    if abs(den) < SINGULAR_FLOOR:
+        raise SingularTransportError(s, r1, r2, den)
+    return dh_r2 / den, -dh_r1 / den
 
 
-def _field(cfg: ModelConfig, weight: bool, s, y, xp):
-    """d(r1, r2)/ds = (dh/dr2, -dh/dr1) / D at arc parameters s, as a pair.
-
-    ``y`` is the pair (r1, r2) of floats or of 1-D arrays, and ``xp`` the
-    matching namespace (``_FLOATS`` or numpy).  A vanished denominator is
-    reported at the first column it vanishes in.
-    """
-    r1, r2 = y
-    a, b, den = _field_terms(cfg, weight, r1, r2)
-    singular = abs(den) < SINGULAR_FLOOR
-    if xp.any(singular):
-        i = np.argmax(singular)
-        raise SingularTransportError(*(float(np.ravel(v)[i]) for v in (s, r1, r2, den)))
-    return a / den, b / den
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(0.5 * (a * a + b * b))
 
 
-def _pow(x: float, e: float) -> float:
-    """x ** e rounded as numpy's array loop rounds it.
-
-    libm's pow (Python's **) and numpy's scalar power each differ from
-    numpy's array loop in the last bit on about 5% of inputs; a one-element
-    array takes the array loop.
-    """
-    return float((np.array([x]) ** e)[0])
-
-
-# The numpy functions the step calls, on Python floats: a column stepped on
-# floats performs the batch's operations in the batch's order, so it gets
-# the batch's bits.  +, -, *, /, abs and sqrt round the same way in Python
-# and numpy; x ** e does not, hence ``_pow``.
-_FLOATS = SimpleNamespace(
-    any=bool,
-    where=lambda cond, a, b: a if cond else b,
-    maximum=max, fmax=max,
-    minimum=min, fmin=min,
-    sqrt=math.sqrt,
-    power=_pow,
-)
-
-
-def _rms(a, b, xp):
-    """Root mean square of the pair (a, b), per column."""
-    return xp.sqrt(0.5 * (a * a + b * b))
-
-
-def _stage_sum(weights: Sequence[float], ks: list) -> tuple:
+def _stage_sum(weights: Sequence[float], ks: list) -> tuple[float, float]:
     """sum(w * k for w, k in zip(weights, ks) if w), per component of the pairs ks.
 
-    Accumulated left to right from 0, as sum() adds arrays; sum() of floats
-    compensates its rounding from Python 3.12 on, so it is not used here.
+    Accumulated left to right; sum() of floats compensates its rounding
+    from Python 3.12 on, so it is not used here.
     """
-    a = b = 0
+    a = b = 0.0
     for w, k in zip(weights, ks):
         if w:
             a += w * k[0]
@@ -251,119 +195,71 @@ def _stage_sum(weights: Sequence[float], ks: list) -> tuple:
     return a, b
 
 
-def _initial_step(rhs, s, y, f, xp):
-    """A first step size per column (Hairer, Norsett and Wanner, II.4)."""
+def _initial_step(rhs, s: float, y, f) -> float:
+    """A first step size (Hairer, Norsett and Wanner, II.4)."""
     scale = (ATOL + RTOL * abs(y[0]), ATOL + RTOL * abs(y[1]))
-    d0 = _rms(y[0] / scale[0], y[1] / scale[1], xp)
-    d1 = _rms(f[0] / scale[0], f[1] / scale[1], xp)
-    h0 = xp.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / xp.maximum(d1, 1e-5))
+    d0 = _rms(y[0] / scale[0], y[1] / scale[1])
+    d1 = _rms(f[0] / scale[0], f[1] / scale[1])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / max(d1, 1e-5)
     f1 = rhs(s + h0, (y[0] + h0 * f[0], y[1] + h0 * f[1]))
-    d2 = _rms((f1[0] - f[0]) / scale[0], (f1[1] - f[1]) / scale[1], xp) / h0
-    d = xp.maximum(d1, d2)
-    h1 = xp.where(d <= 1e-15, xp.maximum(1e-6, 1e-3 * h0),
-                  xp.power(0.01 / xp.maximum(d, 1e-15), 0.2))
-    return xp.minimum(100.0 * h0, h1)
+    d2 = _rms((f1[0] - f[0]) / scale[0], (f1[1] - f[1]) / scale[1]) / h0
+    d = max(d1, d2)
+    h1 = max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / max(d, 1e-15)) ** 0.2
+    return min(100.0 * h0, h1)
 
 
-def _attempt(rhs, end: float, s, y, f, h, rejected, xp):
-    """One Dormand-Prince step of size h from s towards ``end``, per column.
+def _attempt(rhs, end: float, s: float, y, f, h: float, rejected: bool):
+    """One Dormand-Prince step of size h from s towards ``end``.
 
     ``y`` and its slope ``f`` are pairs; a step that would pass ``end`` is
     cut to land on it.  Returns whether the step is accepted, the new s, y
-    and slope, and the next step size.  The drivers negate ``ok``
-    themselves: ``~`` on a Python bool is integer negation (~True == -2).
+    and slope, and the next step size.
     """
     room = end - s
     last = h >= room
-    step = xp.where(last, room, h)
+    step = room if last else h
     ks = [f]
     for c, row in zip(_C, _A):
         a, b = _stage_sum(row, ks)
         y_new = (y[0] + step * a, y[1] + step * b)
         ks.append(rhs(s + c * step, y_new))
     a, b = _stage_sum(_E, ks)
-    norm = _rms(step * a / (ATOL + RTOL * xp.maximum(abs(y[0]), abs(y_new[0]))),
-                step * b / (ATOL + RTOL * xp.maximum(abs(y[1]), abs(y_new[1]))), xp)
+    norm = _rms(step * a / (ATOL + RTOL * max(abs(y[0]), abs(y_new[0]))),
+                step * b / (ATOL + RTOL * max(abs(y[1]), abs(y_new[1]))))
     ok = norm <= 1.0
     # step-size control of II.4: no growth right after a rejection
-    grow = xp.fmin(xp.where(rejected, 1.0, 10.0),
-                   xp.fmax(0.2, 0.9 * xp.power(xp.maximum(norm, 1e-10), -0.2)))
+    grow = min(1.0 if rejected else 10.0, max(0.2, 0.9 * max(norm, 1e-10) ** -0.2))
     # a step cut short to land on a stop keeps the proposal it cut
-    h_next = xp.where(ok & last, h, step * grow)
-    return ok, xp.where(last, end, s + step), y_new, ks[-1], h_next
+    h_next = h if ok and last else step * grow
+    return ok, end if last else s + step, y_new, ks[-1], h_next
 
 
-def _underflow(h: float, s: float, y) -> IntegrationFailureError:
-    """The error either driver raises when its step size h underflows at (s, y)."""
-    return IntegrationFailureError(
-        f"step size {h:.3e} underflowed at s={s:.6g}, (r1, r2)=({y[0]:.6g}, {y[1]:.6g})"
-    )
+def _dopri5(rhs, y0: tuple[float, float],
+            stops: Sequence[float]) -> list[tuple[float, float]]:
+    """Integrate dy/ds = rhs(s, y) from y0 at s = stops[0] through the increasing ``stops``.
 
-
-def _dopri5(rhs, y0: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Integrate dy/ds = rhs(s, y) for a (2, N) batch y0 through ``stops``.
-
-    ``stops`` increase from the common start s = stops[0].  Every column
-    keeps its own step size and accept/reject decision; a column that
-    reaches a stop waits there for the others, and the step that reaches it
-    is cut to land on it exactly.  Columns never mix, so a column computed
-    in a batch equals the same column computed alone, bit for bit.
-    ``rhs`` sees only the columns still stepping, as a pair of rows, and
-    returns a pair.  Returns the states at the stops, shape (len(stops), 2, N).
-    """
-    y = np.array(y0, dtype=float)
-    out = np.empty((len(stops),) + y.shape)
-    out[0] = y
-    s = np.full(y.shape[1], float(stops[0]))
-    f = np.array(rhs(s, y))
-    h = _initial_step(rhs, s, y, f, np)
-    rejected = np.zeros(s.size, dtype=bool)
-    for j in range(1, len(stops)):
-        end = float(stops[j])
-        live = np.flatnonzero(s < end)
-        while live.size:
-            ss, ys, hs = s[live], y[:, live], h[live]
-            underflow = hs < 16.0 * np.spacing(ss)
-            if underflow.any():
-                i = int(np.argmax(underflow))
-                raise _underflow(hs[i], ss[i], ys[:, i])
-            ok, s_new, y_new, f_new, h_next = _attempt(
-                rhs, end, ss, ys, f[:, live], hs, rejected[live], np)
-            h[live] = h_next
-            rejected[live] = ~ok
-            done = live[ok]
-            s[done] = s_new[ok]
-            for i in (0, 1):
-                y[i, done] = y_new[i][ok]
-                f[i, done] = f_new[i][ok]
-            live = live[s[live] < end]
-        out[j] = y
-    return out
-
-
-def _dopri5_column(rhs, y0: tuple[float, float], stops: Sequence[float]) -> np.ndarray:
-    """``_dopri5`` for one column on floats: rhs(s, (r1, r2)) returns a pair of floats.
-
-    Returns the states at the stops, shape (len(stops), 2), equal bit for
-    bit to the column ``_dopri5`` computes.
+    ``rhs(s, (r1, r2))`` returns a pair of floats.  The step that reaches a
+    stop is cut to land on it exactly.  Returns the states at the stops.
     """
     y = y0
     out = [y]
-    s = float(stops[0])
+    s = stops[0]
     f = rhs(s, y)
-    h = _initial_step(rhs, s, y, f, _FLOATS)
+    h = _initial_step(rhs, s, y, f)
     rejected = False
     for end in stops[1:]:
-        end = float(end)
         while s < end:
-            if h < 16.0 * math.ulp(s):    # math.ulp(s) == np.spacing(s) for s >= 0
-                raise _underflow(h, s, y)
-            ok, s_new, y_new, f_new, h = _attempt(rhs, end, s, y, f, h, rejected, _FLOATS)
+            if h < 16.0 * math.ulp(s):
+                raise IntegrationFailureError(
+                    f"step size {h:.3e} underflowed at s={s:.6g}, "
+                    f"(r1, r2)=({y[0]:.6g}, {y[1]:.6g})"
+                )
+            ok, s_new, y_new, f_new, h = _attempt(rhs, end, s, y, f, h, rejected)
             rejected = not ok
             if ok:
                 s, y, f = s_new, y_new, f_new
         out.append(y)
-    return np.array(out)
+    return out
 
 
 def _validate_t(cfg: ModelConfig, t: float) -> None:
@@ -382,21 +278,16 @@ def _validate_t(cfg: ModelConfig, t: float) -> None:
 
 
 def _transport(cfg: ModelConfig, levels: Sequence[float], stops: Sequence[float],
-               weight: bool = True) -> np.ndarray:
-    """(r1, r2) at each stop for each level, shape (len(stops), 2, len(levels)).
+               weight: bool = True) -> list[list[tuple[float, float]]]:
+    """(r1, r2) at each stop, per level.
 
-    The one function that steps the ODE: every level is validated, and
-    fewer than ``BATCH_MIN`` levels run one by one on floats, more in one
-    numpy batch.  ``weight`` selects the denominator that carries mu'.
+    The one function that steps the ODE: every level is validated, then
+    stepped alone.  ``weight`` selects the denominator that carries mu'.
     """
     for t in levels:
         _validate_t(cfg, t)
-    if len(levels) < BATCH_MIN:
-        columns = [_dopri5_column(lambda s, y: _field(cfg, weight, s, y, _FLOATS),
-                                  initial_condition(t), stops) for t in levels]
-        return np.stack(columns, axis=2)
-    y0 = np.array([initial_condition(t) for t in levels]).T
-    return _dopri5(lambda s, y: _field(cfg, weight, s, y, np), y0, stops)
+    return [_dopri5(lambda s, y: _field(cfg, weight, s, y), initial_condition(t), stops)
+            for t in levels]
 
 
 def integrate(cfg: ModelConfig, t: float, s_max: float) -> dict[str, Trajectory]:
@@ -408,17 +299,17 @@ def integrate(cfg: ModelConfig, t: float, s_max: float) -> dict[str, Trajectory]
     """
     if s_max < 0 or s_max > 1:
         raise ValueError(f"s_max must lie in [0, 1], got {s_max}")
-    grid = np.linspace(0.0, s_max, TRAJECTORY_SAMPLES if s_max > 0 else 1)
-    ys = np.concatenate([_transport(cfg, [t], grid, weight) for weight in (True, False)],
-                        axis=2)
-    r1, r2 = ys[:, 0], ys[:, 1]
-    h_drift = h_value(cfg, r1, r2) - t
-    radial = cfg.mu(r1) * r2 - grid[:, None]
-    return {
-        name: Trajectory(t=t, s=grid, r1=r1[:, k], r2=r2[:, k], h_drift=h_drift[:, k],
-                         radial_residual=radial[:, k])
-        for k, name in enumerate(("weighted", "unweighted"))
-    }
+    grid = linspace(0.0, s_max, TRAJECTORY_SAMPLES if s_max > 0 else 1)
+    trajectories = {}
+    for name, weight in (("weighted", True), ("unweighted", False)):
+        (states,) = _transport(cfg, [t], grid, weight)
+        r1 = [y[0] for y in states]
+        r2 = [y[1] for y in states]
+        trajectories[name] = Trajectory(
+            t=t, s=grid, r1=r1, r2=r2,
+            h_drift=[h_value(cfg, a, b) - t for a, b in states],
+            radial_residual=[cfg.mu(a) * b - s for (a, b), s in zip(states, grid)])
+    return trajectories
 
 
 # ---------------------------------------------------------------------------
@@ -534,20 +425,22 @@ def monodromy_profile(
     grid must avoid the critical value 0.
     """
     _validate_s0(cfg, s0)
-    ts = np.asarray(list(t_grid), dtype=float)
-    if ts.size == 0:
+    ts = [float(t) for t in t_grid]
+    if not ts:
         raise DomainError("empty t grid")
-    if np.any(ts == 0.0):
+    if 0.0 in ts:
         raise DomainError("t grid must avoid the critical value 0")
-    step = np.array([_fd_step(cfg, t) for t in ts])
-    levels = np.concatenate([ts, ts + step, ts - step])
-    r2 = _transport(cfg, levels, np.array([0.0, s0]))[-1, 1]
-    R = np.where(levels > 0, -r2 * r2 + levels, -r2 * r2 - 1.0)
-    center, hi, lo = R.reshape(3, ts.size)
-    dR = (hi - lo) / (2.0 * step)
-    cut_hi = (1.0 - cfg.cutoff(ts + step)) * hi
-    cut_lo = (1.0 - cfg.cutoff(ts - step)) * lo
-    dR_cut = (cut_hi - cut_lo) / (2.0 * step)
+    steps = [_fd_step(cfg, t) for t in ts]
+    hi = [t + d for t, d in zip(ts, steps)]
+    lo = [t - d for t, d in zip(ts, steps)]
+    levels = ts + hi + lo
+    r2 = [states[-1][1] for states in _transport(cfg, levels, [0.0, s0])]
+    R = [-r * r + t if t > 0 else -r * r - 1.0 for t, r in zip(levels, r2)]
+    c = len(ts)
+    center, R_hi, R_lo = R[:c], R[c:2 * c], R[2 * c:]
+    dR = [(a - b) / (2.0 * d) for a, b, d in zip(R_hi, R_lo, steps)]
+    dR_cut = [((1.0 - cfg.cutoff(u)) * a - (1.0 - cfg.cutoff(v)) * b) / (2.0 * d)
+              for u, v, a, b, d in zip(hi, lo, R_hi, R_lo, steps)]
     return MonodromyProfile(s0=s0, t=ts, R=center, dR=dR, dR_cut=dR_cut)
 
 
@@ -563,4 +456,4 @@ def limits_at_zero(cfg: ModelConfig, s0: float) -> tuple[float, float]:
     prof = monodromy_profile(cfg, s0, [s0 / 8.0, s0 / 4.0, -s0 / 8.0, -s0 / 4.0])
     plus = 2.0 * prof.dR[0] - prof.dR[1]
     minus = 2.0 * prof.dR[2] - prof.dR[3]
-    return float(plus), float(minus)
+    return plus, minus

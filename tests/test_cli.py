@@ -115,7 +115,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "transport", "--t", "200")[0] == 2         # outside [-0.25, 100]
     assert run(capsys, "transport", "--s0", "1")[0] == 2          # beyond the s0 range
     assert run(capsys, "transport", "--grid=5e-8:6e-8:2")[0] == 2  # stencil step under 1e-8
-    # non-finite grid bounds are refused before np.linspace sees them
+    # non-finite grid bounds are refused before linspace sees them
     for spec in ("--grid=-inf:inf:2", "--grid=nan:nan:1"):
         code, out, err = run(capsys, "transport", spec)
         assert (code, out) == (2, "")
@@ -148,7 +148,6 @@ def test_transport_input_is_refused_before_integrating(capsys, monkeypatch, arg)
         raise AssertionError("integrated before the input was checked")
 
     monkeypatch.setattr(transport, "_dopri5", integrator)
-    monkeypatch.setattr(transport, "_dopri5_column", integrator)
     code, out, err = run(capsys, "transport", arg)
     assert (code, out) == (2, "")
     assert err.startswith("lbfkit: usage error: ") and len(err.splitlines()) == 1, err
@@ -172,7 +171,7 @@ def test_other_exceptions_are_internal_failures(capsys, monkeypatch, tmp_path):
 
 
 def test_transport_grid_count_is_bounded(capsys):
-    # refused before np.linspace would try to allocate 800 GB
+    # refused before linspace would try to build 1e11 levels
     code, out, err = run(capsys, "transport", "--grid=0.1:0.2:100000000000")
     assert code == 2
     assert out == ""
@@ -227,6 +226,32 @@ def test_out_file_and_timing_sidecar(capsys, tmp_path):
         assert sorted(timing) == sorted(["schema", "command", "elapsed_ms",
                                          *(f"{stage}_ms" for stage in stages)])
         assert all(timing[f"{stage}_ms"] > 0.0 for stage in stages)
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    # an existing directory, a path under a regular file, `all` into a
+    # regular file, and a timing sidecar whose path is a directory
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept")
+    (tmp_path / "r.json.timing.json").mkdir()
+    cases = (
+        (["fillings", "--out", str(tmp_path / "dir")], "lbfkit", tmp_path / "dir"),
+        (["resolve", "--out", str(tmp_path / "file" / "x.json")], "lbfkit",
+         tmp_path / "file" / "x.json"),
+        (["all", "--out", str(tmp_path / "file")], "lbfkit all/verify-forms",
+         tmp_path / "file" / "verify-forms.json"),
+        (["resolve", "--out", str(tmp_path / "r.json")], "lbfkit",
+         tmp_path / "r.json.timing.json"),
+    )
+    for argv, prefix, path in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"{prefix}: usage error: cannot write {path}: "), err
+        assert len(err.splitlines()) == 1, err
+    # no temporary file is left; the report written before its sidecar stays
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "dir", "file", "r.json", "r.json.timing.json"]
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_csv_out(capsys, tmp_path):
@@ -347,56 +372,39 @@ def test_contact_check_runs_without_numpy(capsys):
     assert err == "lbfkit: usage error: n = 1025 overflows f^(n-1) (f g' - f' g) in floating point\n"
 
 
-# numpy's AVX-512 power loop rounds x ** 0.2 differently from its other
-# loops, and the transport stepper's step-size control still calls it
-# (ROADMAP open item 2), so these three reports depend on the host's SIMD.
-SIMD_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-SIMD_DEPENDENT = {"transport.json", "transport.txt", "transport_t-0.1_grid6.json"}
-
-
 @pytest.fixture(scope="module")
-def golden_runs_without_avx512() -> dict[str, tuple[int, str, str]]:
-    import numpy as np
-
-    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
-    if not set(SIMD_TARGETS) & set(found):
-        pytest.skip(f"numpy dispatches none of {', '.join(SIMD_TARGETS)} on this host")
+def golden_runs_without_numpy() -> dict[str, tuple[int, str, str]]:
     names = sorted(GOLDEN_RUNS)
-    runs, _ = run_fresh([GOLDEN_RUNS[name] for name in names],
-                        NPY_DISABLE_CPU_FEATURES=" ".join(SIMD_TARGETS))
+    runs, _ = run_fresh([GOLDEN_RUNS[name] for name in names], block_numpy=True)
     return dict(zip(names, runs))
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, reason="transport step control follows numpy's SIMD (ROADMAP item 2)"))
-    if name in SIMD_DEPENDENT else name
-    for name in sorted(GOLDEN_RUNS)
-])
-def test_golden_files_match_without_avx512(golden_runs_without_avx512, name):
-    code, out, err = golden_runs_without_avx512[name]
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_files_match_without_avx512(golden_runs_without_numpy, name):
+    # numpy's AVX-512 power loop rounds differently from its other loops, so
+    # no report may pass through numpy: rerun in a process where importing
+    # numpy fails, every report still matches its file
+    code, out, err = golden_runs_without_numpy[name]
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
-# Per run: its argv, the layers it may load besides cli and config, and
-# whether it imports numpy.
+# Per run: its argv and the layers it may load besides cli and config.
 IMPORT_RUNS = {
-    "help": (["--help"], set(), False),
-    "fillings": (["fillings"], {"mcg", "topo"}, False),
-    "resolve": (["resolve"], {"blowup", "mcg"}, False),
-    "transport": (["transport"], {"transport"}, True),
-    "verify-forms": (["verify-forms"], {"models", "exterior"}, True),
-    "contact-check": (["contact-check"], {"contact"}, False),
+    "help": (["--help"], set()),
+    "fillings": (["fillings"], {"mcg", "topo"}),
+    "resolve": (["resolve"], {"blowup", "mcg"}),
+    "transport": (["transport"], {"transport"}),
+    "verify-forms": (["verify-forms"], {"models", "exterior"}),
+    "contact-check": (["contact-check"], {"contact"}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(IMPORT_RUNS))
 def test_subcommand_loads_only_its_layers(name):
-    argv, layers, loads_numpy = IMPORT_RUNS[name]
+    argv, layers = IMPORT_RUNS[name]
     ((code, _, _),), modules = run_fresh([argv])
     assert code == 0
     assert {m for m in modules if m.startswith("lbfkit.")} == {
         f"lbfkit.{m}" for m in ("cli", "config", *layers)}
-    assert ("numpy" in modules) == loads_numpy
-    assert not [m for m in modules if m.split(".")[0] == "scipy"]
+    assert not [m for m in modules if m.split(".")[0] in ("numpy", "scipy")]

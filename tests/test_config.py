@@ -1,4 +1,4 @@
-"""The smooth profiles: one definition for floats and arrays, and mu's contract."""
+"""The smooth profiles, mu's contract, and ``linspace`` against numpy's."""
 
 from __future__ import annotations
 
@@ -7,15 +7,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lbfkit
-from lbfkit.config import DEFAULT_CONFIG, ModelConfig, smoothstep_and_slope
+from lbfkit.cli import MAX_GRID_COUNT
+from lbfkit.config import DEFAULT_CONFIG, ModelConfig, linspace
+from lbfkit.models import GRID_RESOLUTION
+from lbfkit.transport import TRAJECTORY_SAMPLES
 
 
 @st.composite
@@ -36,23 +38,6 @@ def configs(draw) -> ModelConfig:
 any_config = st.one_of(st.just(DEFAULT_CONFIG), configs())
 
 
-def _domains(cfg: ModelConfig) -> dict[str, tuple[Callable, float, float, tuple[float, ...]]]:
-    """Per profile: the profile, its documented domain and its plateau edges."""
-    sq_max = cfg.disk1_radius ** 2 + cfg.disk2_radius ** 2
-    ramp = (0.0, sq_max, (cfg.ramp_lo, cfg.ramp_hi))
-    radial = (0.0, cfg.disk1_radius, (cfg.collar_width, cfg.mu_flat_radius))
-    return {
-        "smoothstep": (lambda x: smoothstep_and_slope(x)[0], -0.5, 1.5, (0.0, 1.0)),
-        "smoothstep_d": (lambda x: smoothstep_and_slope(x)[1], -0.5, 1.5, (0.0, 1.0)),
-        "ramp": (cfg.ramp, *ramp),
-        "ramp_d": (lambda sq: cfg.ramp_and_slope(sq)[1], *ramp),
-        "mu": (cfg.mu, *radial),
-        "mu_d": (lambda r: cfg.mu_and_slope(r)[1], *radial),
-        "cutoff": (cfg.cutoff, -cfg.disk1_radius ** 2, cfg.disk2_radius ** 2,
-                   (cfg.cutoff_lo, cfg.cutoff_hi)),
-    }
-
-
 def _sample(lo: float, hi: float, edges: tuple[float, ...], fractions: list[float]) -> list[float]:
     points = [lo, hi] + [lo + (hi - lo) * u for u in fractions]
     for edge in edges:
@@ -63,35 +48,51 @@ def _sample(lo: float, hi: float, edges: tuple[float, ...], fractions: list[floa
 @settings(max_examples=60, deadline=None)
 @given(cfg=any_config,
        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
-def test_array_evaluation_is_float_evaluation_bit_for_bit(cfg, fractions):
-    # floats, np.float64 scalars (a float subclass), 0-d arrays and 1-d arrays
-    for name, (fn, lo, hi, edges) in _domains(cfg).items():
-        xs = _sample(lo, hi, edges, fractions)
-        one_by_one = np.array([fn(x) for x in xs], dtype=float)
-        assert all(type(fn(x)) is float for x in xs), name
-        for kind in (np.float64, np.array):
-            values = np.array([fn(kind(x)) for x in xs], dtype=float)
-            assert np.array_equal(values.view(np.int64), one_by_one.view(np.int64)), name
-        whole = fn(np.array(xs))
-        assert np.array_equal(whole.view(np.int64), one_by_one.view(np.int64)), name
-
-
-@settings(max_examples=60, deadline=None)
-@given(cfg=any_config,
-       fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
 def test_mu_contract(cfg, fractions):
-    _, lo, hi, edges = _domains(cfg)["mu"]
+    edges = (cfg.collar_width, cfg.mu_flat_radius)
     # S's polynomial rounds a few ulps above 1 at some x just below 1, so
     # the last hundredth of mu's ramp is probed densely as well
-    ramp_end = np.linspace(cfg.mu_flat_radius - 0.01 * (cfg.mu_flat_radius - cfg.collar_width),
-                           cfg.mu_flat_radius, 2001)
-    r = np.concatenate([_sample(lo, hi, edges, fractions), ramp_end])
-    inner = r[r <= cfg.collar_width]
-    mu, mu_d = cfg.mu_and_slope(r)
-    assert np.array_equal(cfg.mu(inner), inner)              # identity on the collar
-    assert np.all(cfg.mu(r[r >= cfg.mu_flat_radius]) == 1.0)  # flat from mu_flat_radius
-    assert np.all(mu <= 1.0)
-    assert np.all(mu_d >= 0.0)                                # nondecreasing
+    ramp_end = linspace(cfg.mu_flat_radius - 0.01 * (cfg.mu_flat_radius - cfg.collar_width),
+                        cfg.mu_flat_radius, 2001)
+    for r in _sample(0.0, cfg.disk1_radius, edges, fractions) + ramp_end:
+        mu, mu_d = cfg.mu_and_slope(r)
+        assert type(mu) is float and type(mu_d) is float
+        if r <= cfg.collar_width:
+            assert mu == r                      # identity on the collar
+        if r >= cfg.mu_flat_radius:
+            assert mu == 1.0                    # flat from mu_flat_radius
+        assert mu <= 1.0
+        assert mu_d >= 0.0                      # nondecreasing
+
+
+def _bits(xs) -> list[int]:
+    return np.asarray(xs, dtype=float).view(np.int64).tolist()
+
+
+# Grid bounds: plain draws, and tiny ones whose step rounds to 0, as
+# np.linspace's subnormal branch handles.
+BOUNDS = st.one_of(st.floats(min_value=-1e3, max_value=1e3),
+                   st.floats(min_value=-1e-300, max_value=1e-300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=BOUNDS, width=st.one_of(st.just(0.0), BOUNDS.map(abs)),
+       num=st.one_of(st.integers(min_value=1, max_value=300),
+                     st.integers(min_value=1, max_value=MAX_GRID_COUNT)))
+@example(lo=0.0, width=0.5, num=TRAJECTORY_SAMPLES)           # the trajectory samples
+@example(lo=0.0, width=0.45, num=GRID_RESOLUTION)             # the positivity grid axes
+@example(lo=0.0, width=10.0, num=GRID_RESOLUTION)
+@example(lo=-0.16, width=0.32, num=8)                          # the default --grid
+@example(lo=0.1, width=0.1, num=MAX_GRID_COUNT)
+@example(lo=-0.25, width=100.25, num=MAX_GRID_COUNT)
+@example(lo=-3.0, width=0.0, num=1)
+@example(lo=-3.0, width=0.0, num=4)
+@example(lo=5e-324, width=5e-324, num=7)
+def test_linspace_is_numpy_linspace_bit_for_bit(lo, width, num):
+    hi = lo + width
+    got = linspace(lo, hi, num)
+    assert all(type(x) is float for x in got)
+    assert _bits(got) == _bits(np.linspace(lo, hi, num))
 
 
 def test_collar_must_end_before_mu_flattens():
@@ -102,8 +103,9 @@ def test_collar_must_end_before_mu_flattens():
 
 
 def test_config_and_float_profiles_load_no_numpy():
-    probe = ("import sys; from lbfkit.config import ModelConfig; cfg = ModelConfig(n=3); "
-             "cfg.mu_and_slope(0.3), cfg.ramp_and_slope(0.15); "
+    probe = ("import sys; from lbfkit.config import ModelConfig, linspace; "
+             "cfg = ModelConfig(n=3); cfg.mu_and_slope(0.3), cfg.ramp_and_slope(0.15); "
+             "linspace(0.0, 1.0, 5); "
              "print('numpy' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(lbfkit.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,

@@ -3,16 +3,11 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import lbfkit
 from lbfkit import contact, models
 from lbfkit.cli import MAX_N
 from lbfkit.config import DEFAULT_CONFIG, ModelConfig
@@ -80,21 +75,32 @@ def test_top_power_grid_minimum_is_the_exact_bound():
         assert result.argmin == (0.45, 0.0)
 
 
-def test_top_power_grid_bits_do_not_depend_on_simd():
-    # numpy's AVX-512 loops may round differently from its other loops
-    targets = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
-    if not set(targets) & set(found):
-        pytest.skip(f"numpy dispatches none of {', '.join(targets)} on this host")
-    ns = (3, 5, 10, 16, 24)
-    probe = ("from lbfkit import models\n"
-             "from lbfkit.config import ModelConfig\n"
-             f"for n in {ns}: print(repr(models.positivity_grid(ModelConfig(n=n)).min_value))\n")
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
-           "PYTHONPATH": str(Path(lbfkit.__file__).resolve().parents[1])}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split() == [repr(models.positivity_grid(ModelConfig(n=n)).min_value) for n in ns]
+def _numpy_grid(cfg: ModelConfig) -> models.GridResult:
+    """The positivity grid evaluated on broadcast numpy arrays, as a reference.
+
+    The r1 axis runs down the rows and the r2 axis across the columns; the
+    ramp is the clamped quintic of ``config.smoothstep_and_slope``, written
+    out on arrays, and the coefficient is ``models._top_power`` on arrays.
+    """
+    r1 = np.linspace(0.0, 0.9 * cfg.disk1_radius, models.GRID_RESOLUTION)
+    r2 = np.linspace(0.0, cfg.disk2_radius, models.GRID_RESOLUTION)
+    col, row = r1[:, None], r2[None, :]
+    width = cfg.ramp_hi - cfg.ramp_lo
+    x = ((col * col + row * row - cfg.ramp_lo) / width).clip(0.0, 1.0)
+    f = (x * x * x * (x * (6.0 * x - 15.0) + 10.0)).clip(None, 1.0)
+    up = 30.0 * x * x * (x - 1.0) * (x - 1.0) / width
+    values = models._top_power(cfg.n, col, row, f, up, 1.0)
+    i, j = np.unravel_index(int(np.argmin(values)), values.shape)
+    return models.GridResult(float(values[i, j]), (float(r1[i]), float(r2[j])),
+                             models.GRID_RESOLUTION)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_N + 1))
+def test_top_power_grid_equals_a_numpy_reference(n):
+    cfg = ModelConfig(n=n)
+    got, ref = models.positivity_grid(cfg), _numpy_grid(cfg)
+    assert got.min_value.hex() == ref.min_value.hex()
+    assert got == ref
 
 
 def test_contact_volume_grid_positive():
