@@ -53,9 +53,14 @@ def linspace(lo: float, hi: float, num: int) -> list[float]:
 def smoothstep_and_slope(x: float) -> tuple[float, float]:
     """The clamped quintic step S and its slope S'.
 
-    S is 0 below 0, 1 above 1 and 6x^5 - 15x^4 + 10x^3 between.
+    S is 0 below 0, 1 above 1 and 6x^5 - 15x^4 + 10x^3 between.  The
+    clamped ends return the polynomial's own values at 0 and 1, both slopes
+    +0.0; NaN passes to the polynomial.
     """
-    x = 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else x
+    if x >= 1.0:
+        return 1.0, 0.0
+    if x <= 0.0:
+        return 0.0, 0.0
     s = x * x * x * (x * (6.0 * x - 15.0) + 10.0)
     d = x - 1.0
     # the polynomial rounds a few ulps above 1 just below x = 1
@@ -102,15 +107,20 @@ class ModelConfig:
                 f"identity up to collar_width and flat from mu_flat_radius, got "
                 f"{self.disk1_radius} with collar_width {self.collar_width}"
             )
-        if self.disk2_radius <= 0.0:
-            raise ValueError(f"disk2_radius must be positive, got {self.disk2_radius}")
+        if not 0.0 < self.disk2_radius < math.inf:
+            raise ValueError(
+                f"disk2_radius must be finite and positive, got {self.disk2_radius}")
+        # the widths of the two smoothstep ramps, which every profile call
+        # divides by; attributes, not fields, so asdict() leaves them out
+        object.__setattr__(self, "_ramp_width", self.ramp_hi - self.ramp_lo)
+        object.__setattr__(self, "_mu_width", self.mu_flat_radius - self.collar_width)
 
     # -- interpolation profile u and its derivative, as functions of the
     #    squared total radius
 
     def ramp_and_slope(self, sq: float) -> tuple[float, float]:
         """u and u': 0 below ramp_lo, 1 above ramp_hi, monotone C^2 in between."""
-        w = self.ramp_hi - self.ramp_lo
+        w = self._ramp_width
         s, ds = smoothstep_and_slope((sq - self.ramp_lo) / w)
         return s, ds / w
 
@@ -132,9 +142,8 @@ class ModelConfig:
         from mu_flat_radius on, and radius + (1 - radius) rounds to exactly
         1 for every radius in [0, 1].
         """
-        lo, hi = self.collar_width, self.mu_flat_radius
-        w = hi - lo
-        s, ds = smoothstep_and_slope((radius - lo) / w)
+        w = self._mu_width
+        s, ds = smoothstep_and_slope((radius - self.collar_width) / w)
         rest = 1.0 - radius
         # S <= 1 by its clamp, S' >= 0 and radius < 1, so mu' >= 0
         return radius + rest * s, (1.0 - s) + rest * ds / w

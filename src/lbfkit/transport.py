@@ -21,11 +21,15 @@ drifts side by side.
 
 The ODE is stepped by one Dormand & Prince (1980) 5(4) pair with the step
 control of Hairer, Norsett and Wanner (Solving ODEs I, II.4-5), on Python
-floats, one level at a time: ``_transport`` validates the levels and runs
-``_dopri5`` on each.  ``integrate``'s two trajectories, the 12 levels of
-``limits_at_zero`` and ``monodromy_profile``'s 3C stencil levels all go
-through it.  Steps are cut to land exactly on each stop (no dense output),
-and the step control's fifth roots are Python's ``**``, the C library's pow.
+floats, one level at a time: ``_transport`` validates the levels, builds
+the right-hand side once and runs ``_dopri5`` on each.  ``integrate``'s two
+trajectories, the 12 levels of ``limits_at_zero`` and
+``monodromy_profile``'s 3C stencil levels all go through it.  Each step
+writes its stages out with the tableau's named coefficients; every stage
+sum starts from 0.0 and adds left to right, so its bits equal the loop
+over the tableau that the tests keep as a reference.  Steps are cut to
+land exactly on each stop (no dense output), and the step control's fifth
+roots are Python's ``**``, the C library's pow.
 The local tolerances ATOL = RTOL sit four decades under DRIFT_GATE, the
 bound the reports audit both invariants against.  No step is projected
 back onto the invariants: that would zero the very drift the audit
@@ -73,20 +77,20 @@ SINGULAR_FLOOR = 1e-12
 TRAJECTORY_SAMPLES = 129
 
 # Dormand & Prince (1980) 5(4) pair, as in Hairer, Norsett and Wanner,
-# Solving ODEs I, Table II.5.2: stage nodes _C and rows _A of the stages
-# after the first.  The last row is also the fifth-order solution's weights,
-# so the last stage is the field at the new point (first same as last).
-# _E holds the fifth- minus fourth-order weights, the local error estimate.
-_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Solving ODEs I, Table II.5.2: stage nodes Ci and coefficients Aij of the
+# stages after the first (the nodes of stages 6 and 7 are 1).  Stage 7 sits
+# at the fifth-order solution, whose weights Bj are its coefficients, so its
+# slope is the field at the new point (first same as last).  Ej are the
+# fifth- minus fourth-order weights, the local error estimate; B2 = E2 = 0.
+C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+A21 = 1 / 5
+A31, A32 = 3 / 40, 9 / 40
+A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
+A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+A61, A62, A63, A64, A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+E1, E3, E4, E5, E6, E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
+                          22 / 525, -1 / 40)
 
 
 class SingularTransportError(RuntimeError):
@@ -158,41 +162,30 @@ def h_value(cfg: ModelConfig, r1: float, r2: float) -> float:
     return -r1 * r1 + r2 * r2 - f * r1 * r1 * r2 * r2
 
 
-def _field(cfg: ModelConfig, weight: bool, s: float,
-           y: tuple[float, float]) -> tuple[float, float]:
-    """d(r1, r2)/ds = (dh/dr2, -dh/dr1) / D at arc parameter s and y = (r1, r2).
+def _field(cfg: ModelConfig, weight: bool):
+    """The right-hand side rhs(s, r1, r2) = d(r1, r2)/ds = (dh/dr2, -dh/dr1) / D.
 
     ``weight`` keeps the mu' factor on the first term of D; the unweighted
-    variant drops it.
+    variant drops it.  ``s`` only locates a vanished denominator.
     """
-    r1, r2 = y
-    f, up = cfg.ramp_and_slope(r1 * r1 + r2 * r2)
-    cross = up * r1 * r1 * r2 * r2
-    dh_r1 = -2.0 * r1 * (1.0 + f * r2 * r2 + cross)
-    dh_r2 = 2.0 * r2 * (1.0 - f * r1 * r1 - cross)
-    m, m_d = cfg.mu_and_slope(r1)
-    den = (m_d * r2 if weight else r2) * dh_r2 - m * dh_r1
-    if abs(den) < SINGULAR_FLOOR:
-        raise SingularTransportError(s, r1, r2, den)
-    return dh_r2 / den, -dh_r1 / den
+    ramp_and_slope, mu_and_slope = cfg.ramp_and_slope, cfg.mu_and_slope
+
+    def rhs(s: float, r1: float, r2: float) -> tuple[float, float]:
+        f, up = ramp_and_slope(r1 * r1 + r2 * r2)
+        cross = up * r1 * r1 * r2 * r2
+        dh_r1 = -2.0 * r1 * (1.0 + f * r2 * r2 + cross)
+        dh_r2 = 2.0 * r2 * (1.0 - f * r1 * r1 - cross)
+        m, m_d = mu_and_slope(r1)
+        den = (m_d * r2 if weight else r2) * dh_r2 - m * dh_r1
+        if abs(den) < SINGULAR_FLOOR:
+            raise SingularTransportError(s, r1, r2, den)
+        return dh_r2 / den, -dh_r1 / den
+
+    return rhs
 
 
 def _rms(a: float, b: float) -> float:
     return math.sqrt(0.5 * (a * a + b * b))
-
-
-def _stage_sum(weights: Sequence[float], ks: list) -> tuple[float, float]:
-    """sum(w * k for w, k in zip(weights, ks) if w), per component of the pairs ks.
-
-    Accumulated left to right; sum() of floats compensates its rounding
-    from Python 3.12 on, so it is not used here.
-    """
-    a = b = 0.0
-    for w, k in zip(weights, ks):
-        if w:
-            a += w * k[0]
-            b += w * k[1]
-    return a, b
 
 
 def _initial_step(rhs, s: float, y, f) -> float:
@@ -201,64 +194,75 @@ def _initial_step(rhs, s: float, y, f) -> float:
     d0 = _rms(y[0] / scale[0], y[1] / scale[1])
     d1 = _rms(f[0] / scale[0], f[1] / scale[1])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / max(d1, 1e-5)
-    f1 = rhs(s + h0, (y[0] + h0 * f[0], y[1] + h0 * f[1]))
+    f1 = rhs(s + h0, y[0] + h0 * f[0], y[1] + h0 * f[1])
     d2 = _rms((f1[0] - f[0]) / scale[0], (f1[1] - f[1]) / scale[1]) / h0
     d = max(d1, d2)
     h1 = max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / max(d, 1e-15)) ** 0.2
     return min(100.0 * h0, h1)
 
 
-def _attempt(rhs, end: float, s: float, y, f, h: float, rejected: bool):
-    """One Dormand-Prince step of size h from s towards ``end``.
-
-    ``y`` and its slope ``f`` are pairs; a step that would pass ``end`` is
-    cut to land on it.  Returns whether the step is accepted, the new s, y
-    and slope, and the next step size.
-    """
-    room = end - s
-    last = h >= room
-    step = room if last else h
-    ks = [f]
-    for c, row in zip(_C, _A):
-        a, b = _stage_sum(row, ks)
-        y_new = (y[0] + step * a, y[1] + step * b)
-        ks.append(rhs(s + c * step, y_new))
-    a, b = _stage_sum(_E, ks)
-    norm = _rms(step * a / (ATOL + RTOL * max(abs(y[0]), abs(y_new[0]))),
-                step * b / (ATOL + RTOL * max(abs(y[1]), abs(y_new[1]))))
-    ok = norm <= 1.0
-    # step-size control of II.4: no growth right after a rejection
-    grow = min(1.0 if rejected else 10.0, max(0.2, 0.9 * max(norm, 1e-10) ** -0.2))
-    # a step cut short to land on a stop keeps the proposal it cut
-    h_next = h if ok and last else step * grow
-    return ok, end if last else s + step, y_new, ks[-1], h_next
-
-
-def _dopri5(rhs, y0: tuple[float, float],
+def _dopri5(rhs, start: tuple[float, float],
             stops: Sequence[float]) -> list[tuple[float, float]]:
-    """Integrate dy/ds = rhs(s, y) from y0 at s = stops[0] through the increasing ``stops``.
+    """Integrate d(y, z)/ds = rhs(s, y, z) from ``start`` through the increasing ``stops``.
 
-    ``rhs(s, (r1, r2))`` returns a pair of floats.  The step that reaches a
-    stop is cut to land on it exactly.  Returns the states at the stops.
+    The integration starts at s = stops[0]; ``rhs`` returns a pair of
+    floats.  The step that reaches a stop is cut to land on it exactly.
+    Returns the states at the stops.
+
+    The six stages after the first are written out.  Each stage sum starts
+    from 0.0 and adds its terms left to right, leaving out the zero weights
+    B2 and E2 (``0.0 * inf`` is not 0).
     """
-    y = y0
-    out = [y]
+    y, z = start
+    out = [start]
     s = stops[0]
-    f = rhs(s, y)
-    h = _initial_step(rhs, s, y, f)
+    k1y, k1z = rhs(s, y, z)
+    h = _initial_step(rhs, s, start, (k1y, k1z))
     rejected = False
     for end in stops[1:]:
         while s < end:
             if h < 16.0 * math.ulp(s):
                 raise IntegrationFailureError(
                     f"step size {h:.3e} underflowed at s={s:.6g}, "
-                    f"(r1, r2)=({y[0]:.6g}, {y[1]:.6g})"
+                    f"(r1, r2)=({y:.6g}, {z:.6g})"
                 )
-            ok, s_new, y_new, f_new, h = _attempt(rhs, end, s, y, f, h, rejected)
+            room = end - s
+            last = h >= room
+            step = room if last else h
+            k2y, k2z = rhs(s + C2 * step,
+                           y + step * (0.0 + A21 * k1y),
+                           z + step * (0.0 + A21 * k1z))
+            k3y, k3z = rhs(s + C3 * step,
+                           y + step * (0.0 + A31 * k1y + A32 * k2y),
+                           z + step * (0.0 + A31 * k1z + A32 * k2z))
+            k4y, k4z = rhs(s + C4 * step,
+                           y + step * (0.0 + A41 * k1y + A42 * k2y + A43 * k3y),
+                           z + step * (0.0 + A41 * k1z + A42 * k2z + A43 * k3z))
+            k5y, k5z = rhs(s + C5 * step,
+                           y + step * (0.0 + A51 * k1y + A52 * k2y + A53 * k3y + A54 * k4y),
+                           z + step * (0.0 + A51 * k1z + A52 * k2z + A53 * k3z + A54 * k4z))
+            k6y, k6z = rhs(s + step,
+                           y + step * (0.0 + A61 * k1y + A62 * k2y + A63 * k3y + A64 * k4y
+                                       + A65 * k5y),
+                           z + step * (0.0 + A61 * k1z + A62 * k2z + A63 * k3z + A64 * k4z
+                                       + A65 * k5z))
+            y_new = y + step * (0.0 + B1 * k1y + B3 * k3y + B4 * k4y + B5 * k5y + B6 * k6y)
+            z_new = z + step * (0.0 + B1 * k1z + B3 * k3z + B4 * k4z + B5 * k5z + B6 * k6z)
+            k7y, k7z = rhs(s + step, y_new, z_new)
+            err_y = 0.0 + E1 * k1y + E3 * k3y + E4 * k4y + E5 * k5y + E6 * k6y + E7 * k7y
+            err_z = 0.0 + E1 * k1z + E3 * k3z + E4 * k4z + E5 * k5z + E6 * k6z + E7 * k7z
+            norm = _rms(step * err_y / (ATOL + RTOL * max(abs(y), abs(y_new))),
+                        step * err_z / (ATOL + RTOL * max(abs(z), abs(z_new))))
+            ok = norm <= 1.0
+            # step-size control of II.4: no growth right after a rejection
+            grow = min(1.0 if rejected else 10.0, max(0.2, 0.9 * max(norm, 1e-10) ** -0.2))
+            # a step cut short to land on a stop keeps the proposal it cut
+            h = h if ok and last else step * grow
             rejected = not ok
             if ok:
-                s, y, f = s_new, y_new, f_new
-        out.append(y)
+                s = end if last else s + step
+                y, z, k1y, k1z = y_new, z_new, k7y, k7z
+        out.append((y, z))
     return out
 
 
@@ -286,8 +290,8 @@ def _transport(cfg: ModelConfig, levels: Sequence[float], stops: Sequence[float]
     """
     for t in levels:
         _validate_t(cfg, t)
-    return [_dopri5(lambda s, y: _field(cfg, weight, s, y), initial_condition(t), stops)
-            for t in levels]
+    rhs = _field(cfg, weight)
+    return [_dopri5(rhs, initial_condition(t), stops) for t in levels]
 
 
 def integrate(cfg: ModelConfig, t: float, s_max: float) -> dict[str, Trajectory]:
@@ -297,7 +301,7 @@ def integrate(cfg: ModelConfig, t: float, s_max: float) -> dict[str, Trajectory]
     "unweighted" to their trajectories.  The stepper lands on each of
     ``TRAJECTORY_SAMPLES`` evenly spaced values of s.
     """
-    if s_max < 0 or s_max > 1:
+    if not 0.0 <= s_max <= 1.0:
         raise ValueError(f"s_max must lie in [0, 1], got {s_max}")
     grid = linspace(0.0, s_max, TRAJECTORY_SAMPLES if s_max > 0 else 1)
     trajectories = {}

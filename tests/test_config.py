@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import lbfkit
 from lbfkit.cli import MAX_GRID_COUNT
-from lbfkit.config import DEFAULT_CONFIG, ModelConfig, linspace
+from lbfkit.config import DEFAULT_CONFIG, ModelConfig, linspace, smoothstep_and_slope
 from lbfkit.models import GRID_RESOLUTION
 from lbfkit.transport import TRAJECTORY_SAMPLES
 
@@ -65,6 +65,37 @@ def test_mu_contract(cfg, fractions):
         assert mu_d >= 0.0                      # nondecreasing
 
 
+def _clamped_quintic(x: float) -> tuple[float, float]:
+    """S and S' with x clamped into [0, 1] first, then the polynomial."""
+    x = 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else x
+    s = x * x * x * (x * (6.0 * x - 15.0) + 10.0)
+    d = x - 1.0
+    return min(s, 1.0), 30.0 * x * x * d * d
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.floats(allow_nan=False), st.floats(min_value=-0.5, max_value=1.5)))
+@example(x=-math.inf)
+@example(x=-1.0)
+@example(x=-0.0)
+@example(x=0.0)
+@example(x=5e-324)
+@example(x=math.nextafter(1.0, 0.0))
+@example(x=1.0)
+@example(x=math.nextafter(1.0, 2.0))
+@example(x=2.0)
+@example(x=math.inf)
+def test_smoothstep_ends_equal_the_clamped_polynomial_bit_for_bit(x):
+    # .hex() tells +0.0 from -0.0: both clamped slopes are +0.0
+    got = smoothstep_and_slope(x)
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [v.hex() for v in _clamped_quintic(x)]
+
+
+def test_smoothstep_passes_nan_through():
+    assert all(math.isnan(v) for v in smoothstep_and_slope(math.nan))
+
+
 def _bits(xs) -> list[int]:
     return np.asarray(xs, dtype=float).view(np.int64).tolist()
 
@@ -100,6 +131,13 @@ def test_collar_must_end_before_mu_flattens():
     with pytest.raises(ValueError, match="disk1_radius"):
         ModelConfig(collar_width=0.375, ramp_lo=0.5, ramp_hi=0.75, disk1_radius=0.5)
     ModelConfig(collar_width=0.32, ramp_lo=0.5, ramp_hi=0.7, disk1_radius=0.9)
+
+
+def test_disk2_radius_must_be_finite_and_positive():
+    for radius in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="disk2_radius must be finite and positive"):
+            ModelConfig(disk2_radius=radius)
+    assert ModelConfig(disk2_radius=1e3).level_range == (-0.25, 1e6)
 
 
 def test_config_and_float_profiles_load_no_numpy():

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lbfkit import cli, transport
-from lbfkit.config import DEFAULT_CONFIG, DomainError, ModelConfig
+from lbfkit.config import DEFAULT_CONFIG, DomainError, ModelConfig, linspace
 from lbfkit.transport import (
     IntegrationFailureError,
     RegimeError,
@@ -105,10 +105,117 @@ def test_drift_gate_holds_over_the_documented_range(t):
     assert unweighted.max_h_drift <= 1e-8
 
 
+# ---------------------------------------------------------------------------
+# reference stepper: the Dormand-Prince step in loop form over the tableau
+# of Hairer, Norsett and Wanner, Solving ODEs I, Table II.5.2
+
+
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _stage_sum(weights, ks):
+    """sum(w * k for w, k in zip(weights, ks) if w) per component, left to right from 0.0."""
+    a = b = 0.0
+    for w, k in zip(weights, ks):
+        if w:
+            a += w * k[0]
+            b += w * k[1]
+    return a, b
+
+
+def _attempt(rhs, end, s, y, f, h, rejected):
+    """One step of size h from s towards ``end``, cut to land on it."""
+    room = end - s
+    last = h >= room
+    step = room if last else h
+    ks = [f]
+    for c, row in zip(_C, _A):
+        a, b = _stage_sum(row, ks)
+        y_new = (y[0] + step * a, y[1] + step * b)
+        ks.append(rhs(s + c * step, *y_new))
+    a, b = _stage_sum(_E, ks)
+    norm = transport._rms(
+        step * a / (transport.ATOL + transport.RTOL * max(abs(y[0]), abs(y_new[0]))),
+        step * b / (transport.ATOL + transport.RTOL * max(abs(y[1]), abs(y_new[1]))))
+    ok = norm <= 1.0
+    grow = min(1.0 if rejected else 10.0, max(0.2, 0.9 * max(norm, 1e-10) ** -0.2))
+    h_next = h if ok and last else step * grow
+    return ok, end if last else s + step, y_new, ks[-1], h_next
+
+
+def _reference_dopri5(rhs, y, stops):
+    out = [y]
+    s = stops[0]
+    f = rhs(s, *y)
+    h = transport._initial_step(rhs, s, y, f)
+    rejected = False
+    for end in stops[1:]:
+        while s < end:
+            assert h >= 16.0 * math.ulp(s)
+            ok, s_new, y_new, f_new, h = _attempt(rhs, end, s, y, f, h, rejected)
+            rejected = not ok
+            if ok:
+                s, y, f = s_new, y_new, f_new
+        out.append(y)
+    return out
+
+
+def _counted(rhs):
+    calls = [0]
+
+    def counted(s, y, z):
+        calls[0] += 1
+        return rhs(s, y, z)
+
+    return counted, calls
+
+
+def _assert_equals_reference(rhs, start, stops):
+    """``_dopri5``'s states and right-hand-side calls equal the reference's, bit for bit."""
+    fast, fast_calls = _counted(rhs)
+    slow, slow_calls = _counted(rhs)
+    got = transport._dopri5(fast, start, stops)
+    want = _reference_dopri5(slow, start, stops)
+    assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in want]
+    assert fast_calls == slow_calls
+
+
+@settings(max_examples=12, deadline=None)
+@given(t=LEVELS)
+@example(t=0.0037121)
+@example(t=-0.1403)
+@example(t=7.257)
+@example(t=23.29)
+def test_explicit_stages_equal_the_loop_form_bit_for_bit(t):
+    # the stops of integrate and of the profile stencil, for both variants
+    for stops in (linspace(0.0, 0.5, transport.TRAJECTORY_SAMPLES), [0.0, 1e-3]):
+        for weight in (True, False):
+            _assert_equals_reference(transport._field(DEFAULT_CONFIG, weight),
+                                     initial_condition(t), stops)
+
+
+def test_explicit_stages_place_the_nodes_as_the_loop_form():
+    # the transport field does not depend on s, so the stage nodes are
+    # checked on a field that does
+    def rhs(s, y, z):
+        return z * math.cos(3.0 * s), -y * math.sin(5.0 * s) + s * s
+
+    _assert_equals_reference(rhs, (1.0, 0.5), linspace(0.0, 2.0, 9))
+
+
 def test_step_size_underflow_raises():
     # a field that jumps by 1e6 at s = 0.5 cannot be stepped across within
     # the tolerance: the step shrinks under 16 ulp of s
-    def jump(s, y):
+    def jump(s, y, z):
         return (0.0, 0.0) if s < 0.5 else (1e6, 1e6)
 
     with pytest.raises(IntegrationFailureError, match="underflowed at s=0.5"):
@@ -120,8 +227,9 @@ def test_invalid_t_rejected():
     for t in (0.0, -0.26, 101.0, 1e-14, -1e-14):
         with pytest.raises(DomainError):
             integrate(DEFAULT_CONFIG, t, 0.1)
-    with pytest.raises(ValueError):
-        integrate(DEFAULT_CONFIG, 0.25, 1.5)
+    for s_max in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="s_max must lie in"):
+            integrate(DEFAULT_CONFIG, 0.25, s_max)
 
 
 def test_singular_error_carries_location():
@@ -131,7 +239,7 @@ def test_singular_error_carries_location():
     assert err.location == (0.3, 0.1, 0.2)
     # the field raises it where its denominator vanishes
     with pytest.raises(SingularTransportError) as raised:
-        transport._field(DEFAULT_CONFIG, True, 0.2, (0.0, 0.0))
+        transport._field(DEFAULT_CONFIG, True)(0.2, 0.0, 0.0)
     assert str(raised.value) == ("transport denominator 0.000e+00 below 1e-12 at "
                                  "s=0.2, (r1, r2)=(0, 0)")
     assert raised.value.location == (0.2, 0.0, 0.0)
@@ -253,13 +361,13 @@ def test_profile_on_the_documented_grid():
         assert d * t > 0.0
 
 
-def test_batched_profile_equals_levels_one_by_one():
+def test_profile_equals_levels_one_by_one():
     grid = [-0.24, -0.1403, -1e-3, 2e-4, 0.0037121, 0.5, 7.257, 23.29, 99.0]
-    batch = monodromy_profile(DEFAULT_CONFIG, 1e-3, grid)
+    joint = monodromy_profile(DEFAULT_CONFIG, 1e-3, grid)
     alone = [monodromy_profile(DEFAULT_CONFIG, 1e-3, [t]) for t in grid]
     for name in ("R", "dR", "dR_cut"):
         one_by_one = [x for p in alone for x in getattr(p, name)]
-        assert list(map(float.hex, getattr(batch, name))) == list(map(float.hex, one_by_one)), name
+        assert list(map(float.hex, getattr(joint, name))) == list(map(float.hex, one_by_one)), name
 
 
 def test_profile_flat_region_derivative_vanishes():
