@@ -107,9 +107,11 @@ class ModelConfig:
                 f"identity up to collar_width and flat from mu_flat_radius, got "
                 f"{self.disk1_radius} with collar_width {self.collar_width}"
             )
-        if not 0.0 < self.disk2_radius < math.inf:
-            raise ValueError(
-                f"disk2_radius must be finite and positive, got {self.disk2_radius}")
+        # level_range and the positivity grid square disk2_radius
+        if not (0.0 < self.disk2_radius
+                and math.isfinite(self.disk2_radius * self.disk2_radius)):
+            raise ValueError("disk2_radius must be finite and positive, with a finite "
+                             f"square, got {self.disk2_radius}")
         # the widths of the two smoothstep ramps, which every profile call
         # divides by; attributes, not fields, so asdict() leaves them out
         object.__setattr__(self, "_ramp_width", self.ramp_hi - self.ramp_lo)

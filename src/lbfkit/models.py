@@ -369,10 +369,33 @@ GRID_RESOLUTION = 200
 def positivity_grid(cfg: ModelConfig = DEFAULT_CONFIG) -> GridResult:
     """Minimum of the TOP_POWER coefficient on the stated parameter window.
 
-    Scans (r1, r2) in [0, 0.9 * disk1_radius] x [0, disk2_radius] on a
+    The window [0, 0.9 * disk1_radius] x [0, disk2_radius] is sampled on a
     GRID_RESOLUTION x GRID_RESOLUTION grid, with the concrete interpolation
     profile bound for f and u'.  The r1 axis is the outer loop; the first
-    minimum in that order is reported.
+    minimum in that order is reported.  Each row is evaluated up to and
+    including its first clamped point, where ``ramp_and_slope`` returns
+    exactly (1.0, 0.0), and its remaining points are skipped.  The result
+    equals the full scan's, on the computed floats:
+
+    1. The r2 axis is nondecreasing and the same in every row: ``linspace``
+       gives i * step (or (i / 199) * R where step rounds to 0), rounded
+       monotonically, and its last point R is at least 198 * step.
+    2. Once clamped, a row stays clamped.  sq = r1*r1 + r2*r2 and
+       x = (sq - ramp_lo) / w, with w > 0, are nondecreasing along a row
+       and finite (the constructor keeps disk2_radius^2 finite), so x >= 1
+       holds from the first clamped point on.  (1.0, 0.0) comes only from
+       that clamp: inside the ramp f == 1.0 needs x close to 1, where
+       u' = 30 x^2 d^2 / w > 0 with d = x - 1 exact and |d| >= 2^-53.
+    3. Each operation of ``_top_power`` is then monotone in r2.  last is
+       ((r1sq*r2sq)*0.0 + r2sq) + 1.0 and base is
+       (1 - r1sq) + r2sq*(1 - r1sq), where 1 - r1sq > 0.18 because
+       r1 <= 0.9 * disk1_radius < 0.9; both are positive and nondecreasing.
+       Products of positive nondecreasing floats stay nondecreasing, also
+       when they overflow to inf, and so does the factor n(n+1).  No
+       inf * 0 or inf - inf occurs, so no NaN arises.
+    4. So no skipped point lies below the clamped point's value, which was
+       compared; ``best`` is replaced only on a strict ``<``, so a later
+       equal value never displaces an earlier one.
     """
     r2_axis = linspace(0.0, cfg.disk2_radius, GRID_RESOLUTION)
     best = (math.inf, (math.nan, math.nan))
@@ -382,4 +405,6 @@ def positivity_grid(cfg: ModelConfig = DEFAULT_CONFIG) -> GridResult:
             value = _top_power(cfg.n, r1, r2, f, up, 1.0)
             if value < best[0]:
                 best = (value, (r1, r2))
+            if f == 1.0 and up == 0.0:
+                break  # the rest of the row is clamped and no smaller (1-4 above)
     return GridResult(*best, GRID_RESOLUTION)

@@ -134,10 +134,13 @@ def test_collar_must_end_before_mu_flattens():
 
 
 def test_disk2_radius_must_be_finite_and_positive():
-    for radius in (math.nan, math.inf, 0.0, -1.0):
+    # 1e300 and 1.35e154 are finite, but their squares overflow
+    for radius in (math.nan, math.inf, 0.0, -1.0, 1e300, 1.35e154):
         with pytest.raises(ValueError, match="disk2_radius must be finite and positive"):
             ModelConfig(disk2_radius=radius)
     assert ModelConfig(disk2_radius=1e3).level_range == (-0.25, 1e6)
+    lo, hi = ModelConfig(disk2_radius=1e150).level_range
+    assert lo == -0.25 and math.isfinite(hi)
 
 
 def test_config_and_float_profiles_load_no_numpy():

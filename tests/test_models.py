@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lbfkit import contact, models
 from lbfkit.cli import MAX_N
-from lbfkit.config import DEFAULT_CONFIG, ModelConfig
+from lbfkit.config import DEFAULT_CONFIG, ModelConfig, linspace
 from lbfkit.exterior import ScalarExpr
 from lbfkit.models import IdentityId
 
@@ -99,6 +102,134 @@ def _numpy_grid(cfg: ModelConfig) -> models.GridResult:
 def test_top_power_grid_equals_a_numpy_reference(n):
     cfg = ModelConfig(n=n)
     got, ref = models.positivity_grid(cfg), _numpy_grid(cfg)
+    assert got.min_value.hex() == ref.min_value.hex()
+    assert got == ref
+
+
+@st.composite
+def grid_configs(draw) -> ModelConfig:
+    """Configurations the constructor accepts, at any n the command line
+    takes, with disk2_radius log-uniform from 1e-3 to 1e154."""
+    unit = st.floats(min_value=1e-3, max_value=0.999)
+    collar, lo, hi = sorted(draw(st.lists(unit, min_size=3, max_size=3, unique=True)))
+    disk1 = draw(st.floats(min_value=min(1.5 * collar, 0.999), max_value=1.0,
+                           exclude_max=True))
+    disk2 = 10.0 ** draw(st.floats(min_value=-3.0, max_value=154.0))
+    try:
+        return ModelConfig(n=draw(st.integers(min_value=2, max_value=MAX_N)),
+                           collar_width=collar, ramp_lo=lo, ramp_hi=hi,
+                           disk1_radius=disk1, disk2_radius=disk2)
+    except ValueError:
+        assume(False)
+
+
+# One grid point, (0.0995..., 0.49), lies so close under ramp_hi that f
+# rounds to 1.0 while u' > 0: the row goes on past it.
+RAMP_EDGE = ModelConfig(ramp_hi=0.25 + 1e-8, disk2_radius=1.99)
+
+
+class _Point(NamedTuple):
+    r1: float
+    r2: float
+    x: float                      # the ramp's clamp argument (sq - ramp_lo) / w
+    ramp: tuple[float, float]     # (f, u') from ramp_and_slope
+    value: float
+
+    @property
+    def clamped(self) -> bool:
+        return self.ramp == (1.0, 0.0)
+
+
+def _full_rows(cfg: ModelConfig) -> list[list[_Point]]:
+    """Every grid row, over the whole r2 axis."""
+    width = cfg.ramp_hi - cfg.ramp_lo
+    r2_axis = linspace(0.0, cfg.disk2_radius, models.GRID_RESOLUTION)
+    rows = []
+    for r1 in linspace(0.0, 0.9 * cfg.disk1_radius, models.GRID_RESOLUTION):
+        row = []
+        for r2 in r2_axis:
+            sq = r1 * r1 + r2 * r2
+            f, up = cfg.ramp_and_slope(sq)
+            value = models._top_power(cfg.n, r1, r2, f, up, 1.0)
+            row.append(_Point(r1, r2, (sq - cfg.ramp_lo) / width, (f, up), value))
+        rows.append(row)
+    return rows
+
+
+def _assert_clamp_lemma(cfg: ModelConfig) -> None:
+    """What ``positivity_grid`` stops a row on: (f, u') is exactly (1.0, 0.0)
+    where the clamp argument is >= 1 and nowhere else, and the values from
+    the first such point to the end of the row never decrease."""
+    for row in _full_rows(cfg):
+        clamped = [point.clamped for point in row]
+        assert clamped == [point.x >= 1.0 for point in row]
+        if any(clamped):
+            tail = [point.value for point in row[clamped.index(True):]]
+            assert all(a <= b for a, b in zip(tail, tail[1:])), row[0].r1
+
+
+@pytest.mark.parametrize("n", range(2, MAX_N + 1))
+def test_clamped_row_tail_is_nondecreasing(n):
+    _assert_clamp_lemma(ModelConfig(n=n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=grid_configs())
+@example(cfg=RAMP_EDGE)
+@example(cfg=ModelConfig(n=MAX_N, disk2_radius=1e154))
+def test_clamped_row_tail_is_nondecreasing_on_drawn_configs(cfg):
+    _assert_clamp_lemma(cfg)
+
+
+def _assert_visits_row_prefixes(cfg: ModelConfig, monkeypatch) -> int:
+    """Each row is evaluated up to and including its first clamped point,
+    and the result is the first minimum over those points; returns the
+    number of points evaluated."""
+    expected = []
+    for row in _full_rows(cfg):
+        stop = next((j for j, point in enumerate(row) if point.clamped), len(row) - 1)
+        expected += [(point.r1, point.r2, point.value) for point in row[:stop + 1]]
+
+    visited = []
+    top_power = models._top_power
+
+    def record(n, r1, r2, f, up, one):
+        value = top_power(n, r1, r2, f, up, one)
+        visited.append((r1, r2, value))
+        return value
+
+    monkeypatch.setattr(models, "_top_power", record)
+    result = models.positivity_grid(cfg)
+    assert visited == expected
+    best = visited[0]
+    for point in visited:
+        if point[2] < best[2]:
+            best = point
+    assert result == models.GridResult(best[2], best[:2], models.GRID_RESOLUTION)
+    return len(visited)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_N + 1))
+def test_positivity_grid_visits_each_row_up_to_its_first_clamped_point(n, monkeypatch):
+    assert _assert_visits_row_prefixes(ModelConfig(n=n), monkeypatch) == 1673
+
+
+def test_positivity_grid_does_not_stop_where_f_only_rounds_to_one(monkeypatch):
+    assert any(point.ramp[0] == 1.0 and point.ramp[1] > 0.0
+               for row in _full_rows(RAMP_EDGE) for point in row)
+    _assert_visits_row_prefixes(RAMP_EDGE, monkeypatch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=grid_configs())
+@example(cfg=ModelConfig(disk1_radius=0.4, disk2_radius=0.1))          # no row clamps
+@example(cfg=ModelConfig(ramp_lo=0.06, ramp_hi=0.5, disk1_radius=0.9))  # rows start in the ramp
+@example(cfg=ModelConfig(n=5, disk2_radius=1e100))                      # power is inf in the tail
+@example(cfg=RAMP_EDGE)
+def test_positivity_grid_equals_the_numpy_full_scan(cfg):
+    got = models.positivity_grid(cfg)
+    with np.errstate(over="ignore"):
+        ref = _numpy_grid(cfg)
     assert got.min_value.hex() == ref.min_value.hex()
     assert got == ref
 
