@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
+from . import poly
 from .mcg import (
     SubstitutionStep,
     TwistGen,
@@ -32,8 +33,7 @@ from .mcg import (
     disk_cotangent_sphere,
     substitute,
 )
-
-Exponents = tuple[int, ...]
+from .poly import Monomial, Rational
 
 SMOOTH = "smooth"
 A_TYPE = "a_type"
@@ -48,14 +48,13 @@ class OriginError(ValueError):
     """Raised when a blow-up is requested for a polynomial not vanishing at 0."""
 
 
-def _as_fraction(value: object) -> Fraction:
+def _rational(value: object) -> Rational:
+    """Validate an incoming exact coefficient and put it in normal form."""
     # Fraction(float) would silently take the binary expansion; refuse it.
-    if isinstance(value, Fraction):
-        return value
+    if isinstance(value, (Fraction, str)):
+        return poly.norm(Fraction(value))
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+        return int(value)
     raise NonRationalCoefficientError(
         f"coefficient {value!r} of type {type(value).__name__} is not an exact rational; "
         "use int, Fraction, or a rational string"
@@ -65,51 +64,35 @@ def _as_fraction(value: object) -> Fraction:
 class MultiPoly:
     """Multivariate polynomial with exact rational coefficients.
 
-    Terms live in a dict mapping exponent vectors (one slot per ring
-    variable) to nonzero Fractions.  The printed form is canonical:
-    graded lexicographic, lowest total degree first.
+    ``terms`` is a ``poly`` dict keyed by sparse ``(index, exp)`` monomials
+    over the slots 0..nvars-1.  The constructor trusts it, so internal
+    results skip validation; ``zero``, ``constant`` and ``variable`` check
+    what enters from outside.  The printed form is canonical: graded
+    lexicographic, lowest total degree first.
     """
 
     __slots__ = ("nvars", "terms", "prefix")
 
-    def __init__(
-        self,
-        nvars: int,
-        terms: dict[Exponents, object] | None = None,
-        *,
-        prefix: str = "x",
-    ) -> None:
-        if nvars < 1:
-            raise ValueError(f"need at least one variable, got nvars={nvars}")
-        clean: dict[Exponents, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != nvars:
-                raise ValueError(
-                    f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            c = _as_fraction(coeff)
-            if c:
-                c = clean.get(exps, Fraction(0)) + c
-                if c:
-                    clean[exps] = c
-                else:
-                    del clean[exps]
+    def __init__(self, nvars: int, terms: poly.Poly, *, prefix: str = "x") -> None:
         self.nvars = nvars
-        self.terms = clean
+        self.terms = terms
         self.prefix = prefix
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int, *, prefix: str = "x") -> "MultiPoly":
+        if nvars < 1:
+            raise ValueError(f"need at least one variable, got nvars={nvars}")
         return cls(nvars, {}, prefix=prefix)
 
     @classmethod
     def constant(cls, nvars: int, value: object, *, prefix: str = "x") -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value}, prefix=prefix)
+        p = cls.zero(nvars, prefix=prefix)
+        c = _rational(value)
+        if c:
+            p.terms[()] = c
+        return p
 
     @classmethod
     def variable(
@@ -119,8 +102,7 @@ class MultiPoly:
             raise ValueError(f"variable index {index} outside 0..{nvars - 1}")
         if power < 1:
             raise ValueError(f"power must be >= 1, got {power}")
-        exps = tuple(power if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: 1}, prefix=prefix)
+        return cls(nvars, {((index, power),): 1}, prefix=prefix)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -132,10 +114,7 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
-        return MultiPoly(self.nvars, terms, prefix=self.prefix)
+        return MultiPoly(self.nvars, poly.add(self.terms, other.terms), prefix=self.prefix)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -147,18 +126,10 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        terms: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(a + b for a, b in zip(ea, eb))
-                terms[exps] = terms.get(exps, Fraction(0)) + ca * cb
-        return MultiPoly(self.nvars, terms, prefix=self.prefix)
+        return MultiPoly(self.nvars, poly.mul(self.terms, other.terms), prefix=self.prefix)
 
     def scale(self, value: object) -> "MultiPoly":
-        c = _as_fraction(value)
-        return MultiPoly(
-            self.nvars, {e: c * v for e, v in self.terms.items()}, prefix=self.prefix
-        )
+        return self * MultiPoly.constant(self.nvars, value)
 
     def __pow__(self, power: int) -> "MultiPoly":
         if power < 0:
@@ -174,59 +145,59 @@ class MultiPoly:
         return not self.terms
 
     @property
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant_term(self) -> Rational:
+        return self.terms.get((), 0)
 
-    def gradient_at_origin(self) -> tuple[Fraction, ...]:
+    def gradient_at_origin(self) -> tuple[Rational, ...]:
         """Coefficients of the linear part, one slot per variable."""
-        grad = [Fraction(0)] * self.nvars
-        for exps, c in self.terms.items():
-            if sum(exps) == 1:
-                grad[exps.index(1)] += c
+        grad: list[Rational] = [0] * self.nvars
+        for mono, c in self.terms.items():
+            if len(mono) == 1 and mono[0][1] == 1:
+                grad[mono[0][0]] += c
         return tuple(grad)
 
     def multiplicity_at_origin(self) -> int:
         """Minimal total degree over all terms; the order of vanishing at 0."""
         if not self.terms:
             raise ValueError("the zero polynomial has no multiplicity")
-        return min(sum(e) for e in self.terms)
+        return min(sum(e for _, e in mono) for mono in self.terms)
 
     def min_exponent(self, index: int) -> int:
         if not self.terms:
             raise ValueError("the zero polynomial has no exponents")
-        return min(e[index] for e in self.terms)
+        return min(next((e for i, e in mono if i == index), 0) for mono in self.terms)
 
     def divisible_by(self, index: int) -> bool:
         return bool(self.terms) and self.min_exponent(index) >= 1
 
     # -- canonical form ----------------------------------------------------
 
-    def _ordered(self) -> list[tuple[Exponents, Fraction]]:
+    def _ordered(self) -> list[tuple[Monomial, Rational]]:
         # Graded lex, ascending degree; within a degree the variable with
-        # the smallest index dominates, so y0^2 prints before y1^2.
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (sum(item[0]), tuple(-e for e in item[0])),
-        )
+        # the smallest index dominates, so y0^2 prints before y1^2.  The
+        # (index, -exp) pairs order like the negated dense exponent vectors,
+        # because of two monomials of one degree neither is a proper prefix.
+        def key(item: tuple[Monomial, Rational]) -> tuple[int, Monomial]:
+            mono = item[0]
+            return sum(e for _, e in mono), tuple((i, -e) for i, e in mono)
+
+        return sorted(self.terms.items(), key=key)
 
     def to_text(self, prefix: str | None = None) -> str:
         if not self.terms:
             return "0"
         pfx = self.prefix if prefix is None else prefix
         pieces: list[str] = []
-        for exps, coeff in self._ordered():
-            factors = [
-                f"{pfx}{i}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e
-            ]
-            mono = "*".join(factors)
-            if not mono:
+        for mono, coeff in self._ordered():
+            mono_text = "*".join(
+                f"{pfx}{i}" + (f"^{e}" if e > 1 else "") for i, e in mono
+            )
+            if not mono_text:
                 body = str(abs(coeff))
             elif abs(coeff) == 1:
-                body = mono
+                body = mono_text
             else:
-                body = f"{abs(coeff)}*{mono}"
+                body = f"{abs(coeff)}*{mono_text}"
             sign = "-" if coeff < 0 else "+"
             pieces.append((sign, body))
         head_sign, head = pieces[0]
@@ -268,9 +239,10 @@ def a_type_polynomial(k: int, n: int, *, prefix: str = "x") -> MultiPoly:
 def blowup_chart(p: MultiPoly, j: int) -> MultiPoly:
     """Total transform of p on the j-th chart of the point blow-up.
 
-    On exponent vectors the substitution x_i -> y_i y_j (i != j),
-    x_j -> y_j sends a term to the same vector except that the j-th
-    slot becomes the term's total degree.
+    On monomials the substitution x_i -> y_i y_j (i != j), x_j -> y_j
+    keeps every exponent except the j-th, which becomes the term's total
+    degree.  That map is injective (the old j-th exponent is the total
+    minus the others), so no two terms collide.
     """
     if not 0 <= j < p.nvars:
         raise ValueError(f"chart index {j} outside 0..{p.nvars - 1}")
@@ -279,12 +251,10 @@ def blowup_chart(p: MultiPoly, j: int) -> MultiPoly:
             f"polynomial has constant term {p.constant_term}; "
             "blow-up charts are defined only for polynomials vanishing at the origin"
         )
-    terms: dict[Exponents, Fraction] = {}
-    for exps, c in p.terms.items():
-        new = list(exps)
-        new[j] = sum(exps)
-        key = tuple(new)
-        terms[key] = terms.get(key, Fraction(0)) + c
+    terms = {
+        poly.monomial({**dict(mono), j: sum(e for _, e in mono)}): c
+        for mono, c in p.terms.items()
+    }
     return MultiPoly(p.nvars, terms, prefix="y")
 
 
@@ -298,12 +268,10 @@ def proper_transform(p: MultiPoly, j: int) -> tuple[MultiPoly, int]:
     total = blowup_chart(p, j)
     if total.is_zero():
         raise ValueError("the zero polynomial has no proper transform")
+    # m >= 1: every term of the total transform has y_j to its total degree
     m = total.min_exponent(j)
-    terms: dict[Exponents, Fraction] = {}
-    for exps, c in total.terms.items():
-        new = list(exps)
-        new[j] -= m
-        terms[tuple(new)] = c
+    strip = ((j, -m),)
+    terms = {poly.mul_monomials(mono, strip): c for mono, c in total.terms.items()}
     return MultiPoly(p.nvars, terms, prefix="y"), m
 
 
@@ -364,19 +332,18 @@ def classify(p: MultiPoly) -> SingularityVerdict:
     if any(p.gradient_at_origin()):
         return SingularityVerdict.smooth()
 
-    per_var: dict[int, tuple[int, Fraction]] = {}
-    for exps, c in p.terms.items():
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) != 1:
+    per_var: dict[int, tuple[int, Rational]] = {}
+    for mono, c in p.terms.items():
+        if len(mono) != 1:
             return SingularityVerdict.unclassified(
                 "not A-type normal form"
             )
-        i = support[0]
+        ((i, e),) = mono
         if i in per_var:
             return SingularityVerdict.unclassified(
                 f"variable {p.prefix}{i} appears in two terms"
             )
-        per_var[i] = (exps[i], c)
+        per_var[i] = (e, c)
     missing = [i for i in range(p.nvars) if i not in per_var]
     if missing:
         return SingularityVerdict.unclassified(

@@ -23,12 +23,13 @@ directory.  Every suite runs in one thread, in a fixed order.
 
 Each process loads only the layers its subcommand runs: importing this
 module loads the standard library and ``config``, and each suite imports
-its layers when it starts (verify-forms ``models`` and ``exterior``,
-transport ``transport``, fillings ``mcg`` and ``topo``, resolve
-``blowup`` and ``mcg``, contact-check ``contact``).  Every layer computes
-on Python floats and exact rationals, so no subcommand imports anything
-beyond the standard library.  Suites call a layer through its module
-(``transport.integrate``), so patching a module attribute reaches them.
+its layers when it starts (verify-forms ``models``, ``exterior`` and
+``poly``, transport ``transport``, fillings ``mcg`` and ``topo``, resolve
+``blowup``, ``mcg`` and ``poly``, contact-check ``contact``).  Every
+layer computes on Python floats and exact rationals, so no subcommand
+imports anything beyond the standard library.  Suites call a layer
+through its module (``transport.integrate``), so patching a module
+attribute reaches them.
 
 Input the numerics cannot represent is a usage error too: a
 ``contact-check --n`` whose f^(n-1) overflows a double (n >= 1025 for the
@@ -71,11 +72,12 @@ MAX_GRID_COUNT = 10_000
 # grows as k^2.
 MAX_K = 1_000
 # Largest verify-forms --n: the exact TOP_POWER expansion grows steeply in
-# n.  On two x86-64 cores a fresh run takes 0.5 s at n = 16, 1.0 s at 24
-# and 2.0 s at 32.
+# n.  On two x86-64 cores a fresh run takes 0.21-0.24 s at n = 16 and
+# 0.53-0.58 s at 24 (medians of 5, two sets).
 MAX_N = 24
-# Largest resolve --dim: at k = MAX_K a run takes 1.0 s at dim 30, 1.9 s
-# at 50 and 5.2 s at 100 on two x86-64 cores; smaller k is faster.
+# Largest resolve --dim: at k = MAX_K a fresh run takes 0.4 s at dim 30,
+# 0.5 s at 50 and 0.8 s at 100 on two x86-64 cores (medians of 5); smaller
+# k is faster.
 MAX_DIM = 100
 
 

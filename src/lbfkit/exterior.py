@@ -20,11 +20,10 @@ Truncation encodes the contact dimension: odd generators square to zero and
 the even generators dalpha / dlam satisfy (dalpha)^m = 0 for m >= n.  The
 parameter n is fixed per algebra instance; identity checks loop over small n.
 
-Coefficients are exact: a coefficient is stored as an ``int`` whenever its
-denominator is 1 and as a ``Fraction`` only otherwise, so the common
-integer case never pays for ``Fraction`` arithmetic.  Floats are refused
-with ``TypeError`` wherever a coefficient enters (``ScalarExpr.const`` and
-the ring operators, ``substitute``, the interior-product pairings), since
+Coefficients are exact and kept in the normal form of ``poly``, whose sparse
+kernel does the scalar ring arithmetic.  Floats are refused with
+``TypeError`` wherever a coefficient enters (``ScalarExpr.const`` and the
+ring operators, ``substitute``, the interior-product pairings), since
 ``Fraction(0.1)`` would silently take the binary expansion of 0.1.
 
 ``wedge_power`` takes even forms only (every word of even degree, so the
@@ -38,13 +37,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping
 
-Rational = Union[int, Fraction]
+from . import poly
+from .poly import Rational
 
-# A scalar monomial maps atom name -> nonzero integer exponent, stored as a
-# sorted tuple so it can key a dict.  Negative exponents are allowed (the
-# Liouville field needs 1/r); the zero exponent is never stored.
+# A scalar monomial is a ``poly`` monomial over atom names.
 ScalarMonomial = tuple[tuple[str, int], ...]
 
 # A wedge monomial maps generator index -> exponent, sorted by index.  Odd
@@ -64,32 +62,16 @@ class AlgebraMismatchError(ValueError):
 # scalar layer
 
 
-def _norm_monomial(powers: Mapping[str, int]) -> ScalarMonomial:
-    return tuple(sorted((a, e) for a, e in powers.items() if e != 0))
-
-
-def _norm(q: Rational) -> Rational:
-    """Coefficient normal form: an int when the denominator is 1."""
-    if q.__class__ is Fraction and q.denominator == 1:
-        return q.numerator
-    return q
-
-
 def _rational(value: object) -> Rational:
     """Validate an incoming exact coefficient and put it in normal form."""
     if isinstance(value, Fraction):
-        return _norm(value)
+        return poly.norm(value)
     if isinstance(value, int):
         return int(value)
     raise TypeError(
         f"exact coefficient {value!r} of type {type(value).__name__} is not an "
         "int or a Fraction"
     )
-
-
-def _rpow(q: Rational, exp: int) -> Rational:
-    """Exact power of a coefficient; a negative exponent inverts exactly."""
-    return _norm(q ** exp if exp >= 0 else Fraction(q) ** exp)
 
 
 class ScalarExpr:
@@ -123,15 +105,7 @@ class ScalarExpr:
     # -- ring structure
 
     def __add__(self, other: "ScalarExpr | Rational") -> "ScalarExpr":
-        other = _as_scalar(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, 0) + coeff
-            if acc:
-                out[mono] = _norm(acc)
-            else:
-                out.pop(mono, None)
-        return ScalarExpr(out)
+        return ScalarExpr(poly.add(self.terms, _as_scalar(other).terms))
 
     __radd__ = __add__
 
@@ -145,17 +119,7 @@ class ScalarExpr:
         return _as_scalar(other) + (-self)
 
     def __mul__(self, other: "ScalarExpr | Rational") -> "ScalarExpr":
-        other = _as_scalar(other)
-        out: dict[ScalarMonomial, Rational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mul_monomials(m1, m2)
-                acc = out.get(mono, 0) + c1 * c2
-                if acc:
-                    out[mono] = _norm(acc)
-                else:
-                    out.pop(mono, None)
-        return ScalarExpr(out)
+        return ScalarExpr(poly.mul(self.terms, _as_scalar(other).terms))
 
     __rmul__ = __mul__
 
@@ -165,7 +129,7 @@ class ScalarExpr:
             if len(self.terms) == 1:
                 ((mono, coeff),) = self.terms.items()
                 return ScalarExpr(
-                    {tuple((a, e * exponent) for a, e in mono): _rpow(coeff, exponent)}
+                    {tuple((a, e * exponent) for a, e in mono): poly.rpow(coeff, exponent)}
                 )
             raise ValueError("negative power of a non-monomial expression")
         # a left fold: for a sparse base it beats repeated squaring
@@ -193,17 +157,12 @@ class ScalarExpr:
         """Partial derivative; linear, product rule over monomials."""
         out = ScalarExpr.const(0)
         for mono, coeff in self.terms.items():
-            powers = dict(mono)
             for atom, exp in mono:
                 datom = rules.derivative(atom, var)
                 if datom.is_zero():
                     continue
-                rest = dict(powers)
-                if exp == 1:
-                    del rest[atom]
-                else:
-                    rest[atom] = exp - 1
-                out = out + ScalarExpr({_norm_monomial(rest): _norm(coeff * exp)}) * datom
+                rest = poly.mul_monomials(mono, ((atom, -1),))
+                out = out + ScalarExpr({rest: poly.norm(coeff * exp)}) * datom
         return out
 
     def substitute(self, values: Mapping[str, Rational]) -> "ScalarExpr":
@@ -217,16 +176,10 @@ class ScalarExpr:
                     v = _rational(values[atom])
                     if v == 0 and exp < 0:
                         raise ZeroDivisionError(f"substituting 0 for {atom}^{exp}")
-                    acc = acc * _rpow(v, exp)
+                    acc = acc * poly.rpow(v, exp)
                 else:
                     rest[atom] = exp
-            if acc:
-                key = _norm_monomial(rest)
-                tot = out.get(key, 0) + acc
-                if tot:
-                    out[key] = _norm(tot)
-                else:
-                    out.pop(key, None)
+            poly.accumulate(out, poly.monomial(rest), acc)
         return ScalarExpr(out)
 
     # -- display
@@ -248,32 +201,6 @@ class ScalarExpr:
 
 def _as_scalar(x: "ScalarExpr | Rational") -> ScalarExpr:
     return x if isinstance(x, ScalarExpr) else ScalarExpr.const(x)
-
-
-def _mul_monomials(m1: ScalarMonomial, m2: ScalarMonomial) -> ScalarMonomial:
-    """Merge two atom-sorted monomials, adding exponents and dropping zeros."""
-    if not m2:
-        return m1
-    if not m1:
-        return m2
-    out: list[tuple[str, int]] = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        (a, e), (b, f) = m1[i], m2[j]
-        if a < b:
-            out.append(m1[i])
-            i += 1
-        elif b < a:
-            out.append(m2[j])
-            j += 1
-        else:
-            if e + f:
-                out.append((a, e + f))
-            i += 1
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
 
 
 ZERO = ScalarExpr.const(0)
@@ -528,6 +455,15 @@ def _mul_words(algebra: Algebra, w1: WedgeWord, w2: WedgeWord) -> tuple[int, Wed
 # forms
 
 
+def _accumulate(out: dict[WedgeWord, ScalarExpr], word: WedgeWord, coeff: ScalarExpr) -> None:
+    """Add coeff into out[word] in place, dropping the word when the sum is zero."""
+    acc = out.get(word, ZERO) + coeff
+    if acc.is_zero():
+        out.pop(word, None)
+    else:
+        out[word] = acc
+
+
 class Form:
     """A differential form: wedge words with ScalarExpr coefficients."""
 
@@ -569,11 +505,7 @@ class Form:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            acc = out.get(w, ZERO) + c
-            if acc.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = acc
+            _accumulate(out, w, c)
         return Form(self.algebra, out)
 
     def __neg__(self) -> "Form":
@@ -661,11 +593,7 @@ def wedge(a: Form, b: Form) -> Form:
             if merged is None:
                 continue
             sign, word = merged
-            acc = out.get(word, ZERO) + c1 * c2 * sign
-            if acc.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = acc
+            _accumulate(out, word, c1 * c2 * sign)
     return Form(algebra, out)
 
 
@@ -758,7 +686,7 @@ def interior(v: TangentSymbol, a: Form) -> Form:
         if (va.name, va.n) != (aa.name, aa.n):
             raise AlgebraMismatchError("tangent symbol and form live over different algebras")
     algebra = a.algebra
-    out = Form.zero(algebra)
+    out: dict[WedgeWord, ScalarExpr] = {}
     for dual, vcoeff in v.parts.items():
         table = algebra.pairings[dual]
         for word, coeff in a.terms.items():
@@ -770,15 +698,10 @@ def interior(v: TangentSymbol, a: Form) -> Form:
                     if pairing:
                         rest = word[:pos] + word[pos + 1 :]
                         sign = (-1) ** parity
-                        contrib = coeff * vcoeff * pairing * sign
-                        prev = out.terms.get(rest, ZERO) + contrib
-                        if prev.is_zero():
-                            out.terms.pop(rest, None)
-                        else:
-                            out.terms[rest] = prev
+                        _accumulate(out, rest, coeff * vcoeff * pairing * sign)
                     parity += 1
                 # even generators pair to zero against every listed dual
-    return Form(algebra, out.terms)
+    return Form(algebra, out)
 
 
 def equals(a: Form, b: Form) -> bool:

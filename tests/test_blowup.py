@@ -72,6 +72,25 @@ def test_canonical_text_order():
     assert MultiPoly.zero(2).to_text() == "0"
 
 
+def test_print_order_is_index_order_above_ten_variables():
+    # as strings x10 < x2; the printed order follows the slot index
+    assert (var(12, 10) + var(12, 2)).to_text() == "x2 + x10"
+    assert (var(12, 10, 2) + var(12, 11) * var(12, 2)).to_text() == "x2*x11 + x10^2"
+    for k in (1, 2, 5, 12):
+        for dim in (9, 10, 30, 100):
+            trace = resolve_A(k, dim)
+            squares = [f"y{i}^2" for i in range(dim + 1)]
+            last = f"y{dim + 1}"
+            assert trace.step_count == -(-k // 2)
+            for step, s in enumerate(trace.steps, 1):
+                e = k + 1 - 2 * step
+                if e >= 2:
+                    expected = squares + [f"{last}^{e}"]
+                else:
+                    expected = ["1" if e == 0 else last] + squares
+                assert s.polynomial.to_text() == " + ".join(expected), (k, dim, step)
+
+
 def test_a_type_polynomial_shape():
     p = a_type_polynomial(3, 1)
     # x0^2 + x1^2 + x2^4 in three variables

@@ -393,9 +393,9 @@ def test_golden_files_match_without_avx512(golden_runs_without_numpy, name):
 IMPORT_RUNS = {
     "help": (["--help"], set()),
     "fillings": (["fillings"], {"mcg", "topo"}),
-    "resolve": (["resolve"], {"blowup", "mcg"}),
+    "resolve": (["resolve"], {"blowup", "mcg", "poly"}),
     "transport": (["transport"], {"transport"}),
-    "verify-forms": (["verify-forms"], {"models", "exterior"}),
+    "verify-forms": (["verify-forms"], {"models", "exterior", "poly"}),
     "contact-check": (["contact-check"], {"contact"}),
 }
 

@@ -1,11 +1,13 @@
-"""Differential test of the exact scalar ring against sympy polynomials.
+"""Differential test of the exact polynomial rings against sympy polynomials.
 
 Random chains of +, *, ** and d/dvar over mixed int and Fraction(p, q)
-coefficients run side by side in ``ScalarExpr`` and in sympy; after every
-operation the two must agree exactly, and every stored coefficient must be
-in normal form (an int, or a Fraction whose denominator is not 1).  sympy
-is in the ``test`` extra, not a runtime dependency of lbfkit; the module is
-skipped when it is absent.
+coefficients run side by side in ``ScalarExpr`` and in sympy, and chains of
++, -, *, ** and ``scale`` in ``blowup.MultiPoly`` and in sympy; after every
+operation the two must agree exactly, and every stored term must be in the
+normal form of ``lbfkit.poly``: a variable-sorted monomial with no zero
+exponent, and a coefficient that is an int, or a Fraction whose denominator
+is not 1.  sympy is in the ``test`` extra, not a runtime dependency of
+lbfkit; the module is skipped when it is absent.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from lbfkit.blowup import MultiPoly
 from lbfkit.exterior import ScalarExpr, standard_rules
 
 sympy = pytest.importorskip("sympy")
@@ -23,14 +26,17 @@ sympy = pytest.importorskip("sympy")
 VARS = ("r1", "r2", "r", "t", "s")
 SYMBOLS = {v: sympy.Symbol(v) for v in VARS}
 RULES = standard_rules()
+MAX_NVARS = 12
+XS = sympy.symbols(f"x0:{MAX_NVARS}")
 
 
-def _to_sympy(expr: ScalarExpr):
+def _to_sympy(expr: ScalarExpr | MultiPoly):
+    symbols = XS if isinstance(expr, MultiPoly) else SYMBOLS
     total = sympy.Integer(0)
     for mono, coeff in expr.terms.items():
         term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for atom, exp in mono:
-            term *= SYMBOLS[atom] ** exp
+        for var, exp in mono:
+            term *= symbols[var] ** exp
         total += term
     return total
 
@@ -53,13 +59,15 @@ def _random_pair(rng: random.Random):
     return expr, sym
 
 
-def _assert_normal_form(expr: ScalarExpr) -> None:
-    for coeff in expr.terms.values():
+def _assert_normal_form(expr: ScalarExpr | MultiPoly) -> None:
+    for mono, coeff in expr.terms.items():
+        assert list(mono) == sorted(mono) and len({v for v, _ in mono}) == len(mono), mono
+        assert all(exp != 0 for _, exp in mono), mono
         assert coeff != 0
         assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1), coeff
 
 
-def _assert_same(expr: ScalarExpr, sym) -> None:
+def _assert_same(expr: ScalarExpr | MultiPoly, sym) -> None:
     _assert_normal_form(expr)
     assert sympy.expand(_to_sympy(expr) - sym) == 0, (expr, sym)
 
@@ -104,3 +112,42 @@ def test_monomial_inverse_and_substitution_match_sympy():
         value = _coeff(rng)
         subbed = a.substitute({v: value})
         _assert_same(subbed, sa.subs(SYMBOLS[v], sympy.Rational(value.numerator, value.denominator)))
+
+
+def _random_multi(rng: random.Random, nvars: int):
+    poly, sym = MultiPoly.zero(nvars), sympy.Integer(0)
+    for _ in range(rng.randint(1, 3)):
+        c = _coeff(rng)
+        term, sterm = MultiPoly.constant(nvars, c), sympy.Rational(c.numerator, c.denominator)
+        for _ in range(rng.randint(0, 2)):
+            i, e = rng.randrange(nvars), rng.randint(1, 2)
+            term, sterm = term * MultiPoly.variable(nvars, i, e), sterm * XS[i] ** e
+        poly, sym = poly + term, sym + sterm
+    return poly, sym
+
+
+def test_multipoly_ring_matches_sympy():
+    rng = random.Random(13)
+    for _ in range(60):
+        nvars = rng.randint(1, MAX_NVARS)
+        a, sa = _random_multi(rng, nvars)
+        _assert_same(a, sa)
+        for _ in range(4):
+            op = rng.choice(("add", "sub", "mul", "pow", "scale"))
+            if op in ("add", "sub", "mul"):
+                b, sb = _random_multi(rng, nvars)
+                if op == "add":
+                    a, sa = a + b, sa + sb
+                elif op == "sub":
+                    a, sa = a - b, sa - sb
+                else:
+                    a, sa = a * b, sa * sb
+            elif op == "pow":
+                e = rng.randint(0, 3 if len(a.terms) <= 4 else 1)
+                a, sa = a ** e, sa ** e
+            else:
+                # a rational string enters the same way as the number it names
+                c = _coeff(rng)
+                a = a.scale(rng.choice((c, str(c))))
+                sa = sa * sympy.Rational(c.numerator, c.denominator)
+            _assert_same(a, sa)
