@@ -1,8 +1,10 @@
 """lbfkit: verification toolkit for Lefschetz-Bott fibration computations.
 
-Subpackages:
+Modules:
 
+* ``poly``      -- the sparse exact polynomial kernel under exterior and blowup
 * ``exterior``  -- symbolic exterior calculus engine (exact rationals)
+* ``config``    -- model constants, smooth profiles on floats, ``DomainError``
 * ``models``    -- named model forms and the identity checks over them
 * ``transport`` -- parallel-transport ODE, closed forms, monodromy profiles
 * ``mcg``       -- Dehn-twist word calculus on fibered boundaries

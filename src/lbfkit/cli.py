@@ -52,7 +52,7 @@ import sys
 import tempfile
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .config import DEFAULT_CONFIG, STENCIL_FLOOR, DomainError, ModelConfig, linspace
@@ -102,19 +102,9 @@ class SuiteResult:
         return not self.failures
 
 
-def _clean(obj: object) -> object:
-    """Recursively coerce report values, dataclasses included, into plain JSON types."""
-    if is_dataclass(obj):
-        return _clean(asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    return obj
-
-
 def _json_text(report: dict) -> str:
-    return json.dumps(_clean(report), sort_keys=True, indent=2) + "\n"
+    """Sorted, indented JSON; tuples print as lists and dataclasses as their fields."""
+    return json.dumps(report, sort_keys=True, indent=2, default=asdict) + "\n"
 
 
 def _config_dict(cfg: ModelConfig, **run_params: object) -> dict:
@@ -245,11 +235,14 @@ def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
     # a bad --t or --s0 is a usage error before anything is integrated
     transport._validate_t(cfg, t)
     transport._validate_s0(cfg, s0)
+    timing: dict[str, float] = {}
+    # ... and so is a grid level without room for its stencil, which the
+    # profile refuses before it steps any level
+    prof = _timed(timing, "profile_ms", transport.monodromy_profile, cfg, s0, grid)
 
     # Both denominator conventions ride along on every trajectory report.
     # Only the corrected one is expected to conserve mu*r2 - s; the other
     # column documents how far the uncorrected form drifts.
-    timing: dict[str, float] = {}
     trajectories = {
         variant: {
             "max_h_drift": traj.max_h_drift,
@@ -261,7 +254,6 @@ def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
                                     cfg, t, 0.5).items()
     }
 
-    prof = _timed(timing, "profile_ms", transport.monodromy_profile, cfg, s0, grid)
     lim_plus, lim_minus = _timed(timing, "limits_ms", transport.limits_at_zero, cfg, s0)
 
     gate = transport.DRIFT_GATE

@@ -67,10 +67,6 @@ def smoothstep_and_slope(x: float) -> tuple[float, float]:
     return min(s, 1.0), 30.0 * x * x * d * d
 
 
-def smoothstep(x: float) -> float:
-    return smoothstep_and_slope(x)[0]
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Geometry parameters shared by the model forms and the transport ODE.
@@ -126,9 +122,6 @@ class ModelConfig:
         s, ds = smoothstep_and_slope((sq - self.ramp_lo) / w)
         return s, ds / w
 
-    def ramp(self, sq: float) -> float:
-        return self.ramp_and_slope(sq)[0]
-
     # -- radial reparametrization mu: identity near 0, constant 1 before
     #    disk1_radius, nondecreasing throughout
 
@@ -149,9 +142,6 @@ class ModelConfig:
         rest = 1.0 - radius
         # S <= 1 by its clamp, S' >= 0 and radius < 1, so mu' >= 0
         return radius + rest * s, (1.0 - s) + rest * ds / w
-
-    def mu(self, radius: float) -> float:
-        return self.mu_and_slope(radius)[0]
 
     # -- levels t of the fibration: their documented range, and the
     #    monodromy cutoff sigma as a function of t
@@ -188,7 +178,7 @@ class ModelConfig:
         return 0.9 * self.disk2_radius ** 2
 
     def cutoff(self, t: float) -> float:
-        return smoothstep((t - self.cutoff_lo) / (self.cutoff_hi - self.cutoff_lo))
+        return smoothstep_and_slope((t - self.cutoff_lo) / (self.cutoff_hi - self.cutoff_lo))[0]
 
 
 DEFAULT_CONFIG = ModelConfig()

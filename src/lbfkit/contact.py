@@ -21,9 +21,10 @@ on a sampling grid rather than assumed.
 
 Every profile function takes and returns Python floats, and the
 verifiers loop over plain lists, so the layer needs nothing beyond the
-standard library.  Each curve picks a point's piece once and returns its
-values and slopes together; f, g and the other single values read one of
-them.
+standard library.  Each curve has one evaluator, which picks a point's
+piece once and returns its values and slopes together
+(``point_and_tangent``, ``h_and_slope``); callers index the tuple for a
+single value.
 """
 
 from __future__ import annotations
@@ -132,23 +133,6 @@ class ContactProfile:
                          self.k, 0.0, 0.0, 1.0 - a)
         return f, g, fp, gp
 
-    def f(self, r: float) -> float:
-        return self.point_and_tangent(r)[0]
-
-    def g(self, r: float) -> float:
-        return self.point_and_tangent(r)[1]
-
-    def f_prime(self, r: float) -> float:
-        return self.point_and_tangent(r)[2]
-
-    def g_prime(self, r: float) -> float:
-        return self.point_and_tangent(r)[3]
-
-    def determinant(self, r: float) -> float:
-        """f g' - f' g: positive exactly when the curve misses its tangent."""
-        f, g, fp, gp = self.point_and_tangent(r)
-        return f * gp - fp * g
-
     def params(self) -> dict[str, float]:
         return {"c0": self.c0, "c1": self.c1, "k": self.k, "eps": self.eps}
 
@@ -254,18 +238,6 @@ class CornerCurve:
         dg, gp = _cubic(tau, -w, 1.0, 0.0, 0.0, w)
         return f, 1.0 + dg, fp, gp
 
-    def f(self, r: float) -> float:
-        return self.point_and_tangent(r)[0]
-
-    def g(self, r: float) -> float:
-        return self.point_and_tangent(r)[1]
-
-    def f_prime(self, r: float) -> float:
-        return self.point_and_tangent(r)[2]
-
-    def g_prime(self, r: float) -> float:
-        return self.point_and_tangent(r)[3]
-
 
 @dataclass(frozen=True)
 class CornerReport:
@@ -361,12 +333,6 @@ class BaseProfile:
         return _quintic((s - self.eps) / (1.0 - 2.0 * self.eps), self.k * self.eps ** 2,
                         2.0 * self.k * self.eps, 2.0 * self.k, e, e, e, 1.0 - 2.0 * self.eps)
 
-    def h(self, s: float) -> float:
-        return self.h_and_slope(s)[0]
-
-    def h_prime(self, s: float) -> float:
-        return self.h_and_slope(s)[1]
-
 
 @dataclass(frozen=True)
 class BaseReport:
@@ -391,15 +357,16 @@ def verify_base_profile(bp: BaseProfile, samples: int = 2_000) -> BaseReport:
     """Check h(0) = 0, the two plateau formulas, and h' > 0 off the origin."""
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
-    zero = bp.h(0.0) == 0.0
+    h = bp.h_and_slope
+    zero = h(0.0)[0] == 0.0
 
     # the last tenth is eps itself: eps * 10 / 10 can round past it, into the bridge
     tenths = [bp.eps * i / 10.0 for i in range(1, 10)] + [bp.eps]
-    plateaus = (all(bp.h(s) == bp.k * s * s for s in tenths)
-                and all(bp.h(s) == bp.k * math.exp(s - 1.0)
+    plateaus = (all(h(s)[0] == bp.k * s * s for s in tenths)
+                and all(h(s)[0] == bp.k * math.exp(s - 1.0)
                         for s in (1.0 - bp.eps + x for x in tenths)))
 
-    increasing = all(bp.h_prime(i / samples) > 0.0 for i in range(1, samples + 1))
+    increasing = all(h(i / samples)[1] > 0.0 for i in range(1, samples + 1))
     return BaseReport(
         k=bp.k,
         eps=bp.eps,

@@ -8,9 +8,12 @@ matches two sphere twists, which induces the substitution moves
     contract:  (S, S) at a position  ->  (D)
     expand:    (D) at a position     ->  (S, S)
 
-and the invariant weight = #S + 2 #D.  Word equality beyond this relation
-(general mapping-class-group equality, Hurwitz moves, conjugation) is out of
-scope on purpose; the A_k filling family needs exactly this much.
+and the invariant weight = #S + 2 #D.  A word carries its fiber by name
+(``disk_cotangent_sphere``), and only words over the same fiber are
+related; the fiber's Euler number is ``topo.chi_sphere``.  Word equality
+beyond this relation (general mapping-class-group equality, Hurwitz moves,
+conjugation) is out of scope on purpose; the A_k filling family needs
+exactly this much.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "FiberDescriptor",
     "TwistGen",
     "TwistWord",
     "SubstitutionStep",
@@ -43,40 +45,33 @@ class NotRelatedError(ValueError):
     """Two words cannot be joined by substitutions (weight or fiber differ)."""
 
 
-@dataclass(frozen=True)
-class FiberDescriptor:
-    """The common fiber of a factorization: name, half-dimension, Euler number."""
-
-    name: str
-    half_dim: int
-    chi: int
-
-
-def disk_cotangent_sphere(n: int) -> FiberDescriptor:
-    """Disk cotangent bundle of the n-sphere; chi equals chi(S^n)."""
+def disk_cotangent_sphere(n: int) -> str:
+    """The name of the fiber, the disk cotangent bundle of the n-sphere."""
     if n < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
-    return FiberDescriptor(name=f"DT*S{n}", half_dim=n, chi=1 + (-1) ** n)
+    return f"DT*S{n}"
 
 
 @dataclass(frozen=True)
 class TwistGen:
     kind: str          # SPHERE or BOUNDARY
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in (SPHERE, BOUNDARY):
             raise ValueError(f"unknown twist kind {self.kind!r}")
-        if not self.label:
-            object.__setattr__(self, "label", "S0" if self.kind == SPHERE else "D")
 
     @staticmethod
-    def sphere(label: str = "S0") -> "TwistGen":
-        return TwistGen(SPHERE, label)
+    def sphere() -> "TwistGen":
+        return TwistGen(SPHERE)
 
     @staticmethod
-    def boundary(label: str = "D") -> "TwistGen":
-        return TwistGen(BOUNDARY, label)
+    def boundary() -> "TwistGen":
+        return TwistGen(BOUNDARY)
+
+    @property
+    def label(self) -> str:
+        """The letter's name in error texts: S0 for a sphere twist, D for a boundary twist."""
+        return "S0" if self.kind == SPHERE else "D"
 
     @property
     def weight(self) -> int:
@@ -86,7 +81,7 @@ class TwistGen:
 @dataclass(frozen=True)
 class TwistWord:
     letters: tuple[TwistGen, ...]
-    fiber: FiberDescriptor
+    fiber: str         # the fiber's name, from disk_cotangent_sphere
 
     @property
     def weight(self) -> int:
@@ -99,7 +94,7 @@ class TwistWord:
         return " ".join("S" if g.kind == SPHERE else "D" for g in self.letters)
 
     def __repr__(self) -> str:
-        return f"TwistWord({self.serialize() or 'empty'}; fiber={self.fiber.name})"
+        return f"TwistWord({self.serialize() or 'empty'}; fiber={self.fiber})"
 
 
 @dataclass(frozen=True)
@@ -187,7 +182,7 @@ def substitution_chain(source: TwistWord, target: TwistWord) -> list[Substitutio
     if source.fiber != target.fiber:
         raise NotRelatedError(
             f"not related: fiber descriptors differ "
-            f"({source.fiber.name} vs {target.fiber.name})"
+            f"({source.fiber} vs {target.fiber})"
         )
     if source.weight != target.weight:
         raise NotRelatedError(

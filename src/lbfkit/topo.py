@@ -16,7 +16,10 @@ never adjudicated:
 
 The per-word chi is an iterated fiber sum: chi(A #_F B) = chi A + chi B
 - chi F, folded over l disk-bundle summands and k + 1 - 2l disk summands
-with fiber DT*S^n.
+with fiber DT*S^n.  Each building block's chi is one integer function of
+n: ``chi_sphere`` for the fiber (DT*S^n retracts onto S^n),
+``chi_quadric`` for the disk bundle (it retracts onto its quadric base),
+and the literal 1 for a disk.
 """
 
 from __future__ import annotations
@@ -25,14 +28,9 @@ from dataclasses import dataclass
 from math import ceil
 
 __all__ = [
-    "Sphere",
-    "Quadric",
-    "DiskBundleOverQuadric",
-    "Disk",
-    "DiskCotangentSphere",
-    "SpaceDescriptor",
     "EulerReport",
-    "chi_space",
+    "chi_sphere",
+    "chi_quadric",
     "chi_fiber_sum",
     "chi_filling",
     "milnor_fiber_chi",
@@ -43,72 +41,30 @@ __all__ = [
 CONVENTIONS = ("betti", "alternate")
 
 
-@dataclass(frozen=True)
-class Sphere:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"sphere dimension must be >= 0, got {self.n}")
-
-
-@dataclass(frozen=True)
-class Quadric:
-    """Smooth quadric hypersurface of complex dimension n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"quadric dimension must be >= 0, got {self.n}")
-
-
-@dataclass(frozen=True)
-class DiskBundleOverQuadric:
-    n: int
-
-
-@dataclass(frozen=True)
-class Disk:
-    dim: int = 2
-
-
-@dataclass(frozen=True)
-class DiskCotangentSphere:
-    n: int
-
-
-SpaceDescriptor = Sphere | Quadric | DiskBundleOverQuadric | Disk | DiskCotangentSphere
-
-
 def _check_convention(convention: str) -> None:
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
 
 
-def chi_space(space: SpaceDescriptor, convention: str = "betti") -> int:
-    """Euler characteristic of a building block.
+def chi_sphere(n: int) -> int:
+    """chi(S^n), which is also chi(DT*S^n): the disk bundle retracts onto the sphere."""
+    if n < 0:
+        raise ValueError(f"sphere dimension must be >= 0, got {n}")
+    return 1 + (-1) ** n
 
-    The convention flag only matters for quadrics (and disk bundles over
-    them): ``betti`` counts Betti numbers, ``alternate`` evaluates the
-    closed expression; they agree for odd n and differ by n+1 vs n for
-    even n.
+
+def chi_quadric(n: int, convention: str = "betti") -> int:
+    """chi of the smooth quadric of complex dimension n, and of a disk bundle over it.
+
+    ``betti`` counts Betti numbers, ``alternate`` evaluates the closed
+    expression; they agree for odd n and differ by n+1 vs n for even n.
     """
+    if n < 0:
+        raise ValueError(f"quadric dimension must be >= 0, got {n}")
     _check_convention(convention)
-    if isinstance(space, Sphere):
-        return 1 + (-1) ** space.n
-    if isinstance(space, Quadric):
-        if convention == "betti":
-            return space.n + 1 + (1 if space.n % 2 == 0 else 0)
-        return ((-1) ** (space.n + 1) - 1) // 2 + space.n + 1
-    if isinstance(space, DiskBundleOverQuadric):
-        # deformation retract onto the base
-        return chi_space(Quadric(space.n), convention)
-    if isinstance(space, Disk):
-        return 1
-    if isinstance(space, DiskCotangentSphere):
-        return 1 + (-1) ** space.n
-    raise TypeError(f"unknown space descriptor {space!r}")
+    if convention == "betti":
+        return n + 1 + (1 if n % 2 == 0 else 0)
+    return ((-1) ** (n + 1) - 1) // 2 + n + 1
 
 
 def chi_fiber_sum(parts: list[int], chi_fiber: int) -> int:
@@ -132,14 +88,12 @@ def chi_filling(n: int, k: int, ell: int, convention: str = "betti") -> int:
         raise ValueError(f"k must be >= 1, got {k}")
     if ell < 0 or 2 * ell > k + 1:
         raise ValueError(f"need 0 <= 2l <= k+1, got l={ell}, k={k}")
-    chi_fiber = chi_space(DiskCotangentSphere(n))
+    # a disk summand contributes 1
     if convention == "betti":
-        bundle = chi_space(DiskBundleOverQuadric(n), "betti")
-        parts = [bundle] * ell + [chi_space(Disk())] * (k + 1 - 2 * ell)
+        parts = [chi_quadric(n, "betti")] * ell + [1] * (k + 1 - 2 * ell)
     else:
-        quadric = chi_space(Quadric(n), "alternate")
-        parts = [chi_space(Disk())] * ell + [quadric] * (k + 1 - 2 * ell)
-    return chi_fiber_sum(parts, chi_fiber)
+        parts = [1] * ell + [chi_quadric(n, "alternate")] * (k + 1 - 2 * ell)
+    return chi_fiber_sum(parts, chi_sphere(n))
 
 
 def milnor_fiber_chi(n: int, k: int) -> int:
@@ -154,7 +108,7 @@ def filling_slope(n: int, convention: str = "betti") -> int:
     """Increment of chi_filling per unit of l, exact in the integers."""
     _check_convention(convention)
     if convention == "betti":
-        return chi_space(Quadric(n)) - 2 + chi_space(Sphere(n))
+        return chi_quadric(n) - 2 + chi_sphere(n)
     return 3 + 2 * (-1) ** n - 2 * (n + 1)
 
 
@@ -183,8 +137,8 @@ def distinctness_report(n: int, k: int) -> EulerReport:
     betti_vals = [r[1] for r in rows]
     betti_inj = len(set(betti_vals)) == len(betti_vals)
     notes = []
-    qb = chi_space(Quadric(n), "betti")
-    qa = chi_space(Quadric(n), "alternate")
+    qb = chi_quadric(n, "betti")
+    qa = chi_quadric(n, "alternate")
     if qb != qa:
         notes.append(
             f"quadric chi conventions disagree at n={n}: betti {qb} vs alternate {qa}"

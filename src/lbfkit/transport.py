@@ -158,7 +158,7 @@ def initial_condition(t: float) -> tuple[float, float]:
 
 
 def h_value(cfg: ModelConfig, r1: float, r2: float) -> float:
-    f = cfg.ramp(r1 * r1 + r2 * r2)
+    f = cfg.ramp_and_slope(r1 * r1 + r2 * r2)[0]
     return -r1 * r1 + r2 * r2 - f * r1 * r1 * r2 * r2
 
 
@@ -312,7 +312,7 @@ def integrate(cfg: ModelConfig, t: float, s_max: float) -> dict[str, Trajectory]
         trajectories[name] = Trajectory(
             t=t, s=grid, r1=r1, r2=r2,
             h_drift=[h_value(cfg, a, b) - t for a, b in states],
-            radial_residual=[cfg.mu(a) * b - s for (a, b), s in zip(states, grid)])
+            radial_residual=[cfg.mu_and_slope(a)[0] * b - s for (a, b), s in zip(states, grid)])
     return trajectories
 
 

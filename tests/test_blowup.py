@@ -294,7 +294,7 @@ def test_off_chart_reports_match_recomputation():
 def test_milnor_word_examples():
     w = milnor_word(1)
     assert w.serialize() == "S S"
-    assert w.fiber.name == "DT*S2"
+    assert w.fiber == "DT*S2"
     assert len(milnor_word(3)) == 4
     for k in (1, 4, 9):
         assert milnor_word(k).weight == k + 1

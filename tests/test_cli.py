@@ -153,6 +153,23 @@ def test_transport_input_is_refused_before_integrating(capsys, monkeypatch, arg)
     assert err.startswith("lbfkit: usage error: ") and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("spec, reason", [
+    pytest.param("-0.25:-0.2:3", "t = -0.25 too close to the fiber-coordinate boundary",
+                 id="range-end"),
+    pytest.param("1e-8:0.1:3", "t = 1e-08 too close to the critical value t = 0",
+                 id="near-zero"),
+])
+def test_grid_without_stencil_room_is_refused_before_integrating(capsys, monkeypatch,
+                                                                 spec, reason):
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated before the grid was checked")
+
+    monkeypatch.setattr(transport, "integrate", integrate)
+    code, out, err = run(capsys, "transport", f"--grid={spec}")
+    assert (code, out) == (2, "")
+    assert err == f"lbfkit: usage error: {reason} for a central stencil\n"
+
+
 def test_other_exceptions_are_internal_failures(capsys, monkeypatch, tmp_path):
     # an exception without text is named by its type
     for exc, reason in ((ValueError("not a domain error"), "not a domain error"),
@@ -322,6 +339,15 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"lbfkit.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"lbfkit.{info.name}.{name}"
+
+
+def test_every_module_is_named_in_the_package_docstring_and_readme():
+    modules = sorted(info.name for info in pkgutil.iter_modules(lbfkit.__path__))
+    layout = (Path(__file__).parents[1] / "README.md").read_text().split("## Layout")[1]
+    layout = layout.split("```")[1]
+    for name in modules:
+        assert f"``{name}``" in lbfkit.__doc__, name
+        assert f"\n  {name}.py " in layout, name
 
 
 def test_help_exits_0(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import asdict
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lbfkit.cli import _clean, main
+from lbfkit import cli
+from lbfkit.cli import main
 from lbfkit.config import DomainError
 from lbfkit.contact import (
     BOUNDARY_HAMILTONIAN,
@@ -22,53 +24,57 @@ from lbfkit.contact import (
 )
 
 
+def _determinant(profile, r: float) -> float:
+    """f g' - f' g at r: positive exactly when the curve misses its tangent."""
+    f, g, fp, gp = profile.point_and_tangent(r)
+    return f * gp - fp * g
+
+
 def test_boundary_hamiltonian_constant():
     assert BOUNDARY_HAMILTONIAN == 2.0 * math.pi
 
 
 def test_profile_plateau_values_exact():
     p = make_profile()
-    assert p.f(0.0) == 2.0
-    assert p.g(0.0) == 0.0
-    assert p.f(0.05) == 2.0              # eps/2 endpoint of the flat cap
-    assert p.g(0.03) == 1.0 * 0.03 ** 2
-    assert p.f(1.0) == 1.0               # e^0
-    assert p.g(1.0) == 1.0               # K
-    assert p.f(1.1) == math.exp(1.0 - 1.1)
-    assert p.g(1.1) == 1.0
+    assert p.point_and_tangent(0.0)[:2] == (2.0, 0.0)
+    assert p.point_and_tangent(0.05)[0] == 2.0     # eps/2 endpoint of the flat cap
+    assert p.point_and_tangent(0.03)[1] == 1.0 * 0.03 ** 2
+    assert p.point_and_tangent(1.0)[:2] == (1.0, 1.0)    # e^0 and K
+    assert p.point_and_tangent(1.1)[0] == math.exp(1.0 - 1.1)
+    assert p.point_and_tangent(1.1)[1] == 1.0
 
 
 def test_profile_determinant_near_zero_is_2c0c1r():
     p = make_profile(c0=3.0, c1=2.0)
     for r in (0.001, 0.01, 0.02):
-        assert p.determinant(r) == 2.0 * 3.0 * 2.0 * r
+        assert _determinant(p, r) == 2.0 * 3.0 * 2.0 * r
 
 
 def test_profile_determinant_on_outer_plateau():
     p = make_profile(k=1.5)
     for r in (1.0, 1.02, 1.08, 1.1):
         # g' = 0 and g = K there, so det = -f' g = e^{1-r} K exactly
-        assert p.determinant(r) == math.exp(1.0 - r) * 1.5
+        assert _determinant(p, r) == math.exp(1.0 - r) * 1.5
 
 
 def test_profile_domain_checks():
     p = make_profile()
     assert p.r_max == 1.1
     with pytest.raises(ValueError):
-        p.f(-0.01)
+        p.point_and_tangent(-0.01)
     with pytest.raises(ValueError):
-        p.g(1.2)
+        p.point_and_tangent(1.2)
 
 
 def test_profile_joins_are_c2_to_rounding():
     p = make_profile()
     step = 1e-6
     for r in (0.05, 1.0):
-        left = p.f(r - step)
-        right = p.f(r + step)
-        assert abs(left - right) < 1e-4
-        assert abs(p.f_prime(r - step) - p.f_prime(r + step)) < 1e-3
-        assert abs(p.g_prime(r - step) - p.g_prime(r + step)) < 1e-3
+        left_f, _, left_fp, left_gp = p.point_and_tangent(r - step)
+        right_f, _, right_fp, right_gp = p.point_and_tangent(r + step)
+        assert abs(left_f - right_f) < 1e-4
+        assert abs(left_fp - right_fp) < 1e-3
+        assert abs(left_gp - right_gp) < 1e-3
 
 
 def test_profile_positivity_across_dimensions():
@@ -83,7 +89,7 @@ def test_profile_positivity_across_dimensions():
 
 def test_profile_report_serialization():
     report = verify_profile(make_profile(), n=2, grid=2_000)
-    d = _clean(report)
+    d = json.loads(cli._json_text(report))
     assert d["grid"] == 2_000
     assert d["passed"] is True
     assert d["params"]["c0"] == 2.0
@@ -132,23 +138,22 @@ def test_profile_csv_shape(capsys):
     p = make_profile()
     assert rows[0][:2] == [0.0, 2.0]
     assert rows[-1][0] == p.r_max
-    assert [row[3] for row in rows] == [p.determinant(row[0]) for row in rows]
+    assert [row[3] for row in rows] == [_determinant(p, row[0]) for row in rows]
 
 
 def test_corner_endpoints_exact():
     curve, report = make_corner_curve(0.1)
-    assert curve.f(-0.1) == 0.1
-    assert curve.g(-0.1) == 0.9          # 1 + r at r = -eps
-    assert curve.f(0.1) == -0.1
-    assert curve.g(0.1) == 1.0
+    assert curve.point_and_tangent(-0.1)[:2] == (0.1, 0.9)    # g = 1 + r at r = -eps
+    assert curve.point_and_tangent(0.1)[:2] == (-0.1, 1.0)
     assert report.endpoints_exact
 
 
 def test_corner_bridge_signs():
     curve, report = make_corner_curve(0.1)
     for r in (-0.049, -0.03, -0.01, -0.001):
-        assert curve.f_prime(r) < 0.0
-        assert curve.g_prime(r) > 0.0
+        _, _, fp, gp = curve.point_and_tangent(r)
+        assert fp < 0.0
+        assert gp > 0.0
     assert report.interior_signs_ok
     assert report.joins_c1
     assert report.passed
@@ -175,10 +180,10 @@ def test_corner_validation():
 def test_base_profile_plateaus():
     bp = make_base_profile(k=2.0, eps=0.1)
     for s in (0.0, 0.02, 0.05, 0.1):
-        assert bp.h(s) == 2.0 * s * s
+        assert bp.h_and_slope(s)[0] == 2.0 * s * s
     for s in (0.9, 0.95, 1.0):
-        assert bp.h(s) == 2.0 * math.exp(s - 1.0)
-    assert bp.h(0.0) == 0.0
+        assert bp.h_and_slope(s)[0] == 2.0 * math.exp(s - 1.0)
+    assert bp.h_and_slope(0.0)[0] == 0.0
     assert bp.boundary_hamiltonian == BOUNDARY_HAMILTONIAN
 
 
@@ -196,8 +201,8 @@ def test_base_profile_monotone():
 def test_base_profile_derivative_positive_inside():
     bp = make_base_profile()
     for s in (0.01, 0.1, 0.3, 0.7, 0.95, 1.0):
-        assert bp.h_prime(s) > 0.0
-    assert bp.h_prime(0.0) == 0.0
+        assert bp.h_and_slope(s)[1] > 0.0
+    assert bp.h_and_slope(0.0)[1] == 0.0
 
 
 def test_base_profile_validation():

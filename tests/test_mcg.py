@@ -7,7 +7,6 @@ import pytest
 from lbfkit.mcg import (
     BOUNDARY,
     SPHERE,
-    FiberDescriptor,
     NotRelatedError,
     PatternMismatchError,
     TwistGen,
@@ -18,6 +17,7 @@ from lbfkit.mcg import (
     substitute,
     substitution_chain,
 )
+from lbfkit.topo import chi_sphere
 
 FIBER = disk_cotangent_sphere(2)
 
@@ -44,10 +44,10 @@ def test_generator_rejects_unknown_kind():
 
 
 def test_fiber_descriptor_euler_numbers():
-    assert disk_cotangent_sphere(2) == FiberDescriptor("DT*S2", 2, 2)
-    assert disk_cotangent_sphere(3) == FiberDescriptor("DT*S3", 3, 0)
-    assert disk_cotangent_sphere(5).chi == 0
-    assert disk_cotangent_sphere(6).chi == 2
+    assert disk_cotangent_sphere(2) == "DT*S2"
+    assert disk_cotangent_sphere(3) == "DT*S3"
+    # the fiber's Euler number is chi(S^n), kept in topo
+    assert [chi_sphere(n) for n in (2, 3, 5, 6)] == [2, 0, 0, 2]
     with pytest.raises(ValueError):
         disk_cotangent_sphere(0)
 

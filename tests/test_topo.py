@@ -5,15 +5,11 @@ from __future__ import annotations
 import pytest
 
 from lbfkit.topo import (
-    Disk,
-    DiskBundleOverQuadric,
-    DiskCotangentSphere,
     EulerReport,
-    Quadric,
-    Sphere,
     chi_fiber_sum,
     chi_filling,
-    chi_space,
+    chi_quadric,
+    chi_sphere,
     distinctness_report,
     filling_slope,
     milnor_fiber_chi,
@@ -21,42 +17,43 @@ from lbfkit.topo import (
 
 
 def test_sphere_chi():
-    assert chi_space(Sphere(2)) == 2
-    assert chi_space(Sphere(3)) == 0
-    assert chi_space(Sphere(0)) == 2
+    assert chi_sphere(2) == 2
+    assert chi_sphere(3) == 0
+    assert chi_sphere(0) == 2
 
 
 def test_quadric_conventions_agree_for_odd_n():
     # Q^1 is a conic, a 2-sphere; both conventions see chi = 2
-    assert chi_space(Quadric(1), "betti") == 2
-    assert chi_space(Quadric(1), "alternate") == 2
-    assert chi_space(Quadric(3), "betti") == chi_space(Quadric(3), "alternate") == 4
+    assert chi_quadric(1, "betti") == 2
+    assert chi_quadric(1, "alternate") == 2
+    assert chi_quadric(3, "betti") == chi_quadric(3, "alternate") == 4
 
 
 def test_quadric_conventions_split_for_even_n():
     # betti counts the doubled middle class, the closed expression misses it
-    assert chi_space(Quadric(2), "betti") == 4
-    assert chi_space(Quadric(2), "alternate") == 2
-    assert chi_space(Quadric(4), "betti") == 6
-    assert chi_space(Quadric(4), "alternate") == 4
+    assert chi_quadric(2, "betti") == 4
+    assert chi_quadric(2, "alternate") == 2
+    assert chi_quadric(4, "betti") == 6
+    assert chi_quadric(4, "alternate") == 4
 
 
 def test_remaining_building_blocks():
-    assert chi_space(Disk()) == 1
-    assert chi_space(Disk(dim=7)) == 1
-    assert chi_space(DiskBundleOverQuadric(2)) == chi_space(Quadric(2))
-    assert chi_space(DiskBundleOverQuadric(3), "alternate") == 4
-    assert chi_space(DiskCotangentSphere(2)) == 2
-    assert chi_space(DiskCotangentSphere(3)) == 0
+    # two disk summands over DT*S^3 (chi 0): each disk contributes 1
+    assert chi_filling(3, 1, 0, "betti") == 1 + 1 - chi_sphere(3) == 2
+    # a disk bundle over the quadric has the quadric's chi, and DT*S^n the sphere's
+    assert chi_quadric(2) == chi_quadric(2, "betti") == 4
+    assert chi_quadric(3, "alternate") == 4
+    assert chi_sphere(2) == 2
+    assert chi_sphere(3) == 0
 
 
 def test_chi_space_validation():
     with pytest.raises(ValueError, match="convention"):
-        chi_space(Sphere(2), "euler")
+        chi_quadric(2, "euler")
     with pytest.raises(ValueError):
-        Sphere(-1)
+        chi_sphere(-1)
     with pytest.raises(ValueError):
-        Quadric(-2)
+        chi_quadric(-2)
 
 
 def test_fiber_sum_examples():
