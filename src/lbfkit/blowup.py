@@ -376,14 +376,6 @@ class ResolutionStep:
     multiplicity: int
     verdict: SingularityVerdict
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "chart": self.chart,
-            "polynomial": self.polynomial.to_text(),
-            "multiplicity": self.multiplicity,
-            "verdict": str(self.verdict),
-        }
-
 
 @dataclass
 class ResolutionTrace:
@@ -398,27 +390,8 @@ class ResolutionTrace:
         return len(self.steps)
 
     @property
-    def final_verdict(self) -> SingularityVerdict | None:
-        return self.steps[-1].verdict if self.steps else None
-
-    @property
     def resolved(self) -> bool:
-        final = self.final_verdict
-        return final is not None and final.is_smooth and self.diagnostic is None
-
-    def as_dict(self) -> dict[str, object]:
-        out: dict[str, object] = {
-            "k": self.k,
-            "n": self.n,
-            "initial": self.initial.to_text(),
-            "initial_verdict": str(classify(self.initial)),
-            "steps": [s.as_dict() for s in self.steps],
-            "step_count": self.step_count,
-            "resolved": self.resolved,
-        }
-        if self.diagnostic is not None:
-            out["diagnostic"] = self.diagnostic
-        return out
+        return bool(self.steps) and self.steps[-1].verdict.is_smooth and self.diagnostic is None
 
 
 def resolve_A(k: int, n: int) -> ResolutionTrace:

@@ -67,17 +67,12 @@ ALL_SUITES = ("verify-forms", "transport", "fillings", "resolve", "contact-check
 DEFAULT_T_GRID = "-0.16:0.16:8"
 # Largest --grid COUNT; checked before the grid is allocated.
 MAX_GRID_COUNT = 10_000
-# Largest fillings and resolve --k: at k = 1,000 a run takes about 0.4 s on
-# two x86-64 cores, writes up to 2 MB and peaks at 25 MB RSS; the report
-# grows as k^2.
+# Largest fillings and resolve --k: both reports grow as k^2; timings in README.
 MAX_K = 1_000
-# Largest verify-forms --n: the exact TOP_POWER expansion grows steeply in
-# n.  On two x86-64 cores a fresh run takes 0.21-0.24 s at n = 16 and
-# 0.53-0.58 s at 24 (medians of 5, two sets).
+# Largest verify-forms --n: the exact TOP_POWER expansion, and so the run
+# time, grows steeply in n; timings in README.
 MAX_N = 24
-# Largest resolve --dim: at k = MAX_K a fresh run takes 0.4 s at dim 30,
-# 0.5 s at 50 and 0.8 s at 100 on two x86-64 cores (medians of 5); smaller
-# k is faster.
+# Largest resolve --dim: run time grows steeply in dim; timings in README.
 MAX_DIM = 100
 
 
@@ -366,9 +361,25 @@ def _suite_resolve(k: int, dim: int) -> SuiteResult:
             f"word chain length {len(chain)} != step count {trace.step_count}"
         )
 
+    # each step's cells, formatted once for the json record and the rows
+    header = ["step", "chart", "polynomial", "multiplicity", "verdict"]
+    steps = [(s.chart, s.polynomial.to_text(), s.multiplicity, str(s.verdict))
+             for s in trace.steps]
+    trace_report = {
+        "k": trace.k,
+        "n": trace.n,
+        "initial": trace.initial.to_text(),
+        "initial_verdict": str(blowup.classify(trace.initial)),
+        "steps": [dict(zip(header[1:], step)) for step in steps],
+        "step_count": trace.step_count,
+        "resolved": trace.resolved,
+    }
+    if trace.diagnostic is not None:
+        trace_report["diagnostic"] = trace.diagnostic
+
     report = {
         "config": _config_dict(DEFAULT_CONFIG, k=k, dim=dim),
-        "trace": trace.as_dict(),
+        "trace": trace_report,
         "word_chain": [
             {
                 "position": s.position,
@@ -380,12 +391,10 @@ def _suite_resolve(k: int, dim: int) -> SuiteResult:
         ],
     }
 
-    header = ["step", "chart", "polynomial", "multiplicity", "verdict"]
-    steps = [(str(i + 1), str(s.chart), s.polynomial.to_text(), str(s.multiplicity),
-              str(s.verdict)) for i, s in enumerate(trace.steps)]
+    cells = [[str(i), str(c), p, str(m), v] for i, (c, p, m, v) in enumerate(steps, 1)]
     # the csv quotes the polynomial, the one cell that holds spaces and signs
-    csv_rows = [header] + [[i, c, f'"{p}"', m, v] for i, c, p, m, v in steps]
-    table_rows = [header] + [list(step) for step in steps]
+    csv_rows = [header] + [[i, c, f'"{p}"', m, v] for i, c, p, m, v in cells]
+    table_rows = [header] + cells
     table_rows.append(["result", _pass_fail(not failures), "", "", ""])
     return SuiteResult(report, failures, csv_rows, table_rows,
                        internal_failure=trace.diagnostic)
@@ -467,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("fillings", help="twist words and Euler characteristics")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help="N is any integer >= 2")
     p.add_argument("--k", type=int, default=5, help=f"K runs from 1 to {MAX_K}")
     p.add_argument("--include-zero", action="store_true")
     common(p)
@@ -478,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("contact-check", help="profile, corner, and base checks")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help="N runs from 1 to 1024")
     common(p)
 
     p = sub.add_parser("all", help="every suite with defaults, into a directory")

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Callable, Mapping
+from typing import Mapping
 
 from . import poly
 from .poly import Rational
@@ -259,33 +259,22 @@ def standard_rules() -> DerivativeRules:
     for v in VARIABLES:
         rules.register_variable(v)
 
-    def chain(names: list[str], var_map: Callable[[str, str], ScalarExpr]) -> None:
-        for i, name in enumerate(names):
-            nxt = names[i + 1] if i + 1 < len(names) else None
-            for v in VARIABLES:
-                if nxt is None:
-                    break  # deepest atom keeps no rules: forces an explicit error
-                rules.register(name, v, var_map(nxt, v))
-
-    u_names = ["f"] + ["u" + "p" * k for k in range(1, CHAIN_DEPTH + 2)]
-    chain(
-        u_names,
-        lambda nxt, v: (
-            ScalarExpr.const(2) * ScalarExpr.atom(v) * ScalarExpr.atom(nxt)
-            if v in ("r1", "r2")
-            else ZERO
-        ),
+    # (head, stem of the primed names, chain factor per variable); every
+    # other variable gets an explicit zero
+    chains = (
+        ("f", "u", {v: 2 * ScalarExpr.atom(v) for v in ("r1", "r2")}),
+        ("mu", "mu", {"r1": ONE}),
+        ("sigma", "sigma", {"t": ONE}),
+        ("fc", "fc", {"r": ONE}),
+        ("gc", "gc", {"r": ONE}),
     )
-
-    mu_names = ["mu"] + ["mu" + "p" * k for k in range(1, CHAIN_DEPTH + 2)]
-    chain(mu_names, lambda nxt, v: ScalarExpr.atom(nxt) if v == "r1" else ZERO)
-
-    sigma_names = ["sigma"] + ["sigma" + "p" * k for k in range(1, CHAIN_DEPTH + 2)]
-    chain(sigma_names, lambda nxt, v: ScalarExpr.atom(nxt) if v == "t" else ZERO)
-
-    for base in ("fc", "gc"):
-        names = [base] + [base + "p" * k for k in range(1, CHAIN_DEPTH + 2)]
-        chain(names, lambda nxt, v: ScalarExpr.atom(nxt) if v == "r" else ZERO)
+    for head, stem, factors in chains:
+        names = [head] + [stem + "p" * k for k in range(1, CHAIN_DEPTH + 2)]
+        # the deepest atom keeps no rules: forces an explicit error
+        for name, nxt in zip(names, names[1:]):
+            for v in VARIABLES:
+                d = factors[v] * ScalarExpr.atom(nxt) if v in factors else ZERO
+                rules.register(name, v, d)
 
     for v in VARIABLES:
         rules.register("exp_t", v, ScalarExpr.atom("exp_t") if v == "t" else ZERO)
@@ -352,68 +341,43 @@ class Algebra:
         return f"Algebra({self.name}, n={self.n})"
 
 
+def _contact_algebra(
+    name: str, n: int, disks: tuple[tuple[str, str], ...], contact: str
+) -> Algebra:
+    """Disk factors (radius, angle) over a contact base with 1-form ``contact``.
+
+    Each factor gives the odd closed generators d<radius>, d<angle>, their
+    duals d_<radius>, d_<angle>, and the coordinate form radius -> d<radius>.
+    The contact form is odd with d-target d<contact>, even and capped at
+    n - 1; ``reeb`` pairs with the contact form alone.
+    """
+    generators: list[Generator] = []
+    coord_forms: dict[str, str] = {}
+    pairings: dict[str, dict[str, Rational]] = {}
+    for radius, angle in disks:
+        coord_forms[radius] = "d" + radius
+        for coord in (radius, angle):
+            generators.append(Generator("d" + coord, 1, None, None))
+            pairings["d_" + coord] = {"d" + coord: 1}
+    generators.append(Generator(contact, 1, None, "d" + contact))
+    generators.append(Generator("d" + contact, 2, n - 1, None))
+    pairings["reeb"] = {contact: 1}
+    return Algebra(name, n, generators, coord_forms, pairings)
+
+
 def disk_bundle_algebra(n: int) -> Algebra:
     """One disk factor (r, theta) over a contact base with form alpha."""
-    return Algebra(
-        name="disk_bundle",
-        n=n,
-        generators=[
-            Generator("dr", 1, None, None),
-            Generator("dtheta", 1, None, None),
-            Generator("alpha", 1, None, "dalpha"),
-            Generator("dalpha", 2, n - 1, None),
-        ],
-        coord_forms={"r": "dr"},
-        pairings={
-            "d_r": {"dr": 1},
-            "d_theta": {"dtheta": 1},
-            "reeb": {"alpha": 1},
-        },
-    )
+    return _contact_algebra("disk_bundle", n, (("r", "theta"),), "alpha")
 
 
 def double_disk_algebra(n: int) -> Algebra:
     """Two disk factors (r1, theta1), (r2, theta2) over a contact base."""
-    return Algebra(
-        name="double_disk",
-        n=n,
-        generators=[
-            Generator("dr1", 1, None, None),
-            Generator("dtheta1", 1, None, None),
-            Generator("dr2", 1, None, None),
-            Generator("dtheta2", 1, None, None),
-            Generator("alpha", 1, None, "dalpha"),
-            Generator("dalpha", 2, n - 1, None),
-        ],
-        coord_forms={"r1": "dr1", "r2": "dr2"},
-        pairings={
-            "d_r1": {"dr1": 1},
-            "d_theta1": {"dtheta1": 1},
-            "d_r2": {"dr2": 1},
-            "d_theta2": {"dtheta2": 1},
-            "reeb": {"alpha": 1},
-        },
-    )
+    return _contact_algebra("double_disk", n, (("r1", "theta1"), ("r2", "theta2")), "alpha")
 
 
 def collar_algebra(n: int) -> Algebra:
     """Collar [0, 1+eps] x (contact boundary) x S^1 with angle phi."""
-    return Algebra(
-        name="collar",
-        n=n,
-        generators=[
-            Generator("dr", 1, None, None),
-            Generator("dphi", 1, None, None),
-            Generator("lam", 1, None, "dlam"),
-            Generator("dlam", 2, n - 1, None),
-        ],
-        coord_forms={"r": "dr"},
-        pairings={
-            "d_r": {"dr": 1},
-            "d_phi": {"dphi": 1},
-            "reeb": {"lam": 1},
-        },
-    )
+    return _contact_algebra("collar", n, (("r", "phi"),), "lam")
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +419,11 @@ def _mul_words(algebra: Algebra, w1: WedgeWord, w2: WedgeWord) -> tuple[int, Wed
 # forms
 
 
+def _same_algebra(a: Algebra, b: Algebra) -> bool:
+    """One algebra, or distinct instances with identical settings."""
+    return a is b or (a.name, a.n) == (b.name, b.n)
+
+
 def _accumulate(out: dict[WedgeWord, ScalarExpr], word: WedgeWord, coeff: ScalarExpr) -> None:
     """Add coeff into out[word] in place, dropping the word when the sum is zero."""
     acc = out.get(word, ZERO) + coeff
@@ -493,13 +462,11 @@ class Form:
     # -- linear structure
 
     def _check(self, other: "Form") -> None:
-        if self.algebra is not other.algebra:
-            # distinct instances with identical settings are fine
-            a, b = self.algebra, other.algebra
-            if (a.name, a.n) != (b.name, b.n):
-                raise AlgebraMismatchError(
-                    f"cannot combine forms over '{a.name}' (n={a.n}) and '{b.name}' (n={b.n})"
-                )
+        a, b = self.algebra, other.algebra
+        if not _same_algebra(a, b):
+            raise AlgebraMismatchError(
+                f"cannot combine forms over '{a.name}' (n={a.n}) and '{b.name}' (n={b.n})"
+            )
 
     def __add__(self, other: "Form") -> "Form":
         self._check(other)
@@ -531,9 +498,6 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         return equals(self, other)
-
-    def __hash__(self) -> int:  # pragma: no cover - forms rarely hashed
-        return hash(tuple(sorted((w, c.to_text()) for w, c in self.terms.items())))
 
     # -- display
 
@@ -681,10 +645,8 @@ def ext_d(a: Form) -> Form:
 
 def interior(v: TangentSymbol, a: Form) -> Form:
     """Contraction with a formal tangent symbol: a graded degree -1 derivation."""
-    if v.algebra is not a.algebra:
-        va, aa = v.algebra, a.algebra
-        if (va.name, va.n) != (aa.name, aa.n):
-            raise AlgebraMismatchError("tangent symbol and form live over different algebras")
+    if not _same_algebra(v.algebra, a.algebra):
+        raise AlgebraMismatchError("tangent symbol and form live over different algebras")
     algebra = a.algebra
     out: dict[WedgeWord, ScalarExpr] = {}
     for dual, vcoeff in v.parts.items():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lbfkit import mcg
+from lbfkit import cli, mcg
 from lbfkit.blowup import (
     MultiPoly,
     NonRationalCoefficientError,
@@ -257,8 +257,7 @@ def test_resolution_first_step_literal_shape():
 
 
 def test_trace_json_round_trip():
-    trace = resolve_A(4, 1)
-    data = json.loads(json.dumps(trace.as_dict()))
+    data = json.loads(cli._json_text(cli._suite_resolve(4, 1).report))["trace"]
     assert data["k"] == 4
     assert data["n"] == 1
     assert data["initial_verdict"] == "AType(4)"

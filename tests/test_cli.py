@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import lbfkit
-from lbfkit import cli, models, topo, transport
+from lbfkit import blowup, cli, models, topo, transport
 from lbfkit.cli import FORMATS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -185,6 +185,39 @@ def test_other_exceptions_are_internal_failures(capsys, monkeypatch, tmp_path):
         assert code == 3
         assert err == f"lbfkit all/verify-forms: internal failure: {reason}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("branch", ["classification", "runaway"])
+def test_halted_trace_is_an_internal_failure_after_its_report(capsys, monkeypatch, branch):
+    if branch == "classification":
+        verdict = blowup.SingularityVerdict.unclassified("patched")
+        message = "classification failed after 1 steps: Unclassified(patched)"
+    else:
+        # the transform never changes, so no step is ever smooth
+        verdict = blowup.SingularityVerdict.a_type(1)
+        monkeypatch.setattr(blowup, "proper_transform", lambda p, j: (p, 2))
+        message = "no smooth transform after 6 steps"
+    monkeypatch.setattr(blowup, "classify", lambda p: verdict)
+    code, out, err = run(capsys, "resolve", "--k", "5", "--dim", "1")
+    assert code == 3
+    assert err == f"lbfkit: internal failure: {message}\n"
+    data = json.loads(out)
+    assert data["trace"]["diagnostic"] == message
+    assert data["trace"]["resolved"] is False and data["passed"] is False
+    code, out, err = run(capsys, "resolve", "--k", "5", "--dim", "1", "--format", "table")
+    assert (code, err) == (3, f"lbfkit: internal failure: {message}\n")
+    assert out.splitlines()[-1].split() == ["result", "FAIL"]
+
+
+def test_fillings_n_has_no_upper_bound(capsys):
+    # the betti slope is n + 2 for even n and n - 1 for odd n, nonzero for n >= 2
+    code, out, err = run(capsys, "fillings", "--n", str(10 ** 400), "--k", "3")
+    assert (code, err) == (0, "")
+    chis = [row["chi_betti"] for row in json.loads(out)["fillings"]]
+    assert len(chis) > 1 and len(set(chis)) == len(chis)
+    for command, text in (("fillings", "N is any integer >= 2"),
+                          ("contact-check", "N runs from 1 to 1024")):
+        assert text in run(capsys, command, "--help")[1]
 
 
 def test_transport_grid_count_is_bounded(capsys):

@@ -143,6 +143,23 @@ def test_chain_rule_depth_and_missing_rule():
             expr = expr.diff("r1", rules)
 
 
+def test_each_chain_differentiates_against_its_own_variables():
+    rules = standard_rules()
+    for head, stem, factors in (
+        ("f", "u", {"r1": 2 * ScalarExpr.atom("r1"), "r2": 2 * ScalarExpr.atom("r2")}),
+        ("mu", "mu", {"r1": 1}),
+        ("sigma", "sigma", {"t": 1}),
+        ("fc", "fc", {"r": 1}),
+        ("gc", "gc", {"r": 1}),
+    ):
+        for v in exterior.VARIABLES:
+            expected = factors[v] * ScalarExpr.atom(stem + "p") if v in factors else ZERO
+            assert ScalarExpr.atom(head).diff(v, rules) == expected
+        deepest = ScalarExpr.atom(stem + "p" * (exterior.CHAIN_DEPTH + 1))
+        with pytest.raises(MissingRuleError):
+            deepest.diff(next(iter(factors)), rules)
+
+
 def test_mu_is_constant_in_r2():
     rules = standard_rules()
     assert ScalarExpr.atom("mu").diff("r2", rules).is_zero()
@@ -194,6 +211,43 @@ def test_even_generator_power_cap():
         da = Form.gen(alg, "dalpha")
         assert not wedge_power(da, n - 1).is_zero()
         assert wedge_power(da, n).is_zero()
+
+
+# Each algebra's layout as the explicit constructors spelled it out:
+# generators (name, degree, cap, d-target) in index order, coordinate forms
+# and pairings.  The cap of the even generator is n - 1.
+LAYOUTS = {
+    exterior.disk_bundle_algebra: (
+        lambda n: [("dr", 1, None, None), ("dtheta", 1, None, None),
+                   ("alpha", 1, None, "dalpha"), ("dalpha", 2, n - 1, None)],
+        {"r": "dr"},
+        {"d_r": {"dr": 1}, "d_theta": {"dtheta": 1}, "reeb": {"alpha": 1}},
+    ),
+    exterior.double_disk_algebra: (
+        lambda n: [("dr1", 1, None, None), ("dtheta1", 1, None, None),
+                   ("dr2", 1, None, None), ("dtheta2", 1, None, None),
+                   ("alpha", 1, None, "dalpha"), ("dalpha", 2, n - 1, None)],
+        {"r1": "dr1", "r2": "dr2"},
+        {"d_r1": {"dr1": 1}, "d_theta1": {"dtheta1": 1}, "d_r2": {"dr2": 1},
+         "d_theta2": {"dtheta2": 1}, "reeb": {"alpha": 1}},
+    ),
+    exterior.collar_algebra: (
+        lambda n: [("dr", 1, None, None), ("dphi", 1, None, None),
+                   ("lam", 1, None, "dlam"), ("dlam", 2, n - 1, None)],
+        {"r": "dr"},
+        {"d_r": {"dr": 1}, "d_phi": {"dphi": 1}, "reeb": {"lam": 1}},
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_algebra_layouts(n):
+    for build, (generators, coord_forms, pairings) in LAYOUTS.items():
+        alg = build(n)
+        assert [(g.name, g.degree, g.max_power, g.d_name)
+                for g in alg.generators] == generators(n)
+        assert alg.coord_forms == coord_forms
+        assert alg.pairings == pairings
 
 
 def _assert_power_matches_fold(form: Form, kmax: int) -> None:
