@@ -21,7 +21,6 @@ words: each blow-up trades two sphere twists for one boundary twist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
@@ -279,11 +278,13 @@ def proper_transform(p: MultiPoly, j: int) -> tuple[MultiPoly, int]:
 # classification
 
 
-@dataclass(frozen=True)
 class SingularityVerdict:
-    kind: str                 # SMOOTH, A_TYPE, or UNCLASSIFIED
-    m: int | None = None
-    reason: str = ""
+    __slots__ = ("kind", "m", "reason")
+
+    def __init__(self, kind: str, m: int | None = None, reason: str = "") -> None:
+        self.kind = kind   # SMOOTH, A_TYPE, or UNCLASSIFIED
+        self.m = m
+        self.reason = reason
 
     @classmethod
     def smooth(cls) -> "SingularityVerdict":
@@ -369,21 +370,28 @@ def classify(p: MultiPoly) -> SingularityVerdict:
 # resolution traces
 
 
-@dataclass(frozen=True)
 class ResolutionStep:
-    chart: int
-    polynomial: MultiPoly
-    multiplicity: int
-    verdict: SingularityVerdict
+    __slots__ = ("chart", "polynomial", "multiplicity", "verdict")
+
+    def __init__(self, chart: int, polynomial: MultiPoly, multiplicity: int,
+                 verdict: SingularityVerdict) -> None:
+        self.chart = chart
+        self.polynomial = polynomial
+        self.multiplicity = multiplicity
+        self.verdict = verdict
 
 
-@dataclass
 class ResolutionTrace:
-    k: int
-    n: int
-    initial: MultiPoly
-    steps: list[ResolutionStep] = field(default_factory=list)
-    diagnostic: str | None = None
+    __slots__ = ("k", "n", "initial", "steps", "diagnostic")
+
+    def __init__(self, k: int, n: int, initial: MultiPoly,
+                 steps: list[ResolutionStep] | None = None,
+                 diagnostic: str | None = None) -> None:
+        self.k = k
+        self.n = n
+        self.initial = initial
+        self.steps = [] if steps is None else steps
+        self.diagnostic = diagnostic
 
     @property
     def step_count(self) -> int:

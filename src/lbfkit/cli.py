@@ -52,10 +52,10 @@ import sys
 import tempfile
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .config import DEFAULT_CONFIG, STENCIL_FLOOR, DomainError, ModelConfig, linspace
+from .config import (DEFAULT_CONFIG, SINGULAR_FLOOR, STENCIL_FLOOR, DomainError, ModelConfig,
+                     linspace)
 
 SCHEMA = "lbf-kit/1"
 TIMING_SCHEMA = "lbf-kit/1-timing"
@@ -76,21 +76,25 @@ MAX_N = 24
 MAX_DIM = 100
 
 
-@dataclass
 class SuiteResult:
     """One suite's outcome: report fields, failures, rows and sidecar timings.
 
-    ``report`` holds the suite's own fields; the schema, the command and
-    ``passed`` are added when it is rendered.  Rows are lists of string
-    cells, the header first.
+    ``report`` holds the suite's own fields, plain JSON data; the schema,
+    the command and ``passed`` are added when it is rendered.  Rows are
+    lists of string cells, the header first.
     """
 
-    report: dict
-    failures: list[str]
-    csv_rows: list[list[str]]
-    table_rows: list[list[str]]
-    timing: dict = field(default_factory=dict)    # per-stage wall times for the sidecar
-    internal_failure: str | None = None           # exit 3, after the report is written
+    __slots__ = ("report", "failures", "csv_rows", "table_rows", "timing", "internal_failure")
+
+    def __init__(self, report: dict, failures: list[str], csv_rows: list[list[str]],
+                 table_rows: list[list[str]], timing: dict | None = None,
+                 internal_failure: str | None = None) -> None:
+        self.report = report
+        self.failures = failures
+        self.csv_rows = csv_rows
+        self.table_rows = table_rows
+        self.timing = {} if timing is None else timing   # per-stage wall times for the sidecar
+        self.internal_failure = internal_failure         # exit 3, after the report is written
 
     @property
     def passed(self) -> bool:
@@ -98,12 +102,12 @@ class SuiteResult:
 
 
 def _json_text(report: dict) -> str:
-    """Sorted, indented JSON; tuples print as lists and dataclasses as their fields."""
-    return json.dumps(report, sort_keys=True, indent=2, default=asdict) + "\n"
+    """Sorted, indented JSON; tuples print as lists."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _config_dict(cfg: ModelConfig, **run_params: object) -> dict:
-    return {**asdict(cfg), **run_params}
+    return {name: getattr(cfg, name) for name in cfg.FIELDS} | run_params
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -172,26 +176,22 @@ def _suite_verify_forms(n: int) -> SuiteResult:
     reports = [_timed(identities_ms, identity.value, models.verify_identity, identity, cfg)
                for identity in models.IdentityId]
     grid = _timed(timing, "top_power_grid_ms", models.positivity_grid, cfg)
-    grid_ok = grid.min_value > 0.0
+    grid_ok = grid["min_value"] > 0.0
 
-    failures = [f"{r.identity}: {r.verdict}" for r in reports if not r.passed]
+    failures = [f"{r['identity']}: {r['verdict']}" for r in reports
+                if r["verdict"] != "exact-equal"]
     if not grid_ok:
-        failures.append(f"TOP_POWER grid minimum {grid.min_value} is not positive")
+        failures.append(f"TOP_POWER grid minimum {grid['min_value']} is not positive")
 
     report = {
         "config": _config_dict(cfg),
         "identities": reports,
-        "top_power_grid": {
-            "min_value": grid.min_value,
-            "argmin": grid.argmin,
-            "resolution": grid.resolution,
-            "positive": grid_ok,
-        },
+        "top_power_grid": {**grid, "positive": grid_ok},
     }
 
-    rows = [["identity", "verdict"]] + [[r.identity, r.verdict] for r in reports]
+    rows = [["identity", "verdict"]] + [[r["identity"], r["verdict"]] for r in reports]
     table_rows = rows + [
-        ["TOP_POWER grid min", _cell(grid.min_value)],
+        ["TOP_POWER grid min", _cell(grid["min_value"])],
         ["result", _pass_fail(not failures)],
     ]
     return SuiteResult(report, failures, rows, table_rows, timing)
@@ -274,11 +274,11 @@ def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
             "target": 0.5,
             "tolerance": 1e-3,
         },
-        "profile": {"s0": s0, "t": prof.t, "R": prof.R, "dR": prof.dR,
-                    "dR_cut": prof.dR_cut},
+        "profile": prof,
     }
 
-    rows = [["t", "R", "dR", "dR_cut"]] + _float_rows(prof.t, prof.R, prof.dR, prof.dR_cut)
+    header = ["t", "R", "dR", "dR_cut"]
+    rows = [header] + _float_rows(*(prof[key] for key in header))
     table_rows = rows + [
         [f"{variant} drifts", _cell(data["max_h_drift"]),
          _cell(data["max_radial_drift"]), ""]
@@ -298,7 +298,7 @@ def _suite_fillings(n: int, k: int, include_zero: bool) -> SuiteResult:
     rows_data = []
     for word in words:
         ell = sum(1 for g in word.letters if g.kind == mcg.BOUNDARY)
-        _, chi_betti, chi_alternate, differs = euler.rows[ell]    # rows run over l = 0, 1, ...
+        _, chi_betti, chi_alternate, differs = euler["rows"][ell]    # rows run over l = 0, 1, ...
         rows_data.append({
             "ell": ell,
             "word": word.serialize(),
@@ -326,10 +326,10 @@ def _suite_fillings(n: int, k: int, include_zero: bool) -> SuiteResult:
         "config": _config_dict(ModelConfig(n=n), k=k, include_zero=include_zero),
         "fillings": rows_data,
         "summary": summary,
-        "milnor_chi": euler.milnor_value,
-        "slopes": {"betti": euler.betti_slope, "alternate": euler.alternate_slope},
-        "euler_verdict": euler.verdict,
-        "notes": euler.notes,
+        "milnor_chi": euler["milnor_value"],
+        "slopes": {"betti": euler["betti_slope"], "alternate": euler["alternate_slope"]},
+        "euler_verdict": euler["verdict"],
+        "notes": euler["notes"],
     }
 
     rows = [["ell", "word", "weight", "chi_betti", "chi_alternate", "differs"]]
@@ -412,14 +412,14 @@ def _suite_contact_check(n: int) -> SuiteResult:
     samples = _timed(timing, "samples_ms", contact.profile_samples, profile)
 
     failures = []
-    if not prof_report.passed:
+    if not prof_report["passed"]:
         failures.append(
-            f"profile minimum {prof_report.min_value} at r={prof_report.argmin} "
+            f"profile minimum {prof_report['min_value']} at r={prof_report['argmin']} "
             "is not positive"
         )
-    if not corner_report.passed:
+    if not corner_report["passed"]:
         failures.append("corner curve bullet verification failed")
-    if not base_report.passed:
+    if not base_report["passed"]:
         failures.append("base profile verification failed")
 
     report = {
@@ -434,10 +434,10 @@ def _suite_contact_check(n: int) -> SuiteResult:
     csv_rows += _float_rows(*samples)
     table_rows = [
         ["check", "outcome", "detail"],
-        ["profile min", _cell(prof_report.min_value),
-         f"at r={_cell(prof_report.argmin)}"],
-        ["corner", _pass_fail(corner_report.passed), ""],
-        ["base", _pass_fail(base_report.passed), ""],
+        ["profile min", _cell(prof_report["min_value"]),
+         f"at r={_cell(prof_report['argmin'])}"],
+        ["corner", _pass_fail(corner_report["passed"]), ""],
+        ["base", _pass_fail(base_report["passed"]), ""],
         ["result", _pass_fail(not failures), ""],
     ]
     return SuiteResult(report, failures, csv_rows, table_rows, timing)
@@ -464,15 +464,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("transport", help="trajectory drifts and the angle profile")
-    p.add_argument("--t", type=float, default=0.25)
+    t_lo, t_hi = DEFAULT_CONFIG.level_range
+    p.add_argument("--t", type=float, default=0.25,
+                   help=f"T lies in [{t_lo!r}, {t_hi!r}] with |T| > {SINGULAR_FLOOR / 2:g}: "
+                        f"the transport denominator starts at 2|T|, above the singular "
+                        f"floor {SINGULAR_FLOOR:g}")
     s0_lo, s0_hi = DEFAULT_CONFIG.s0_range
     p.add_argument("--s0", type=float, default=1e-3,
                    help=f"S0 lies in ({s0_lo!r}, {s0_hi!r}]: the limit stencil's "
                         f"smallest step S0/64 stays above {STENCIL_FLOOR:g}, and its "
                         "arcs stay in the small-t regime")
     p.add_argument("--grid", default=DEFAULT_T_GRID, metavar="LO:HI:COUNT",
-                   help=f"COUNT evenly spaced levels in [LO, HI]; "
-                        f"COUNT runs from 1 to {MAX_GRID_COUNT}")
+                   help=f"COUNT evenly spaced levels in [LO, HI], inside [{t_lo!r}, "
+                        f"{t_hi!r}] and none of them 0; COUNT runs from 1 to {MAX_GRID_COUNT}")
     common(p)
 
     p = sub.add_parser("fillings", help="twist words and Euler characteristics")
@@ -580,10 +584,28 @@ def _run_all(fmt: str, out_dir: Path) -> int:
     return worst
 
 
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """A transport argv with each spaced ``--t V``, ``--s0 V`` or ``--grid V`` spelled ``--t=V``.
+
+    argparse reads a V such as -1e-5 or -0.2:0.2:4 as an unknown option, so
+    V is joined when it starts with '-' and is no option (``--...``, ``-h``).
+    """
+    if argv[:1] != ["transport"]:
+        return argv
+    joined: list[str] = []
+    for token in argv:
+        if (joined and joined[-1] in ("--t", "--s0", "--grid") and token.startswith("-")
+                and not token.startswith(("--", "-h"))):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse has already printed its message; normalize the code
         code = exc.code

@@ -14,12 +14,13 @@ nothing beyond the standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 # The monodromy profile differentiates R(t) by a central stencil whose step
-# must stay above this floor.
+# must stay above this floor; the transport denominator counts as vanished
+# below the singular floor.
 STENCIL_FLOOR = 1e-8
+SINGULAR_FLOOR = 1e-12
 
 
 class DomainError(ValueError):
@@ -67,7 +68,6 @@ def smoothstep_and_slope(x: float) -> tuple[float, float]:
     return min(s, 1.0), 30.0 * x * x * d * d
 
 
-@dataclass(frozen=True)
 class ModelConfig:
     """Geometry parameters shared by the model forms and the transport ODE.
 
@@ -80,16 +80,21 @@ class ModelConfig:
         ramp_hi: ... and equals 1 above this value.
         disk1_radius: outer radius of the first disk factor.
         disk2_radius: outer radius of the second disk factor.
+
+    A validated config refuses assignment: the cached ramp widths and the
+    positivity grid's proof rely on its fields as checked.
     """
 
-    n: int = 2
-    collar_width: float = 0.05
-    ramp_lo: float = 0.1
-    ramp_hi: float = 0.2
-    disk1_radius: float = 0.5
-    disk2_radius: float = 10.0
+    # the six parameters, in constructor order; the reports print these
+    FIELDS = ("n", "collar_width", "ramp_lo", "ramp_hi", "disk1_radius", "disk2_radius")
+    __slots__ = FIELDS + ("_ramp_width", "_mu_width")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int = 2, collar_width: float = 0.05, ramp_lo: float = 0.1,
+                 ramp_hi: float = 0.2, disk1_radius: float = 0.5,
+                 disk2_radius: float = 10.0) -> None:
+        values = (n, collar_width, ramp_lo, ramp_hi, disk1_radius, disk2_radius)
+        for name, value in zip(self.FIELDS, values):
+            object.__setattr__(self, name, value)
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not (0.0 < self.collar_width < self.ramp_lo < self.ramp_hi < 1.0):
@@ -108,10 +113,19 @@ class ModelConfig:
                 and math.isfinite(self.disk2_radius * self.disk2_radius)):
             raise ValueError("disk2_radius must be finite and positive, with a finite "
                              f"square, got {self.disk2_radius}")
-        # the widths of the two smoothstep ramps, which every profile call
-        # divides by; attributes, not fields, so asdict() leaves them out
+        # the widths of the two smoothstep ramps, which every profile call divides by
         object.__setattr__(self, "_ramp_width", self.ramp_hi - self.ramp_lo)
         object.__setattr__(self, "_mu_width", self.mu_flat_radius - self.collar_width)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ModelConfig is read-only: cannot assign {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through the constructor, which assigns and validates
+        return ModelConfig, tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __repr__(self) -> str:
+        return f"ModelConfig({', '.join(f'{k}={getattr(self, k)!r}' for k in self.FIELDS)})"
 
     # -- interpolation profile u and its derivative, as functions of the
     #    squared total radius

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .config import DomainError
 
@@ -100,7 +99,6 @@ def _check_within(name: str, x: float, lo: float, hi: float) -> None:
 # contact profile
 
 
-@dataclass(frozen=True)
 class ContactProfile:
     """Plane profile curve with exact plateaus and a C2 quintic blend.
 
@@ -109,10 +107,13 @@ class ContactProfile:
     are C2 throughout.
     """
 
-    c0: float
-    c1: float
-    k: float
-    eps: float
+    __slots__ = ("c0", "c1", "k", "eps")
+
+    def __init__(self, c0: float, c1: float, k: float, eps: float) -> None:
+        self.c0 = c0
+        self.c1 = c1
+        self.k = k
+        self.eps = eps
 
     @property
     def r_max(self) -> float:
@@ -151,21 +152,8 @@ def make_profile(c0: float = 2.0, c1: float = 1.0, k: float = 1.0,
     return ContactProfile(c0=c0, c1=c1, k=k, eps=eps)
 
 
-@dataclass(frozen=True)
-class ProfileReport:
-    """Grid minimum of f^(n-1) (f g' - f' g) over (0, 1+eps]."""
-
-    n: int
-    grid: int
-    min_value: float
-    argmin: float
-    passed: bool
-    params: dict[str, float] = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
-
-
-def verify_profile(profile: ContactProfile, n: int = 2, grid: int = 10_000) -> ProfileReport:
-    """Sample the contact positivity quantity on (0, 1+eps].
+def verify_profile(profile: ContactProfile, n: int = 2, grid: int = 10_000) -> dict:
+    """Sample f^(n-1) (f g' - f' g) on (0, 1+eps]: the report's ``profile`` entry.
 
     Works on anything exposing ``point_and_tangent`` and ``r_max``, so a
     deliberately degenerate profile can be fed in to watch it fail.  The
@@ -188,15 +176,15 @@ def verify_profile(profile: ContactProfile, n: int = 2, grid: int = 10_000) -> P
         if value < best:
             best, argmin = value, r
     params = profile.params() if hasattr(profile, "params") else {}
-    return ProfileReport(
-        n=n,
-        grid=grid,
-        min_value=best,
-        argmin=argmin,
-        passed=best > 0.0,
-        params=params,
-        notes=("blend regularity: C2 quintic joins, not C-infinity",),
-    )
+    return {
+        "n": n,
+        "grid": grid,
+        "min_value": best,
+        "argmin": argmin,
+        "passed": best > 0.0,
+        "params": params,
+        "notes": ["blend regularity: C2 quintic joins, not C-infinity"],
+    }
 
 
 def profile_samples(profile: ContactProfile
@@ -212,7 +200,6 @@ def profile_samples(profile: ContactProfile
 # corner curve
 
 
-@dataclass(frozen=True)
 class CornerCurve:
     """Corner-rounding arc r -> (f, g) on [-eps, eps], C1 at the joins.
 
@@ -221,7 +208,10 @@ class CornerCurve:
     strictly rising.
     """
 
-    eps: float
+    __slots__ = ("eps",)
+
+    def __init__(self, eps: float) -> None:
+        self.eps = eps
 
     def point_and_tangent(self, r: float) -> tuple[float, float, float, float]:
         """f, g, f' and g' at r."""
@@ -239,20 +229,8 @@ class CornerCurve:
         return f, 1.0 + dg, fp, gp
 
 
-@dataclass(frozen=True)
-class CornerReport:
-    eps: float
-    samples: int
-    endpoints_exact: bool
-    interior_signs_ok: bool
-    f_nonincreasing: bool
-    g_nondecreasing: bool
-    joins_c1: bool
-    passed: bool
-
-
-def make_corner_curve(eps: float, samples: int = 2_000) -> tuple[CornerCurve, CornerReport]:
-    """Build the corner arc and verify its three bullet conditions.
+def make_corner_curve(eps: float, samples: int = 2_000) -> tuple[CornerCurve, dict]:
+    """Build the corner arc and verify its three bullet conditions (the ``corner`` entry).
 
     Endpoint identities are checked exactly; the strict interior signs
     and the global monotonicity are sampled (samples >= 1000).  eps must
@@ -291,16 +269,16 @@ def make_corner_curve(eps: float, samples: int = 2_000) -> tuple[CornerCurve, Co
     plateau_ends = (eps, 0.0, 0.0, -1.0, 1.0 - half, 1.0, 1.0, 0.0)
     joins = max(abs(got - want) for got, want in zip(bridge_ends, plateau_ends)) < 1e-12
 
-    report = CornerReport(
-        eps=eps,
-        samples=samples,
-        endpoints_exact=endpoints_exact,
-        interior_signs_ok=interior,
-        f_nonincreasing=f_noninc,
-        g_nondecreasing=g_nondec,
-        joins_c1=joins,
-        passed=endpoints_exact and interior and f_noninc and g_nondec and joins,
-    )
+    report = {
+        "eps": eps,
+        "samples": samples,
+        "endpoints_exact": endpoints_exact,
+        "interior_signs_ok": interior,
+        "f_nonincreasing": f_noninc,
+        "g_nondecreasing": g_nondec,
+        "joins_c1": joins,
+        "passed": endpoints_exact and interior and f_noninc and g_nondec and joins,
+    }
     return curve, report
 
 
@@ -308,7 +286,6 @@ def make_corner_curve(eps: float, samples: int = 2_000) -> tuple[CornerCurve, Co
 # base profile
 
 
-@dataclass(frozen=True)
 class BaseProfile:
     """Radial weight h(s) on [0, 1]: K s^2 near 0, K e^(s-1) near 1.
 
@@ -317,9 +294,13 @@ class BaseProfile:
     embedding; nothing here recomputes it.
     """
 
-    k: float
-    eps: float
-    boundary_hamiltonian: float = BOUNDARY_HAMILTONIAN
+    __slots__ = ("k", "eps", "boundary_hamiltonian")
+
+    def __init__(self, k: float, eps: float,
+                 boundary_hamiltonian: float = BOUNDARY_HAMILTONIAN) -> None:
+        self.k = k
+        self.eps = eps
+        self.boundary_hamiltonian = boundary_hamiltonian
 
     def h_and_slope(self, s: float) -> tuple[float, float]:
         """h and h' at s."""
@@ -334,17 +315,6 @@ class BaseProfile:
                         2.0 * self.k * self.eps, 2.0 * self.k, e, e, e, 1.0 - 2.0 * self.eps)
 
 
-@dataclass(frozen=True)
-class BaseReport:
-    k: float
-    eps: float
-    samples: int
-    zero_at_origin: bool
-    plateaus_exact: bool
-    increasing: bool
-    passed: bool
-
-
 def make_base_profile(k: float = 1.0, eps: float = 0.1) -> BaseProfile:
     if not k > 0.0:
         raise ValueError(f"k must be positive, got {k}")
@@ -353,8 +323,8 @@ def make_base_profile(k: float = 1.0, eps: float = 0.1) -> BaseProfile:
     return BaseProfile(k=k, eps=eps)
 
 
-def verify_base_profile(bp: BaseProfile, samples: int = 2_000) -> BaseReport:
-    """Check h(0) = 0, the two plateau formulas, and h' > 0 off the origin."""
+def verify_base_profile(bp: BaseProfile, samples: int = 2_000) -> dict:
+    """Check h(0) = 0, the two plateau formulas, and h' > 0 off the origin (the ``base`` entry)."""
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
     h = bp.h_and_slope
@@ -367,12 +337,12 @@ def verify_base_profile(bp: BaseProfile, samples: int = 2_000) -> BaseReport:
                         for s in (1.0 - bp.eps + x for x in tenths)))
 
     increasing = all(h(i / samples)[1] > 0.0 for i in range(1, samples + 1))
-    return BaseReport(
-        k=bp.k,
-        eps=bp.eps,
-        samples=samples,
-        zero_at_origin=zero,
-        plateaus_exact=plateaus,
-        increasing=increasing,
-        passed=zero and plateaus and increasing,
-    )
+    return {
+        "k": bp.k,
+        "eps": bp.eps,
+        "samples": samples,
+        "zero_at_origin": zero,
+        "plateaus_exact": plateaus,
+        "increasing": increasing,
+        "passed": zero and plateaus and increasing,
+    }

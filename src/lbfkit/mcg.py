@@ -18,8 +18,6 @@ exactly this much.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "TwistGen",
     "TwistWord",
@@ -52,13 +50,18 @@ def disk_cotangent_sphere(n: int) -> str:
     return f"DT*S{n}"
 
 
-@dataclass(frozen=True)
 class TwistGen:
-    kind: str          # SPHERE or BOUNDARY
+    """One letter of a word; letters of one kind are equal."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in (SPHERE, BOUNDARY):
-            raise ValueError(f"unknown twist kind {self.kind!r}")
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str) -> None:
+        if kind not in (SPHERE, BOUNDARY):
+            raise ValueError(f"unknown twist kind {kind!r}")
+        self.kind = kind   # SPHERE or BOUNDARY
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TwistGen) and self.kind == other.kind
 
     @staticmethod
     def sphere() -> "TwistGen":
@@ -78,10 +81,18 @@ class TwistGen:
         return 1 if self.kind == SPHERE else 2
 
 
-@dataclass(frozen=True)
 class TwistWord:
-    letters: tuple[TwistGen, ...]
-    fiber: str         # the fiber's name, from disk_cotangent_sphere
+    """A word over one fiber; two words are equal when letters and fiber agree."""
+
+    __slots__ = ("letters", "fiber")
+
+    def __init__(self, letters: tuple[TwistGen, ...], fiber: str) -> None:
+        self.letters = letters
+        self.fiber = fiber   # the fiber's name, from disk_cotangent_sphere
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, TwistWord)
+                and (self.letters, self.fiber) == (other.letters, other.fiber))
 
     @property
     def weight(self) -> int:
@@ -97,12 +108,22 @@ class TwistWord:
         return f"TwistWord({self.serialize() or 'empty'}; fiber={self.fiber})"
 
 
-@dataclass(frozen=True)
 class SubstitutionStep:
-    position: int
-    direction: str     # "contract" or "expand"
-    before: TwistWord
-    after: TwistWord
+    """One move of a chain; two steps are equal when all four fields agree."""
+
+    __slots__ = ("position", "direction", "before", "after")
+
+    def __init__(self, position: int, direction: str, before: TwistWord,
+                 after: TwistWord) -> None:
+        self.position = position
+        self.direction = direction   # "contract" or "expand"
+        self.before = before
+        self.after = after
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, SubstitutionStep)
+                and (self.position, self.direction, self.before, self.after)
+                == (other.position, other.direction, other.before, other.after))
 
 
 def substitute(word: TwistWord, pos: int, direction: str) -> TwistWord:

@@ -16,7 +16,6 @@ floats, point by point over a grid with the concrete profiles from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
@@ -39,8 +38,6 @@ from .exterior import (
 
 __all__ = [
     "IdentityId",
-    "IdentityReport",
-    "GridResult",
     "build_form",
     "verify_identity",
     "verify_all",
@@ -59,27 +56,6 @@ class IdentityId(str, Enum):
     VERTICAL_SPLIT = "VERTICAL_SPLIT"
     HESSIAN = "HESSIAN"
     CONTACT_VOLUME = "CONTACT_VOLUME"
-
-
-@dataclass
-class IdentityReport:
-    """Outcome of one identity check, JSON-serializable."""
-
-    identity: str
-    n: int
-    verdict: str                      # "exact-equal" or "residual"
-    residual_text: str
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "exact-equal"
-
-
-@dataclass
-class GridResult:
-    min_value: float
-    argmin: tuple[float, float]
-    resolution: int
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +318,20 @@ _CHECKERS: dict[IdentityId, Callable[[ModelConfig], Form]] = {
 }
 
 
-def verify_identity(identity: IdentityId, cfg: ModelConfig = DEFAULT_CONFIG) -> IdentityReport:
-    """Run one symbolic check and package the residual into a report."""
+def verify_identity(identity: IdentityId, cfg: ModelConfig = DEFAULT_CONFIG) -> dict:
+    """Run one symbolic check; its report entry, with verdict "exact-equal" or "residual"."""
     identity = IdentityId(identity)
     residual = _CHECKERS[identity](cfg)
     ok = residual.is_zero()
-    return IdentityReport(
-        identity=identity.value,
-        n=cfg.n,
-        verdict="exact-equal" if ok else "residual",
-        residual_text=residual.to_text(),
-    )
+    return {
+        "identity": identity.value,
+        "n": cfg.n,
+        "verdict": "exact-equal" if ok else "residual",
+        "residual_text": residual.to_text(),
+    }
 
 
-def verify_all(cfg: ModelConfig = DEFAULT_CONFIG) -> list[IdentityReport]:
+def verify_all(cfg: ModelConfig = DEFAULT_CONFIG) -> list[dict]:
     return [verify_identity(identity, cfg) for identity in IdentityId]
 
 
@@ -366,8 +342,11 @@ def verify_all(cfg: ModelConfig = DEFAULT_CONFIG) -> list[IdentityReport]:
 GRID_RESOLUTION = 200
 
 
-def positivity_grid(cfg: ModelConfig = DEFAULT_CONFIG) -> GridResult:
+def positivity_grid(cfg: ModelConfig = DEFAULT_CONFIG) -> dict:
     """Minimum of the TOP_POWER coefficient on the stated parameter window.
+
+    Returns its ``min_value``, its ``argmin`` (r1, r2) and the grid's
+    ``resolution``.
 
     The window [0, 0.9 * disk1_radius] x [0, disk2_radius] is sampled on a
     GRID_RESOLUTION x GRID_RESOLUTION grid, with the concrete interpolation
@@ -407,4 +386,4 @@ def positivity_grid(cfg: ModelConfig = DEFAULT_CONFIG) -> GridResult:
                 best = (value, (r1, r2))
             if f == 1.0 and up == 0.0:
                 break  # the rest of the row is clamped and no smaller (1-4 above)
-    return GridResult(*best, GRID_RESOLUTION)
+    return {"min_value": best[0], "argmin": best[1], "resolution": GRID_RESOLUTION}

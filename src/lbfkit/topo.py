@@ -24,11 +24,9 @@ and the literal 1 for a disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
 
 __all__ = [
-    "EulerReport",
     "chi_sphere",
     "chi_quadric",
     "chi_fiber_sum",
@@ -112,23 +110,12 @@ def filling_slope(n: int, convention: str = "betti") -> int:
     return 3 + 2 * (-1) ** n - 2 * (n + 1)
 
 
-@dataclass
-class EulerReport:
-    """Two-convention chi table over l = 0 .. ceil(k/2) with verdicts."""
+def distinctness_report(n: int, k: int) -> dict:
+    """Tabulate both conventions over l = 0 .. ceil(k/2) and decide distinguishability.
 
-    n: int
-    k: int
-    rows: list[tuple[int, int, int, bool]]   # (l, chi betti, chi alternate, differs)
-    betti_injective: bool
-    betti_slope: int
-    alternate_slope: int
-    milnor_value: int
-    verdict: str
-    notes: list[str]
-
-
-def distinctness_report(n: int, k: int) -> EulerReport:
-    """Tabulate both conventions over l and decide distinguishability."""
+    ``rows`` holds (l, chi betti, chi alternate, differs) per l, beside the
+    two slopes, the Milnor fiber's chi, the verdict and the notes.
+    """
     rows = []
     for ell in range(0, ceil(k / 2) + 1):
         a = chi_filling(n, k, ell, "betti")
@@ -148,14 +135,14 @@ def distinctness_report(n: int, k: int) -> EulerReport:
         "(quadric value on the disk slot); betti column follows homotopy type"
     )
     verdict = "distinct" if betti_inj else "not distinguished by chi"
-    return EulerReport(
-        n=n,
-        k=k,
-        rows=rows,
-        betti_injective=betti_inj,
-        betti_slope=filling_slope(n, "betti"),
-        alternate_slope=filling_slope(n, "alternate"),
-        milnor_value=milnor_fiber_chi(n, k),
-        verdict=verdict,
-        notes=notes,
-    )
+    return {
+        "n": n,
+        "k": k,
+        "rows": rows,
+        "betti_injective": betti_inj,
+        "betti_slope": filling_slope(n, "betti"),
+        "alternate_slope": filling_slope(n, "alternate"),
+        "milnor_value": milnor_fiber_chi(n, k),
+        "verdict": verdict,
+        "notes": notes,
+    }

@@ -47,14 +47,13 @@ zero derivative near the outer ceiling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .config import DEFAULT_CONFIG, STENCIL_FLOOR, DomainError, ModelConfig, linspace
+from .config import (DEFAULT_CONFIG, SINGULAR_FLOOR, STENCIL_FLOOR, DomainError, ModelConfig,
+                     linspace)
 
 __all__ = [
     "Trajectory",
-    "MonodromyProfile",
     "SingularTransportError",
     "IntegrationFailureError",
     "RegimeError",
@@ -66,13 +65,11 @@ __all__ = [
 ]
 
 
-# The drift gate the reports audit both invariants against; the stepper's
-# local tolerances, four decades under it so that the error accumulated
-# over a few hundred steps stays well inside the gate; and the floor below
-# which the transport denominator counts as vanished.
+# The drift gate the reports audit both invariants against, and the
+# stepper's local tolerances, four decades under it so that the error
+# accumulated over a few hundred steps stays well inside the gate.
 DRIFT_GATE = 1e-8
 ATOL = RTOL = DRIFT_GATE * 1e-4
-SINGULAR_FLOOR = 1e-12
 # The values of s each audit trajectory lands on, evenly spaced from 0.
 TRAJECTORY_SAMPLES = 129
 
@@ -113,14 +110,17 @@ class RegimeError(ValueError):
     """Closed-form evaluation requested outside its validity regime."""
 
 
-@dataclass
 class Trajectory:
-    t: float
-    s: list[float]
-    r1: list[float]
-    r2: list[float]
-    h_drift: list[float]            # h(r1, r2) - t per sample
-    radial_residual: list[float]    # mu(r1) r2 - s per sample
+    __slots__ = ("t", "s", "r1", "r2", "h_drift", "radial_residual")
+
+    def __init__(self, t: float, s: list[float], r1: list[float], r2: list[float],
+                 h_drift: list[float], radial_residual: list[float]) -> None:
+        self.t = t
+        self.s = s
+        self.r1 = r1
+        self.r2 = r2
+        self.h_drift = h_drift                  # h(r1, r2) - t per sample
+        self.radial_residual = radial_residual  # mu(r1) r2 - s per sample
 
     @property
     def max_h_drift(self) -> float:
@@ -133,15 +133,6 @@ class Trajectory:
     @property
     def endpoint(self) -> tuple[float, float]:
         return self.r1[-1], self.r2[-1]
-
-
-@dataclass
-class MonodromyProfile:
-    s0: float
-    t: list[float]
-    R: list[float]
-    dR: list[float]       # central finite differences of R
-    dR_cut: list[float]   # central differences of (1 - sigma) R
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +411,12 @@ def monodromy_profile(
     cfg: ModelConfig,
     s0: float,
     t_grid: Sequence[float],
-) -> MonodromyProfile:
+) -> dict:
     """Angle profile R, its derivative, and the cutoff-corrected derivative.
+
+    Returns the report's ``profile`` entry: ``s0``, the levels ``t``, ``R``
+    there, its central differences ``dR`` and those of (1 - sigma) R,
+    ``dR_cut``.
 
     Three levels per grid label: the label itself and a central stencil
     t +/- step with step = min(|t|/8, 1e-3), shrunk near the domain ends.
@@ -445,7 +440,7 @@ def monodromy_profile(
     dR = [(a - b) / (2.0 * d) for a, b, d in zip(R_hi, R_lo, steps)]
     dR_cut = [((1.0 - cfg.cutoff(u)) * a - (1.0 - cfg.cutoff(v)) * b) / (2.0 * d)
               for u, v, a, b, d in zip(hi, lo, R_hi, R_lo, steps)]
-    return MonodromyProfile(s0=s0, t=ts, R=center, dR=dR, dR_cut=dR_cut)
+    return {"s0": s0, "t": ts, "R": center, "dR": dR, "dR_cut": dR_cut}
 
 
 def limits_at_zero(cfg: ModelConfig, s0: float) -> tuple[float, float]:
@@ -457,7 +452,7 @@ def limits_at_zero(cfg: ModelConfig, s0: float) -> tuple[float, float]:
     must lie in ``cfg.s0_range``, where every stencil level stays in the
     small-t regime.
     """
-    prof = monodromy_profile(cfg, s0, [s0 / 8.0, s0 / 4.0, -s0 / 8.0, -s0 / 4.0])
-    plus = 2.0 * prof.dR[0] - prof.dR[1]
-    minus = 2.0 * prof.dR[2] - prof.dR[3]
+    dR = monodromy_profile(cfg, s0, [s0 / 8.0, s0 / 4.0, -s0 / 8.0, -s0 / 4.0])["dR"]
+    plus = 2.0 * dR[0] - dR[1]
+    minus = 2.0 * dR[2] - dR[3]
     return plus, minus

@@ -41,8 +41,8 @@ def test_criterion_1_symbolic_identities():
     failures: list[str] = []
     for n in (2, 3, 4, 5):
         for rep in models.verify_all(ModelConfig(n=n)):
-            if rep.verdict != "exact-equal":
-                failures.append(f"n={n} {rep.identity}: {rep.verdict}")
+            if rep["verdict"] != "exact-equal":
+                failures.append(f"n={n} {rep['identity']}: {rep['verdict']}")
     # the top-power coefficient, rebuilt from scratch in the atoms
     r1, r2 = ScalarExpr.atom("r1"), ScalarExpr.atom("r2")
     f, up = ScalarExpr.atom("f"), ScalarExpr.atom("up")
@@ -65,15 +65,15 @@ def test_criterion_1_symbolic_identities():
 def test_criterion_2_positivity():
     failures: list[str] = []
     grid = models.positivity_grid(DEFAULT_CONFIG)
-    if grid.resolution != 200:
-        failures.append(f"grid resolution {grid.resolution} != 200")
-    if not grid.min_value > 0.0:
-        failures.append(f"top-power grid minimum {grid.min_value} not positive")
+    if grid["resolution"] != 200:
+        failures.append(f"grid resolution {grid['resolution']} != 200")
+    if not grid["min_value"] > 0.0:
+        failures.append(f"top-power grid minimum {grid['min_value']} not positive")
     profile = make_profile()
     for n in range(1, 7):
         rep = verify_profile(profile, n=n)
-        if not rep.min_value > 0.0:
-            failures.append(f"contact determinant minimum {rep.min_value} at n={n}")
+        if not rep["min_value"] > 0.0:
+            failures.append(f"contact determinant minimum {rep['min_value']} at n={n}")
     _finish(
         "criterion 2: top-power 200x200 grid and contact determinant "
         "positive for n in 1..6",
@@ -124,10 +124,10 @@ def test_criterion_3_transport():
 
     # outer regime: the stencil needs room above t, so the grids stop at 99
     dense = monodromy_profile(cfg, s0, np.linspace(1.0, 99.0, 50))
-    if not all(d > 0.0 for d in dense.dR):
+    if not all(d > 0.0 for d in dense["dR"]):
         failures.append("outer profile derivative not positive everywhere")
     coarse = monodromy_profile(cfg, s0, np.geomspace(1.0, 99.0, 25))
-    if not np.all(np.diff(coarse.dR) < 0.0):
+    if not np.all(np.diff(coarse["dR"]) < 0.0):
         failures.append("outer profile derivative not decaying")
 
     elapsed = time.perf_counter() - started
@@ -150,7 +150,7 @@ def test_criterion_4_fillings_table():
             if any(w.weight != k + 1 for w in words):
                 failures.append(f"n={n} k={k}: weight != k+1")
             rep = topo.distinctness_report(n, k)
-            chis = [row[1] for row in rep.rows]
+            chis = [row[1] for row in rep["rows"]]
             if len(set(chis)) != len(chis):
                 failures.append(f"n={n} k={k}: oracle column not distinct")
             slope = topo.filling_slope(n)
@@ -158,7 +158,7 @@ def test_criterion_4_fillings_table():
                 failures.append(f"n={n} k={k}: oracle column not affine")
             if chis[0] != topo.milnor_fiber_chi(n, k):
                 failures.append(f"n={n} k={k}: l=0 chi != Milnor oracle")
-            for ell, betti, alt, differs in rep.rows:
+            for ell, betti, alt, differs in rep["rows"]:
                 if differs != (betti != alt):
                     failures.append(f"n={n} k={k} l={ell}: bad discrepancy flag")
     _finish(

@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import importlib
+import io
 import json
+import math
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lbfkit
 from lbfkit import blowup, cli, models, topo, transport
 from lbfkit.cli import FORMATS
+from lbfkit.config import DEFAULT_CONFIG, SINGULAR_FLOOR, ModelConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 # Each file under tests/golden is the expected stdout of one run, byte for byte.
@@ -218,6 +226,81 @@ def test_fillings_n_has_no_upper_bound(capsys):
     for command, text in (("fillings", "N is any integer >= 2"),
                           ("contact-check", "N runs from 1 to 1024")):
         assert text in run(capsys, command, "--help")[1]
+
+
+@pytest.mark.parametrize("option, value, code", [
+    ("--t", "-1e-5", 0),
+    ("--t", "-0.00001", 0),
+    ("--grid", "-0.2:0.2:4", 0),
+    ("--s0", "-1e-3", 2),
+    ("--t", "-1e-13", 2),
+])
+def test_negative_value_may_be_its_own_token(capsys, option, value, code):
+    # argparse alone reads -1e-5 or -0.2:0.2:4 after an option as an unknown option
+    spaced = run(capsys, "transport", option, value)
+    assert spaced == run(capsys, "transport", f"{option}={value}")
+    assert spaced[0] == code
+    if value == "-1e-13":
+        assert spaced[2] == ("lbfkit: usage error: |t| = 1e-13 is at most 5e-13: the "
+                             "transport denominator starts at 2|t|, not above the "
+                             "singular floor 1e-12\n")
+
+
+T_LO, T_HI = DEFAULT_CONFIG.level_range
+T_FLOOR = SINGULAR_FLOOR / 2     # --t must exceed it in magnitude
+
+
+@settings(max_examples=30, deadline=None)
+@given(t=st.floats(min_value=T_LO, max_value=T_HI).filter(lambda t: abs(t) > T_FLOOR))
+@example(t=math.nextafter(T_LO, -math.inf))
+@example(t=math.nextafter(T_HI, math.inf))
+@example(t=T_FLOOR)
+@example(t=-T_FLOOR)
+def test_transport_t_contract(t):
+    # inside [-0.25, 100] with |t| > 5e-13 the suite passes, and just outside
+    # each bound it is one usage error line; t is spelled by repr and in
+    # exponent notation, each as its own token and with '='
+    inside = T_LO <= t <= T_HI and abs(t) > T_FLOOR
+    for text in (repr(t), f"{t:.17e}"):
+        for argv in (["transport", "--t", text], ["transport", f"--t={text}"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            if inside:
+                assert (code, err.getvalue()) == (0, ""), argv
+                assert json.loads(out.getvalue())["passed"] is True, argv
+            else:
+                assert (code, out.getvalue()) == (2, ""), argv
+                assert err.getvalue().startswith("lbfkit: usage error: "), argv
+                assert len(err.getvalue().splitlines()) == 1, argv
+
+
+def test_transport_help_states_the_level_range(capsys):
+    text = " ".join(run(capsys, "transport", "--help")[1].split())
+    assert "T lies in [-0.25, 100.0] with |T| > 5e-13" in text
+    assert "levels in [LO, HI], inside [-0.25, 100.0]" in text
+
+
+def test_model_config_refuses_assignment():
+    cfg = ModelConfig(n=3)
+    with pytest.raises(AttributeError, match="read-only"):
+        cfg.n = 4
+    with pytest.raises(AttributeError):
+        DEFAULT_CONFIG.ramp_hi = 0.9
+    assert (cfg.n, DEFAULT_CONFIG.ramp_hi) == (3, 0.2)
+    # copy and pickle still work: they go through the constructor
+    assert repr(copy.copy(cfg)) == repr(pickle.loads(pickle.dumps(cfg))) == repr(cfg)
+    assert cli._config_dict(cfg, k=1) == {
+        "n": 3, "collar_width": 0.05, "ramp_lo": 0.1, "ramp_hi": 0.2,
+        "disk1_radius": 0.5, "disk2_radius": 10.0, "k": 1}
+
+
+def test_json_text_refuses_non_json_data():
+    # a report is plain JSON data: a record object left in it is an error
+    with pytest.raises(TypeError):
+        cli._json_text({"config": DEFAULT_CONFIG})
+    assert cli._json_text({"b": (1, 2.5), "a": None}) == (
+        '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n')
 
 
 def test_transport_grid_count_is_bounded(capsys):
@@ -448,9 +531,13 @@ def test_golden_files_match_without_avx512(golden_runs_without_numpy, name):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
-# Per run: its argv and the layers it may load besides cli and config.
+# Per run: its argv and the layers it may load besides cli and config; OUT
+# stands for a fresh directory.
 IMPORT_RUNS = {
     "help": (["--help"], set()),
+    "transport-help": (["transport", "--help"], set()),
+    "all": (["all", "--out", "OUT"],
+            {"models", "exterior", "poly", "transport", "mcg", "topo", "blowup", "contact"}),
     "fillings": (["fillings"], {"mcg", "topo"}),
     "resolve": (["resolve"], {"blowup", "mcg", "poly"}),
     "transport": (["transport"], {"transport"}),
@@ -460,10 +547,10 @@ IMPORT_RUNS = {
 
 
 @pytest.mark.parametrize("name", sorted(IMPORT_RUNS))
-def test_subcommand_loads_only_its_layers(name):
+def test_subcommand_loads_only_its_layers(name, tmp_path):
     argv, layers = IMPORT_RUNS[name]
-    ((code, _, _),), modules = run_fresh([argv])
+    ((code, _, _),), modules = run_fresh([[str(tmp_path) if a == "OUT" else a for a in argv]])
     assert code == 0
     assert {m for m in modules if m.startswith("lbfkit.")} == {
         f"lbfkit.{m}" for m in ("cli", "config", *layers)}
-    assert not [m for m in modules if m.split(".")[0] in ("numpy", "scipy")]
+    assert not [m for m in modules if m.split(".")[0] in ("numpy", "scipy", "dataclasses")]

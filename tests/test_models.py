@@ -23,8 +23,7 @@ def test_all_nine_identities_exact(n):
     reports = models.verify_all(ModelConfig(n=n))
     assert len(reports) == 9
     for report in reports:
-        assert report.passed, f"{report.identity}: {report.residual_text}"
-        assert report.verdict == "exact-equal"
+        assert report["verdict"] == "exact-equal", f"{report['identity']}: {report['residual_text']}"
 
 
 def test_identity_count_matches_enum():
@@ -60,9 +59,9 @@ def test_h_is_the_fiber_level_function():
 
 def test_top_power_grid_positive_at_default_resolution():
     result = models.positivity_grid(DEFAULT_CONFIG)
-    assert result.resolution == 200
-    assert result.min_value > 0.0
-    r1_min, r2_min = result.argmin
+    assert result["resolution"] == 200
+    assert result["min_value"] > 0.0
+    r1_min, r2_min = result["argmin"]
     assert 0.0 <= r1_min <= 0.45 + 1e-12
     assert 0.0 <= r2_min <= 10.0 + 1e-12
 
@@ -74,11 +73,11 @@ def test_top_power_grid_minimum_is_the_exact_bound():
     for n in range(2, MAX_N + 1):
         result = models.positivity_grid(ModelConfig(n=n))
         exact = n * (n + 1) * (1 - Fraction(r1max) ** 2) ** (n - 1)
-        assert abs(Fraction(result.min_value) - exact) <= 4 * math.ulp(exact), n
-        assert result.argmin == (0.45, 0.0)
+        assert abs(Fraction(result["min_value"]) - exact) <= 4 * math.ulp(exact), n
+        assert result["argmin"] == (0.45, 0.0)
 
 
-def _numpy_grid(cfg: ModelConfig) -> models.GridResult:
+def _numpy_grid(cfg: ModelConfig) -> dict:
     """The positivity grid evaluated on broadcast numpy arrays, as a reference.
 
     The r1 axis runs down the rows and the r2 axis across the columns; the
@@ -94,15 +93,15 @@ def _numpy_grid(cfg: ModelConfig) -> models.GridResult:
     up = 30.0 * x * x * (x - 1.0) * (x - 1.0) / width
     values = models._top_power(cfg.n, col, row, f, up, 1.0)
     i, j = np.unravel_index(int(np.argmin(values)), values.shape)
-    return models.GridResult(float(values[i, j]), (float(r1[i]), float(r2[j])),
-                             models.GRID_RESOLUTION)
+    return {"min_value": float(values[i, j]), "argmin": (float(r1[i]), float(r2[j])),
+            "resolution": models.GRID_RESOLUTION}
 
 
 @pytest.mark.parametrize("n", range(2, MAX_N + 1))
 def test_top_power_grid_equals_a_numpy_reference(n):
     cfg = ModelConfig(n=n)
     got, ref = models.positivity_grid(cfg), _numpy_grid(cfg)
-    assert got.min_value.hex() == ref.min_value.hex()
+    assert got["min_value"].hex() == ref["min_value"].hex()
     assert got == ref
 
 
@@ -205,7 +204,8 @@ def _assert_visits_row_prefixes(cfg: ModelConfig, monkeypatch) -> int:
     for point in visited:
         if point[2] < best[2]:
             best = point
-    assert result == models.GridResult(best[2], best[:2], models.GRID_RESOLUTION)
+    assert result == {"min_value": best[2], "argmin": best[:2],
+                      "resolution": models.GRID_RESOLUTION}
     return len(visited)
 
 
@@ -230,13 +230,13 @@ def test_positivity_grid_equals_the_numpy_full_scan(cfg):
     got = models.positivity_grid(cfg)
     with np.errstate(over="ignore"):
         ref = _numpy_grid(cfg)
-    assert got.min_value.hex() == ref.min_value.hex()
+    assert got["min_value"].hex() == ref["min_value"].hex()
     assert got == ref
 
 
 def test_contact_volume_grid_positive():
     result = contact.verify_profile(contact.make_profile(), n=2, grid=2000)
-    assert result.min_value > 0.0
+    assert result["min_value"] > 0.0
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
@@ -244,4 +244,4 @@ def test_top_power_and_contact_volume_exact_at_large_n(n):
     cfg = ModelConfig(n=n)
     for identity in (IdentityId.TOP_POWER, IdentityId.CONTACT_VOLUME):
         report = models.verify_identity(identity, cfg)
-        assert report.verdict == "exact-equal", (n, identity, report.residual_text[:200])
+        assert report["verdict"] == "exact-equal", (n, identity, report["residual_text"][:200])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from lbfkit.topo import (
-    EulerReport,
     chi_fiber_sum,
     chi_filling,
     chi_quadric,
@@ -136,30 +135,30 @@ def test_slope_examples():
 
 def test_distinctness_report_n3():
     rep = distinctness_report(3, 7)
-    assert isinstance(rep, EulerReport)
-    assert rep.betti_slope == 2
-    assert rep.verdict == "distinct"
-    assert rep.betti_injective
-    assert len(rep.rows) == 5          # l = 0 .. ceil(7/2)
+    assert isinstance(rep, dict)
+    assert rep["betti_slope"] == 2
+    assert rep["verdict"] == "distinct"
+    assert rep["betti_injective"]
+    assert len(rep["rows"]) == 5          # l = 0 .. ceil(7/2)
     # odd n: the quadric chi values agree, so no disagreement note; the
     # columns still differ because the alternate convention swaps the
     # summand labels
-    assert not any("disagree" in note for note in rep.notes)
-    assert rep.alternate_slope == 3 + 2 * (-1) ** 3 - 2 * 4
-    assert [r[2] for r in rep.rows] == [32, 25, 18, 11, 4]
+    assert not any("disagree" in note for note in rep["notes"])
+    assert rep["alternate_slope"] == 3 + 2 * (-1) ** 3 - 2 * 4
+    assert [r[2] for r in rep["rows"]] == [32, 25, 18, 11, 4]
 
 
 def test_distinctness_report_even_n_flags_disagreement():
     rep = distinctness_report(2, 5)
-    assert any("disagree" in note for note in rep.notes)
-    assert all(differs for (_, _, _, differs) in rep.rows)
-    assert rep.milnor_value == milnor_fiber_chi(2, 5) == -4
-    assert rep.rows[0][1] == -4
-    assert rep.alternate_slope == -1
+    assert any("disagree" in note for note in rep["notes"])
+    assert all(differs for (_, _, _, differs) in rep["rows"])
+    assert rep["milnor_value"] == milnor_fiber_chi(2, 5) == -4
+    assert rep["rows"][0][1] == -4
+    assert rep["alternate_slope"] == -1
 
 
 def test_distinctness_report_n1_not_distinguished():
     rep = distinctness_report(1, 6)
-    assert rep.betti_slope == 0
-    assert not rep.betti_injective
-    assert rep.verdict == "not distinguished by chi"
+    assert rep["betti_slope"] == 0
+    assert not rep["betti_injective"]
+    assert rep["verdict"] == "not distinguished by chi"

@@ -355,9 +355,9 @@ def test_profile_on_the_documented_grid():
     grid = [1e-2, -1e-2] + [s0 * 2 ** k for k in range(3)] \
         + [-s0 * 2 ** k for k in range(3)]
     prof = monodromy_profile(DEFAULT_CONFIG, s0, grid)
-    assert len(prof.t) == len(grid)
+    assert len(prof["t"]) == len(grid)
     # R' has the sign of t on both sides of 0
-    for t, d in zip(prof.t, prof.dR):
+    for t, d in zip(prof["t"], prof["dR"]):
         assert d * t > 0.0
 
 
@@ -366,19 +366,19 @@ def test_profile_equals_levels_one_by_one():
     joint = monodromy_profile(DEFAULT_CONFIG, 1e-3, grid)
     alone = [monodromy_profile(DEFAULT_CONFIG, 1e-3, [t]) for t in grid]
     for name in ("R", "dR", "dR_cut"):
-        one_by_one = [x for p in alone for x in getattr(p, name)]
-        assert list(map(float.hex, getattr(joint, name))) == list(map(float.hex, one_by_one)), name
+        one_by_one = [x for p in alone for x in p[name]]
+        assert list(map(float.hex, joint[name])) == list(map(float.hex, one_by_one)), name
 
 
 def test_profile_flat_region_derivative_vanishes():
     prof = monodromy_profile(DEFAULT_CONFIG, 1e-3, [-0.24, -0.235])
-    assert all(abs(d) < 1e-6 for d in prof.dR)
+    assert all(abs(d) < 1e-6 for d in prof["dR"])
 
 
 def test_cutoff_corrected_derivative_dies_near_the_top():
     # sigma is identically 1 above 0.9 c^2 = 90
     prof = monodromy_profile(DEFAULT_CONFIG, 1e-3, [91.0, 95.0, 99.0])
-    assert prof.dR_cut == [0.0] * 3
+    assert prof["dR_cut"] == [0.0] * 3
 
 
 def test_outer_profile_positive_and_decaying():
@@ -386,8 +386,8 @@ def test_outer_profile_positive_and_decaying():
     # stencil has no room, so the grid stops just short of it
     ts = [1.0, 2.0, 5.0, 10.0, 30.0, 99.0]
     prof = monodromy_profile(DEFAULT_CONFIG, 1e-3, ts)
-    assert all(d > 0.0 for d in prof.dR)
-    assert all(b < a for a, b in zip(prof.dR, prof.dR[1:]))
+    assert all(d > 0.0 for d in prof["dR"])
+    assert all(b < a for a, b in zip(prof["dR"], prof["dR"][1:]))
 
 
 def test_trajectories_depend_continuously_on_t():
