@@ -26,8 +26,8 @@ from math import ceil
 
 from . import poly
 from .mcg import (
+    SPHERE,
     SubstitutionStep,
-    TwistGen,
     TwistWord,
     disk_cotangent_sphere,
     substitute,
@@ -440,8 +440,7 @@ def milnor_word(k: int, n: int = 2) -> TwistWord:
     """Word of k+1 sphere twists over the disk cotangent fiber."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    letters = tuple(TwistGen.sphere() for _ in range(k + 1))
-    return TwistWord(letters, disk_cotangent_sphere(n))
+    return TwistWord(SPHERE * (k + 1), disk_cotangent_sphere(n))
 
 
 def resolution_word_chain(k: int, n: int = 2) -> list[SubstitutionStep]:

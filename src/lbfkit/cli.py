@@ -297,7 +297,7 @@ def _suite_fillings(n: int, k: int, include_zero: bool) -> SuiteResult:
 
     rows_data = []
     for word in words:
-        ell = sum(1 for g in word.letters if g.kind == mcg.BOUNDARY)
+        ell = word.letters.count(mcg.BOUNDARY)
         _, chi_betti, chi_alternate, differs = euler["rows"][ell]    # rows run over l = 0, 1, ...
         rows_data.append({
             "ell": ell,
@@ -448,22 +448,27 @@ def _suite_contact_check(n: int) -> SuiteResult:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # options take their full names: no parser accepts a prefix such as --gri
     parser = argparse.ArgumentParser(
         prog="lbfkit",
         description="deterministic verification reports for the fibration toolkit",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=FORMATS, default="json")
         p.add_argument("--out", type=Path, default=None,
                        help="write the report here instead of stdout")
 
-    p = sub.add_parser("verify-forms", help="check the nine form identities")
+    p = command("verify-forms", "check the nine form identities")
     p.add_argument("--n", type=int, default=2, help=f"N runs from 2 to {MAX_N}")
     common(p)
 
-    p = sub.add_parser("transport", help="trajectory drifts and the angle profile")
+    p = command("transport", "trajectory drifts and the angle profile")
     t_lo, t_hi = DEFAULT_CONFIG.level_range
     p.add_argument("--t", type=float, default=0.25,
                    help=f"T lies in [{t_lo!r}, {t_hi!r}] with |T| > {SINGULAR_FLOOR / 2:g}: "
@@ -479,22 +484,22 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"{t_hi!r}] and none of them 0; COUNT runs from 1 to {MAX_GRID_COUNT}")
     common(p)
 
-    p = sub.add_parser("fillings", help="twist words and Euler characteristics")
+    p = command("fillings", "twist words and Euler characteristics")
     p.add_argument("--n", type=int, default=2, help="N is any integer >= 2")
     p.add_argument("--k", type=int, default=5, help=f"K runs from 1 to {MAX_K}")
     p.add_argument("--include-zero", action="store_true")
     common(p)
 
-    p = sub.add_parser("resolve", help="blow-up resolution trace")
+    p = command("resolve", "blow-up resolution trace")
     p.add_argument("--k", type=int, default=3, help=f"K runs from 1 to {MAX_K}")
     p.add_argument("--dim", type=int, default=1, help=f"DIM runs from 0 to {MAX_DIM}")
     common(p)
 
-    p = sub.add_parser("contact-check", help="profile, corner, and base checks")
+    p = command("contact-check", "profile, corner, and base checks")
     p.add_argument("--n", type=int, default=2, help="N runs from 1 to 1024")
     common(p)
 
-    p = sub.add_parser("all", help="every suite with defaults, into a directory")
+    p = command("all", "every suite with defaults, into a directory")
     p.add_argument("--format", choices=FORMATS, default="json")
     p.add_argument("--out", type=Path, required=True,
                    help="directory receiving one report per suite")
@@ -561,8 +566,7 @@ def _execute(args: argparse.Namespace, prefix: str,
     return 0 if result.passed else 1
 
 
-def _run_all(fmt: str, out_dir: Path) -> int:
-    parser = _build_parser()
+def _run_all(parser: argparse.ArgumentParser, fmt: str, out_dir: Path) -> int:
     suffix = {"json": ".json", "csv": ".csv", "table": ".txt"}[fmt]
     worst = 0
     timings: dict[str, float] = {}
@@ -611,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return 0 if code in (0, None) else 2
     if args.command == "all":
-        return _run_all(args.format, args.out)
+        return _run_all(parser, args.format, args.out)
 
     def emit(result: SuiteResult, elapsed_ms: float) -> None:
         text = _render(args.command, result, args.format)

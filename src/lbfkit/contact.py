@@ -42,30 +42,35 @@ BOUNDARY_HAMILTONIAN = 2.0 * math.pi
 # Hermite blends
 
 
-def _quintic(tau: float, p0: float, m0: float, s0: float,
-             p1: float, m1: float, s1: float, w: float) -> tuple[float, float]:
-    """Quintic Hermite value and slope: endpoint values, slopes, curvatures given.
-
-    Slopes and curvatures, the returned slope included, are with respect
-    to the original variable, over an interval of width w; tau runs over
-    [0, 1].
-    """
+def _quintic_basis(tau: float) -> tuple[float, ...]:
+    """The six quintic Hermite basis values at tau in [0, 1], then their six tau-slopes."""
     t2 = tau * tau
     t3 = t2 * tau
     t4 = t3 * tau
     t5 = t4 * tau
-    h00 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
-    h10 = tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
-    h20 = 0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5)
-    h01 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-    h11 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
-    h21 = 0.5 * (t3 - 2.0 * t4 + t5)
-    d00 = -30.0 * t2 + 60.0 * t3 - 30.0 * t4
-    d10 = 1.0 - 18.0 * t2 + 32.0 * t3 - 15.0 * t4
-    d20 = 0.5 * (2.0 * tau - 9.0 * t2 + 12.0 * t3 - 5.0 * t4)
-    d01 = 30.0 * t2 - 60.0 * t3 + 30.0 * t4
-    d11 = -12.0 * t2 + 28.0 * t3 - 15.0 * t4
-    d21 = 0.5 * (3.0 * t2 - 8.0 * t3 + 5.0 * t4)
+    return (1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5,
+            tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5,
+            0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5),
+            10.0 * t3 - 15.0 * t4 + 6.0 * t5,
+            -4.0 * t3 + 7.0 * t4 - 3.0 * t5,
+            0.5 * (t3 - 2.0 * t4 + t5),
+            -30.0 * t2 + 60.0 * t3 - 30.0 * t4,
+            1.0 - 18.0 * t2 + 32.0 * t3 - 15.0 * t4,
+            0.5 * (2.0 * tau - 9.0 * t2 + 12.0 * t3 - 5.0 * t4),
+            30.0 * t2 - 60.0 * t3 + 30.0 * t4,
+            -12.0 * t2 + 28.0 * t3 - 15.0 * t4,
+            0.5 * (3.0 * t2 - 8.0 * t3 + 5.0 * t4))
+
+
+def _quintic(basis: tuple[float, ...], p0: float, m0: float, s0: float,
+             p1: float, m1: float, s1: float, w: float) -> tuple[float, float]:
+    """Quintic Hermite value and slope: endpoint values, slopes, curvatures given.
+
+    ``basis`` is ``_quintic_basis(tau)``, so two blends over the same tau
+    share one basis.  Slopes and curvatures, the returned slope included,
+    are with respect to the original variable, over an interval of width w.
+    """
+    h00, h10, h20, h01, h11, h21, d00, d10, d20, d01, d11, d21 = basis
     value = (p0 * h00 + w * m0 * h10 + w * w * s0 * h20
              + p1 * h01 + w * m1 * h11 + w * w * s1 * h21)
     dtau = (p0 * d00 + w * m0 * d10 + w * w * s0 * d20
@@ -128,9 +133,9 @@ class ContactProfile:
         if r >= 1.0:
             e = math.exp(1.0 - r)
             return e, self.k, -e, 0.0
-        tau = (r - a) / (1.0 - a)
-        f, fp = _quintic(tau, self.c0, 0.0, 0.0, 1.0, -1.0, 1.0, 1.0 - a)
-        g, gp = _quintic(tau, self.c1 * a * a, 2.0 * self.c1 * a, 2.0 * self.c1,
+        basis = _quintic_basis((r - a) / (1.0 - a))
+        f, fp = _quintic(basis, self.c0, 0.0, 0.0, 1.0, -1.0, 1.0, 1.0 - a)
+        g, gp = _quintic(basis, self.c1 * a * a, 2.0 * self.c1 * a, 2.0 * self.c1,
                          self.k, 0.0, 0.0, 1.0 - a)
         return f, g, fp, gp
 
@@ -311,7 +316,8 @@ class BaseProfile:
             e = self.k * math.exp(s - 1.0)
             return e, e
         e = self.k * math.exp(-self.eps)
-        return _quintic((s - self.eps) / (1.0 - 2.0 * self.eps), self.k * self.eps ** 2,
+        return _quintic(_quintic_basis((s - self.eps) / (1.0 - 2.0 * self.eps)),
+                        self.k * self.eps ** 2,
                         2.0 * self.k * self.eps, 2.0 * self.k, e, e, e, 1.0 - 2.0 * self.eps)
 
 

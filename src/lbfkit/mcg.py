@@ -1,9 +1,10 @@
 """Word calculus for twist factorizations on a fibered boundary.
 
-Words are ordered tuples of two letter kinds: sphere twists along a fixed
-zero-section cycle (serialized ``S``) and fibered twists along the boundary
-(serialized ``D``).  The only relation used is that one boundary twist
-matches two sphere twists, which induces the substitution moves
+A word is a string over two letters: ``S`` (``SPHERE``), a sphere twist
+along a fixed zero-section cycle, and ``D`` (``BOUNDARY``), a fibered twist
+along the boundary; its serialization is the letters joined by spaces.
+The only relation used is that one boundary twist matches two sphere
+twists, which induces the substitution moves
 
     contract:  (S, S) at a position  ->  (D)
     expand:    (D) at a position     ->  (S, S)
@@ -19,7 +20,8 @@ exactly this much.
 from __future__ import annotations
 
 __all__ = [
-    "TwistGen",
+    "SPHERE",
+    "BOUNDARY",
     "TwistWord",
     "SubstitutionStep",
     "PatternMismatchError",
@@ -31,8 +33,9 @@ __all__ = [
     "substitution_chain",
 ]
 
-SPHERE = "sphere"
-BOUNDARY = "boundary"
+SPHERE = "S"
+BOUNDARY = "D"
+_LABELS = {SPHERE: "S0", BOUNDARY: "D"}   # a letter's name in error texts
 
 
 class PatternMismatchError(ValueError):
@@ -50,43 +53,16 @@ def disk_cotangent_sphere(n: int) -> str:
     return f"DT*S{n}"
 
 
-class TwistGen:
-    """One letter of a word; letters of one kind are equal."""
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str) -> None:
-        if kind not in (SPHERE, BOUNDARY):
-            raise ValueError(f"unknown twist kind {kind!r}")
-        self.kind = kind   # SPHERE or BOUNDARY
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TwistGen) and self.kind == other.kind
-
-    @staticmethod
-    def sphere() -> "TwistGen":
-        return TwistGen(SPHERE)
-
-    @staticmethod
-    def boundary() -> "TwistGen":
-        return TwistGen(BOUNDARY)
-
-    @property
-    def label(self) -> str:
-        """The letter's name in error texts: S0 for a sphere twist, D for a boundary twist."""
-        return "S0" if self.kind == SPHERE else "D"
-
-    @property
-    def weight(self) -> int:
-        return 1 if self.kind == SPHERE else 2
-
-
 class TwistWord:
     """A word over one fiber; two words are equal when letters and fiber agree."""
 
     __slots__ = ("letters", "fiber")
 
-    def __init__(self, letters: tuple[TwistGen, ...], fiber: str) -> None:
+    def __init__(self, letters: str, fiber: str) -> None:
+        unknown = letters.strip(SPHERE + BOUNDARY)   # from the first other letter on
+        if unknown:
+            raise ValueError(f"unknown twist letter {unknown[0]!r}; "
+                             f"use {SPHERE!r} or {BOUNDARY!r}")
         self.letters = letters
         self.fiber = fiber   # the fiber's name, from disk_cotangent_sphere
 
@@ -96,13 +72,13 @@ class TwistWord:
 
     @property
     def weight(self) -> int:
-        return sum(g.weight for g in self.letters)
+        return len(self.letters) + self.letters.count(BOUNDARY)
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def serialize(self) -> str:
-        return " ".join("S" if g.kind == SPHERE else "D" for g in self.letters)
+        return " ".join(self.letters)
 
     def __repr__(self) -> str:
         return f"TwistWord({self.serialize() or 'empty'}; fiber={self.fiber})"
@@ -135,26 +111,22 @@ def substitute(word: TwistWord, pos: int, direction: str) -> TwistWord:
                 f"contract needs two letters at positions {pos}, {pos + 1}; "
                 f"word has length {len(letters)}"
             )
-        a, b = letters[pos], letters[pos + 1]
-        if a.kind != SPHERE or b.kind != SPHERE:
+        if letters[pos : pos + 2] != SPHERE * 2:
             raise PatternMismatchError(
                 f"pattern mismatch at {pos}: contract expects (S, S), "
-                f"found ({a.label}, {b.label})"
+                f"found ({_LABELS[letters[pos]]}, {_LABELS[letters[pos + 1]]})"
             )
-        new = letters[:pos] + (TwistGen.boundary(),) + letters[pos + 2 :]
-        return TwistWord(new, word.fiber)
+        return TwistWord(letters[:pos] + BOUNDARY + letters[pos + 2 :], word.fiber)
     if direction == "expand":
         if pos < 0 or pos >= len(letters):
             raise PatternMismatchError(
                 f"expand needs a letter at position {pos}; word has length {len(letters)}"
             )
-        a = letters[pos]
-        if a.kind != BOUNDARY:
+        if letters[pos] != BOUNDARY:
             raise PatternMismatchError(
-                f"pattern mismatch at {pos}: expand expects (D), found ({a.label})"
+                f"pattern mismatch at {pos}: expand expects (D), found ({_LABELS[letters[pos]]})"
             )
-        new = letters[:pos] + (TwistGen.sphere(), TwistGen.sphere()) + letters[pos + 1 :]
-        return TwistWord(new, word.fiber)
+        return TwistWord(letters[:pos] + SPHERE * 2 + letters[pos + 1 :], word.fiber)
     raise ValueError(f"unknown direction {direction!r}; use 'contract' or 'expand'")
 
 
@@ -183,12 +155,8 @@ def enumerate_fillings(
     if n < 2:
         raise ValueError(f"fiber half-dimension must be >= 2, got {n}")
     fiber = disk_cotangent_sphere(n)
-    words = []
-    start = 0 if include_zero else 1
-    for ell in range(start, (k + 1) // 2 + 1):
-        letters = (TwistGen.boundary(),) * ell + (TwistGen.sphere(),) * (k + 1 - 2 * ell)
-        words.append(TwistWord(letters, fiber))
-    return words
+    return [TwistWord(BOUNDARY * ell + SPHERE * (k + 1 - 2 * ell), fiber)
+            for ell in range(0 if include_zero else 1, (k + 1) // 2 + 1)]
 
 
 def substitution_chain(source: TwistWord, target: TwistWord) -> list[SubstitutionStep]:
@@ -212,16 +180,14 @@ def substitution_chain(source: TwistWord, target: TwistWord) -> list[Substitutio
     steps: list[SubstitutionStep] = []
     current = source
     i = 0
-    for j in range(len(target.letters)):
-        need = target.letters[j].kind
-        have = current.letters[i].kind
-        if have == need:
+    for need in target.letters:
+        if current.letters[i] == need:
             i += 1
             continue
         if need == BOUNDARY:
             # have a sphere; a second unit of weight follows because the
             # target still owes weight 2 here and weights agree
-            if current.letters[i + 1].kind == BOUNDARY:
+            if current.letters[i + 1] == BOUNDARY:
                 nxt = substitute(current, i + 1, "expand")
                 steps.append(SubstitutionStep(i + 1, "expand", current, nxt))
                 current = nxt

@@ -212,18 +212,18 @@ def test_criterion_6_relation_constants(rng):
         failures.append("aa_count(3, 2) != 12")
 
     fiber = mcg.disk_cotangent_sphere(2)
-    word = mcg.TwistWord((mcg.TwistGen.sphere(),) * 20, fiber)
+    word = mcg.TwistWord(mcg.SPHERE * 20, fiber)
     applied = 0
     for _ in range(10_000):
         letters = word.letters
         moves = [
             (i, "contract")
             for i in range(len(letters) - 1)
-            if letters[i].kind == mcg.SPHERE and letters[i + 1].kind == mcg.SPHERE
+            if letters[i] == mcg.SPHERE and letters[i + 1] == mcg.SPHERE
         ]
         moves += [
             (i, "expand") for i in range(len(letters))
-            if letters[i].kind == mcg.BOUNDARY
+            if letters[i] == mcg.BOUNDARY
         ]
         pos, direction = rng.choice(moves)
         word = mcg.substitute(word, pos, direction)

@@ -123,6 +123,13 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "transport", "--t", "200")[0] == 2         # outside [-0.25, 100]
     assert run(capsys, "transport", "--s0", "1")[0] == 2          # beyond the s0 range
     assert run(capsys, "transport", "--grid=5e-8:6e-8:2")[0] == 2  # stencil step under 1e-8
+    # options take their full names: a unique prefix is no abbreviation
+    for argv in (["transport", "--gri=-0.2:0.2:4"], ["verify-forms", "--form", "csv"],
+                 ["fillings", "--include"], ["transport", "--gri", "-0.2:0.2:4"],
+                 ["transport", "--s", "-1e-3"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments: " + " ".join(argv[1:]) in err, argv
     # non-finite grid bounds are refused before linspace sees them
     for spec in ("--grid=-inf:inf:2", "--grid=nan:nan:1"):
         code, out, err = run(capsys, "transport", spec)
@@ -250,6 +257,22 @@ T_LO, T_HI = DEFAULT_CONFIG.level_range
 T_FLOOR = SINGULAR_FLOOR / 2     # --t must exceed it in magnitude
 
 
+def _assert_contract(argv: list[str], inside: bool) -> None:
+    """Run argv in-process: inside the documented domain exit 0 with empty
+    stderr (and ``passed`` true in json), outside it one usage error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if inside:
+        assert (code, err.getvalue()) == (0, ""), argv
+        if argv[-2:] == ["--format", "json"]:
+            assert json.loads(out.getvalue())["passed"] is True, argv
+    else:
+        assert (code, out.getvalue()) == (2, ""), argv
+        assert err.getvalue().startswith("lbfkit: usage error: "), argv
+        assert len(err.getvalue().splitlines()) == 1, argv
+
+
 @settings(max_examples=30, deadline=None)
 @given(t=st.floats(min_value=T_LO, max_value=T_HI).filter(lambda t: abs(t) > T_FLOOR))
 @example(t=math.nextafter(T_LO, -math.inf))
@@ -263,16 +286,41 @@ def test_transport_t_contract(t):
     inside = T_LO <= t <= T_HI and abs(t) > T_FLOOR
     for text in (repr(t), f"{t:.17e}"):
         for argv in (["transport", "--t", text], ["transport", f"--t={text}"]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
-            if inside:
-                assert (code, err.getvalue()) == (0, ""), argv
-                assert json.loads(out.getvalue())["passed"] is True, argv
-            else:
-                assert (code, out.getvalue()) == (2, ""), argv
-                assert err.getvalue().startswith("lbfkit: usage error: "), argv
-                assert len(err.getvalue().splitlines()) == 1, argv
+            _assert_contract(argv + ["--format", "json"], inside)
+
+
+# --k runs over 1..MAX_K for fillings and resolve, drawn mostly small
+K_DOMAIN = st.one_of(st.integers(1, 12), st.integers(1, cli.MAX_K))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=2), k=K_DOMAIN, include_zero=st.booleans())
+@example(n=10 ** 6, k=cli.MAX_K, include_zero=True)
+@example(n=1, k=5, include_zero=False)
+@example(n=2, k=0, include_zero=False)
+@example(n=2, k=cli.MAX_K + 1, include_zero=True)
+def test_fillings_contract(n, k, include_zero):
+    # any n >= 2 and k in 1..1000 pass in every format; n = 1, k = 0 and
+    # k = 1001 are one usage error line
+    inside = n >= 2 and 1 <= k <= cli.MAX_K
+    argv = ["fillings", "--n", str(n), "--k", str(k)] + ["--include-zero"] * include_zero
+    for fmt in FORMATS:
+        _assert_contract(argv + ["--format", fmt], inside)
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=K_DOMAIN, dim=st.one_of(st.integers(0, 4), st.integers(0, cli.MAX_DIM)))
+@example(k=cli.MAX_K, dim=cli.MAX_DIM)
+@example(k=0, dim=1)
+@example(k=cli.MAX_K + 1, dim=1)
+@example(k=3, dim=-1)
+@example(k=3, dim=cli.MAX_DIM + 1)
+def test_resolve_contract(k, dim):
+    # k in 1..1000 and dim in 0..100 resolve in every format; one step past
+    # each bound is one usage error line
+    inside = 1 <= k <= cli.MAX_K and 0 <= dim <= cli.MAX_DIM
+    for fmt in FORMATS:
+        _assert_contract(["resolve", "--k", str(k), "--dim", str(dim), "--format", fmt], inside)
 
 
 def test_transport_help_states_the_level_range(capsys):

@@ -230,3 +230,71 @@ def test_contact_verifiers_pass_for_every_eps(eps):
     else:
         assert make_corner_curve(eps)[1]["passed"]
     assert verify_base_profile(make_base_profile(eps=eps))["passed"]
+
+
+def _quintic_reference(tau, p0, m0, s0, p1, m1, s1, w):
+    """One quintic Hermite blend with its own basis, as each blend was evaluated
+    before f and g shared one basis per point: the reference for bit equality."""
+    t2 = tau * tau
+    t3 = t2 * tau
+    t4 = t3 * tau
+    t5 = t4 * tau
+    h00 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
+    h10 = tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
+    h20 = 0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5)
+    h01 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
+    h11 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
+    h21 = 0.5 * (t3 - 2.0 * t4 + t5)
+    d00 = -30.0 * t2 + 60.0 * t3 - 30.0 * t4
+    d10 = 1.0 - 18.0 * t2 + 32.0 * t3 - 15.0 * t4
+    d20 = 0.5 * (2.0 * tau - 9.0 * t2 + 12.0 * t3 - 5.0 * t4)
+    d01 = 30.0 * t2 - 60.0 * t3 + 30.0 * t4
+    d11 = -12.0 * t2 + 28.0 * t3 - 15.0 * t4
+    d21 = 0.5 * (3.0 * t2 - 8.0 * t3 + 5.0 * t4)
+    value = (p0 * h00 + w * m0 * h10 + w * w * s0 * h20
+             + p1 * h01 + w * m1 * h11 + w * w * s1 * h21)
+    dtau = (p0 * d00 + w * m0 * d10 + w * w * s0 * d20
+            + p1 * d01 + w * m1 * d11 + w * w * s1 * d21)
+    return value, dtau / w
+
+
+def _reference_point_and_tangent(p, r):
+    """``ContactProfile.point_and_tangent`` on the blend, with two separate quintics."""
+    a = p.eps / 2.0
+    tau = (r - a) / (1.0 - a)
+    f, fp = _quintic_reference(tau, p.c0, 0.0, 0.0, 1.0, -1.0, 1.0, 1.0 - a)
+    g, gp = _quintic_reference(tau, p.c1 * a * a, 2.0 * p.c1 * a, 2.0 * p.c1,
+                               p.k, 0.0, 0.0, 1.0 - a)
+    return f, g, fp, gp
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+EPS = st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c0=st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+       c1=POSITIVE, k=POSITIVE, eps=EPS, data=st.data())
+def test_shared_quintic_basis_keeps_every_bit(c0, c1, k, eps, data):
+    # f and g share one Hermite basis per point; every bit equals two separate
+    # quintic evaluations, for r drawn over [0, 1 + eps] and on the blend
+    p = make_profile(c0, c1, k, eps)
+    a = eps / 2.0
+    rs = [a + (1.0 - a) * i / 16 for i in range(1, 16)]
+    rs += data.draw(st.lists(st.floats(0.0, p.r_max), min_size=1, max_size=16))
+    for r in rs:
+        got = p.point_and_tangent(r)
+        if a < r < 1.0:
+            assert _hex(got) == _hex(_reference_point_and_tangent(p, r)), r
+    # the base profile's single blend keeps its bits too
+    bp, e = make_base_profile(k, eps), k * math.exp(-eps)
+    for i in range(1, 16):
+        s = eps + (1.0 - 2.0 * eps) * i / 16
+        if eps < s < 1.0 - eps:
+            want = _quintic_reference((s - eps) / (1.0 - 2.0 * eps), k * eps ** 2,
+                                      2.0 * k * eps, 2.0 * k, e, e, e, 1.0 - 2.0 * eps)
+            assert _hex(bp.h_and_slope(s)) == _hex(want), s

@@ -9,7 +9,6 @@ from lbfkit.mcg import (
     SPHERE,
     NotRelatedError,
     PatternMismatchError,
-    TwistGen,
     TwistWord,
     aa_count,
     disk_cotangent_sphere,
@@ -24,23 +23,23 @@ FIBER = disk_cotangent_sphere(2)
 
 def word(text: str) -> TwistWord:
     """Build a word from its serialized form, e.g. 'D S S'."""
-    letters = tuple(
-        TwistGen.sphere() if c == "S" else TwistGen.boundary()
-        for c in text.split()
-    )
-    return TwistWord(letters, FIBER)
+    return TwistWord("".join(text.split()), FIBER)
 
 
 def test_generator_defaults_and_weights():
-    s = TwistGen.sphere()
-    d = TwistGen.boundary()
-    assert (s.kind, s.label, s.weight) == (SPHERE, "S0", 1)
-    assert (d.kind, d.label, d.weight) == (BOUNDARY, "D", 2)
+    # the letters are the characters of the serialized word
+    assert (SPHERE, BOUNDARY) == ("S", "D")
+    assert TwistWord(SPHERE, FIBER).weight == 1
+    assert TwistWord(BOUNDARY, FIBER).weight == 2
+    assert word("D S S").letters == "DSS"
 
 
 def test_generator_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown twist kind"):
-        TwistGen("torus")
+    for letters in ("SxD", "T", "S D", "s"):
+        with pytest.raises(ValueError, match="unknown twist letter"):
+            TwistWord(letters, FIBER)
+    with pytest.raises(ValueError, match="unknown twist letter 'x'; use 'S' or 'D'"):
+        TwistWord("DSxS", FIBER)
 
 
 def test_fiber_descriptor_euler_numbers():
@@ -61,8 +60,11 @@ def test_expand_at_front():
 
 
 def test_contract_needs_two_spheres():
-    with pytest.raises(PatternMismatchError, match="pattern mismatch"):
-        substitute(word("S D"), 0, "contract")
+    for text, found in (("S D", "S0, D"), ("D S", "D, S0"), ("D D", "D, D")):
+        with pytest.raises(PatternMismatchError) as info:
+            substitute(word(text), 0, "contract")
+        assert str(info.value) == (
+            f"pattern mismatch at 0: contract expects (S, S), found ({found})")
 
 
 def test_contract_out_of_range_message():
@@ -71,8 +73,9 @@ def test_contract_out_of_range_message():
 
 
 def test_expand_requires_boundary_letter():
-    with pytest.raises(PatternMismatchError, match=r"expects \(D\), found \(S0\)"):
+    with pytest.raises(PatternMismatchError) as info:
         substitute(word("S S"), 1, "expand")
+    assert str(info.value) == "pattern mismatch at 1: expand expects (D), found (S0)"
     with pytest.raises(PatternMismatchError, match="word has length 2"):
         substitute(word("S S"), 5, "expand")
 
@@ -93,7 +96,7 @@ def test_substitute_leaves_other_letters_alone():
 def test_weight_examples():
     assert word("S S S S").weight == 4
     assert word("D S S").weight == 4
-    assert TwistWord((), FIBER).weight == 0
+    assert TwistWord("", FIBER).weight == 0
 
 
 def test_weight_counts_both_kinds():
@@ -104,7 +107,7 @@ def test_serialize_and_repr():
     w = word("D S")
     assert w.serialize() == "D S"
     assert "fiber=DT*S2" in repr(w)
-    assert "empty" in repr(TwistWord((), FIBER))
+    assert "empty" in repr(TwistWord("", FIBER))
 
 
 def test_aa_count_values():
@@ -217,10 +220,7 @@ def test_all_fillings_pairwise_related():
 
 def random_word(rng, max_len: int = 12) -> TwistWord:
     n = rng.randrange(0, max_len + 1)
-    letters = tuple(
-        TwistGen.sphere() if rng.random() < 0.6 else TwistGen.boundary()
-        for _ in range(n)
-    )
+    letters = "".join(SPHERE if rng.random() < 0.6 else BOUNDARY for _ in range(n))
     return TwistWord(letters, FIBER)
 
 
