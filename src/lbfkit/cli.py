@@ -17,35 +17,32 @@ with a diagnostic.  An ``--out`` that cannot be written is a usage error
 too.  Exits 2 and 3 print one line on stderr and no traceback; failed
 checks are enumerated on stderr.
 
-Subcommands: verify-forms, transport, fillings, resolve, contact-check,
-and all, which runs each of the above with its defaults into a
-directory.  Every suite runs in one thread, in a fixed order.
+Subcommands and their options live in one option table, ``COMMANDS``:
+each subcommand's summary and suite, and each option's converter, default,
+metavar, help text and integer bounds.  One loop parses argv against it
+and ``--help`` prints from it.  ``all`` runs each suite with the table's
+defaults into a directory.  Every suite runs in one thread, in a fixed order.
 
-Each process loads only the layers its subcommand runs: importing this
-module loads the standard library and ``config``, and each suite imports
-its layers when it starts (verify-forms ``models``, ``exterior`` and
-``poly``, transport ``transport``, fillings ``mcg`` and ``topo``, resolve
-``blowup``, ``mcg`` and ``poly``, contact-check ``contact``).  Every
-layer computes on Python floats and exact rationals, so no subcommand
-imports anything beyond the standard library.  Suites call a layer
-through its module (``transport.integrate``), so patching a module
-attribute reaches them.
+Each process loads only what its subcommand runs: importing this module
+loads the standard library and ``config``, ``json`` is imported only to
+render json, and each suite imports its layers when it starts
+(verify-forms ``models``, ``exterior`` and ``poly``, transport
+``transport``, fillings ``mcg`` and ``topo``, resolve ``blowup``, ``mcg``
+and ``poly``, contact-check ``contact``).  No layer needs more than the
+standard library.  Suites call a layer through its module
+(``transport.integrate``), so patching a module attribute reaches them.
 
-Input the numerics cannot represent is a usage error too: a
-``contact-check --n`` whose f^(n-1) overflows a double (n >= 1025 for the
-default profile), a ``transport --t`` with 0 < |t| <= 5e-13, where the
-transport denominator starts at or under its singular floor, and a
-``transport --grid`` COUNT above ``MAX_GRID_COUNT`` (10,000).  A
-``fillings --k`` or ``resolve --k`` above ``MAX_K`` (1,000) is refused
-before any word is built: both reports grow as k^2.  So are a
-``verify-forms --n`` above ``MAX_N`` (24) and a ``resolve --dim`` above
-``MAX_DIM`` (100), where the run time grows steeply.
+Each option's help text states its domain, and input outside it is
+refused before any work.  That includes input the numerics cannot
+represent: a ``contact-check --n`` whose f^(n-1) overflows a double
+(n >= 1025 for the default profile) and a ``transport --t`` with
+0 < |t| <= 5e-13, where the transport denominator starts at or under its
+singular floor.  ``MAX_GRID_COUNT``, ``MAX_K``, ``MAX_N`` and ``MAX_DIM``
+cap the inputs whose memory or run time grows steeply.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import sys
@@ -61,7 +58,7 @@ SCHEMA = "lbf-kit/1"
 TIMING_SCHEMA = "lbf-kit/1-timing"
 FORMATS = ("json", "csv", "table")
 
-# The suites `all` runs, each with its parser's defaults, in emission order.
+# The suites `all` runs, each with its option table defaults, in emission order.
 ALL_SUITES = ("verify-forms", "transport", "fillings", "resolve", "contact-check")
 
 DEFAULT_T_GRID = "-0.16:0.16:8"
@@ -103,6 +100,8 @@ class SuiteResult:
 
 def _json_text(report: dict) -> str:
     """Sorted, indented JSON; tuples print as lists."""
+    import json
+
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
@@ -222,18 +221,18 @@ def _parse_grid(spec: str) -> list[float]:
     return grid
 
 
-def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
+def _suite_transport(t: float, s0: float, grid: str) -> SuiteResult:
     from . import transport
 
     cfg = DEFAULT_CONFIG
-    grid = _parse_grid(grid_spec)
+    levels = _parse_grid(grid)
     # a bad --t or --s0 is a usage error before anything is integrated
     transport._validate_t(cfg, t)
     transport._validate_s0(cfg, s0)
     timing: dict[str, float] = {}
     # ... and so is a grid level without room for its stencil, which the
     # profile refuses before it steps any level
-    prof = _timed(timing, "profile_ms", transport.monodromy_profile, cfg, s0, grid)
+    prof = _timed(timing, "profile_ms", transport.monodromy_profile, cfg, s0, levels)
 
     # Both denominator conventions ride along on every trajectory report.
     # Only the corrected one is expected to conserve mu*r2 - s; the other
@@ -266,7 +265,7 @@ def _suite_transport(t: float, s0: float, grid_spec: str) -> SuiteResult:
         failures.append(f"limit at 0- = {lim_minus}, expected -0.5 within 1e-3")
 
     report = {
-        "config": _config_dict(cfg, t=t, s0=s0, grid=grid_spec),
+        "config": _config_dict(cfg, t=t, s0=s0, grid=grid),
         "trajectory": {"t": t, "s_max": 0.5, "variants": trajectories},
         "limits_at_zero": {
             "plus": lim_plus,
@@ -447,89 +446,123 @@ def _suite_contact_check(n: int) -> SuiteResult:
 # dispatch
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # options take their full names: no parser accepts a prefix such as --gri
-    parser = argparse.ArgumentParser(
-        prog="lbfkit",
-        description="deterministic verification reports for the fibration toolkit",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# One option: its name, converter, default, metavar, help text and, for an
+# integer, the bounds (lo, hi) outside which it is refused.  The converter is
+# int, float, str or Path, a tuple of choices, or None for a flag.
+_FORMAT = ("--format", FORMATS, "json", "|".join(FORMATS), "the report format", None)
+_OUT = ("--out", Path, None, "FILE", "write the report here instead of stdout", None)
+_T_RANGE = "[{!r}, {!r}]".format(*DEFAULT_CONFIG.level_range)
 
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=summary, allow_abbrev=False)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=FORMATS, default="json")
-        p.add_argument("--out", type=Path, default=None,
-                       help="write the report here instead of stdout")
-
-    p = command("verify-forms", "check the nine form identities")
-    p.add_argument("--n", type=int, default=2, help=f"N runs from 2 to {MAX_N}")
-    common(p)
-
-    p = command("transport", "trajectory drifts and the angle profile")
-    t_lo, t_hi = DEFAULT_CONFIG.level_range
-    p.add_argument("--t", type=float, default=0.25,
-                   help=f"T lies in [{t_lo!r}, {t_hi!r}] with |T| > {SINGULAR_FLOOR / 2:g}: "
-                        f"the transport denominator starts at 2|T|, above the singular "
-                        f"floor {SINGULAR_FLOOR:g}")
-    s0_lo, s0_hi = DEFAULT_CONFIG.s0_range
-    p.add_argument("--s0", type=float, default=1e-3,
-                   help=f"S0 lies in ({s0_lo!r}, {s0_hi!r}]: the limit stencil's "
-                        f"smallest step S0/64 stays above {STENCIL_FLOOR:g}, and its "
-                        "arcs stay in the small-t regime")
-    p.add_argument("--grid", default=DEFAULT_T_GRID, metavar="LO:HI:COUNT",
-                   help=f"COUNT evenly spaced levels in [LO, HI], inside [{t_lo!r}, "
-                        f"{t_hi!r}] and none of them 0; COUNT runs from 1 to {MAX_GRID_COUNT}")
-    common(p)
-
-    p = command("fillings", "twist words and Euler characteristics")
-    p.add_argument("--n", type=int, default=2, help="N is any integer >= 2")
-    p.add_argument("--k", type=int, default=5, help=f"K runs from 1 to {MAX_K}")
-    p.add_argument("--include-zero", action="store_true")
-    common(p)
-
-    p = command("resolve", "blow-up resolution trace")
-    p.add_argument("--k", type=int, default=3, help=f"K runs from 1 to {MAX_K}")
-    p.add_argument("--dim", type=int, default=1, help=f"DIM runs from 0 to {MAX_DIM}")
-    common(p)
-
-    p = command("contact-check", "profile, corner, and base checks")
-    p.add_argument("--n", type=int, default=2, help="N runs from 1 to 1024")
-    common(p)
-
-    p = command("all", "every suite with defaults, into a directory")
-    p.add_argument("--format", choices=FORMATS, default="json")
-    p.add_argument("--out", type=Path, required=True,
-                   help="directory receiving one report per suite")
-    return parser
+# The option table: each subcommand's summary, its suite, and its options.
+# Each option but --format and --out is passed to the suite by keyword
+# (--include-zero as include_zero).
+COMMANDS = {
+    "verify-forms": ("check the nine form identities", _suite_verify_forms, (
+        ("--n", int, 2, "N", f"N runs from 2 to {MAX_N}", (2, MAX_N)), _FORMAT, _OUT)),
+    "transport": ("trajectory drifts and the angle profile", _suite_transport, (
+        ("--t", float, 0.25, "T", f"T lies in {_T_RANGE} with |T| > {SINGULAR_FLOOR / 2:g}: the "
+         f"transport denominator starts at 2|T|, above the singular floor {SINGULAR_FLOOR:g}",
+         None),
+        ("--s0", float, 1e-3, "S0", "S0 lies in ({!r}, {!r}]".format(*DEFAULT_CONFIG.s0_range)
+         + f": the limit stencil's smallest step S0/64 stays above {STENCIL_FLOOR:g}, and its "
+         "arcs stay in the small-t regime", None),
+        ("--grid", str, DEFAULT_T_GRID, "LO:HI:COUNT", f"COUNT evenly spaced levels in [LO, HI], "
+         f"inside {_T_RANGE} and none of them 0; COUNT runs from 1 to {MAX_GRID_COUNT}", None),
+        _FORMAT, _OUT)),
+    "fillings": ("twist words and Euler characteristics", _suite_fillings, (
+        ("--n", int, 2, "N", "N is any integer >= 2", (2, math.inf)),
+        ("--k", int, 5, "K", f"K runs from 1 to {MAX_K}", (1, MAX_K)),
+        ("--include-zero", None, False, None, "also emit the all-sphere word, l = 0", None),
+        _FORMAT, _OUT)),
+    "resolve": ("blow-up resolution trace", _suite_resolve, (
+        ("--k", int, 3, "K", f"K runs from 1 to {MAX_K}", (1, MAX_K)),
+        ("--dim", int, 1, "DIM", f"DIM runs from 0 to {MAX_DIM}", (0, MAX_DIM)), _FORMAT, _OUT)),
+    # contact-check refuses n >= 1025 itself, naming the overflow
+    "contact-check": ("profile, corner, and base checks", _suite_contact_check, (
+        ("--n", int, 2, "N", "N runs from 1 to 1024", (1, math.inf)), _FORMAT, _OUT)),
+    "all": ("every suite with defaults, into a directory", None, (
+        _FORMAT,
+        ("--out", Path, None, "DIR", "directory receiving one report per suite (required)",
+         None))),
+}
 
 
-def _check_range(option: str, value: int, lo: int, hi: float = math.inf) -> None:
-    """Refuse an integer option outside [lo, hi] as a usage error."""
-    if value < lo:
-        raise DomainError(f"{option} must be >= {lo}, got {value}")
-    if value > hi:
-        raise DomainError(f"{option} must be at most {hi}, got {value}")
+def _key(option: str) -> str:
+    return option[2:].replace("-", "_")
 
 
-def _run_suite(args: argparse.Namespace) -> SuiteResult:
-    if args.command == "verify-forms":
-        _check_range("--n", args.n, 2, MAX_N)
-        return _suite_verify_forms(args.n)
-    if args.command == "transport":
-        return _suite_transport(args.t, args.s0, args.grid)
-    if args.command == "fillings":
-        _check_range("--n", args.n, 2)
-        _check_range("--k", args.k, 1, MAX_K)
-        return _suite_fillings(args.n, args.k, args.include_zero)
-    if args.command == "resolve":
-        _check_range("--k", args.k, 1, MAX_K)
-        _check_range("--dim", args.dim, 0, MAX_DIM)
-        return _suite_resolve(args.k, args.dim)
-    _check_range("--n", args.n, 1)    # contact-check
-    return _suite_contact_check(args.n)
+def _help(command: str | None) -> str:
+    if command is None:
+        lines = ["usage: lbfkit COMMAND [OPTION ...]", "",
+                 "deterministic verification reports for the fibration toolkit", "", "commands:"]
+        lines += [f"  {name:<15} {summary}" for name, (summary, _, _) in COMMANDS.items()]
+        return "\n".join(lines + ["", "lbfkit COMMAND --help lists the options of COMMAND.\n"])
+    lines = [f"usage: lbfkit {command} [OPTION ...]", "", COMMANDS[command][0], "", "options:"]
+    for name, convert, default, metavar, text, _ in COMMANDS[command][2]:
+        lines.append(f"  {name} {metavar or ''}".rstrip())
+        lines.append("     ")
+        # the help text, with its default, broken into lines of at most 79 characters
+        for word in (text if convert is None or default is None
+                     else f"{text} (default: {default})").split():
+            if len(lines[-1]) + len(word) >= 79:
+                lines.append("     ")
+            lines[-1] += " " + word
+    return "\n".join(lines) + "\n"
+
+
+def _convert(option: str, convert: Callable | tuple, text: str) -> object:
+    if isinstance(convert, tuple):                       # a choice
+        if text in convert:
+            return text
+        raise DomainError(f"{option}: invalid choice {text!r} (choose from {', '.join(convert)})")
+    try:
+        return convert(text)
+    except ValueError:
+        raise DomainError(f"{option}: invalid {convert.__name__} value {text!r}") from None
+
+
+def _parse_argv(argv: list[str]) -> tuple[str, dict] | None:
+    """The command and its option values keyed as the suites take them, or
+    None once help is printed.
+
+    Options take their full names, as ``--opt V`` or ``--opt=V``: V is the
+    next token whatever it starts with, and a repeated option keeps its last
+    value.  A -h or --help anywhere prints help; every refusal is a ``DomainError``.
+    """
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if {"-h", "--help"} & set(argv if command else argv[:1]):
+        sys.stdout.write(_help(command))
+        return None
+    if command is None:
+        raise DomainError(f"expected a command, one of {', '.join(COMMANDS)}; got "
+                          + (repr(argv[0]) if argv else "none"))
+    options = {row[0]: row for row in COMMANDS[command][2]}
+    values = {name: row[2] for name, row in options.items()}
+    unrecognized = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        row = options.get(name)
+        if row is None:
+            unrecognized.append(token)
+        elif row[1] is None:                             # a flag takes no value
+            if eq:
+                raise DomainError(f"{name} takes no value, got {token!r}")
+            values[name] = True
+        else:
+            if not eq and (text := next(tokens, None)) is None:
+                raise DomainError(f"{name} needs a value")
+            values[name] = _convert(name, row[1], text)
+    if unrecognized:
+        raise DomainError("unrecognized arguments: " + " ".join(unrecognized))
+    if command == "all" and values["--out"] is None:
+        raise DomainError("all needs --out DIR")
+    for name, *_, bounds in options.values():
+        value = values[name]
+        if bounds and not bounds[0] <= value <= bounds[1]:
+            relation = f">= {bounds[0]}" if value < bounds[0] else f"at most {bounds[1]}"
+            raise DomainError(f"{name} must be {relation}, got {value}")
+    return command, {_key(name): value for name, value in values.items()}
 
 
 def _render(command: str, result: SuiteResult, fmt: str) -> str:
@@ -539,9 +572,9 @@ def _render(command: str, result: SuiteResult, fmt: str) -> str:
     return _csv(result.csv_rows) if fmt == "csv" else _table(result.table_rows)
 
 
-def _execute(args: argparse.Namespace, prefix: str,
+def _execute(command: str, values: dict, prefix: str,
              emit: Callable[[SuiteResult, float], None]) -> int:
-    """Run one suite, pass its result and wall time in ms to ``emit``; the exit code.
+    """Run the suite on ``values``, pass ``emit`` its result and wall ms; the exit code.
 
     A ``DomainError``, from the suite or from writing its report, is exit 2
     and any other exception exit 3, each with one stderr line; a halted
@@ -550,7 +583,7 @@ def _execute(args: argparse.Namespace, prefix: str,
     """
     started = time.perf_counter()
     try:
-        result = _run_suite(args)
+        result = COMMANDS[command][1](**values)
         emit(result, (time.perf_counter() - started) * 1e3)
     except DomainError as exc:
         print(f"{prefix}: usage error: {exc}", file=sys.stderr)
@@ -566,7 +599,7 @@ def _execute(args: argparse.Namespace, prefix: str,
     return 0 if result.passed else 1
 
 
-def _run_all(parser: argparse.ArgumentParser, fmt: str, out_dir: Path) -> int:
+def _run_all(fmt: str, out_dir: Path) -> int:
     suffix = {"json": ".json", "csv": ".csv", "table": ".txt"}[fmt]
     worst = 0
     timings: dict[str, float] = {}
@@ -575,7 +608,9 @@ def _run_all(parser: argparse.ArgumentParser, fmt: str, out_dir: Path) -> int:
             timings[name] = elapsed_ms
             _write_atomic(out_dir / f"{name}{suffix}", _render(name, result, fmt))
 
-        code = _execute(parser.parse_args([name]), f"lbfkit all/{name}", emit)
+        defaults = {_key(row[0]): row[2] for row in COMMANDS[name][2]
+                    if row not in (_FORMAT, _OUT)}
+        code = _execute(name, defaults, f"lbfkit all/{name}", emit)
         if code > 1:
             return code
         worst = max(worst, code)
@@ -588,46 +623,30 @@ def _run_all(parser: argparse.ArgumentParser, fmt: str, out_dir: Path) -> int:
     return worst
 
 
-def _join_signed_values(argv: list[str]) -> list[str]:
-    """A transport argv with each spaced ``--t V``, ``--s0 V`` or ``--grid V`` spelled ``--t=V``.
-
-    argparse reads a V such as -1e-5 or -0.2:0.2:4 as an unknown option, so
-    V is joined when it starts with '-' and is no option (``--...``, ``-h``).
-    """
-    if argv[:1] != ["transport"]:
-        return argv
-    joined: list[str] = []
-    for token in argv:
-        if (joined and joined[-1] in ("--t", "--s0", "--grid") and token.startswith("-")
-                and not token.startswith(("--", "-h"))):
-            joined[-1] += "=" + token
-        else:
-            joined.append(token)
-    return joined
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        # argparse has already printed its message; normalize the code
-        code = exc.code
-        return 0 if code in (0, None) else 2
-    if args.command == "all":
-        return _run_all(parser, args.format, args.out)
+        parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except DomainError as exc:
+        print(f"lbfkit: usage error: {exc}", file=sys.stderr)
+        return 2
+    if parsed is None:
+        return 0                                   # help was printed
+    command, values = parsed
+    fmt, out = values.pop("format"), values.pop("out")
+    if command == "all":
+        return _run_all(fmt, out)
 
     def emit(result: SuiteResult, elapsed_ms: float) -> None:
-        text = _render(args.command, result, args.format)
-        if args.out is None:
+        text = _render(command, result, fmt)
+        if out is None:
             sys.stdout.write(text)
             return
-        _write_atomic(args.out, text)
-        timing = {"schema": TIMING_SCHEMA, "command": args.command,
+        _write_atomic(out, text)
+        timing = {"schema": TIMING_SCHEMA, "command": command,
                   "elapsed_ms": elapsed_ms, **result.timing}
-        _write_atomic(args.out.with_name(args.out.name + ".timing.json"), _json_text(timing))
+        _write_atomic(out.with_name(out.name + ".timing.json"), _json_text(timing))
 
-    return _execute(args, "lbfkit", emit)
+    return _execute(command, values, "lbfkit", emit)
 
 
 if __name__ == "__main__":

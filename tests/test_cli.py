@@ -243,7 +243,7 @@ def test_fillings_n_has_no_upper_bound(capsys):
     ("--t", "-1e-13", 2),
 ])
 def test_negative_value_may_be_its_own_token(capsys, option, value, code):
-    # argparse alone reads -1e-5 or -0.2:0.2:4 after an option as an unknown option
+    # an option's value is the next token, even one such as -1e-5 or -0.2:0.2:4
     spaced = run(capsys, "transport", option, value)
     assert spaced == run(capsys, "transport", f"{option}={value}")
     assert spaced[0] == code
@@ -321,6 +321,75 @@ def test_resolve_contract(k, dim):
     inside = 1 <= k <= cli.MAX_K and 0 <= dim <= cli.MAX_DIM
     for fmt in FORMATS:
         _assert_contract(["resolve", "--k", str(k), "--dim", str(dim), "--format", fmt], inside)
+
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.one_of(st.integers(2, 6), st.integers(2, cli.MAX_N)))
+@example(n=cli.MAX_N)
+@example(n=1)
+@example(n=cli.MAX_N + 1)
+def test_verify_forms_contract(n):
+    # n in 2..24 passes in every format (n = 24 takes about 0.4 s, so the
+    # draws are mostly small); n = 1 and n = 25 are one usage error line
+    inside = 2 <= n <= cli.MAX_N
+    for fmt in FORMATS:
+        _assert_contract(["verify-forms", "--n", str(n), "--format", fmt], inside)
+
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.one_of(st.integers(1, 8), st.integers(1, 1024)))
+@example(n=1024)
+@example(n=0)
+@example(n=1025)
+def test_contact_check_contract(n):
+    # n in 1..1024 passes in every format; n = 0 and n = 1025 are one usage error line
+    for fmt in FORMATS:
+        _assert_contract(["contact-check", "--n", str(n), "--format", fmt], 1 <= n <= 1024)
+
+
+@st.composite
+def grid_specs(draw) -> tuple[str, bool]:
+    """A LO:HI:COUNT spec and whether it lies in the documented domain.
+
+    The drawn grid has stencil room: its levels lie on one side of t = 0, at
+    least 1e-6 from it and 1e-4 inside the range's ends, or spread evenly
+    across 0 with an even COUNT.  Then at most one flaw is put in: COUNT 0
+    or 10,001, LO above HI, or a bound outside [-0.25, 100].
+    """
+    if draw(st.booleans()):
+        a = draw(st.floats(1e-3, -T_LO - 1e-4))
+        lo, hi, count = -a, a, 2 * draw(st.integers(1, 6))
+    else:
+        side = draw(st.sampled_from([(1e-6, T_HI - 1e-4), (T_LO + 1e-4, -1e-6)]))
+        lo, hi = sorted(draw(st.tuples(st.floats(*side), st.floats(*side))))
+        count = draw(st.integers(1, 12))
+    flaw = draw(st.sampled_from([None, None, "count", "order", "range"]))
+    if flaw == "count":
+        count = draw(st.sampled_from([0, cli.MAX_GRID_COUNT + 1]))
+    elif flaw == "order":
+        lo, hi = math.nextafter(hi, math.inf), lo
+    elif flaw == "range" and draw(st.booleans()):
+        lo = draw(st.floats(-1e300, math.nextafter(T_LO, -math.inf)))
+    elif flaw == "range":
+        hi = draw(st.floats(math.nextafter(T_HI, math.inf), 1e300))
+    return f"{lo!r}:{hi!r}:{count}", flaw is None
+
+
+@settings(max_examples=12, deadline=None)
+@given(spec=grid_specs())
+@example(spec=("-0.2:0.2:4", True))
+@example(spec=("0.1:0.2:0", False))
+@example(spec=(f"0.1:0.2:{cli.MAX_GRID_COUNT + 1}", False))
+@example(spec=("0.2:0.1:3", False))
+@example(spec=("-0.3:-0.2:3", False))
+@example(spec=("0.5:101:3", False))
+def test_transport_grid_contract(spec):
+    # a grid with stencil room passes in every format, spaced and with '=';
+    # each flaw is one usage error line
+    spec, inside = spec
+    for fmt in FORMATS:
+        for argv in (["transport", "--grid", spec], ["transport", f"--grid={spec}"]):
+            _assert_contract(argv + ["--format", fmt], inside)
 
 
 def test_transport_help_states_the_level_range(capsys):
@@ -519,20 +588,91 @@ def test_help_exits_0(capsys):
     assert run(capsys, "transport", "--help")[0] == 0
 
 
-# Runs argv lists through cli.main in one fresh interpreter and prints, as
-# json, each run's [exit code, stdout, stderr] and then the loaded modules.
-# With "block-numpy" first, every import of numpy raises ImportError.
+# The domain each subcommand's --help states for its options.
+HELP_DOMAINS = {
+    "verify-forms": ["--n N", "N runs from 2 to 24"],
+    "transport": ["--t T", "T lies in [-0.25, 100.0] with |T| > 5e-13",
+                  "--s0 S0", "S0 lies in (6.4e-07, 0.0021730357237588326]",
+                  "--grid LO:HI:COUNT", "levels in [LO, HI], inside [-0.25, 100.0]",
+                  "COUNT runs from 1 to 10000"],
+    "fillings": ["--n N", "N is any integer >= 2", "--k K", "K runs from 1 to 1000",
+                 "--include-zero"],
+    "resolve": ["--k K", "K runs from 1 to 1000", "--dim DIM", "DIM runs from 0 to 100"],
+    "contact-check": ["--n N", "N runs from 1 to 1024"],
+    "all": ["--out DIR", "(required)"],
+}
+
+
+def test_help_lists_every_command_and_option(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert list(cli.COMMANDS) == list(HELP_DOMAINS)
+    for name, (summary, _, _) in cli.COMMANDS.items():
+        assert f"  {name} " in out and summary in out, name
+    for command, domains in HELP_DOMAINS.items():
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, ""), command
+        text = " ".join(out.split())
+        for name, _, _, metavar, help_text, _ in cli.COMMANDS[command][2]:
+            assert f"{name} {metavar or ''}".strip() in text, (command, name)
+            assert " ".join(help_text.split()) in text, (command, name)
+        for domain in domains + ["--format json|csv|table", "--out"]:
+            assert domain in text, (command, domain)
+        assert max(map(len, out.splitlines())) <= 79, command
+
+
+# Each argv the option table refuses, with the text its one stderr line holds.
+PARSER_REFUSALS = {
+    "no-command": ([], "expected a command"),
+    "unknown-command": (["verify"], "expected a command"),
+    "unknown-option": (["fillings", "--kk", "3"], "unrecognized arguments: --kk 3"),
+    "abbreviated-option": (["transport", "--gri=-0.2:0.2:4"],
+                           "unrecognized arguments: --gri=-0.2:0.2:4"),
+    "missing-value": (["resolve", "--k"], "--k needs a value"),
+    "bad-int": (["fillings", "--k", "x"], "--k: invalid int value 'x'"),
+    "bad-float": (["transport", "--t", "1/2"], "--t: invalid float value '1/2'"),
+    "bad-format": (["contact-check", "--format", "xml"], "--format: invalid choice 'xml'"),
+    "flag-with-value": (["fillings", "--include-zero=x"], "--include-zero takes no value"),
+    "stray-token": (["resolve", "--k", "3", "4"], "unrecognized arguments: 4"),
+    "all-without-out": (["all", "--format", "csv"], "all needs --out DIR"),
+}
+
+
+@pytest.fixture(scope="module")
+def parser_refusals_fresh() -> dict[str, tuple[int, str, str]]:
+    names = sorted(PARSER_REFUSALS)
+    runs, _ = run_fresh([PARSER_REFUSALS[name][0] for name in names])
+    return dict(zip(names, runs))
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_REFUSALS))
+def test_parser_refusal_is_one_usage_error_line(capsys, parser_refusals_fresh, name):
+    # in-process and in a fresh interpreter alike: exit 2, no stdout, and one
+    # stderr line, with no usage block
+    argv, reason = PARSER_REFUSALS[name]
+    for code, out, err in (run(capsys, *argv), parser_refusals_fresh[name]):
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("lbfkit: usage error: ") and reason in err, err
+        assert len(err.splitlines()) == 1, err
+
+
+# Runs argv lists, given as a Python literal, through cli.main in one fresh
+# interpreter and prints, as json, each run's [exit code, stdout, stderr] and
+# then the modules loaded before the probe imports json to print them.  With
+# "block-numpy" first, every import of numpy raises ImportError.
 FRESH_PROBE = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 if sys.argv[1] == "block-numpy":
     sys.modules["numpy"] = None
 from lbfkit import cli
 runs = []
-for argv in json.loads(sys.argv[2]):
+for argv in ast.literal_eval(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         runs.append([cli.main(argv), out.getvalue(), err.getvalue()])
-print(json.dumps([runs, sorted(sys.modules)]))
+modules = sorted(sys.modules)
+import json
+print(json.dumps([runs, modules]))
 """
 
 
@@ -542,7 +682,7 @@ def run_fresh(argvs: list[list[str]], block_numpy: bool = False,
     env = {**os.environ, **env,
            "PYTHONPATH": str(Path(lbfkit.__file__).resolve().parents[1])}
     mode = "block-numpy" if block_numpy else "numpy"
-    out = subprocess.run([sys.executable, "-c", FRESH_PROBE, mode, json.dumps(argvs)],
+    out = subprocess.run([sys.executable, "-c", FRESH_PROBE, mode, repr(argvs)],
                          env=env, capture_output=True, text=True, check=True,
                          timeout=300).stdout
     runs, modules = json.loads(out)
@@ -579,26 +719,31 @@ def test_golden_files_match_without_avx512(golden_runs_without_numpy, name):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
-# Per run: its argv and the layers it may load besides cli and config; OUT
-# stands for a fresh directory.
+# Per run: its argv, the layers it may load besides cli and config, and
+# whether it renders json (and so loads json); OUT stands for a fresh directory.
 IMPORT_RUNS = {
-    "help": (["--help"], set()),
-    "transport-help": (["transport", "--help"], set()),
+    "help": (["--help"], set(), False),
+    "transport-help": (["transport", "--help"], set(), False),
     "all": (["all", "--out", "OUT"],
-            {"models", "exterior", "poly", "transport", "mcg", "topo", "blowup", "contact"}),
-    "fillings": (["fillings"], {"mcg", "topo"}),
-    "resolve": (["resolve"], {"blowup", "mcg", "poly"}),
-    "transport": (["transport"], {"transport"}),
-    "verify-forms": (["verify-forms"], {"models", "exterior", "poly"}),
-    "contact-check": (["contact-check"], {"contact"}),
+            {"models", "exterior", "poly", "transport", "mcg", "topo", "blowup", "contact"},
+            True),
+    "fillings": (["fillings"], {"mcg", "topo"}, True),
+    "fillings-csv": (["fillings", "--format", "csv"], {"mcg", "topo"}, False),
+    "resolve": (["resolve"], {"blowup", "mcg", "poly"}, True),
+    "transport": (["transport"], {"transport"}, True),
+    "verify-forms": (["verify-forms"], {"models", "exterior", "poly"}, True),
+    "contact-check": (["contact-check"], {"contact"}, True),
+    "contact-check-table": (["contact-check", "--format", "table"], {"contact"}, False),
 }
 
 
 @pytest.mark.parametrize("name", sorted(IMPORT_RUNS))
 def test_subcommand_loads_only_its_layers(name, tmp_path):
-    argv, layers = IMPORT_RUNS[name]
+    argv, layers, renders_json = IMPORT_RUNS[name]
     ((code, _, _),), modules = run_fresh([[str(tmp_path) if a == "OUT" else a for a in argv]])
     assert code == 0
     assert {m for m in modules if m.startswith("lbfkit.")} == {
         f"lbfkit.{m}" for m in ("cli", "config", *layers)}
-    assert not [m for m in modules if m.split(".")[0] in ("numpy", "scipy", "dataclasses")]
+    assert not [m for m in modules if m.split(".")[0] in (
+        "numpy", "scipy", "dataclasses", "argparse", "gettext")]
+    assert ("json" in modules) == renders_json
