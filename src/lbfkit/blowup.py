@@ -80,28 +80,26 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int, *, prefix: str = "x") -> "MultiPoly":
+    def zero(cls, nvars: int) -> "MultiPoly":
         if nvars < 1:
             raise ValueError(f"need at least one variable, got nvars={nvars}")
-        return cls(nvars, {}, prefix=prefix)
+        return cls(nvars, {})
 
     @classmethod
-    def constant(cls, nvars: int, value: object, *, prefix: str = "x") -> "MultiPoly":
-        p = cls.zero(nvars, prefix=prefix)
+    def constant(cls, nvars: int, value: object) -> "MultiPoly":
+        p = cls.zero(nvars)
         c = _rational(value)
         if c:
             p.terms[()] = c
         return p
 
     @classmethod
-    def variable(
-        cls, nvars: int, index: int, power: int = 1, *, prefix: str = "x"
-    ) -> "MultiPoly":
+    def variable(cls, nvars: int, index: int, power: int = 1) -> "MultiPoly":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} outside 0..{nvars - 1}")
         if power < 1:
             raise ValueError(f"power must be >= 1, got {power}")
-        return cls(nvars, {((index, power),): 1}, prefix=prefix)
+        return cls(nvars, {((index, power),): 1})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -133,7 +131,7 @@ class MultiPoly:
     def __pow__(self, power: int) -> "MultiPoly":
         if power < 0:
             raise ValueError("negative powers are not polynomial")
-        out = MultiPoly.constant(self.nvars, 1, prefix=self.prefix)
+        out = MultiPoly(self.nvars, {(): 1}, prefix=self.prefix)
         for _ in range(power):
             out = out * self
         return out
@@ -182,14 +180,13 @@ class MultiPoly:
 
         return sorted(self.terms.items(), key=key)
 
-    def to_text(self, prefix: str | None = None) -> str:
+    def to_text(self) -> str:
         if not self.terms:
             return "0"
-        pfx = self.prefix if prefix is None else prefix
         pieces: list[str] = []
         for mono, coeff in self._ordered():
             mono_text = "*".join(
-                f"{pfx}{i}" + (f"^{e}" if e > 1 else "") for i, e in mono
+                f"{self.prefix}{i}" + (f"^{e}" if e > 1 else "") for i, e in mono
             )
             if not mono_text:
                 body = str(abs(coeff))
@@ -218,17 +215,17 @@ class MultiPoly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
 
-def a_type_polynomial(k: int, n: int, *, prefix: str = "x") -> MultiPoly:
+def a_type_polynomial(k: int, n: int) -> MultiPoly:
     """x_0^2 + ... + x_n^2 + x_{n+1}^(k+1) in n+2 variables."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     nvars = n + 2
-    p = MultiPoly.zero(nvars, prefix=prefix)
+    p = MultiPoly.zero(nvars)
     for i in range(n + 1):
-        p = p + MultiPoly.variable(nvars, i, 2, prefix=prefix)
-    return p + MultiPoly.variable(nvars, n + 1, k + 1, prefix=prefix)
+        p = p + MultiPoly.variable(nvars, i, 2)
+    return p + MultiPoly.variable(nvars, n + 1, k + 1)
 
 
 # ---------------------------------------------------------------------------

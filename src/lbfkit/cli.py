@@ -14,8 +14,11 @@ Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage
 (input outside the documented domain, raised as ``DomainError``), 3 an
 internal failure: any other exception, or a resolution trace that halted
 with a diagnostic.  An ``--out`` that cannot be written is a usage error
-too.  Exits 2 and 3 print one line on stderr and no traceback; failed
-checks are enumerated on stderr.
+too.  Exits 2 and 3 print one line on stderr and no traceback.  Each suite
+states each check once, as a ``(passed, failure text)`` gate in
+``SuiteResult.gates``; the report's ``passed``, the table's ``result`` row,
+exit 0 or 1 and the stderr ``FAIL:`` lines (one per failed gate, in gate
+order) all come from that list.
 
 Subcommands and their options live in one option table, ``COMMANDS``:
 each subcommand's summary and suite, and each option's converter, default,
@@ -74,28 +77,34 @@ MAX_DIM = 100
 
 
 class SuiteResult:
-    """One suite's outcome: report fields, failures, rows and sidecar timings.
+    """One suite's outcome: report fields, gates, rows and sidecar timings.
 
-    ``report`` holds the suite's own fields, plain JSON data; the schema,
-    the command and ``passed`` are added when it is rendered.  Rows are
-    lists of string cells, the header first.
+    ``gates`` holds one ``(passed, failure text)`` pair per check, in the
+    suite's order; ``failures`` and ``passed`` are read from it.  ``report``
+    holds the suite's own fields, plain JSON data; the schema, the command
+    and ``passed`` are added when it is rendered.  Rows are lists of string
+    cells, the header first.
     """
 
-    __slots__ = ("report", "failures", "csv_rows", "table_rows", "timing", "internal_failure")
+    __slots__ = ("report", "gates", "csv_rows", "table_rows", "timing", "internal_failure")
 
-    def __init__(self, report: dict, failures: list[str], csv_rows: list[list[str]],
+    def __init__(self, report: dict, gates: list[tuple[bool, str]], csv_rows: list[list[str]],
                  table_rows: list[list[str]], timing: dict | None = None,
                  internal_failure: str | None = None) -> None:
         self.report = report
-        self.failures = failures
+        self.gates = gates
         self.csv_rows = csv_rows
         self.table_rows = table_rows
         self.timing = {} if timing is None else timing   # per-stage wall times for the sidecar
         self.internal_failure = internal_failure         # exit 3, after the report is written
 
     @property
+    def failures(self) -> list[str]:
+        return [text for ok, text in self.gates if not ok]
+
+    @property
     def passed(self) -> bool:
-        return not self.failures
+        return all(ok for ok, _ in self.gates)
 
 
 def _json_text(report: dict) -> str:
@@ -154,6 +163,11 @@ def _pass_fail(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
+def _result_row(gates: list[tuple[bool, str]], width: int) -> list[str]:
+    """The table's last row: PASS when every gate passed, padded to ``width`` cells."""
+    return ["result", _pass_fail(all(ok for ok, _ in gates))] + [""] * (width - 2)
+
+
 def _timed(timing: dict, key: str, fn: Callable, *args: object, **kwargs: object):
     """fn(*args, **kwargs), its wall time in ms stored under ``timing[key]``."""
     started = time.perf_counter()
@@ -176,11 +190,9 @@ def _suite_verify_forms(n: int) -> SuiteResult:
                for identity in models.IdentityId]
     grid = _timed(timing, "top_power_grid_ms", models.positivity_grid, cfg)
     grid_ok = grid["min_value"] > 0.0
-
-    failures = [f"{r['identity']}: {r['verdict']}" for r in reports
-                if r["verdict"] != "exact-equal"]
-    if not grid_ok:
-        failures.append(f"TOP_POWER grid minimum {grid['min_value']} is not positive")
+    gates = [(r["verdict"] == "exact-equal", f"{r['identity']}: {r['verdict']}")
+             for r in reports]
+    gates.append((grid_ok, f"TOP_POWER grid minimum {grid['min_value']} is not positive"))
 
     report = {
         "config": _config_dict(cfg),
@@ -191,9 +203,9 @@ def _suite_verify_forms(n: int) -> SuiteResult:
     rows = [["identity", "verdict"]] + [[r["identity"], r["verdict"]] for r in reports]
     table_rows = rows + [
         ["TOP_POWER grid min", _cell(grid["min_value"])],
-        ["result", _pass_fail(not failures)],
+        _result_row(gates, 2),
     ]
-    return SuiteResult(report, failures, rows, table_rows, timing)
+    return SuiteResult(report, gates, rows, table_rows, timing)
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -250,19 +262,19 @@ def _suite_transport(t: float, s0: float, grid: str) -> SuiteResult:
 
     lim_plus, lim_minus = _timed(timing, "limits_ms", transport.limits_at_zero, cfg, s0)
 
-    gate = transport.DRIFT_GATE
-    failures = []
+    # each gate fails on value > bound, so a NaN value passes it
+    gate, target, tol = transport.DRIFT_GATE, transport.LIMIT_TARGET, transport.LIMIT_TOLERANCE
+    gates = []
     for variant, data in trajectories.items():
-        if data["max_h_drift"] > gate:
-            failures.append(f"{variant} h drift {data['max_h_drift']} above {gate:g}")
-        if data["radial_drift_gated"] and data["max_radial_drift"] > gate:
-            failures.append(
-                f"{variant} radial drift {data['max_radial_drift']} above {gate:g}"
-            )
-    if abs(lim_plus - 0.5) > 1e-3:
-        failures.append(f"limit at 0+ = {lim_plus}, expected 0.5 within 1e-3")
-    if abs(lim_minus + 0.5) > 1e-3:
-        failures.append(f"limit at 0- = {lim_minus}, expected -0.5 within 1e-3")
+        gates.append((not data["max_h_drift"] > gate,
+                      f"{variant} h drift {data['max_h_drift']} above {gate:g}"))
+        if data["radial_drift_gated"]:
+            gates.append((not data["max_radial_drift"] > gate,
+                          f"{variant} radial drift {data['max_radial_drift']} above {gate:g}"))
+    gates += [(not abs(lim_plus - target) > tol,
+               f"limit at 0+ = {lim_plus}, expected 0.5 within 1e-3"),
+              (not abs(lim_minus + target) > tol,
+               f"limit at 0- = {lim_minus}, expected -0.5 within 1e-3")]
 
     report = {
         "config": _config_dict(cfg, t=t, s0=s0, grid=grid),
@@ -270,8 +282,8 @@ def _suite_transport(t: float, s0: float, grid: str) -> SuiteResult:
         "limits_at_zero": {
             "plus": lim_plus,
             "minus": lim_minus,
-            "target": 0.5,
-            "tolerance": 1e-3,
+            "target": target,
+            "tolerance": tol,
         },
         "profile": prof,
     }
@@ -283,9 +295,8 @@ def _suite_transport(t: float, s0: float, grid: str) -> SuiteResult:
          _cell(data["max_radial_drift"]), ""]
         for variant, data in trajectories.items()
     ]
-    table_rows.append(["limits at 0", _cell(lim_plus), _cell(lim_minus), ""])
-    table_rows.append(["result", _pass_fail(not failures), "", ""])
-    return SuiteResult(report, failures, rows, table_rows, timing)
+    table_rows += [["limits at 0", _cell(lim_plus), _cell(lim_minus), ""], _result_row(gates, 4)]
+    return SuiteResult(report, gates, rows, table_rows, timing)
 
 
 def _suite_fillings(n: int, k: int, include_zero: bool) -> SuiteResult:
@@ -314,12 +325,9 @@ def _suite_fillings(n: int, k: int, include_zero: bool) -> SuiteResult:
         + ("pairwise distinct" if distinct else "not distinguished by chi")
     )
 
-    failures = []
-    if not distinct:
-        failures.append("emitted Euler characteristics are not pairwise distinct")
     bad_weight = [r["ell"] for r in rows_data if r["weight"] != k + 1]
-    if bad_weight:
-        failures.append(f"weight != k+1 at ell in {bad_weight}")
+    gates = [(distinct, "emitted Euler characteristics are not pairwise distinct"),
+             (not bad_weight, f"weight != k+1 at ell in {bad_weight}")]
 
     report = {
         "config": _config_dict(ModelConfig(n=n), k=k, include_zero=include_zero),
@@ -336,7 +344,7 @@ def _suite_fillings(n: int, k: int, include_zero: bool) -> SuiteResult:
               str(r["chi_alternate"]), str(r["conventions_differ"]).lower()]
              for r in rows_data]
     table_rows = rows + [[summary, "", "", "", "", ""]]
-    return SuiteResult(report, failures, rows, table_rows)
+    return SuiteResult(report, gates, rows, table_rows)
 
 
 def _suite_resolve(k: int, dim: int) -> SuiteResult:
@@ -345,20 +353,14 @@ def _suite_resolve(k: int, dim: int) -> SuiteResult:
     trace = blowup.resolve_A(k, dim)
     chain = blowup.resolution_word_chain(k)
 
-    failures = []
-    if trace.diagnostic is not None:
-        failures.append(trace.diagnostic)
-    elif not trace.resolved:
-        failures.append("trace did not end Smooth")
     expected_steps = -(-k // 2)
-    if trace.step_count != expected_steps:
-        failures.append(
-            f"step count {trace.step_count}, expected ceil(k/2) = {expected_steps}"
-        )
-    if len(chain) != trace.step_count:
-        failures.append(
-            f"word chain length {len(chain)} != step count {trace.step_count}"
-        )
+    gates = [
+        (trace.resolved, trace.diagnostic or "trace did not end Smooth"),
+        (trace.step_count == expected_steps,
+         f"step count {trace.step_count}, expected ceil(k/2) = {expected_steps}"),
+        (len(chain) == trace.step_count,
+         f"word chain length {len(chain)} != step count {trace.step_count}"),
+    ]
 
     # each step's cells, formatted once for the json record and the rows
     header = ["step", "chart", "polynomial", "multiplicity", "verdict"]
@@ -393,10 +395,8 @@ def _suite_resolve(k: int, dim: int) -> SuiteResult:
     cells = [[str(i), str(c), p, str(m), v] for i, (c, p, m, v) in enumerate(steps, 1)]
     # the csv quotes the polynomial, the one cell that holds spaces and signs
     csv_rows = [header] + [[i, c, f'"{p}"', m, v] for i, c, p, m, v in cells]
-    table_rows = [header] + cells
-    table_rows.append(["result", _pass_fail(not failures), "", "", ""])
-    return SuiteResult(report, failures, csv_rows, table_rows,
-                       internal_failure=trace.diagnostic)
+    table_rows = [header] + cells + [_result_row(gates, 5)]
+    return SuiteResult(report, gates, csv_rows, table_rows, internal_failure=trace.diagnostic)
 
 
 def _suite_contact_check(n: int) -> SuiteResult:
@@ -410,16 +410,12 @@ def _suite_contact_check(n: int) -> SuiteResult:
                          contact.make_base_profile())
     samples = _timed(timing, "samples_ms", contact.profile_samples, profile)
 
-    failures = []
-    if not prof_report["passed"]:
-        failures.append(
-            f"profile minimum {prof_report['min_value']} at r={prof_report['argmin']} "
-            "is not positive"
-        )
-    if not corner_report["passed"]:
-        failures.append("corner curve bullet verification failed")
-    if not base_report["passed"]:
-        failures.append("base profile verification failed")
+    gates = [
+        (prof_report["passed"], f"profile minimum {prof_report['min_value']} at "
+                                f"r={prof_report['argmin']} is not positive"),
+        (corner_report["passed"], "corner curve bullet verification failed"),
+        (base_report["passed"], "base profile verification failed"),
+    ]
 
     report = {
         "config": _config_dict(ModelConfig(n=max(n, 2)), n=n),
@@ -437,9 +433,9 @@ def _suite_contact_check(n: int) -> SuiteResult:
          f"at r={_cell(prof_report['argmin'])}"],
         ["corner", _pass_fail(corner_report["passed"]), ""],
         ["base", _pass_fail(base_report["passed"]), ""],
-        ["result", _pass_fail(not failures), ""],
+        _result_row(gates, 3),
     ]
-    return SuiteResult(report, failures, csv_rows, table_rows, timing)
+    return SuiteResult(report, gates, csv_rows, table_rows, timing)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +575,7 @@ def _execute(command: str, values: dict, prefix: str,
     A ``DomainError``, from the suite or from writing its report, is exit 2
     and any other exception exit 3, each with one stderr line; a halted
     trace is exit 3 after its report is emitted.  Otherwise every failed
-    check gets a stderr line and the code is 1 if any failed, else 0.
+    gate gets a stderr line, in gate order, and the code is 1 if any failed, else 0.
     """
     started = time.perf_counter()
     try:

@@ -317,7 +317,6 @@ class Algebra:
         generators: list[Generator],
         coord_forms: Mapping[str, str],
         pairings: Mapping[str, Mapping[str, Rational]],
-        rules: DerivativeRules = _STANDARD_RULES,
     ):
         if n < 1:
             raise ValueError("truncation parameter n must be >= 1")
@@ -327,7 +326,7 @@ class Algebra:
         self.index = {g.name: i for i, g in enumerate(generators)}
         self.coord_forms = dict(coord_forms)
         self.pairings = {d: dict(p) for d, p in pairings.items()}
-        self.rules = rules
+        self.rules = _STANDARD_RULES
 
     def gen(self, name: str) -> int:
         try:

@@ -70,6 +70,10 @@ __all__ = [
 # accumulated over a few hundred steps stays well inside the gate.
 DRIFT_GATE = 1e-8
 ATOL = RTOL = DRIFT_GATE * 1e-4
+# R'(0+) = LIMIT_TARGET and R'(0-) = -LIMIT_TARGET, and the window around
+# each that the transport report audits ``limits_at_zero`` against.
+LIMIT_TARGET = 0.5
+LIMIT_TOLERANCE = 1e-3
 # The values of s each audit trajectory lands on, evenly spaced from 0.
 TRAJECTORY_SAMPLES = 129
 
@@ -448,9 +452,9 @@ def limits_at_zero(cfg: ModelConfig, s0: float) -> tuple[float, float]:
 
     R'(t) is linear in t to leading order near 0 on either side, so the
     two-point rule 2 R'(+-s0/8) - R'(+-s0/4) cancels the linear term and
-    leaves a cubic remainder well below the 1e-3 acceptance window.  s0
-    must lie in ``cfg.s0_range``, where every stencil level stays in the
-    small-t regime.
+    leaves a cubic remainder well inside the LIMIT_TOLERANCE window around
+    +-LIMIT_TARGET.  s0 must lie in ``cfg.s0_range``, where every stencil
+    level stays in the small-t regime.
     """
     dR = monodromy_profile(cfg, s0, [s0 / 8.0, s0 / 4.0, -s0 / 8.0, -s0 / 4.0])["dR"]
     plus = 2.0 * dR[0] - dR[1]

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lbfkit
-from lbfkit import blowup, cli, models, topo, transport
+from lbfkit import blowup, cli, contact, mcg, models, topo, transport
 from lbfkit.cli import FORMATS
 from lbfkit.config import DEFAULT_CONFIG, SINGULAR_FLOOR, ModelConfig
 
@@ -448,6 +448,70 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in err
     assert "not pairwise distinct" in err
+
+
+def _through(owner, name, change):
+    """A patch of owner.name that passes each of its results through change."""
+    original = getattr(owner, name)
+    return owner, name, lambda *a, **k: change(original(*a, **k))
+
+
+def _drift_samples(trajectories):
+    for traj in trajectories.values():
+        traj.h_drift[1], traj.radial_residual[2] = 1.0, 2.0
+    return trajectories
+
+
+def _fail(report):
+    return {**report, "passed": False}
+
+
+# Each case fails gates of one suite: its argv, its patches (owner, name,
+# value), the FAIL lines in the suite's gate order, and the table's last row.
+GATE_FAILURES = {
+    "identity": (["verify-forms"], [_through(models, "verify_identity", lambda r: (
+        {**r, "verdict": "residual"} if r["identity"] == "HESSIAN" else r))],
+        ["HESSIAN: residual"], "result FAIL"),
+    "grid": (["verify-forms"], [_through(models, "positivity_grid",
+                                         lambda g: {**g, "min_value": -1.0})],
+             ["TOP_POWER grid minimum -1.0 is not positive"], "result FAIL"),
+    "drifts": (["transport"], [_through(transport, "integrate", _drift_samples)],
+               ["weighted h drift 1.0 above 1e-08", "weighted radial drift 2.0 above 1e-08",
+                "unweighted h drift 1.0 above 1e-08"], "result FAIL"),
+    "limits": (["transport"], [(transport, "limits_at_zero", lambda cfg, s0: (0.4, -0.7))],
+               ["limit at 0+ = 0.4, expected 0.5 within 1e-3",
+                "limit at 0- = -0.7, expected -0.5 within 1e-3"], "result FAIL"),
+    "weight": (["fillings"], [(mcg.TwistWord, "weight", property(lambda self: 99))],
+               ["weight != k+1 at ell in [1, 2, 3]"], "3 fillings, pairwise distinct"),
+    # the trace of k + 2 takes one step more than k = 3 and its word chain
+    "step-count": (["resolve"], [(blowup, "resolve_A", lambda k, dim, resolve=blowup.resolve_A:
+                                  resolve(k + 2, dim))],
+                   ["step count 3, expected ceil(k/2) = 2", "word chain length 2 != step count 3"],
+                   "result FAIL"),
+    "chain": (["resolve"], [(blowup, "resolution_word_chain", lambda k: [])],
+              ["word chain length 0 != step count 2"], "result FAIL"),
+    "contact": (["contact-check"], [
+        _through(contact, "verify_profile", _fail),
+        _through(contact, "make_corner_curve", lambda pair: (pair[0], _fail(pair[1]))),
+        _through(contact, "verify_base_profile", _fail)],
+        ["profile minimum 0.00088 at r=0.00011 is not positive",
+         "corner curve bullet verification failed", "base profile verification failed"],
+        "result FAIL"),
+}
+
+
+@pytest.mark.parametrize("name", GATE_FAILURES)
+def test_each_failed_gate_gets_its_fail_line(capsys, monkeypatch, name):
+    argv, patches, lines, last_row = GATE_FAILURES[name]
+    for patch in patches:
+        monkeypatch.setattr(*patch)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == "".join(f"lbfkit: FAIL: {line}\n" for line in lines)
+    assert json.loads(out)["passed"] is False
+    code, out, err = run(capsys, *argv, "--format", "table")
+    assert (code, err) == (1, "".join(f"lbfkit: FAIL: {line}\n" for line in lines))
+    assert " ".join(out.splitlines()[-1].split()) == last_row
 
 
 def test_out_file_and_timing_sidecar(capsys, tmp_path):
