@@ -34,9 +34,7 @@ from .mcg import (
 )
 from .poly import Monomial, Rational
 
-SMOOTH = "smooth"
-A_TYPE = "a_type"
-UNCLASSIFIED = "unclassified"
+SMOOTH = "Smooth"
 
 
 class NonRationalCoefficientError(TypeError):
@@ -275,92 +273,46 @@ def proper_transform(p: MultiPoly, j: int) -> tuple[MultiPoly, int]:
 # classification
 
 
-class SingularityVerdict:
-    __slots__ = ("kind", "m", "reason")
-
-    def __init__(self, kind: str, m: int | None = None, reason: str = "") -> None:
-        self.kind = kind   # SMOOTH, A_TYPE, or UNCLASSIFIED
-        self.m = m
-        self.reason = reason
-
-    @classmethod
-    def smooth(cls) -> "SingularityVerdict":
-        return cls(SMOOTH)
-
-    @classmethod
-    def a_type(cls, m: int) -> "SingularityVerdict":
-        if m < 1:
-            raise ValueError(f"A-type index must be >= 1, got {m}")
-        return cls(A_TYPE, m=m)
-
-    @classmethod
-    def unclassified(cls, reason: str) -> "SingularityVerdict":
-        return cls(UNCLASSIFIED, reason=reason)
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.kind == SMOOTH
-
-    @property
-    def is_a_type(self) -> bool:
-        return self.kind == A_TYPE
-
-    def __str__(self) -> str:
-        if self.kind == SMOOTH:
-            return "Smooth"
-        if self.kind == A_TYPE:
-            return f"AType({self.m})"
-        return f"Unclassified({self.reason})"
-
-
-def classify(p: MultiPoly) -> SingularityVerdict:
+def classify(p: MultiPoly) -> str:
     """Classify the hypersurface p = 0 at the origin of its chart.
 
-    Smooth when the origin is off the surface or a regular point of it.
-    AType(m) when p is a unit rescale of a permuted A_m normal form,
-    a sum of squares of all but one variable plus the last variable to
-    the power m+1.  Anything else is Unclassified with a reason; that
-    is a value, not an error.
+    The verdict is the text the report prints.  "Smooth" when the origin
+    is off the surface or a regular point of it.  "AType(m)" when p is a
+    unit rescale of a permuted A_m normal form, a sum of squares of all
+    but one variable plus the last variable to the power m+1.  Anything
+    else is "Unclassified(reason)"; that is a value, not an error.
     """
     if p.is_zero():
-        return SingularityVerdict.unclassified("zero polynomial, no hypersurface")
+        return "Unclassified(zero polynomial, no hypersurface)"
     if p.constant_term != 0:
         # The surface misses the origin entirely; nothing to classify there.
-        return SingularityVerdict.smooth()
+        return SMOOTH
     if any(p.gradient_at_origin()):
-        return SingularityVerdict.smooth()
+        return SMOOTH
 
     per_var: dict[int, tuple[int, Rational]] = {}
     for mono, c in p.terms.items():
         if len(mono) != 1:
-            return SingularityVerdict.unclassified(
-                "not A-type normal form"
-            )
+            return "Unclassified(not A-type normal form)"
         ((i, e),) = mono
         if i in per_var:
-            return SingularityVerdict.unclassified(
-                f"variable {p.prefix}{i} appears in two terms"
-            )
+            return f"Unclassified(variable {p.prefix}{i} appears in two terms)"
         per_var[i] = (e, c)
     missing = [i for i in range(p.nvars) if i not in per_var]
     if missing:
-        return SingularityVerdict.unclassified(
-            f"variable {p.prefix}{missing[0]} absent; singular locus not isolated"
-        )
+        return f"Unclassified(variable {p.prefix}{missing[0]} absent; singular locus not isolated)"
     coeffs = {c for _, c in per_var.values()}
     if len(coeffs) != 1:
-        return SingularityVerdict.unclassified(
-            "coefficients differ; not a single unit rescale of the normal form"
-        )
+        return "Unclassified(coefficients differ; not a single unit rescale of the normal form)"
     exps = sorted(e for e, _ in per_var.values())
     if exps[0] < 2:
         # Exponent 1 cannot occur: it would have shown in the gradient.
-        return SingularityVerdict.unclassified("not A-type normal form")
+        return "Unclassified(not A-type normal form)"
     if all(e == 2 for e in exps):
-        return SingularityVerdict.a_type(1)
+        return "AType(1)"
     if exps[:-1] == [2] * (len(exps) - 1) and exps[-1] > 2:
-        return SingularityVerdict.a_type(exps[-1] - 1)
-    return SingularityVerdict.unclassified("not A-type normal form")
+        return f"AType({exps[-1] - 1})"
+    return "Unclassified(not A-type normal form)"
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +323,7 @@ class ResolutionStep:
     __slots__ = ("chart", "polynomial", "multiplicity", "verdict")
 
     def __init__(self, chart: int, polynomial: MultiPoly, multiplicity: int,
-                 verdict: SingularityVerdict) -> None:
+                 verdict: str) -> None:
         self.chart = chart
         self.polynomial = polynomial
         self.multiplicity = multiplicity
@@ -396,7 +348,7 @@ class ResolutionTrace:
 
     @property
     def resolved(self) -> bool:
-        return bool(self.steps) and self.steps[-1].verdict.is_smooth and self.diagnostic is None
+        return bool(self.steps) and self.steps[-1].verdict == SMOOTH and self.diagnostic is None
 
 
 def resolve_A(k: int, n: int) -> ResolutionTrace:
@@ -417,9 +369,9 @@ def resolve_A(k: int, n: int) -> ResolutionTrace:
         trace.steps.append(
             ResolutionStep(chart=last, polynomial=proper, multiplicity=mult, verdict=verdict)
         )
-        if verdict.is_smooth:
+        if verdict == SMOOTH:
             return trace
-        if not verdict.is_a_type:
+        if not verdict.startswith("AType("):
             trace.diagnostic = (
                 f"classification failed after {trace.step_count} steps: {verdict}"
             )

@@ -364,13 +364,13 @@ def _suite_resolve(k: int, dim: int) -> SuiteResult:
 
     # each step's cells, formatted once for the json record and the rows
     header = ["step", "chart", "polynomial", "multiplicity", "verdict"]
-    steps = [(s.chart, s.polynomial.to_text(), s.multiplicity, str(s.verdict))
+    steps = [(s.chart, s.polynomial.to_text(), s.multiplicity, s.verdict)
              for s in trace.steps]
     trace_report = {
         "k": trace.k,
         "n": trace.n,
         "initial": trace.initial.to_text(),
-        "initial_verdict": str(blowup.classify(trace.initial)),
+        "initial_verdict": blowup.classify(trace.initial),
         "steps": [dict(zip(header[1:], step)) for step in steps],
         "step_count": trace.step_count,
         "resolved": trace.resolved,

@@ -37,6 +37,9 @@ from .config import DomainError
 # Mapping-cylinder Hamiltonian value held constant near the boundary.
 BOUNDARY_HAMILTONIAN = 2.0 * math.pi
 
+# Sample points of the corner curve's and the base profile's sampled checks.
+CORNER_SAMPLES = BASE_SAMPLES = 2_000
+
 
 # ---------------------------------------------------------------------------
 # Hermite blends
@@ -234,11 +237,11 @@ class CornerCurve:
         return f, 1.0 + dg, fp, gp
 
 
-def make_corner_curve(eps: float, samples: int = 2_000) -> tuple[CornerCurve, dict]:
+def make_corner_curve(eps: float) -> tuple[CornerCurve, dict]:
     """Build the corner arc and verify its three bullet conditions (the ``corner`` entry).
 
     Endpoint identities are checked exactly; the strict interior signs
-    and the global monotonicity are sampled (samples >= 1000).  eps must
+    and the global monotonicity are sampled at CORNER_SAMPLES points.  eps must
     be a normal float: a subnormal eps/2 has too few bits to place the
     bridge samples strictly inside the bridge.
     """
@@ -246,8 +249,6 @@ def make_corner_curve(eps: float, samples: int = 2_000) -> tuple[CornerCurve, di
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     if eps < sys.float_info.min:
         raise ValueError(f"eps = {eps} is subnormal; the corner curve needs a normal float")
-    if samples < 1_000:
-        raise ValueError(f"need at least 1000 sample points, got {samples}")
     curve = CornerCurve(eps=eps)
 
     endpoints_exact = (
@@ -256,6 +257,7 @@ def make_corner_curve(eps: float, samples: int = 2_000) -> tuple[CornerCurve, di
         and curve.point_and_tangent(0.0)[:2] == (0.0, 1.0)
     )
 
+    samples = CORNER_SAMPLES
     half = eps / 2.0
     bridge = [curve.point_and_tangent(-half + half * i / samples) for i in range(1, samples)]
     interior = all(fp < 0.0 and gp > 0.0 for _, _, fp, gp in bridge)
@@ -295,17 +297,14 @@ class BaseProfile:
     """Radial weight h(s) on [0, 1]: K s^2 near 0, K e^(s-1) near 1.
 
     The quintic bridge on (eps, 1-eps) matches two derivatives at both
-    ends.  The boundary Hamiltonian constant rides along for report
-    embedding; nothing here recomputes it.
+    ends.
     """
 
-    __slots__ = ("k", "eps", "boundary_hamiltonian")
+    __slots__ = ("k", "eps")
 
-    def __init__(self, k: float, eps: float,
-                 boundary_hamiltonian: float = BOUNDARY_HAMILTONIAN) -> None:
+    def __init__(self, k: float, eps: float) -> None:
         self.k = k
         self.eps = eps
-        self.boundary_hamiltonian = boundary_hamiltonian
 
     def h_and_slope(self, s: float) -> tuple[float, float]:
         """h and h' at s."""
@@ -329,10 +328,8 @@ def make_base_profile(k: float = 1.0, eps: float = 0.1) -> BaseProfile:
     return BaseProfile(k=k, eps=eps)
 
 
-def verify_base_profile(bp: BaseProfile, samples: int = 2_000) -> dict:
+def verify_base_profile(bp: BaseProfile) -> dict:
     """Check h(0) = 0, the two plateau formulas, and h' > 0 off the origin (the ``base`` entry)."""
-    if samples < 100:
-        raise ValueError(f"samples must be >= 100, got {samples}")
     h = bp.h_and_slope
     zero = h(0.0)[0] == 0.0
 
@@ -342,11 +339,11 @@ def verify_base_profile(bp: BaseProfile, samples: int = 2_000) -> dict:
                 and all(h(s)[0] == bp.k * math.exp(s - 1.0)
                         for s in (1.0 - bp.eps + x for x in tenths)))
 
-    increasing = all(h(i / samples)[1] > 0.0 for i in range(1, samples + 1))
+    increasing = all(h(i / BASE_SAMPLES)[1] > 0.0 for i in range(1, BASE_SAMPLES + 1))
     return {
         "k": bp.k,
         "eps": bp.eps,
-        "samples": samples,
+        "samples": BASE_SAMPLES,
         "zero_at_origin": zero,
         "plateaus_exact": plateaus,
         "increasing": increasing,

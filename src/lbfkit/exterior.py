@@ -2,10 +2,11 @@
 
 The engine works with differential forms whose coefficients are polynomials
 (with exact rational coefficients) in a small set of atoms: coordinate
-variables (r1, r2, r, t, s) and opaque function symbols (f, u', mu, mu',
-sigma, the contact-profile symbols fc, gc, ...).  Function symbols carry
-registered partial-derivative rules and nothing else; identities proved here
-hold identically in those symbols.
+variables (r1, r2, r, t, s, z1, z2) and opaque function symbols (f, u', mu,
+mu', sigma, the contact-profile symbols fc, gc, ...).  One table, built at
+import, holds the partial derivative of every atom against every variable;
+function symbols carry those entries and nothing else, so identities proved
+here hold identically in them.
 
 Three generator algebras cover every model that appears downstream:
 
@@ -35,9 +36,9 @@ All values are immutable; all operations are pure.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb
-from typing import Mapping
 
 from . import poly
 from .poly import Rational
@@ -51,7 +52,7 @@ WedgeWord = tuple[tuple[int, int], ...]
 
 
 class MissingRuleError(KeyError):
-    """Raised when differentiation hits an atom without a registered rule."""
+    """Raised when differentiation hits an (atom, variable) pair with no table entry."""
 
 
 class AlgebraMismatchError(ValueError):
@@ -153,12 +154,12 @@ class ScalarExpr:
 
     # -- calculus
 
-    def diff(self, var: str, rules: "DerivativeRules") -> "ScalarExpr":
+    def diff(self, var: str) -> "ScalarExpr":
         """Partial derivative; linear, product rule over monomials."""
         out = ScalarExpr.const(0)
         for mono, coeff in self.terms.items():
             for atom, exp in mono:
-                datom = rules.derivative(atom, var)
+                datom = derivative(atom, var)
                 if datom.is_zero():
                     continue
                 rest = poly.mul_monomials(mono, ((atom, -1),))
@@ -208,57 +209,27 @@ ONE = ScalarExpr.const(1)
 
 
 # ---------------------------------------------------------------------------
-# derivative registry
+# derivative table
 
 
-class DerivativeRules:
-    """Registered partial derivatives of atoms.
+VARIABLES = ("r1", "r2", "r", "t", "s", "z1", "z2")
 
-    Coordinate variables obey d(var)/d(var) = 1 and vanish against other
-    variables.  Every function atom must have an explicit entry for each
-    variable it may be differentiated against, including explicit zeros;
-    anything else raises MissingRuleError rather than silently vanishing.
-    """
-
-    def __init__(self) -> None:
-        self._variables: set[str] = set()
-        self._rules: dict[tuple[str, str], ScalarExpr] = {}
-
-    def register_variable(self, name: str) -> None:
-        self._variables.add(name)
-
-    def register(self, atom: str, var: str, derivative: ScalarExpr | Rational) -> None:
-        self._rules[(atom, var)] = _as_scalar(derivative)
-
-    def derivative(self, atom: str, var: str) -> ScalarExpr:
-        if atom in self._variables:
-            return ONE if atom == var else ZERO
-        try:
-            return self._rules[(atom, var)]
-        except KeyError:
-            raise MissingRuleError(
-                f"no derivative rule for atom '{atom}' with respect to '{var}'"
-            ) from None
-
-
-VARIABLES = ("r1", "r2", "r", "t", "s")
-
-# Derivative chains are pre-registered to this depth; d^2-style tests consume
-# two extra primes per pass, so 8 leaves ample headroom.
+# Derivative chains reach this depth; d^2-style tests consume two extra
+# primes per pass, so 8 leaves ample headroom.
 CHAIN_DEPTH = 8
 
 
-def standard_rules() -> DerivativeRules:
-    """The rules used by every model in this package.
+def _derivative_table() -> dict[tuple[str, str], ScalarExpr]:
+    """The partial derivative of each atom against each variable, one entry a pair.
 
-    f stands for u(r1^2 + r2^2) composed with the radii, hence the 2*r_i
-    chain factor at every order.  mu and its primes are functions of r1
-    alone; sigma of t; fc/gc of the collar radius r.
+    Coordinate variables obey d(var)/d(var) = 1 and vanish against the other
+    variables.  f stands for u(r1^2 + r2^2) composed with the radii, hence
+    the 2*r_i chain factor at every order.  mu and its primes are functions
+    of r1 alone; sigma of t; fc/gc of the collar radius r.  Every function
+    atom has an entry for every variable, explicit zeros included; a pair
+    without one raises MissingRuleError rather than silently vanishing.
     """
-    rules = DerivativeRules()
-    for v in VARIABLES:
-        rules.register_variable(v)
-
+    table = {(a, v): ONE if a == v else ZERO for a in VARIABLES for v in VARIABLES}
     # (head, stem of the primed names, chain factor per variable); every
     # other variable gets an explicit zero
     chains = (
@@ -270,18 +241,26 @@ def standard_rules() -> DerivativeRules:
     )
     for head, stem, factors in chains:
         names = [head] + [stem + "p" * k for k in range(1, CHAIN_DEPTH + 2)]
-        # the deepest atom keeps no rules: forces an explicit error
+        # the deepest atom gets no entries: forces an explicit error
         for name, nxt in zip(names, names[1:]):
             for v in VARIABLES:
-                d = factors[v] * ScalarExpr.atom(nxt) if v in factors else ZERO
-                rules.register(name, v, d)
-
+                table[name, v] = factors[v] * ScalarExpr.atom(nxt) if v in factors else ZERO
     for v in VARIABLES:
-        rules.register("exp_t", v, ScalarExpr.atom("exp_t") if v == "t" else ZERO)
-    return rules
+        table["exp_t", v] = ScalarExpr.atom("exp_t") if v == "t" else ZERO
+    return table
 
 
-_STANDARD_RULES = standard_rules()
+DERIVATIVES = _derivative_table()
+
+
+def derivative(atom: str, var: str) -> ScalarExpr:
+    """d(atom)/d(var) from DERIVATIVES."""
+    try:
+        return DERIVATIVES[atom, var]
+    except KeyError:
+        raise MissingRuleError(
+            f"no derivative rule for atom '{atom}' with respect to '{var}'"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +305,6 @@ class Algebra:
         self.index = {g.name: i for i, g in enumerate(generators)}
         self.coord_forms = dict(coord_forms)
         self.pairings = {d: dict(p) for d, p in pairings.items()}
-        self.rules = _STANDARD_RULES
 
     def gen(self, name: str) -> int:
         try:
@@ -416,6 +394,15 @@ def _mul_words(algebra: Algebra, w1: WedgeWord, w2: WedgeWord) -> tuple[int, Wed
 
 # ---------------------------------------------------------------------------
 # forms
+
+
+def _add_product(out: dict[WedgeWord, ScalarExpr], algebra: Algebra,
+                 w1: WedgeWord, c1: ScalarExpr, w2: WedgeWord, c2: ScalarExpr) -> None:
+    """Add (c1 w1) ^ (c2 w2) into out in place; a vanishing word product costs no c1 * c2."""
+    merged = _mul_words(algebra, w1, w2)
+    if merged is not None:
+        sign, word = merged
+        _accumulate(out, word, c1 * c2 * sign)
 
 
 def _same_algebra(a: Algebra, b: Algebra) -> bool:
@@ -552,11 +539,7 @@ def wedge(a: Form, b: Form) -> Form:
     out: dict[WedgeWord, ScalarExpr] = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            merged = _mul_words(algebra, w1, w2)
-            if merged is None:
-                continue
-            sign, word = merged
-            _accumulate(out, word, c1 * c2 * sign)
+            _add_product(out, algebra, w1, c1, w2, c2)
     return Form(algebra, out)
 
 
@@ -615,14 +598,13 @@ def wedge_power(a: Form, k: int) -> Form:
 def ext_d(a: Form) -> Form:
     """Exterior derivative: Leibniz over wedge words, chain rules on atoms."""
     algebra = a.algebra
-    out = Form.zero(algebra)
+    out: dict[WedgeWord, ScalarExpr] = {}
     for word, coeff in a.terms.items():
         # d of the coefficient
         for var, gen_name in algebra.coord_forms.items():
-            dc = coeff.diff(var, algebra.rules)
-            if dc.is_zero():
-                continue
-            out = out + wedge(Form.gen(algebra, gen_name, dc), Form(algebra, {word: ONE}))
+            dc = coeff.diff(var)
+            if not dc.is_zero():
+                _add_product(out, algebra, ((algebra.gen(gen_name), 1),), dc, word, ONE)
         # d of the word itself; only odd generators with a d-target contribute
         parity = 0
         for pos, (idx, exp) in enumerate(word):
@@ -630,16 +612,12 @@ def ext_d(a: Form) -> Form:
             if g.d_name is not None:
                 assert g.degree == 1, "only odd generators may have nonzero d"
                 rest = word[:pos] + word[pos + 1 :]
-                sign = (-1) ** parity
-                piece = wedge(
-                    Form.gen(algebra, g.d_name, coeff * sign),
-                    Form(algebra, {rest: ONE}),
-                )
                 # the replacement lands in front; its even target commutes, so
-                # re-merging through wedge fixes the ordering and caps
-                out = out + piece
+                # re-merging the words fixes the ordering and caps
+                target = ((algebra.gen(g.d_name), 1),)
+                _add_product(out, algebra, target, coeff * (-1) ** parity, rest, ONE)
             parity += g.degree * exp
-    return out
+    return Form(algebra, out)
 
 
 def interior(v: TangentSymbol, a: Form) -> Form:

@@ -16,10 +16,10 @@ Only ``accumulate`` mutates; every other function returns a new value.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Mapping
 from fractions import Fraction
-from typing import Hashable, Mapping, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 Monomial = tuple[tuple[Hashable, int], ...]
 Poly = dict[Monomial, Rational]
 

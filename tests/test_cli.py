@@ -205,11 +205,11 @@ def test_other_exceptions_are_internal_failures(capsys, monkeypatch, tmp_path):
 @pytest.mark.parametrize("branch", ["classification", "runaway"])
 def test_halted_trace_is_an_internal_failure_after_its_report(capsys, monkeypatch, branch):
     if branch == "classification":
-        verdict = blowup.SingularityVerdict.unclassified("patched")
+        verdict = "Unclassified(patched)"
         message = "classification failed after 1 steps: Unclassified(patched)"
     else:
         # the transform never changes, so no step is ever smooth
-        verdict = blowup.SingularityVerdict.a_type(1)
+        verdict = "AType(1)"
         monkeypatch.setattr(blowup, "proper_transform", lambda p, j: (p, 2))
         message = "no smooth transform after 6 steps"
     monkeypatch.setattr(blowup, "classify", lambda p: verdict)
@@ -740,13 +740,18 @@ print(json.dumps([runs, modules]))
 """
 
 
-def run_fresh(argvs: list[list[str]], block_numpy: bool = False,
+def run_fresh(argvs: list[list[str]], block_numpy: bool = False, no_site: bool = False,
               **env: str) -> tuple[list[tuple[int, str, str]], list[str]]:
-    """Each argv's (exit code, stdout, stderr) from one fresh interpreter, and its modules."""
+    """Each argv's (exit code, stdout, stderr) from one fresh interpreter, and its modules.
+
+    With ``no_site`` the interpreter runs under -S, so no ``site`` preload
+    (a .pth file's imports) hides a module that lbfkit itself loads.
+    """
     env = {**os.environ, **env,
            "PYTHONPATH": str(Path(lbfkit.__file__).resolve().parents[1])}
     mode = "block-numpy" if block_numpy else "numpy"
-    out = subprocess.run([sys.executable, "-c", FRESH_PROBE, mode, repr(argvs)],
+    flags = ["-S"] if no_site else []
+    out = subprocess.run([sys.executable, *flags, "-c", FRESH_PROBE, mode, repr(argvs)],
                          env=env, capture_output=True, text=True, check=True,
                          timeout=300).stdout
     runs, modules = json.loads(out)
@@ -811,3 +816,11 @@ def test_subcommand_loads_only_its_layers(name, tmp_path):
     assert not [m for m in modules if m.split(".")[0] in (
         "numpy", "scipy", "dataclasses", "argparse", "gettext")]
     assert ("json" in modules) == renders_json
+
+
+@pytest.mark.parametrize("name", sorted(IMPORT_RUNS))
+def test_no_run_loads_typing_on_a_clean_interpreter(name, tmp_path):
+    argv = [str(tmp_path) if a == "OUT" else a for a in IMPORT_RUNS[name][0]]
+    ((code, _, _),), modules = run_fresh([argv], no_site=True)
+    assert code == 0
+    assert "typing" not in modules

@@ -172,8 +172,6 @@ def test_corner_validation():
         make_corner_curve(0.0)
     with pytest.raises(ValueError, match="subnormal"):
         make_corner_curve(math.nextafter(sys.float_info.min, 0.0))
-    with pytest.raises(ValueError):
-        make_corner_curve(0.1, samples=10)
 
 
 def test_base_profile_plateaus():
@@ -183,7 +181,6 @@ def test_base_profile_plateaus():
     for s in (0.9, 0.95, 1.0):
         assert bp.h_and_slope(s)[0] == 2.0 * math.exp(s - 1.0)
     assert bp.h_and_slope(0.0)[0] == 0.0
-    assert bp.boundary_hamiltonian == BOUNDARY_HAMILTONIAN
 
 
 def test_base_profile_monotone():
@@ -207,8 +204,6 @@ def test_base_profile_derivative_positive_inside():
 def test_base_profile_validation():
     with pytest.raises(ValueError):
         make_base_profile(k=0.0)
-    with pytest.raises(ValueError):
-        verify_base_profile(make_base_profile(), samples=10)
 
 
 @settings(max_examples=30, deadline=None)
