@@ -15,10 +15,10 @@ Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage
 internal failure: any other exception, or a resolution trace that halted
 with a diagnostic.  An ``--out`` that cannot be written is a usage error
 too.  Exits 2 and 3 print one line on stderr and no traceback.  Each suite
-states each check once, as a ``(passed, failure text)`` gate in
-``SuiteResult.gates``; the report's ``passed``, the table's ``result`` row,
-exit 0 or 1 and the stderr ``FAIL:`` lines (one per failed gate, in gate
-order) all come from that list.
+states each check once, as a ``(value, bound, sense, failure text)`` gate
+in ``SuiteResult.gates`` that ``_holds`` alone decides (a NaN or infinite
+value fails it).  The report's ``passed``, the table's ``result`` row, exit
+0 or 1 and the stderr ``FAIL:`` lines (one per failed gate, in order) follow.
 
 Subcommands and their options live in one option table, ``COMMANDS``:
 each subcommand's summary and suite, and each option's converter, default,
@@ -76,19 +76,31 @@ MAX_N = 24
 MAX_DIM = 100
 
 
+def _holds(value: object, bound: object, sense: str) -> bool:
+    """Whether value keeps bound in sense "<=", ">" or "=="; a non-finite float never does."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    return value == bound if sense == "==" else value <= bound if sense == "<=" else value > bound
+
+
+def _failures(gates: list[tuple]) -> list[str]:
+    """The failure text of each gate that does not hold, in gate order."""
+    return [text for value, bound, sense, text in gates if not _holds(value, bound, sense)]
+
+
 class SuiteResult:
     """One suite's outcome: report fields, gates, rows and sidecar timings.
 
-    ``gates`` holds one ``(passed, failure text)`` pair per check, in the
-    suite's order; ``failures`` and ``passed`` are read from it.  ``report``
-    holds the suite's own fields, plain JSON data; the schema, the command
-    and ``passed`` are added when it is rendered.  Rows are lists of string
-    cells, the header first.
+    ``gates`` holds one ``(value, bound, sense, failure text)`` gate per
+    check, in the suite's order; ``passed`` and ``_failures`` read it
+    through ``_holds``.  ``report`` holds the suite's own fields, plain JSON
+    data; the schema, the command and ``passed`` are added when it is
+    rendered.  Rows are lists of string cells, the header first.
     """
 
     __slots__ = ("report", "gates", "csv_rows", "table_rows", "timing", "internal_failure")
 
-    def __init__(self, report: dict, gates: list[tuple[bool, str]], csv_rows: list[list[str]],
+    def __init__(self, report: dict, gates: list[tuple], csv_rows: list[list[str]],
                  table_rows: list[list[str]], timing: dict | None = None,
                  internal_failure: str | None = None) -> None:
         self.report = report
@@ -99,12 +111,8 @@ class SuiteResult:
         self.internal_failure = internal_failure         # exit 3, after the report is written
 
     @property
-    def failures(self) -> list[str]:
-        return [text for ok, text in self.gates if not ok]
-
-    @property
     def passed(self) -> bool:
-        return all(ok for ok, _ in self.gates)
+        return not _failures(self.gates)
 
 
 def _json_text(report: dict) -> str:
@@ -163,9 +171,9 @@ def _pass_fail(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _result_row(gates: list[tuple[bool, str]], width: int) -> list[str]:
-    """The table's last row: PASS when every gate passed, padded to ``width`` cells."""
-    return ["result", _pass_fail(all(ok for ok, _ in gates))] + [""] * (width - 2)
+def _result_row(gates: list[tuple], width: int) -> list[str]:
+    """The table's last row: PASS when every gate holds, padded to ``width`` cells."""
+    return ["result", _pass_fail(not _failures(gates))] + [""] * (width - 2)
 
 
 def _timed(timing: dict, key: str, fn: Callable, *args: object, **kwargs: object):
@@ -189,15 +197,15 @@ def _suite_verify_forms(n: int) -> SuiteResult:
     reports = [_timed(identities_ms, identity.value, models.verify_identity, identity, cfg)
                for identity in models.IdentityId]
     grid = _timed(timing, "top_power_grid_ms", models.positivity_grid, cfg)
-    grid_ok = grid["min_value"] > 0.0
-    gates = [(r["verdict"] == "exact-equal", f"{r['identity']}: {r['verdict']}")
-             for r in reports]
-    gates.append((grid_ok, f"TOP_POWER grid minimum {grid['min_value']} is not positive"))
+    grid_gate = (grid["min_value"], 0.0, ">",
+                 f"TOP_POWER grid minimum {grid['min_value']} is not positive")
+    gates = [(r["verdict"], "exact-equal", "==", f"{r['identity']}: {r['verdict']}")
+             for r in reports] + [grid_gate]
 
     report = {
         "config": _config_dict(cfg),
         "identities": reports,
-        "top_power_grid": {**grid, "positive": grid_ok},
+        "top_power_grid": {**grid, "positive": _holds(*grid_gate[:3])},
     }
 
     rows = [["identity", "verdict"]] + [[r["identity"], r["verdict"]] for r in reports]
@@ -262,18 +270,17 @@ def _suite_transport(t: float, s0: float, grid: str) -> SuiteResult:
 
     lim_plus, lim_minus = _timed(timing, "limits_ms", transport.limits_at_zero, cfg, s0)
 
-    # each gate fails on value > bound, so a NaN value passes it
     gate, target, tol = transport.DRIFT_GATE, transport.LIMIT_TARGET, transport.LIMIT_TOLERANCE
     gates = []
     for variant, data in trajectories.items():
-        gates.append((not data["max_h_drift"] > gate,
+        gates.append((data["max_h_drift"], gate, "<=",
                       f"{variant} h drift {data['max_h_drift']} above {gate:g}"))
         if data["radial_drift_gated"]:
-            gates.append((not data["max_radial_drift"] > gate,
+            gates.append((data["max_radial_drift"], gate, "<=",
                           f"{variant} radial drift {data['max_radial_drift']} above {gate:g}"))
-    gates += [(not abs(lim_plus - target) > tol,
+    gates += [(abs(lim_plus - target), tol, "<=",
                f"limit at 0+ = {lim_plus}, expected 0.5 within 1e-3"),
-              (not abs(lim_minus + target) > tol,
+              (abs(lim_minus + target), tol, "<=",
                f"limit at 0- = {lim_minus}, expected -0.5 within 1e-3")]
 
     report = {
@@ -326,8 +333,8 @@ def _suite_fillings(n: int, k: int, include_zero: bool) -> SuiteResult:
     )
 
     bad_weight = [r["ell"] for r in rows_data if r["weight"] != k + 1]
-    gates = [(distinct, "emitted Euler characteristics are not pairwise distinct"),
-             (not bad_weight, f"weight != k+1 at ell in {bad_weight}")]
+    gates = [(distinct, True, "==", "emitted Euler characteristics are not pairwise distinct"),
+             (bad_weight, [], "==", f"weight != k+1 at ell in {bad_weight}")]
 
     report = {
         "config": _config_dict(ModelConfig(n=n), k=k, include_zero=include_zero),
@@ -355,10 +362,10 @@ def _suite_resolve(k: int, dim: int) -> SuiteResult:
 
     expected_steps = -(-k // 2)
     gates = [
-        (trace.resolved, trace.diagnostic or "trace did not end Smooth"),
-        (trace.step_count == expected_steps,
+        (trace.resolved, True, "==", trace.diagnostic or "trace did not end Smooth"),
+        (trace.step_count, expected_steps, "==",
          f"step count {trace.step_count}, expected ceil(k/2) = {expected_steps}"),
-        (len(chain) == trace.step_count,
+        (len(chain), trace.step_count, "==",
          f"word chain length {len(chain)} != step count {trace.step_count}"),
     ]
 
@@ -411,10 +418,10 @@ def _suite_contact_check(n: int) -> SuiteResult:
     samples = _timed(timing, "samples_ms", contact.profile_samples, profile)
 
     gates = [
-        (prof_report["passed"], f"profile minimum {prof_report['min_value']} at "
-                                f"r={prof_report['argmin']} is not positive"),
-        (corner_report["passed"], "corner curve bullet verification failed"),
-        (base_report["passed"], "base profile verification failed"),
+        (prof_report["min_value"], 0.0, ">", f"profile minimum {prof_report['min_value']} at "
+                                             f"r={prof_report['argmin']} is not positive"),
+        (corner_report["passed"], True, "==", "corner curve bullet verification failed"),
+        (base_report["passed"], True, "==", "base profile verification failed"),
     ]
 
     report = {
@@ -590,7 +597,7 @@ def _execute(command: str, values: dict, prefix: str,
     if result.internal_failure:
         print(f"{prefix}: internal failure: {result.internal_failure}", file=sys.stderr)
         return 3
-    for line in result.failures:
+    for line in _failures(result.gates):
         print(f"{prefix}: FAIL: {line}", file=sys.stderr)
     return 0 if result.passed else 1
 

@@ -23,8 +23,8 @@ The ODE is stepped by one Dormand & Prince (1980) 5(4) pair with the step
 control of Hairer, Norsett and Wanner (Solving ODEs I, II.4-5), on Python
 floats, one level at a time: ``_transport`` validates the levels, builds
 the right-hand side once and runs ``_dopri5`` on each.  ``integrate``'s two
-trajectories, the 12 levels of ``limits_at_zero`` and
-``monodromy_profile``'s 3C stencil levels all go through it.  Each step
+trajectories, the 8 levels of ``limits_at_zero`` and ``monodromy_profile``'s
+C labels and 2C stencil levels all go through it.  Each step
 writes its stages out with the tableau's named coefficients; every stage
 sum starts from 0.0 and adds left to right, so its bits equal the loop
 over the tableau that the tests keep as a reference.  Steps are cut to
@@ -128,15 +128,20 @@ class Trajectory:
 
     @property
     def max_h_drift(self) -> float:
-        return max(map(abs, self.h_drift))
+        return _max_abs(self.h_drift)
 
     @property
     def max_radial_drift(self) -> float:
-        return max(map(abs, self.radial_residual))
+        return _max_abs(self.radial_residual)
 
     @property
     def endpoint(self) -> tuple[float, float]:
         return self.r1[-1], self.r2[-1]
+
+
+def _max_abs(values: list[float]) -> float:
+    """The largest |value|, or NaN if any value is NaN (``max`` skips a NaN after the first)."""
+    return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +416,24 @@ def _validate_s0(cfg: ModelConfig, s0: float) -> None:
         )
 
 
+def _angles(cfg: ModelConfig, s0: float, levels: Sequence[float]) -> list[float]:
+    """R at each level, every level integrated to s0 in one ``_transport`` call."""
+    r2 = [states[-1][1] for states in _transport(cfg, levels, [0.0, s0])]
+    return [-r * r + t if t > 0 else -r * r - 1.0 for t, r in zip(levels, r2)]
+
+
+def _stencil(cfg: ModelConfig, s0: float, ts: Sequence[float]) -> tuple[list[float], list[float]]:
+    """dR and dR_cut at the labels ts; every label's step is found before any level is stepped."""
+    steps = [_fd_step(cfg, t) for t in ts]
+    hi = [t + d for t, d in zip(ts, steps)]
+    lo = [t - d for t, d in zip(ts, steps)]
+    R_hi, R_lo = _angles(cfg, s0, hi), _angles(cfg, s0, lo)
+    dR = [(a - b) / (2.0 * d) for a, b, d in zip(R_hi, R_lo, steps)]
+    dR_cut = [((1.0 - cfg.cutoff(u)) * a - (1.0 - cfg.cutoff(v)) * b) / (2.0 * d)
+              for u, v, a, b, d in zip(hi, lo, R_hi, R_lo, steps)]
+    return dR, dR_cut
+
+
 def monodromy_profile(
     cfg: ModelConfig,
     s0: float,
@@ -424,7 +447,7 @@ def monodromy_profile(
 
     Three levels per grid label: the label itself and a central stencil
     t +/- step with step = min(|t|/8, 1e-3), shrunk near the domain ends.
-    All 3C levels are integrated to s0 in one ``_transport`` call.  The
+    The 2C stencil levels are integrated first, then the C labels.  The
     grid must avoid the critical value 0.
     """
     _validate_s0(cfg, s0)
@@ -433,18 +456,8 @@ def monodromy_profile(
         raise DomainError("empty t grid")
     if 0.0 in ts:
         raise DomainError("t grid must avoid the critical value 0")
-    steps = [_fd_step(cfg, t) for t in ts]
-    hi = [t + d for t, d in zip(ts, steps)]
-    lo = [t - d for t, d in zip(ts, steps)]
-    levels = ts + hi + lo
-    r2 = [states[-1][1] for states in _transport(cfg, levels, [0.0, s0])]
-    R = [-r * r + t if t > 0 else -r * r - 1.0 for t, r in zip(levels, r2)]
-    c = len(ts)
-    center, R_hi, R_lo = R[:c], R[c:2 * c], R[2 * c:]
-    dR = [(a - b) / (2.0 * d) for a, b, d in zip(R_hi, R_lo, steps)]
-    dR_cut = [((1.0 - cfg.cutoff(u)) * a - (1.0 - cfg.cutoff(v)) * b) / (2.0 * d)
-              for u, v, a, b, d in zip(hi, lo, R_hi, R_lo, steps)]
-    return {"s0": s0, "t": ts, "R": center, "dR": dR, "dR_cut": dR_cut}
+    dR, dR_cut = _stencil(cfg, s0, ts)
+    return {"s0": s0, "t": ts, "R": _angles(cfg, s0, ts), "dR": dR, "dR_cut": dR_cut}
 
 
 def limits_at_zero(cfg: ModelConfig, s0: float) -> tuple[float, float]:
@@ -454,9 +467,8 @@ def limits_at_zero(cfg: ModelConfig, s0: float) -> tuple[float, float]:
     two-point rule 2 R'(+-s0/8) - R'(+-s0/4) cancels the linear term and
     leaves a cubic remainder well inside the LIMIT_TOLERANCE window around
     +-LIMIT_TARGET.  s0 must lie in ``cfg.s0_range``, where every stencil
-    level stays in the small-t regime.
+    level stays in the small-t regime; only those 8 levels are integrated.
     """
-    dR = monodromy_profile(cfg, s0, [s0 / 8.0, s0 / 4.0, -s0 / 8.0, -s0 / 4.0])["dR"]
-    plus = 2.0 * dR[0] - dR[1]
-    minus = 2.0 * dR[2] - dR[3]
-    return plus, minus
+    _validate_s0(cfg, s0)
+    dR, _ = _stencil(cfg, s0, [s0 / 8.0, s0 / 4.0, -s0 / 8.0, -s0 / 4.0])
+    return 2.0 * dR[0] - dR[1], 2.0 * dR[2] - dR[3]

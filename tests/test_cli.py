@@ -490,11 +490,13 @@ GATE_FAILURES = {
                    "result FAIL"),
     "chain": (["resolve"], [(blowup, "resolution_word_chain", lambda k: [])],
               ["word chain length 0 != step count 2"], "result FAIL"),
+    # what verify_profile returns for a negative minimum
     "contact": (["contact-check"], [
-        _through(contact, "verify_profile", _fail),
+        _through(contact, "verify_profile",
+                 lambda r: {**r, "min_value": -r["min_value"], "passed": False}),
         _through(contact, "make_corner_curve", lambda pair: (pair[0], _fail(pair[1]))),
         _through(contact, "verify_base_profile", _fail)],
-        ["profile minimum 0.00088 at r=0.00011 is not positive",
+        ["profile minimum -0.00088 at r=0.00011 is not positive",
          "corner curve bullet verification failed", "base profile verification failed"],
         "result FAIL"),
 }
@@ -512,6 +514,63 @@ def test_each_failed_gate_gets_its_fail_line(capsys, monkeypatch, name):
     code, out, err = run(capsys, *argv, "--format", "table")
     assert (code, err) == (1, "".join(f"lbfkit: FAIL: {line}\n" for line in lines))
     assert " ".join(out.splitlines()[-1].split()) == last_row
+
+
+def _drift_sample(variant, series, value):
+    """A patch of transport.integrate that sets sample 3 of one variant's series to value."""
+    def change(trajectories):
+        getattr(trajectories[variant], series)[3] = value
+        return trajectories
+    return _through(transport, "integrate", change)
+
+
+# Each gated float: its argv, a patch that puts a value there at its source,
+# and the gate's FAIL line for that value.  The drifts are largest |samples|,
+# so -inf reads inf; contact's `passed` is what verify_profile computes.
+NON_FINITE_GATES = {
+    "weighted-h": (["transport"], lambda v: _drift_sample("weighted", "h_drift", v),
+                   lambda v: f"weighted h drift {abs(v)} above 1e-08"),
+    "weighted-radial": (["transport"],
+                        lambda v: _drift_sample("weighted", "radial_residual", v),
+                        lambda v: f"weighted radial drift {abs(v)} above 1e-08"),
+    "unweighted-h": (["transport"], lambda v: _drift_sample("unweighted", "h_drift", v),
+                     lambda v: f"unweighted h drift {abs(v)} above 1e-08"),
+    "limit-plus": (["transport"],
+                   lambda v: _through(transport, "limits_at_zero", lambda pm: (v, pm[1])),
+                   lambda v: f"limit at 0+ = {v}, expected 0.5 within 1e-3"),
+    "limit-minus": (["transport"],
+                    lambda v: _through(transport, "limits_at_zero", lambda pm: (pm[0], v)),
+                    lambda v: f"limit at 0- = {v}, expected -0.5 within 1e-3"),
+    "grid": (["verify-forms"],
+             lambda v: _through(models, "positivity_grid", lambda g: {**g, "min_value": v}),
+             lambda v: f"TOP_POWER grid minimum {v} is not positive"),
+    "contact": (["contact-check"], lambda v: _through(
+        contact, "verify_profile", lambda r: {**r, "min_value": v, "passed": v > 0.0}),
+        lambda v: f"profile minimum {v} at r=0.00011 is not positive"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", NON_FINITE_GATES)
+def test_a_non_finite_gated_value_fails_its_gate(capsys, monkeypatch, name, value):
+    argv, patch, line = NON_FINITE_GATES[name]
+    monkeypatch.setattr(*patch(value))
+    fail = f"lbfkit: FAIL: {line(value)}\n"
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, fail)
+    assert json.loads(out)["passed"] is False
+    code, out, err = run(capsys, *argv, "--format", "table")
+    assert (code, err) == (1, fail)
+    assert " ".join(out.splitlines()[-1].split()) == "result FAIL"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_the_ungated_radial_residual_may_be_non_finite(capsys, monkeypatch, value):
+    # the unweighted radial drift is reported beside the gated ones, not gated
+    monkeypatch.setattr(*_drift_sample("unweighted", "radial_residual", value))
+    code, out, err = run(capsys, "transport")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"] is True
 
 
 def test_out_file_and_timing_sidecar(capsys, tmp_path):

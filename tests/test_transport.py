@@ -17,6 +17,7 @@ from lbfkit.transport import (
     IntegrationFailureError,
     RegimeError,
     SingularTransportError,
+    Trajectory,
     closed_form,
     initial_condition,
     integrate,
@@ -71,6 +72,18 @@ def test_denominator_variants_agree_where_mu_is_radius():
     assert max(w.r1) < DEFAULT_CONFIG.collar_width
     for a, b in zip(w.r1 + w.r2, u.r1 + u.r2):
         assert abs(a - b) <= 1e-9 + 1e-5 * abs(b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(samples=st.lists(st.floats(allow_nan=False), min_size=2, max_size=20), data=st.data())
+def test_drift_maxima_keep_a_nan_sample(samples, data):
+    traj = Trajectory(0.25, [], [], [], samples, samples[::-1])
+    assert traj.max_h_drift == traj.max_radial_drift == max(map(abs, samples))
+    # max(map(abs, ...)) alone keeps a NaN only when it comes first
+    at = data.draw(st.integers(1, len(samples) - 1))
+    with_nan = samples[:at] + [math.nan] + samples[at + 1:]
+    traj = Trajectory(0.25, [], [], [], with_nan, with_nan)
+    assert math.isnan(traj.max_h_drift) and math.isnan(traj.max_radial_drift)
 
 
 def test_unweighted_variant_loses_the_radial_invariant():
@@ -326,6 +339,26 @@ def test_limits_hold_across_the_s0_range(cfg, u):
     s0 = _log_spaced_s0(cfg, u)
     plus, minus = limits_at_zero(cfg, s0)
     assert abs(plus - 0.5) <= 1e-3 and abs(minus + 0.5) <= 1e-3, (s0, plus, minus)
+
+
+@pytest.mark.parametrize("cfg", S0_CONFIGS.values(), ids=S0_CONFIGS.keys())
+@settings(max_examples=10, deadline=None)
+@given(u=st.floats(min_value=0.0, max_value=1.0))
+@example(u=0.0)
+@example(u=1.0)
+def test_limits_equal_the_profile_rule_bit_for_bit(cfg, u):
+    s0 = _log_spaced_s0(cfg, u)
+    dR = monodromy_profile(cfg, s0, [s0 / 8.0, s0 / 4.0, -s0 / 8.0, -s0 / 4.0])["dR"]
+    assert limits_at_zero(cfg, s0) == (2.0 * dR[0] - dR[1], 2.0 * dR[2] - dR[3])
+
+
+def test_limits_step_only_their_stencil_levels(monkeypatch):
+    starts = []
+    dopri5 = transport._dopri5
+    monkeypatch.setattr(transport, "_dopri5",
+                        lambda rhs, start, stops: starts.append(start) or dopri5(rhs, start, stops))
+    limits_at_zero(DEFAULT_CONFIG, 1e-3)
+    assert len(starts) == 8     # t +/- step at each of the labels +-s0/8 and +-s0/4
 
 
 @settings(max_examples=6, deadline=None)
