@@ -50,7 +50,7 @@ import math
 from collections.abc import Sequence
 
 from .config import (DEFAULT_CONFIG, SINGULAR_FLOOR, STENCIL_FLOOR, DomainError, ModelConfig,
-                     linspace)
+                     linspace, smoothstep_and_slope)
 
 __all__ = [
     "Trajectory",
@@ -168,16 +168,19 @@ def _field(cfg: ModelConfig, weight: bool):
     ``weight`` keeps the mu' factor on the first term of D; the unweighted
     variant drops it.  ``s`` only locates a vanished denominator.
     """
-    ramp_and_slope, mu_and_slope = cfg.ramp_and_slope, cfg.mu_and_slope
+    # ramp_and_slope and mu_and_slope written out, operation for operation
+    smooth, ramp_lo, ramp_w = smoothstep_and_slope, cfg.ramp_lo, cfg._ramp_width
+    collar, mu_w = cfg.collar_width, cfg._mu_width
 
     def rhs(s: float, r1: float, r2: float) -> tuple[float, float]:
-        f, up = ramp_and_slope(r1 * r1 + r2 * r2)
-        cross = up * r1 * r1 * r2 * r2
+        f, up = smooth((r1 * r1 + r2 * r2 - ramp_lo) / ramp_w)
+        cross = up / ramp_w * r1 * r1 * r2 * r2
         dh_r1 = -2.0 * r1 * (1.0 + f * r2 * r2 + cross)
         dh_r2 = 2.0 * r2 * (1.0 - f * r1 * r1 - cross)
-        m, m_d = mu_and_slope(r1)
+        blend, slope = smooth((r1 - collar) / mu_w)
+        m, m_d = r1 + (1.0 - r1) * blend, (1.0 - blend) + (1.0 - r1) * slope / mu_w
         den = (m_d * r2 if weight else r2) * dh_r2 - m * dh_r1
-        if abs(den) < SINGULAR_FLOOR:
+        if -SINGULAR_FLOOR < den < SINGULAR_FLOOR:
             raise SingularTransportError(s, r1, r2, den)
         return dh_r2 / den, -dh_r1 / den
 
@@ -251,11 +254,16 @@ def _dopri5(rhs, start: tuple[float, float],
             k7y, k7z = rhs(s + step, y_new, z_new)
             err_y = 0.0 + E1 * k1y + E3 * k3y + E4 * k4y + E5 * k5y + E6 * k6y + E7 * k7y
             err_z = 0.0 + E1 * k1z + E3 * k3z + E4 * k4z + E5 * k5z + E6 * k6z + E7 * k7z
-            norm = _rms(step * err_y / (ATOL + RTOL * max(abs(y), abs(y_new))),
-                        step * err_z / (ATOL + RTOL * max(abs(z), abs(z_new))))
+            # _rms, max and min written out as the builtins compare, NaN included
+            a, b, c, d = abs(y), abs(y_new), abs(z), abs(z_new)
+            ey = step * err_y / (ATOL + RTOL * (b if b > a else a))
+            ez = step * err_z / (ATOL + RTOL * (d if d > c else c))
+            norm = math.sqrt(0.5 * (ey * ey + ez * ez))
             ok = norm <= 1.0
             # step-size control of II.4: no growth right after a rejection
-            grow = min(1.0 if rejected else 10.0, max(0.2, 0.9 * max(norm, 1e-10) ** -0.2))
+            grow = 0.9 * (1e-10 if 1e-10 > norm else norm) ** -0.2
+            grow, cap = grow if grow > 0.2 else 0.2, 1.0 if rejected else 10.0
+            grow = grow if grow < cap else cap
             # a step cut short to land on a stop keeps the proposal it cut
             h = h if ok and last else step * grow
             rejected = not ok
