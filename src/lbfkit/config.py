@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 
 
-# The monodromy profile differentiates R(t) by a central stencil whose step
-# must stay above this floor; the transport denominator counts as vanished
-# below the singular floor.
+# The floor of the central stencil R(t) was once differenced on, which still
+# sets the profile's label rules and the s0 range's lower end; the transport
+# denominator counts as vanished below the singular floor.
 STENCIL_FLOOR = 1e-8
 SINGULAR_FLOOR = 1e-12
 
@@ -169,14 +169,14 @@ class ModelConfig:
     def s0_range(self) -> tuple[float, float]:
         """The documented range (lo, hi] of the arc length s0 of the angle profile.
 
-        The limits of R' at 0 are differenced at the levels +-s0/8 and
-        +-s0/4, each with a step of an eighth of the level, so the smallest
-        step is s0/64, which must exceed STENCIL_FLOOR, and the levels
-        reach |t| = 9 s0/32.  At arc length s0 on level t the small-t
-        closed form puts r1^2 at (hypot(2 s0, t) - t) / 2 and r1^2 + r2^2 at
-        hypot(2 s0, t).  hi keeps every stencil level inside that form's
-        regime, r1 <= collar_width and r1^2 + r2^2 <= ramp_lo, so the limits
-        there are the regime's own values; a few percent past hi they move.
+        The limits of R' at 0 are read at the levels +-s0/8 and +-s0/4.  lo
+        keeps the stencil's rule (a step of s0/64 above STENCIL_FLOOR), and
+        hi its reach |t| = 9 s0/32, past those levels.  At arc length s0 on
+        level t the small-t closed form puts r1^2 at (hypot(2 s0, t) - t) / 2
+        and r1^2 + r2^2 at hypot(2 s0, t).  hi keeps every level up to that
+        reach inside the form's regime, r1 <= collar_width and r1^2 + r2^2 <=
+        ramp_lo, so the limits there are the regime's own values; a few
+        percent past hi they move.
         """
         reach = 9.0 / 32.0
         spread = math.hypot(2.0, reach)

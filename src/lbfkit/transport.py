@@ -23,14 +23,13 @@ The ODE is stepped by one Dormand & Prince (1980) 5(4) pair with the step
 control of Hairer, Norsett and Wanner (Solving ODEs I, II.4-5), on Python
 floats, one level at a time: ``_transport`` validates the levels, builds
 the right-hand side once and runs ``_dopri5`` on each.  ``integrate``'s two
-trajectories, the 8 levels of ``limits_at_zero`` and ``monodromy_profile``'s
-C labels and 2C stencil levels all go through it.  Each step
-writes its stages out with the tableau's named coefficients; every stage
-sum starts from 0.0 and adds left to right, so its bits equal the loop
-over the tableau that the tests keep as a reference.  Steps are cut to
-land exactly on each stop (no dense output), and the step control's fifth
-roots are Python's ``**``, the C library's pow.
-The local tolerances ATOL = RTOL sit four decades under DRIFT_GATE, the
+trajectories, the 4 levels of ``limits_at_zero`` and ``monodromy_profile``'s
+C labels all go through it.  Each step writes its stages out with the
+tableau's named coefficients; every stage sum starts from 0.0 and adds
+left to right, so its bits equal the loop over the tableau that the tests
+keep as a reference.  Steps are cut to land exactly on each stop (no dense
+output), and the step control's fifth roots are Python's ``**``, the C
+library's pow.  The local tolerances ATOL = RTOL sit four decades under DRIFT_GATE, the
 bound the reports audit both invariants against.  No step is projected
 back onto the invariants: that would zero the very drift the audit
 reports.
@@ -41,7 +40,7 @@ The monodromy angle profile is
 
 with one-sided limits R'(0+) = 1/2 and R'(0-) = -1/2, R' = 0 on the inner
 flat region, and, after the cutoff correction ((1 - sigma) R)', identically
-zero derivative near the outer ceiling.
+zero derivative near the outer ceiling.  One level per label gives R and R'.
 """
 
 from __future__ import annotations
@@ -398,7 +397,9 @@ def closed_form(
 # monodromy profile
 
 
-def _fd_step(cfg: ModelConfig, t: float) -> float:
+def _check_label(cfg: ModelConfig, t: float) -> None:
+    """Refuse a label within 8e-8 of t = 0 or 2e-8 inside a domain end: the
+    rules, and texts, of the central stencil R' was once differenced on."""
     step = min(abs(t) / 8.0, 1e-3)
     if step <= STENCIL_FLOOR:
         raise DomainError(
@@ -412,7 +413,6 @@ def _fd_step(cfg: ModelConfig, t: float) -> float:
         raise DomainError(
             f"t = {t} too close to the fiber-coordinate boundary for a central stencil"
         )
-    return step
 
 
 def _validate_s0(cfg: ModelConfig, s0: float) -> None:
@@ -424,22 +424,31 @@ def _validate_s0(cfg: ModelConfig, s0: float) -> None:
         )
 
 
-def _angles(cfg: ModelConfig, s0: float, levels: Sequence[float]) -> list[float]:
-    """R at each level, every level integrated to s0 in one ``_transport`` call."""
-    r2 = [states[-1][1] for states in _transport(cfg, levels, [0.0, s0])]
-    return [-r * r + t if t > 0 else -r * r - 1.0 for t, r in zip(levels, r2)]
+def _angles(cfg: ModelConfig, s0: float, ts: Sequence[float]) -> tuple[list, list, list]:
+    """R, dR and dR_cut at the labels ts, all checked, then each integrated once to s0.
 
-
-def _stencil(cfg: ModelConfig, s0: float, ts: Sequence[float]) -> tuple[list[float], list[float]]:
-    """dR and dR_cut at the labels ts; every label's step is found before any level is stepped."""
-    steps = [_fd_step(cfg, t) for t in ts]
-    hi = [t + d for t, d in zip(ts, steps)]
-    lo = [t - d for t, d in zip(ts, steps)]
-    R_hi, R_lo = _angles(cfg, s0, hi), _angles(cfg, s0, lo)
-    dR = [(a - b) / (2.0 * d) for a, b, d in zip(R_hi, R_lo, steps)]
-    dR_cut = [((1.0 - cfg.cutoff(u)) * a - (1.0 - cfg.cutoff(v)) * b) / (2.0 * d)
-              for u, v, a, b, d in zip(hi, lo, R_hi, R_lo, steps)]
-    return dR, dR_cut
+    At the endpoint (r1, r2) both invariants hold, h = t and mu(r1) r2 = s0.
+    Their t-derivatives h_r1 r1' + h_r2 r2' = 1 and mu' r2 r1' + mu r2' = 0
+    have determinant -D, D the weighted denominator, which the field kept
+    above the singular floor there: r2' = mu' r2 / D, R' = [t > 0] - 2 r2 r2'.
+    """
+    for t in ts:
+        _check_label(cfg, t)
+    lo, width = cfg.cutoff_lo, cfg.cutoff_hi - cfg.cutoff_lo
+    R, dR, dR_cut = [], [], []
+    for t, (_, (r1, r2)) in zip(ts, _transport(cfg, ts, [0.0, s0])):
+        f, up = cfg.ramp_and_slope(r1 * r1 + r2 * r2)
+        cross = up * r1 * r1 * r2 * r2
+        dh_r1 = -2.0 * r1 * (1.0 + f * r2 * r2 + cross)
+        dh_r2 = 2.0 * r2 * (1.0 - f * r1 * r1 - cross)
+        m, m_d = cfg.mu_and_slope(r1)
+        r2_t = m_d * r2 / (m_d * r2 * dh_r2 - m * dh_r1)
+        sigma, sigma_t = smoothstep_and_slope((t - lo) / width)
+        R.append(-r2 * r2 + t if t > 0 else -r2 * r2 - 1.0)
+        # 0.0 - 0.0 and x + 0.0 turn an exact zero derivative into 0.0, not -0.0
+        dR.append((1.0 if t > 0 else 0.0) - 2.0 * r2 * r2_t)
+        dR_cut.append((1.0 - sigma) * dR[-1] - sigma_t / width * R[-1] + 0.0)
+    return R, dR, dR_cut
 
 
 def monodromy_profile(
@@ -450,13 +459,11 @@ def monodromy_profile(
     """Angle profile R, its derivative, and the cutoff-corrected derivative.
 
     Returns the report's ``profile`` entry: ``s0``, the levels ``t``, ``R``
-    there, its central differences ``dR`` and those of (1 - sigma) R,
-    ``dR_cut``.
+    there, its t-derivative ``dR`` and that of (1 - sigma) R, ``dR_cut``.
 
-    Three levels per grid label: the label itself and a central stencil
-    t +/- step with step = min(|t|/8, 1e-3), shrunk near the domain ends.
-    The 2C stencil levels are integrated first, then the C labels.  The
-    grid must avoid the critical value 0.
+    One level per grid label: each derivative comes from the endpoint its
+    own level reaches (see ``_angles``).  The grid must avoid the critical
+    value 0 and keep 8e-8 from it and 2e-8 inside the domain ends.
     """
     _validate_s0(cfg, s0)
     ts = [float(t) for t in t_grid]
@@ -464,8 +471,8 @@ def monodromy_profile(
         raise DomainError("empty t grid")
     if 0.0 in ts:
         raise DomainError("t grid must avoid the critical value 0")
-    dR, dR_cut = _stencil(cfg, s0, ts)
-    return {"s0": s0, "t": ts, "R": _angles(cfg, s0, ts), "dR": dR, "dR_cut": dR_cut}
+    R, dR, dR_cut = _angles(cfg, s0, ts)
+    return {"s0": s0, "t": ts, "R": R, "dR": dR, "dR_cut": dR_cut}
 
 
 def limits_at_zero(cfg: ModelConfig, s0: float) -> tuple[float, float]:
@@ -474,9 +481,9 @@ def limits_at_zero(cfg: ModelConfig, s0: float) -> tuple[float, float]:
     R'(t) is linear in t to leading order near 0 on either side, so the
     two-point rule 2 R'(+-s0/8) - R'(+-s0/4) cancels the linear term and
     leaves a cubic remainder well inside the LIMIT_TOLERANCE window around
-    +-LIMIT_TARGET.  s0 must lie in ``cfg.s0_range``, where every stencil
-    level stays in the small-t regime; only those 8 levels are integrated.
+    +-LIMIT_TARGET.  s0 must lie in ``cfg.s0_range``, where every level
+    stays in the small-t regime; only those 4 levels are integrated.
     """
     _validate_s0(cfg, s0)
-    dR, _ = _stencil(cfg, s0, [s0 / 8.0, s0 / 4.0, -s0 / 8.0, -s0 / 4.0])
+    dR = _angles(cfg, s0, [s0 / 8.0, s0 / 4.0, -s0 / 8.0, -s0 / 4.0])[1]
     return 2.0 * dR[0] - dR[1], 2.0 * dR[2] - dR[3]

@@ -8,7 +8,7 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lbfkit import cli, transport
@@ -352,13 +352,73 @@ def test_limits_equal_the_profile_rule_bit_for_bit(cfg, u):
     assert limits_at_zero(cfg, s0) == (2.0 * dR[0] - dR[1], 2.0 * dR[2] - dR[3])
 
 
-def test_limits_step_only_their_stencil_levels(monkeypatch):
+def _count_dopri5(monkeypatch) -> list:
     starts = []
     dopri5 = transport._dopri5
     monkeypatch.setattr(transport, "_dopri5",
                         lambda rhs, start, stops: starts.append(start) or dopri5(rhs, start, stops))
+    return starts
+
+
+def test_limits_step_only_their_stencil_levels(monkeypatch):
+    starts = _count_dopri5(monkeypatch)
     limits_at_zero(DEFAULT_CONFIG, 1e-3)
-    assert len(starts) == 8     # t +/- step at each of the labels +-s0/8 and +-s0/4
+    assert len(starts) == 4     # one level at each of the labels +-s0/8 and +-s0/4
+
+
+@pytest.mark.parametrize("count", [1, 6, 64])
+def test_profile_steps_one_level_per_label(monkeypatch, count):
+    starts = _count_dopri5(monkeypatch)
+    monodromy_profile(DEFAULT_CONFIG, 1e-3, linspace(-0.2, 0.2, 2 * count)[:count])
+    assert len(starts) == count
+
+
+def _small_t_slope(s0: float, t: float) -> float:
+    """R' in the small-t regime: r2^2 = (hypot(2 s0, t) + t) / 2 differentiated in t."""
+    q = math.hypot(2.0 * s0, t)
+    return (1.0 - t / q) / 2.0 if t > 0 else -(1.0 + t / q) / 2.0
+
+
+@pytest.mark.parametrize("cfg", S0_CONFIGS.values(), ids=S0_CONFIGS.keys())
+@settings(max_examples=25, deadline=None)
+@given(u=st.floats(min_value=0.0, max_value=1.0), e=st.floats(min_value=-7.0, max_value=-1.0),
+       sign=st.sampled_from([1.0, -1.0]))
+@example(u=0.5, e=-3.0, sign=1.0)
+@example(u=0.5, e=-3.0, sign=-1.0)
+def test_small_t_derivative_matches_the_closed_form(cfg, u, e, sign):
+    # the endpoint derivative carries no truncation error: it differs from
+    # the closed form's t-derivative by ODE noise alone
+    s0, t = _log_spaced_s0(cfg, u), sign * 10.0 ** e
+    try:
+        closed_form("small_t", s0, t, cfg)
+    except RegimeError:
+        assume(False)
+    (dR,) = monodromy_profile(cfg, s0, [t])["dR"]
+    assert abs(dR - _small_t_slope(s0, t)) <= 1e-9, (s0, t, dR)
+
+
+@settings(max_examples=25, deadline=None)
+@given(u=st.floats(min_value=0.0, max_value=1.0),
+       t=st.one_of(st.floats(min_value=-0.2499, max_value=-2e-3),
+                   st.floats(min_value=-1.0, max_value=2.0).map(lambda e: min(10.0 ** e, 99.99))))
+@example(u=0.5, t=-0.1403)
+@example(u=1.0, t=7.257)
+def test_derivative_matches_a_difference_of_R_outside_the_small_t_regime(u, t):
+    s0 = _log_spaced_s0(DEFAULT_CONFIG, u)
+    try:
+        closed_form("small_t", s0, t)
+    except RegimeError:
+        pass
+    else:
+        assume(False)
+    h = 1e-4 * max(abs(t), 1e-2)
+    prof = monodromy_profile(DEFAULT_CONFIG, s0, [t - h, t, t + h])
+    dR, difference = prof["dR"][1], (prof["R"][2] - prof["R"][0]) / (2.0 * h)
+    # R sums terms of size up to 1 + |t|, so each R carries a few of their
+    # ulps of rounding, which the quotient divides by h
+    if abs(dR) > 1e-8:
+        assert abs(dR - difference) <= 1e-4 * abs(dR) + 4.0 * math.ulp(1.0 + abs(t)) / h, \
+            (s0, t, dR, difference)
 
 
 @settings(max_examples=6, deadline=None)
@@ -455,6 +515,14 @@ def test_profile_csv_shape(capsys):
     assert lines[0] == "t,R,dR,dR_cut"
     assert len(lines) == 3
     assert [float(row.split(",")[0]) for row in lines[1:]] == [0.1, 0.2]
+
+
+def test_an_exact_zero_derivative_prints_zero_not_minus_zero(capsys):
+    # r1 >= mu_flat_radius at the first two levels, so mu' = 0 and R' = 0 exactly
+    assert cli.main(["transport", "--grid=-0.2499:-0.2:4", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[2:] for row in lines[1:3]] == [["0.0", "0.0"]] * 2
+    assert "-0.0," not in "\n".join(lines) and not any(row.endswith("-0.0") for row in lines)
 
 
 def test_integration_failure_error_is_distinct():
