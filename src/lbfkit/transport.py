@@ -398,8 +398,7 @@ def closed_form(
 
 
 def _check_label(cfg: ModelConfig, t: float) -> None:
-    """Refuse a label within 8e-8 of t = 0 or 2e-8 inside a domain end: the
-    rules, and texts, of the central stencil R' was once differenced on."""
+    """Refuse a label within 8e-8 of t = 0 or 2e-8 inside a domain end (the stencil's rules)."""
     step = min(abs(t) / 8.0, 1e-3)
     if step <= STENCIL_FLOOR:
         raise DomainError(
@@ -429,8 +428,9 @@ def _angles(cfg: ModelConfig, s0: float, ts: Sequence[float]) -> tuple[list, lis
 
     At the endpoint (r1, r2) both invariants hold, h = t and mu(r1) r2 = s0.
     Their t-derivatives h_r1 r1' + h_r2 r2' = 1 and mu' r2 r1' + mu r2' = 0
-    have determinant -D, D the weighted denominator, which the field kept
-    above the singular floor there: r2' = mu' r2 / D, R' = [t > 0] - 2 r2 r2'.
+    have determinant -D, D the weighted denominator computed as the field
+    computes it, so the field kept it above the singular floor there; then
+    r2' = mu' r2 / D and R' = [t > 0] - 2 r2 r2'.
     """
     for t in ts:
         _check_label(cfg, t)

@@ -209,7 +209,7 @@ def _assert_equals_reference(rhs, start, stops):
 @example(t=7.257)
 @example(t=23.29)
 def test_explicit_stages_equal_the_loop_form_bit_for_bit(t):
-    # the stops of integrate and of the profile stencil, for both variants
+    # the stops of integrate and of the profile's levels, for both variants
     for stops in (linspace(0.0, 0.5, transport.TRAJECTORY_SAMPLES), [0.0, 1e-3]):
         for weight in (True, False):
             _assert_equals_reference(transport._field(DEFAULT_CONFIG, weight),
@@ -475,8 +475,8 @@ def test_cutoff_corrected_derivative_dies_near_the_top():
 
 
 def test_outer_profile_positive_and_decaying():
-    # t = 100 sits on the fiber-coordinate boundary where the central
-    # stencil has no room, so the grid stops just short of it
+    # t = 100 sits on the fiber-coordinate boundary, and a label keeps 2e-8
+    # inside it, so the grid stops just short of it
     ts = [1.0, 2.0, 5.0, 10.0, 30.0, 99.0]
     prof = monodromy_profile(DEFAULT_CONFIG, 1e-3, ts)
     assert all(d > 0.0 for d in prof["dR"])
@@ -500,7 +500,7 @@ def test_monodromy_rejects_bad_grids():
     with pytest.raises(DomainError):
         monodromy_profile(cfg, 0.5, [0.1])  # s0 beyond cfg.s0_range
     with pytest.raises(DomainError, match="critical value"):
-        monodromy_profile(cfg, 1e-3, [5e-8])  # stencil step under 1e-8
+        monodromy_profile(cfg, 1e-3, [5e-8])  # within 8e-8 of t = 0
     with pytest.raises(DomainError, match="boundary"):
         monodromy_profile(cfg, 1e-3, [-0.25 + 1e-9])
 
