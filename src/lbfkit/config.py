@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 
 
-# The floor of the central stencil R(t) was once differenced on, which still
-# sets the profile's label rules and the s0 range's lower end; the transport
-# denominator counts as vanished below the singular floor.
-STENCIL_FLOOR = 1e-8
+# The transport denominator counts as vanished below the singular floor.  A
+# level t starts it at 2|t|, so this floor alone bounds every stepped level
+# (|t| > SINGULAR_FLOOR / 2) and, through the limit levels, the s0 range.
 SINGULAR_FLOOR = 1e-12
 
 
@@ -169,19 +168,20 @@ class ModelConfig:
     def s0_range(self) -> tuple[float, float]:
         """The documented range (lo, hi] of the arc length s0 of the angle profile.
 
-        The limits of R' at 0 are read at the levels +-s0/8 and +-s0/4.  lo
-        keeps the stencil's rule (a step of s0/64 above STENCIL_FLOOR), and
-        hi its reach |t| = 9 s0/32, past those levels.  At arc length s0 on
-        level t the small-t closed form puts r1^2 at (hypot(2 s0, t) - t) / 2
-        and r1^2 + r2^2 at hypot(2 s0, t).  hi keeps every level up to that
-        reach inside the form's regime, r1 <= collar_width and r1^2 + r2^2 <=
-        ramp_lo, so the limits there are the regime's own values; a few
-        percent past hi they move.
+        The limits of R' at 0 are read at the levels +-s0/8 and +-s0/4.
+        lo = 4 SINGULAR_FLOOR keeps the smallest of them, s0/8, above
+        SINGULAR_FLOOR / 2, so the transport denominator starts there at
+        2|t| = s0/4, above the singular floor.  At arc length s0 on level t
+        the small-t closed form puts r1^2 at (hypot(2 s0, t) - t) / 2 and
+        r1^2 + r2^2 at hypot(2 s0, t).  hi keeps every level up to the
+        reach |t| = s0/4 inside the form's regime, r1 <= collar_width and
+        r1^2 + r2^2 <= ramp_lo, so the limits there are the regime's own
+        values; just past hi the minus limit moves.
         """
-        reach = 9.0 / 32.0
+        reach = 1.0 / 4.0
         spread = math.hypot(2.0, reach)
         hi = min(2.0 * self.collar_width ** 2 / (spread + reach), self.ramp_lo / spread)
-        return 64.0 * STENCIL_FLOOR, hi
+        return 4.0 * SINGULAR_FLOOR, hi
 
     @property
     def cutoff_lo(self) -> float:

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .config import (DEFAULT_CONFIG, SINGULAR_FLOOR, STENCIL_FLOOR, DomainError, ModelConfig,
+from .config import (DEFAULT_CONFIG, SINGULAR_FLOOR, DomainError, ModelConfig,
                      linspace, smoothstep_and_slope)
 
 __all__ = [
@@ -397,29 +397,12 @@ def closed_form(
 # monodromy profile
 
 
-def _check_label(cfg: ModelConfig, t: float) -> None:
-    """Refuse a label within 8e-8 of t = 0 or 2e-8 inside a domain end (the stencil's rules)."""
-    step = min(abs(t) / 8.0, 1e-3)
-    if step <= STENCIL_FLOOR:
-        raise DomainError(
-            f"t = {t} too close to the critical value t = 0 for a central stencil"
-        )
-    if t > 0:
-        step = min(step, 0.5 * (cfg.disk2_radius ** 2 - t))
-    else:
-        step = min(step, 0.5 * (t + cfg.disk1_radius ** 2))
-    if step <= STENCIL_FLOOR:
-        raise DomainError(
-            f"t = {t} too close to the fiber-coordinate boundary for a central stencil"
-        )
-
-
 def _validate_s0(cfg: ModelConfig, s0: float) -> None:
     lo, hi = cfg.s0_range
     if not lo < s0 <= hi:
         raise DomainError(
-            f"s0 = {s0} outside ({lo!r}, {hi!r}]: the limit stencil needs s0/64 above "
-            f"{STENCIL_FLOOR:g} and its arcs inside the small-t regime"
+            f"s0 = {s0} outside ({lo!r}, {hi!r}]: the limit levels +-s0/8 and +-s0/4 need "
+            f"|t| above {SINGULAR_FLOOR / 2:g} and their arcs inside the small-t regime"
         )
 
 
@@ -432,8 +415,6 @@ def _angles(cfg: ModelConfig, s0: float, ts: Sequence[float]) -> tuple[list, lis
     computes it, so the field kept it above the singular floor there; then
     r2' = mu' r2 / D and R' = [t > 0] - 2 r2 r2'.
     """
-    for t in ts:
-        _check_label(cfg, t)
     lo, width = cfg.cutoff_lo, cfg.cutoff_hi - cfg.cutoff_lo
     R, dR, dR_cut = [], [], []
     for t, (_, (r1, r2)) in zip(ts, _transport(cfg, ts, [0.0, s0])):
@@ -462,15 +443,14 @@ def monodromy_profile(
     there, its t-derivative ``dR`` and that of (1 - sigma) R, ``dR_cut``.
 
     One level per grid label: each derivative comes from the endpoint its
-    own level reaches (see ``_angles``).  The grid must avoid the critical
-    value 0 and keep 8e-8 from it and 2e-8 inside the domain ends.
+    own level reaches (see ``_angles``), so a label needs only what its
+    level needs to be stepped, which ``_validate_t`` checks: t inside the
+    fiber-coordinate range with |t| > SINGULAR_FLOOR / 2 = 5e-13.
     """
     _validate_s0(cfg, s0)
     ts = [float(t) for t in t_grid]
     if not ts:
         raise DomainError("empty t grid")
-    if 0.0 in ts:
-        raise DomainError("t grid must avoid the critical value 0")
     R, dR, dR_cut = _angles(cfg, s0, ts)
     return {"s0": s0, "t": ts, "R": R, "dR": dR, "dR_cut": dR_cut}
 

@@ -122,7 +122,7 @@ def test_criterion_3_transport():
         if abs(r2 - s0) > 1e-6:
             failures.append(f"mu=1 region: r2(s0, {t}) = {r2}, not s0")
 
-    # outer regime: a label keeps 2e-8 inside the range's end, so the grids stop at 99
+    # outer regime, sampled from t = 1 up to 99
     dense = monodromy_profile(cfg, s0, np.linspace(1.0, 99.0, 50))
     if not all(d > 0.0 for d in dense["dR"]):
         failures.append("outer profile derivative not positive everywhere")

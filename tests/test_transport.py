@@ -360,7 +360,7 @@ def _count_dopri5(monkeypatch) -> list:
     return starts
 
 
-def test_limits_step_only_their_stencil_levels(monkeypatch):
+def test_limits_step_only_their_four_levels(monkeypatch):
     starts = _count_dopri5(monkeypatch)
     limits_at_zero(DEFAULT_CONFIG, 1e-3)
     assert len(starts) == 4     # one level at each of the labels +-s0/8 and +-s0/4
@@ -371,6 +371,38 @@ def test_profile_steps_one_level_per_label(monkeypatch, count):
     starts = _count_dopri5(monkeypatch)
     monodromy_profile(DEFAULT_CONFIG, 1e-3, linspace(-0.2, 0.2, 2 * count)[:count])
     assert len(starts) == count
+
+
+# The sweeps a documented label is drawn along: log-spaced toward t = 0 on
+# either side, log-spaced toward either end of the level range, or uniform
+# across it.
+SWEEPS = ("0+", "0-", "lo", "hi", "across")
+
+
+def _label(cfg: ModelConfig, sweep: str, x: float) -> float:
+    """The label a fraction x along ``sweep``; x = 0 gives +-nextafter(5e-13) or the end itself."""
+    lo, hi = cfg.level_range
+    floor = math.nextafter(5e-13, math.inf)
+    near = max(floor * (0.1 / floor) ** x, floor)
+    return {"0+": near, "0-": -near, "lo": lo + (near - floor), "hi": hi - (near - floor),
+            "across": lo + x * (hi - lo)}[sweep]
+
+
+@pytest.mark.parametrize("cfg", S0_CONFIGS.values(), ids=S0_CONFIGS.keys())
+@settings(max_examples=40, deadline=None)
+@given(u=st.floats(min_value=0.0, max_value=1.0),
+       picks=st.lists(st.tuples(st.sampled_from(SWEEPS), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=4))
+@example(u=0.0, picks=[(sweep, 0.0) for sweep in SWEEPS[:4]])
+@example(u=1.0, picks=[(sweep, 0.0) for sweep in SWEEPS[:4]])
+def test_profile_is_finite_across_the_documented_domain(cfg, u, picks):
+    # every label the domain admits, |t| > 5e-13 inside the level range,
+    # gives a finite R, dR and dR_cut from its own endpoint across the s0 range
+    ts = [_label(cfg, sweep, x) for sweep, x in picks]
+    assume(all(abs(t) > 5e-13 for t in ts))
+    prof = monodromy_profile(cfg, _log_spaced_s0(cfg, u), ts)
+    for name in ("R", "dR", "dR_cut"):
+        assert all(map(math.isfinite, prof[name])), (name, ts, prof[name])
 
 
 def _small_t_slope(s0: float, t: float) -> float:
@@ -435,8 +467,8 @@ def test_transport_passes_across_the_s0_range(u):
 
 def test_s0_outside_its_range_is_refused(capsys):
     lo, hi = DEFAULT_CONFIG.s0_range
-    assert (lo, hi) == (6.4e-07, 0.0021730357237588326)      # as README and --help state
-    for s0 in (lo, 1e-7, math.nextafter(hi, math.inf), 0.003, 0.0125):
+    assert (lo, hi) == (4e-12, 0.0022069555463432975)        # as README and --help state
+    for s0 in (lo, 1e-12, math.nextafter(hi, math.inf), 0.003, 0.0125):
         assert cli.main(["transport", f"--s0={s0!r}"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -475,8 +507,7 @@ def test_cutoff_corrected_derivative_dies_near_the_top():
 
 
 def test_outer_profile_positive_and_decaying():
-    # t = 100 sits on the fiber-coordinate boundary, and a label keeps 2e-8
-    # inside it, so the grid stops just short of it
+    # sampled from t = 1 up to 99, short of the fiber-coordinate boundary t = 100
     ts = [1.0, 2.0, 5.0, 10.0, 30.0, 99.0]
     prof = monodromy_profile(DEFAULT_CONFIG, 1e-3, ts)
     assert all(d > 0.0 for d in prof["dR"])
@@ -499,10 +530,10 @@ def test_monodromy_rejects_bad_grids():
         monodromy_profile(cfg, 1e-3, [0.0, 0.1])
     with pytest.raises(DomainError):
         monodromy_profile(cfg, 0.5, [0.1])  # s0 beyond cfg.s0_range
-    with pytest.raises(DomainError, match="critical value"):
-        monodromy_profile(cfg, 1e-3, [5e-8])  # within 8e-8 of t = 0
-    with pytest.raises(DomainError, match="boundary"):
-        monodromy_profile(cfg, 1e-3, [-0.25 + 1e-9])
+    with pytest.raises(DomainError, match=r"\|t\| = 1e-13 is at most 5e-13"):
+        monodromy_profile(cfg, 1e-3, [1e-13])  # the denominator would start under its floor
+    # a label needs no room inside the range's end
+    assert math.isfinite(monodromy_profile(cfg, 1e-3, [-0.25 + 1e-9])["dR"][0])
 
 
 # ---------------------------------------------------------------------------
