@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lbfkit import contact, models
 from lbfkit.cli import MAX_N
 from lbfkit.config import DEFAULT_CONFIG, ModelConfig, linspace
-from lbfkit.exterior import ScalarExpr
+from lbfkit.exterior import Form, ScalarExpr, wedge
 from lbfkit.models import IdentityId
 
 
@@ -28,6 +28,72 @@ def test_all_nine_identities_exact(n):
 
 def test_identity_count_matches_enum():
     assert len(IdentityId) == 9
+
+
+# What verify-forms reports once two model forms are broken: omega1_tilde
+# gains r2 dr1^dtheta1 and beta's lam coefficient fc becomes fc + r.  The
+# identities that read neither form stay exact; the texts are the
+# engine's normal form, pinned literally.
+MUTANT_RESIDUALS = {
+    (IdentityId.TOP_POWER, 2): (
+        "(-12*f*r1^2*r2^4 + -12*r1^2*r2^2 + 12*r2^2 + 12*r2^4) * "
+        "dr1^dtheta1^dr2^dtheta2^dalpha + (-12*f*r1^2*r2^2 + -24*f*r1^2*r2^4 + 12*f*r1^4*r2^2"
+        " + 12*f*r1^4*r2^6*up + 12*f^2*r1^4*r2^4 + -12*r1^2*r2^2 + -12*r1^2*r2^4*up + "
+        "-12*r1^2*r2^6*up + 12*r1^4*r2^4*up + 12*r2^2 + 12*r2^4) * "
+        "dr1^dtheta1^dr2^alpha^dalpha"
+    ),
+    (IdentityId.OMEGA1_KERNEL, 2): "(-1*r2) * dr1",
+    (IdentityId.MOSER_DIFF, 2): "(-1*r2) * dr1^dtheta1",
+    (IdentityId.VERTICAL_SPLIT, 2): (
+        "(2*mu*mup*r2^3) * dr1 + (2*f*r1^2*r2^2 + 2*r1^2*r2^4*up + -2*r2^2) * dtheta2"
+    ),
+    (IdentityId.CONTACT_VOLUME, 2): (
+        "(-2*fc*gc + 4*fc*gcp*r + -2*fcp*gc*r + -2*gc*r + 2*gcp*r^2) * dr^dphi^lam^dlam"
+    ),
+    (IdentityId.TOP_POWER, 3): (
+        "(-48*f*r1^2*r2^4 + -48*f*r1^2*r2^6 + 48*f*r1^4*r2^4 + 24*f^2*r1^4*r2^6 + "
+        "-48*r1^2*r2^2 + -48*r1^2*r2^4 + 24*r1^4*r2^2 + 24*r2^2 + 48*r2^4 + 24*r2^6) * "
+        "dr1^dtheta1^dr2^dtheta2^dalpha^dalpha + (-24*f*r1^2*r2^2 + -96*f*r1^2*r2^4 + "
+        "-72*f*r1^2*r2^6 + 48*f*r1^4*r2^2 + 96*f*r1^4*r2^4 + 48*f*r1^4*r2^6*up + "
+        "48*f*r1^4*r2^8*up + -24*f*r1^6*r2^2 + -48*f*r1^6*r2^6*up + 48*f^2*r1^4*r2^4 + "
+        "72*f^2*r1^4*r2^6 + -48*f^2*r1^6*r2^4 + -24*f^2*r1^6*r2^8*up + -24*f^3*r1^6*r2^6 + "
+        "-48*r1^2*r2^2 + -48*r1^2*r2^4 + -24*r1^2*r2^4*up + -48*r1^2*r2^6*up + "
+        "-24*r1^2*r2^8*up + 24*r1^4*r2^2 + 48*r1^4*r2^4*up + 48*r1^4*r2^6*up + "
+        "-24*r1^6*r2^4*up + 24*r2^2 + 48*r2^4 + 24*r2^6) * "
+        "dr1^dtheta1^dr2^alpha^dalpha^dalpha"
+    ),
+    (IdentityId.OMEGA1_KERNEL, 3): "(-1*r2) * dr1",
+    (IdentityId.MOSER_DIFF, 3): "(-1*r2) * dr1^dtheta1",
+    (IdentityId.VERTICAL_SPLIT, 3): (
+        "(2*mu*mup*r2^3) * dr1 + (2*f*r1^2*r2^2 + 2*r1^2*r2^4*up + -2*r2^2) * dtheta2"
+    ),
+    (IdentityId.CONTACT_VOLUME, 3): (
+        "(-6*fc*fcp*gc*r + -6*fc*gc*r + 9*fc*gcp*r^2 + -3*fc^2*gc + 9*fc^2*gcp*r + "
+        "-3*fcp*gc*r^2 + -3*gc*r^2 + 3*gcp*r^3) * dr^dphi^lam^dlam^dlam"
+    ),
+}
+
+
+def _mutant_build_form(build_form):
+    def build(name, cfg=DEFAULT_CONFIG):
+        form = build_form(name, cfg)
+        A = form.algebra
+        if name == "omega1_tilde":
+            return form + wedge(Form.gen(A, "dr1", ScalarExpr.atom("r2")), Form.gen(A, "dtheta1"))
+        if name == "beta":
+            return form + Form.gen(A, "lam", ScalarExpr.atom("r"))
+        return form
+    return build
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_broken_forms_report_their_exact_residuals(n, monkeypatch):
+    monkeypatch.setattr(models, "build_form", _mutant_build_form(models.build_form))
+    for report in models.verify_all(ModelConfig(n=n)):
+        identity = IdentityId(report["identity"])
+        expected = MUTANT_RESIDUALS.get((identity, n), "0")
+        assert report["verdict"] == ("exact-equal" if expected == "0" else "residual"), identity
+        assert report["residual_text"] == expected, identity
 
 
 def test_top_power_coefficient_matches_displayed_formula():
