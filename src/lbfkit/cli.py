@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import tempfile
 import time
 from collections.abc import Callable, Sequence
 from pathlib import Path
@@ -133,6 +132,8 @@ def _write_atomic(path: Path, text: str) -> None:
     A path that cannot be written is a ``DomainError``, and no temporary
     file is left behind.
     """
+    import tempfile
+
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,10 @@ import, holds the partial derivative of every atom against every variable;
 function symbols carry those entries and nothing else, so identities proved
 here hold identically in them.
 
-Three generator algebras cover every model that appears downstream:
+Every model downstream is a set of disk factors over a contact base, and one
+``Algebra`` layout covers them all: per factor, the odd closed generators
+d<radius> and d<angle>; then the odd contact form, whose d is the even
+generator d<contact>, last in index order.  Three builders name the models:
 
 * ``disk_bundle_algebra``  -- one disk factor over a contact base
   (generators dr, dtheta, alpha, dalpha),
@@ -18,14 +21,14 @@ Three generator algebras cover every model that appears downstream:
   (dr, dphi, lam, dlam).
 
 Truncation encodes the contact dimension: odd generators square to zero and
-the even generators dalpha / dlam satisfy (dalpha)^m = 0 for m >= n.  The
-parameter n is fixed per algebra instance; identity checks loop over small n.
+the even generator satisfies (dalpha)^m = 0 for m >= n.  The parameter n is
+fixed per algebra instance; identity checks loop over small n.
 
 Coefficients are exact and kept in the normal form of ``poly``, whose sparse
 kernel does the scalar ring arithmetic.  Floats are refused with
 ``TypeError`` wherever a coefficient enters (``ScalarExpr.const`` and the
-ring operators, ``substitute``, the interior-product pairings), since
-``Fraction(0.1)`` would silently take the binary expansion of 0.1.
+ring operators, ``substitute``), since ``Fraction(0.1)`` would silently
+take the binary expansion of 0.1.
 
 ``wedge_power`` takes even forms only (every word of even degree, so the
 form is central) and expands the power by the binomial theorem; odd or
@@ -147,6 +150,9 @@ class ScalarExpr:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        # a constant, zero included, equals its coefficient and hashes alike
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
         return hash(tuple(sorted(self.terms.items())))
 
     def is_zero(self) -> bool:
@@ -245,8 +251,6 @@ def _derivative_table() -> dict[tuple[str, str], ScalarExpr]:
         for name, nxt in zip(names, names[1:]):
             for v in VARIABLES:
                 table[name, v] = factors[v] * ScalarExpr.atom(nxt) if v in factors else ZERO
-    for v in VARIABLES:
-        table["exp_t", v] = ScalarExpr.atom("exp_t") if v == "t" else ZERO
     return table
 
 
@@ -267,49 +271,33 @@ def derivative(atom: str, var: str) -> ScalarExpr:
 # generator algebras
 
 
-class Generator:
-    __slots__ = ("name", "degree", "max_power", "d_name")
-
-    def __init__(self, name: str, degree: int, max_power: int | None, d_name: str | None):
-        self.name = name
-        self.degree = degree          # 1 or 2
-        self.max_power = max_power    # None: only the parity cap applies
-        self.d_name = d_name          # exterior derivative target, None = closed
-
-    def __repr__(self) -> str:
-        return f"Generator({self.name}, deg={self.degree})"
-
-
 class Algebra:
-    """A fixed ordered generator set plus pairing and derivative data.
+    """Disk factors (radius, angle) over a contact base with 1-form ``contact``.
 
-    ``coord_forms`` maps the coordinate variables of the model to their
-    1-form generators, which is what drives d on coefficients.  ``pairings``
-    is the full interior-product table: dual name -> {generator: value};
-    unlisted pairs are zero.
+    ``names`` lists the generators in the module docstring's index order;
+    ``contact`` and ``even`` are the indices of the contact form and of
+    d<contact>; ``coord_forms`` maps each radius to the index of d<radius>,
+    which drives d on coefficients; ``duals`` maps each dual symbol to the
+    one odd generator it contracts to 1: d_<coord> to d<coord>, ``reeb`` to
+    the contact form.
     """
 
-    def __init__(
-        self,
-        name: str,
-        n: int,
-        generators: list[Generator],
-        coord_forms: Mapping[str, str],
-        pairings: Mapping[str, Mapping[str, Rational]],
-    ):
+    def __init__(self, name: str, n: int, disks: tuple[tuple[str, str], ...], contact: str):
         if n < 1:
             raise ValueError("truncation parameter n must be >= 1")
         self.name = name
         self.n = n
-        self.generators = tuple(generators)
-        self.index = {g.name: i for i, g in enumerate(generators)}
-        self.coord_forms = dict(coord_forms)
-        self.pairings = {d: dict(p) for d, p in pairings.items()}
+        coords = [coord for disk in disks for coord in disk]
+        self.names = tuple("d" + coord for coord in coords) + (contact, "d" + contact)
+        self.contact = len(coords)
+        self.even = len(coords) + 1
+        self.coord_forms = {radius: self.names.index("d" + radius) for radius, _ in disks}
+        self.duals = {"d_" + coord: i for i, coord in enumerate(coords)} | {"reeb": self.contact}
 
     def gen(self, name: str) -> int:
         try:
-            return self.index[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise AlgebraMismatchError(
                 f"algebra '{self.name}' has no generator '{name}'"
             ) from None
@@ -318,43 +306,19 @@ class Algebra:
         return f"Algebra({self.name}, n={self.n})"
 
 
-def _contact_algebra(
-    name: str, n: int, disks: tuple[tuple[str, str], ...], contact: str
-) -> Algebra:
-    """Disk factors (radius, angle) over a contact base with 1-form ``contact``.
-
-    Each factor gives the odd closed generators d<radius>, d<angle>, their
-    duals d_<radius>, d_<angle>, and the coordinate form radius -> d<radius>.
-    The contact form is odd with d-target d<contact>, even and capped at
-    n - 1; ``reeb`` pairs with the contact form alone.
-    """
-    generators: list[Generator] = []
-    coord_forms: dict[str, str] = {}
-    pairings: dict[str, dict[str, Rational]] = {}
-    for radius, angle in disks:
-        coord_forms[radius] = "d" + radius
-        for coord in (radius, angle):
-            generators.append(Generator("d" + coord, 1, None, None))
-            pairings["d_" + coord] = {"d" + coord: 1}
-    generators.append(Generator(contact, 1, None, "d" + contact))
-    generators.append(Generator("d" + contact, 2, n - 1, None))
-    pairings["reeb"] = {contact: 1}
-    return Algebra(name, n, generators, coord_forms, pairings)
-
-
 def disk_bundle_algebra(n: int) -> Algebra:
     """One disk factor (r, theta) over a contact base with form alpha."""
-    return _contact_algebra("disk_bundle", n, (("r", "theta"),), "alpha")
+    return Algebra("disk_bundle", n, (("r", "theta"),), "alpha")
 
 
 def double_disk_algebra(n: int) -> Algebra:
     """Two disk factors (r1, theta1), (r2, theta2) over a contact base."""
-    return _contact_algebra("double_disk", n, (("r1", "theta1"), ("r2", "theta2")), "alpha")
+    return Algebra("double_disk", n, (("r1", "theta1"), ("r2", "theta2")), "alpha")
 
 
 def collar_algebra(n: int) -> Algebra:
     """Collar [0, 1+eps] x (contact boundary) x S^1 with angle phi."""
-    return _contact_algebra("collar", n, (("r", "phi"),), "lam")
+    return Algebra("collar", n, (("r", "phi"),), "lam")
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +326,19 @@ def collar_algebra(n: int) -> Algebra:
 
 
 def _word_degree(algebra: Algebra, word: WedgeWord) -> int:
-    return sum(algebra.generators[i].degree * e for i, e in word)
+    return sum(e if i != algebra.even else 2 * e for i, e in word)
 
 
 def _mul_words(algebra: Algebra, w1: WedgeWord, w2: WedgeWord) -> tuple[int, WedgeWord] | None:
     """Product of canonical wedge words: (sign, merged word) or None if zero.
 
-    Sign counts transpositions of odd generators only; even generators are
-    central.  Returns None when an odd generator repeats or a truncated even
-    generator exceeds its cap.
+    Sign counts transpositions of odd generators only; the even generator is
+    central.  Returns None when an odd generator repeats or the even
+    generator's power exceeds its cap n - 1.
     """
-    odd1 = [i for i, e in w1 if algebra.generators[i].degree == 1]
-    odd2 = [i for i, e in w2 if algebra.generators[i].degree == 1]
+    even = algebra.even
+    odd1 = [i for i, _ in w1 if i != even]
+    odd2 = [i for i, _ in w2 if i != even]
     if set(odd1) & set(odd2):
         return None
     inversions = 0
@@ -384,10 +349,8 @@ def _mul_words(algebra: Algebra, w1: WedgeWord, w2: WedgeWord) -> tuple[int, Wed
     powers: dict[int, int] = dict(w1)
     for i, e in w2:
         powers[i] = powers.get(i, 0) + e
-    for i, e in powers.items():
-        cap = algebra.generators[i].max_power
-        if cap is not None and e > cap:
-            return None
+    if powers.get(even, 0) >= algebra.n:
+        return None
     word = tuple(sorted(powers.items()))
     return (-1) ** inversions, word
 
@@ -497,7 +460,7 @@ class Form:
             coeff = self.terms[word]
             names: list[str] = []
             for idx, exp in word:
-                names.extend([algebra.generators[idx].name] * exp)
+                names.extend([algebra.names[idx]] * exp)
             if names:
                 chunks.append(f"({coeff.to_text()}) * " + "^".join(names))
             else:
@@ -515,7 +478,7 @@ class TangentSymbol:
 
     def __init__(self, algebra: Algebra, parts: Mapping[str, "ScalarExpr | Rational"]):
         for name in parts:
-            if name not in algebra.pairings:
+            if name not in algebra.duals:
                 raise AlgebraMismatchError(
                     f"algebra '{algebra.name}' has no dual symbol '{name}'"
                 )
@@ -568,11 +531,10 @@ def wedge_power(a: Form, k: int) -> Form:
     algebra = a.algebra
     if any(d % 2 for d in a.degrees()):
         raise ValueError("wedge_power needs an even form: every word of even degree")
-    gens = algebra.generators
     p_terms: dict[WedgeWord, ScalarExpr] = {}
     q_terms: dict[WedgeWord, ScalarExpr] = {}
     for word, coeff in a.terms.items():
-        odd = any(gens[i].degree % 2 for i, _ in word)
+        odd = any(i != algebra.even for i, _ in word)
         (p_terms if odd else q_terms)[word] = coeff
     p, q = Form(algebra, p_terms), Form(algebra, q_terms)
 
@@ -596,50 +558,47 @@ def wedge_power(a: Form, k: int) -> Form:
 
 
 def ext_d(a: Form) -> Form:
-    """Exterior derivative: Leibniz over wedge words, chain rules on atoms."""
+    """Exterior derivative: Leibniz over wedge words, chain rules on atoms.
+
+    Only the contact form has a nonzero d.  Every generator before it in a
+    word is odd with exponent 1, so moving d<contact> to the front costs the
+    sign (-1)^position.
+    """
     algebra = a.algebra
+    target = ((algebra.even, 1),)
     out: dict[WedgeWord, ScalarExpr] = {}
     for word, coeff in a.terms.items():
         # d of the coefficient
-        for var, gen_name in algebra.coord_forms.items():
+        for var, idx in algebra.coord_forms.items():
             dc = coeff.diff(var)
             if not dc.is_zero():
-                _add_product(out, algebra, ((algebra.gen(gen_name), 1),), dc, word, ONE)
-        # d of the word itself; only odd generators with a d-target contribute
-        parity = 0
-        for pos, (idx, exp) in enumerate(word):
-            g = algebra.generators[idx]
-            if g.d_name is not None:
-                assert g.degree == 1, "only odd generators may have nonzero d"
+                _add_product(out, algebra, ((idx, 1),), dc, word, ONE)
+        # d of the word itself; the even target commutes, so re-merging the
+        # words fixes the ordering and the cap
+        for pos, (idx, _) in enumerate(word):
+            if idx == algebra.contact:
                 rest = word[:pos] + word[pos + 1 :]
-                # the replacement lands in front; its even target commutes, so
-                # re-merging the words fixes the ordering and caps
-                target = ((algebra.gen(g.d_name), 1),)
-                _add_product(out, algebra, target, coeff * (-1) ** parity, rest, ONE)
-            parity += g.degree * exp
+                _add_product(out, algebra, target, coeff * (-1) ** pos, rest, ONE)
     return Form(algebra, out)
 
 
 def interior(v: TangentSymbol, a: Form) -> Form:
-    """Contraction with a formal tangent symbol: a graded degree -1 derivation."""
+    """Contraction with a formal tangent symbol: a graded degree -1 derivation.
+
+    Each dual contracts its one odd generator to 1; the generators before it
+    in a word are odd, so the sign is (-1)^position.
+    """
     if not _same_algebra(v.algebra, a.algebra):
         raise AlgebraMismatchError("tangent symbol and form live over different algebras")
     algebra = a.algebra
     out: dict[WedgeWord, ScalarExpr] = {}
     for dual, vcoeff in v.parts.items():
-        table = algebra.pairings[dual]
+        target = algebra.duals[dual]
         for word, coeff in a.terms.items():
-            parity = 0
-            for pos, (idx, exp) in enumerate(word):
-                g = algebra.generators[idx]
-                if g.degree == 1:
-                    pairing = _rational(table.get(g.name, 0))
-                    if pairing:
-                        rest = word[:pos] + word[pos + 1 :]
-                        sign = (-1) ** parity
-                        _accumulate(out, rest, coeff * vcoeff * pairing * sign)
-                    parity += 1
-                # even generators pair to zero against every listed dual
+            for pos, (idx, _) in enumerate(word):
+                if idx == target:
+                    rest = word[:pos] + word[pos + 1 :]
+                    _accumulate(out, rest, coeff * vcoeff * (-1) ** pos)
     return Form(algebra, out)
 
 

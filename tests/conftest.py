@@ -49,16 +49,16 @@ def random_form(algebra: Algebra, rng: random.Random, max_terms: int = 3) -> For
     result = Form.zero(algebra)
     for _ in range(rng.randint(0, max_terms)):
         word = []
-        for gen in algebra.generators:
-            cap = 1 if gen.degree % 2 else (gen.max_power or 2)
+        for idx in range(len(algebra.names)):
+            cap = 1 if idx != algebra.even else algebra.n - 1
             power = rng.randint(0, min(cap, 2))
             if power:
-                word.append((algebra.gen(gen.name), power))
+                word.append((idx, power))
         coeff = random_scalar(rng)
         term = Form.scalar(algebra, coeff)
         for idx, power in word:
             for _ in range(power):
-                term = exterior.wedge(term, Form.gen(algebra, algebra.generators[idx].name))
+                term = exterior.wedge(term, Form.gen(algebra, algebra.names[idx]))
         result = result + term
     return result
 
@@ -66,8 +66,8 @@ def random_form(algebra: Algebra, rng: random.Random, max_terms: int = 3) -> For
 def random_even_form(algebra: Algebra, rng: random.Random, max_terms: int = 4) -> Form:
     """A random even form (a central element): a scalar plus terms made of
     zero, two or four odd generators and up to two even ones."""
-    odd = [g.name for g in algebra.generators if g.degree == 1]
-    even = [g.name for g in algebra.generators if g.degree == 2]
+    odd = [g for idx, g in enumerate(algebra.names) if idx != algebra.even]
+    even = [algebra.names[algebra.even]]
     result = Form.scalar(algebra, random_scalar(rng, depth=1))
     for _ in range(rng.randint(1, max_terms)):
         names = rng.sample(odd, rng.choice([c for c in (0, 2, 2, 4) if c <= len(odd)]))

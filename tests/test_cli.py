@@ -882,3 +882,6 @@ def test_no_run_loads_typing_on_a_clean_interpreter(name, tmp_path):
     ((code, _, _),), modules = run_fresh([argv], no_site=True)
     assert code == 0
     assert "typing" not in modules
+    # only a run that writes files loads tempfile
+    if "OUT" not in IMPORT_RUNS[name][0]:
+        assert "tempfile" not in modules

@@ -125,12 +125,11 @@ def test_substitute_refuses_floats():
     assert ScalarExpr.atom("f", -2).substitute({"f": 2}) == ScalarExpr.const(Fraction(1, 4))
 
 
-def test_interior_refuses_float_pairings():
-    alg = exterior.Algebra(
-        "toy", 2, [exterior.Generator("dx", 1, None, None)], {}, {"d_x": {"dx": 0.5}}
-    )
-    with pytest.raises(TypeError, match="int or a Fraction"):
-        interior(TangentSymbol(alg, {"d_x": 1}), Form.gen(alg, "dx"))
+def test_constants_hash_as_their_coefficients():
+    for value in (3, 0, -7, Fraction(1, 2), Fraction(6, 2)):
+        const = ScalarExpr.const(value)
+        assert const == value and hash(const) == hash(value)
+        assert len({const, value}) == 1
 
 
 def test_chain_rule_depth_and_missing_rule():
@@ -210,41 +209,38 @@ def test_even_generator_power_cap():
         assert wedge_power(da, n).is_zero()
 
 
-# Each algebra's layout as the explicit constructors spelled it out:
-# generators (name, degree, cap, d-target) in index order, coordinate forms
-# and pairings.  The cap of the even generator is n - 1.
+# Each algebra's layout: generator names in index order, the index of the
+# contact form, coordinate forms (radius -> generator index) and duals (dual
+# -> the one generator it contracts).  The even generator d<contact> is last.
 LAYOUTS = {
     exterior.disk_bundle_algebra: (
-        lambda n: [("dr", 1, None, None), ("dtheta", 1, None, None),
-                   ("alpha", 1, None, "dalpha"), ("dalpha", 2, n - 1, None)],
-        {"r": "dr"},
-        {"d_r": {"dr": 1}, "d_theta": {"dtheta": 1}, "reeb": {"alpha": 1}},
+        ("dr", "dtheta", "alpha", "dalpha"), 2,
+        {"r": 0},
+        {"d_r": 0, "d_theta": 1, "reeb": 2},
     ),
     exterior.double_disk_algebra: (
-        lambda n: [("dr1", 1, None, None), ("dtheta1", 1, None, None),
-                   ("dr2", 1, None, None), ("dtheta2", 1, None, None),
-                   ("alpha", 1, None, "dalpha"), ("dalpha", 2, n - 1, None)],
-        {"r1": "dr1", "r2": "dr2"},
-        {"d_r1": {"dr1": 1}, "d_theta1": {"dtheta1": 1}, "d_r2": {"dr2": 1},
-         "d_theta2": {"dtheta2": 1}, "reeb": {"alpha": 1}},
+        ("dr1", "dtheta1", "dr2", "dtheta2", "alpha", "dalpha"), 4,
+        {"r1": 0, "r2": 2},
+        {"d_r1": 0, "d_theta1": 1, "d_r2": 2, "d_theta2": 3, "reeb": 4},
     ),
     exterior.collar_algebra: (
-        lambda n: [("dr", 1, None, None), ("dphi", 1, None, None),
-                   ("lam", 1, None, "dlam"), ("dlam", 2, n - 1, None)],
-        {"r": "dr"},
-        {"d_r": {"dr": 1}, "d_phi": {"dphi": 1}, "reeb": {"lam": 1}},
+        ("dr", "dphi", "lam", "dlam"), 2,
+        {"r": 0},
+        {"d_r": 0, "d_phi": 1, "reeb": 2},
     ),
 }
 
 
 @pytest.mark.parametrize("n", [2, 5])
 def test_algebra_layouts(n):
-    for build, (generators, coord_forms, pairings) in LAYOUTS.items():
+    for build, (names, contact, coord_forms, duals) in LAYOUTS.items():
         alg = build(n)
-        assert [(g.name, g.degree, g.max_power, g.d_name)
-                for g in alg.generators] == generators(n)
+        assert alg.n == n
+        assert alg.names == names
+        assert alg.contact == contact
+        assert alg.even == len(names) - 1
         assert alg.coord_forms == coord_forms
-        assert alg.pairings == pairings
+        assert alg.duals == duals
 
 
 def _assert_power_matches_fold(form: Form, kmax: int) -> None:
@@ -333,18 +329,18 @@ def _ext_d_reference(a: Form) -> Form:
     alg = a.algebra
     out = Form.zero(alg)
     for word, coeff in a.terms.items():
-        for var, gen_name in alg.coord_forms.items():
+        for var, idx in alg.coord_forms.items():
             dc = coeff.diff(var)
             if not dc.is_zero():
-                out = out + wedge(Form.gen(alg, gen_name, dc), Form(alg, {word: ONE}))
+                out = out + wedge(Form.gen(alg, alg.names[idx], dc), Form(alg, {word: ONE}))
+        # the sign's parity is the total degree in front, dalpha counting 2
         parity = 0
         for pos, (idx, exp) in enumerate(word):
-            g = alg.generators[idx]
-            if g.d_name is not None:
+            if idx == alg.contact:
                 rest = word[:pos] + word[pos + 1 :]
-                piece = Form.gen(alg, g.d_name, coeff * (-1) ** parity)
+                piece = Form.gen(alg, alg.names[alg.even], coeff * (-1) ** parity)
                 out = out + wedge(piece, Form(alg, {rest: ONE}))
-            parity += g.degree * exp
+            parity += (2 if idx == alg.even else 1) * exp
     return out
 
 
