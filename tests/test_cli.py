@@ -33,6 +33,8 @@ GOLDEN_RUNS = {
        for fmt, suffix in (("json", ".json"), ("csv", ".csv"), ("table", ".txt"))},
     "transport_t-0.1_grid6.json": ["transport", "--t", "-0.1", "--grid=-0.2:0.2:6"],
     "resolve_k6_dim0.json": ["resolve", "--k", "6", "--dim", "0"],
+    # 14 variables: pins the slot-order printing of y10..y13
+    "resolve_k57_dim12.csv": ["resolve", "--k", "57", "--dim", "12", "--format", "csv"],
     "fillings_n3_k8_include-zero.json": ["fillings", "--n", "3", "--k", "8", "--include-zero"],
     "contact-check_n7.json": ["contact-check", "--n", "7"],
 }

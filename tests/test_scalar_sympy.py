@@ -1,9 +1,12 @@
-"""Differential test of the exact polynomial rings against sympy polynomials.
+"""Differential tests of the exact polynomial layers against sympy.
 
 Random chains of +, *, ** and d/dvar over mixed int and Fraction(p, q)
-coefficients run side by side in ``ScalarExpr`` and in sympy, and chains of
-+, -, *, ** and ``scale`` in ``blowup.MultiPoly`` and in sympy; after every
-operation the two must agree exactly, and every stored term must be in the
+coefficients run side by side in ``ScalarExpr`` and in sympy; after every
+operation the two must agree exactly.  Random ``blowup.MultiPoly``s that
+vanish at the origin, over 1-12 variables, go through ``proper_transform``
+on a random chart j; the result must equal sympy's pullback
+x_i -> x_i*x_j (i != j) divided by x_j^m, where m is the smallest total
+degree, and must not be divisible by y_j.  Every stored term must be in the
 normal form of ``lbfkit.poly``: a variable-sorted monomial with no zero
 exponent, and a coefficient that is an int, or a Fraction whose denominator
 is not 1.  sympy is in the ``test`` extra, not a runtime dependency of
@@ -17,7 +20,8 @@ from fractions import Fraction
 
 import pytest
 
-from lbfkit.blowup import MultiPoly
+from lbfkit import poly
+from lbfkit.blowup import MultiPoly, proper_transform
 from lbfkit.exterior import ScalarExpr
 
 sympy = pytest.importorskip("sympy")
@@ -113,40 +117,29 @@ def test_monomial_inverse_and_substitution_match_sympy():
         _assert_same(subbed, sa.subs(SYMBOLS[v], sympy.Rational(value.numerator, value.denominator)))
 
 
-def _random_multi(rng: random.Random, nvars: int):
-    poly, sym = MultiPoly.zero(nvars), sympy.Integer(0)
-    for _ in range(rng.randint(1, 3)):
-        c = _coeff(rng)
-        term, sterm = MultiPoly.constant(nvars, c), sympy.Rational(c.numerator, c.denominator)
-        for _ in range(rng.randint(0, 2)):
-            i, e = rng.randrange(nvars), rng.randint(1, 2)
-            term, sterm = term * MultiPoly.variable(nvars, i, e), sterm * XS[i] ** e
-        poly, sym = poly + term, sym + sterm
-    return poly, sym
+def _random_vanishing(rng: random.Random, nvars: int):
+    # built through the constructor, as the resolution builds its inputs:
+    # normal-form monomials and coefficients, no constant term
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = [rng.randint(0, 3) if rng.random() < 0.4 else 0 for _ in range(nvars)]
+        if not any(exps):
+            exps[rng.randrange(nvars)] = rng.randint(1, 3)
+        terms[poly.monomial(dict(enumerate(exps)))] = poly.norm(_coeff(rng)) or 1
+    return MultiPoly(nvars, terms)
 
 
-def test_multipoly_ring_matches_sympy():
+def test_proper_transform_matches_sympy():
     rng = random.Random(13)
-    for _ in range(60):
+    for _ in range(80):
         nvars = rng.randint(1, MAX_NVARS)
-        a, sa = _random_multi(rng, nvars)
-        _assert_same(a, sa)
-        for _ in range(4):
-            op = rng.choice(("add", "sub", "mul", "pow", "scale"))
-            if op in ("add", "sub", "mul"):
-                b, sb = _random_multi(rng, nvars)
-                if op == "add":
-                    a, sa = a + b, sa + sb
-                elif op == "sub":
-                    a, sa = a - b, sa - sb
-                else:
-                    a, sa = a * b, sa * sb
-            elif op == "pow":
-                e = rng.randint(0, 3 if len(a.terms) <= 4 else 1)
-                a, sa = a ** e, sa ** e
-            else:
-                # a rational string enters the same way as the number it names
-                c = _coeff(rng)
-                a = a.scale(rng.choice((c, str(c))))
-                sa = sa * sympy.Rational(c.numerator, c.denominator)
-            _assert_same(a, sa)
+        p = _random_vanishing(rng, nvars)
+        j = rng.randrange(nvars)
+        q, m = proper_transform(p, j)
+        sp = _to_sympy(p)
+        assert m == min(sum(e for _, e in mono) for mono in p.terms)
+        pulled = sp.subs({XS[i]: XS[i] * XS[j] for i in range(nvars) if i != j},
+                         simultaneous=True)
+        _assert_same(q, sympy.expand(sympy.expand(pulled) / XS[j] ** m))
+        # y_j^m is the whole exceptional factor: some term is free of y_j
+        assert min(dict(mono).get(j, 0) for mono in q.terms) == 0
