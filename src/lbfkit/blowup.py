@@ -1,14 +1,18 @@
 """Exact blow-up calculus for isolated A-type hypersurface singularities.
 
-Everything here is polynomial algebra over exact rationals.  A point
-blow-up of affine space replaces the origin by a projective space; on
-the j-th standard chart the pullback of coordinates reads
+Everything here is exact: ``MultiPoly`` holds a ``poly`` dict with
+rational coefficients, built by ``+`` from variables and constants.  A
+point blow-up of affine space replaces the origin by a projective space;
+on the j-th standard chart the pullback of coordinates reads
 
     x_i = y_i * y_j   (i != j),        x_j = y_j,
 
 so a polynomial vanishing at the origin picks up a factor y_j^m, where
 m is its multiplicity there.  Stripping that factor gives the proper
-transform.  For the family
+transform.  On a monomial the pullback and the division are one exponent
+rewrite, the j-th exponent becoming the term's total degree minus m, so
+``proper_transform`` builds the proper transform in one pass without the
+total transform.  For the family
 
     x_0^2 + ... + x_n^2 + x_{n+1}^{k+1}
 
@@ -64,8 +68,9 @@ class MultiPoly:
     ``terms`` is a ``poly`` dict keyed by sparse ``(index, exp)`` monomials
     over the slots 0..nvars-1.  The constructor trusts it, so internal
     results skip validation; ``zero``, ``constant`` and ``variable`` check
-    what enters from outside.  The printed form is canonical: graded
-    lexicographic, lowest total degree first.
+    what enters from outside.  The one ring operation is ``+``.  The
+    printed form is canonical: graded lexicographic, lowest total degree
+    first.
     """
 
     __slots__ = ("nvars", "terms", "prefix")
@@ -111,29 +116,6 @@ class MultiPoly:
         self._check(other)
         return MultiPoly(self.nvars, poly.add(self.terms, other.terms), prefix=self.prefix)
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(
-            self.nvars, {e: -c for e, c in self.terms.items()}, prefix=self.prefix
-        )
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        return MultiPoly(self.nvars, poly.mul(self.terms, other.terms), prefix=self.prefix)
-
-    def scale(self, value: object) -> "MultiPoly":
-        return self * MultiPoly.constant(self.nvars, value)
-
-    def __pow__(self, power: int) -> "MultiPoly":
-        if power < 0:
-            raise ValueError("negative powers are not polynomial")
-        out = MultiPoly(self.nvars, {(): 1}, prefix=self.prefix)
-        for _ in range(power):
-            out = out * self
-        return out
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -156,14 +138,6 @@ class MultiPoly:
         if not self.terms:
             raise ValueError("the zero polynomial has no multiplicity")
         return min(sum(e for _, e in mono) for mono in self.terms)
-
-    def min_exponent(self, index: int) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no exponents")
-        return min(next((e for i, e in mono if i == index), 0) for mono in self.terms)
-
-    def divisible_by(self, index: int) -> bool:
-        return bool(self.terms) and self.min_exponent(index) >= 1
 
     # -- canonical form ----------------------------------------------------
 
@@ -209,9 +183,6 @@ class MultiPoly:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
-
 
 def a_type_polynomial(k: int, n: int) -> MultiPoly:
     """x_0^2 + ... + x_n^2 + x_{n+1}^(k+1) in n+2 variables."""
@@ -230,13 +201,15 @@ def a_type_polynomial(k: int, n: int) -> MultiPoly:
 # blow-up charts
 
 
-def blowup_chart(p: MultiPoly, j: int) -> MultiPoly:
-    """Total transform of p on the j-th chart of the point blow-up.
+def proper_transform(p: MultiPoly, j: int) -> tuple[MultiPoly, int]:
+    """Proper transform of p on the j-th chart, and p's multiplicity m at 0.
 
-    On monomials the substitution x_i -> y_i y_j (i != j), x_j -> y_j
-    keeps every exponent except the j-th, which becomes the term's total
-    degree.  That map is injective (the old j-th exponent is the total
-    minus the others), so no two terms collide.
+    The pullback x_i -> y_i y_j (i != j), x_j -> y_j and the division by
+    y_j^m set each term's j-th exponent to its total degree minus m and
+    keep the others, in one pass.  That map is injective (the old j-th
+    exponent is the total minus the others), so no two terms collide; a
+    term of least degree loses y_j, so the result is not divisible by
+    y_j.  m does not depend on the chart.
     """
     if not 0 <= j < p.nvars:
         raise ValueError(f"chart index {j} outside 0..{p.nvars - 1}")
@@ -245,27 +218,13 @@ def blowup_chart(p: MultiPoly, j: int) -> MultiPoly:
             f"polynomial has constant term {p.constant_term}; "
             "blow-up charts are defined only for polynomials vanishing at the origin"
         )
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no proper transform")
+    m = p.multiplicity_at_origin()
     terms = {
-        poly.monomial({**dict(mono), j: sum(e for _, e in mono)}): c
+        poly.monomial({**dict(mono), j: sum(e for _, e in mono) - m}): c
         for mono, c in p.terms.items()
     }
-    return MultiPoly(p.nvars, terms, prefix="y")
-
-
-def proper_transform(p: MultiPoly, j: int) -> tuple[MultiPoly, int]:
-    """Strip the exceptional factor y_j^m from the total transform.
-
-    Returns the divided polynomial and the multiplicity m, which equals
-    the order of vanishing of p at the origin and so does not depend on
-    the chart.
-    """
-    total = blowup_chart(p, j)
-    if total.is_zero():
-        raise ValueError("the zero polynomial has no proper transform")
-    # m >= 1: every term of the total transform has y_j to its total degree
-    m = total.min_exponent(j)
-    strip = ((j, -m),)
-    terms = {poly.mul_monomials(mono, strip): c for mono, c in total.terms.items()}
     return MultiPoly(p.nvars, terms, prefix="y"), m
 
 

@@ -157,7 +157,7 @@ class ModelConfig:
         return radius + rest * s, (1.0 - s) + rest * ds / w
 
     # -- levels t of the fibration: their documented range, and the
-    #    monodromy cutoff sigma as a function of t
+    #    interval [cutoff_lo, cutoff_hi] where the monodromy cutoff rises
 
     @property
     def level_range(self) -> tuple[float, float]:
@@ -190,9 +190,6 @@ class ModelConfig:
     @property
     def cutoff_hi(self) -> float:
         return 0.9 * self.disk2_radius ** 2
-
-    def cutoff(self, t: float) -> float:
-        return smoothstep_and_slope((t - self.cutoff_lo) / (self.cutoff_hi - self.cutoff_lo))[0]
 
 
 DEFAULT_CONFIG = ModelConfig()

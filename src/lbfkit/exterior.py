@@ -85,13 +85,14 @@ class ScalarExpr:
     keyed canonically, and each coefficient an ``int`` when its denominator
     is 1, a ``Fraction`` otherwise.  Equality is therefore dict equality;
     ``3`` and ``Fraction(3)`` print, compare and hash alike.  Anything
-    other than an int or a Fraction raises ``TypeError``.
+    other than an int or a Fraction raises ``TypeError``.  The constructor
+    keeps the dict it is given, uncopied; every caller passes a new one.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[ScalarMonomial, Rational] | None = None):
-        self.terms: dict[ScalarMonomial, Rational] = dict(terms or {})
+    def __init__(self, terms: dict[ScalarMonomial, Rational] | None = None):
+        self.terms: dict[ScalarMonomial, Rational] = {} if terms is None else terms
 
     # -- constructors
 

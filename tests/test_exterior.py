@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lbfkit import exterior
-from lbfkit.blowup import MultiPoly
 from lbfkit.exterior import (
     AlgebraMismatchError,
     Form,
@@ -57,25 +56,22 @@ def test_scalar_power_and_monomial_inverse():
 
 
 def test_scalar_power_is_a_left_fold(monkeypatch):
-    # one product by the base per unit of the exponent, both in the exact
-    # engine and in the blow-up layer's polynomials, so every product has
-    # the sparse base as one factor
-    bases = [ScalarExpr.atom("f") + 1,
-             MultiPoly.variable(1, 0) + MultiPoly.constant(1, 1)]
-    for base in bases:
-        mul = type(base).__mul__
-        factors = []
+    # one product by the base per unit of the exponent, so every product
+    # has the sparse base as one factor
+    base = ScalarExpr.atom("f") + 1
+    mul = ScalarExpr.__mul__
+    factors = []
 
-        def recording_mul(self, other, _mul=mul, _factors=factors):
-            _factors.append(other)
-            return _mul(self, other)
+    def recording_mul(self, other):
+        factors.append(other)
+        return mul(self, other)
 
-        monkeypatch.setattr(type(base), "__mul__", recording_mul)
-        for exponent in range(41):
-            factors.clear()
-            base ** exponent
-            assert len(factors) == exponent, (type(base).__name__, exponent)
-            assert all(f is base for f in factors), (type(base).__name__, exponent)
+    monkeypatch.setattr(ScalarExpr, "__mul__", recording_mul)
+    for exponent in range(41):
+        factors.clear()
+        base ** exponent
+        assert len(factors) == exponent, exponent
+        assert all(f is base for f in factors), exponent
 
 
 def test_scalar_negative_power_rejects_sums():
