@@ -6,7 +6,7 @@ Modules:
 * ``exterior``  -- symbolic exterior calculus engine (exact rationals)
 * ``config``    -- model constants, smooth profiles on floats, ``DomainError``
 * ``models``    -- named model forms and the identity checks over them
-* ``transport`` -- parallel-transport ODE, closed forms, monodromy profiles
+* ``transport`` -- parallel-transport ODE and monodromy profiles
 * ``mcg``       -- Dehn-twist word calculus on fibered boundaries
 * ``topo``      -- Euler-characteristic bookkeeping for fillings
 * ``blowup``    -- exact polynomial blow-ups resolving A_k singularities

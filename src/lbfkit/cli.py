@@ -248,12 +248,11 @@ def _suite_transport(t: float, s0: float, grid: str) -> SuiteResult:
 
     cfg = DEFAULT_CONFIG
     levels = _parse_grid(grid)
-    # a bad --t or --s0 is a usage error before anything is integrated
+    # a bad --t is a usage error before anything is integrated
     transport._validate_t(cfg, t)
-    transport._validate_s0(cfg, s0)
     timing: dict[str, float] = {}
-    # ... and so is a grid level with |t| <= 5e-13, which the profile
-    # refuses before it steps any level
+    # ... and so are a bad --s0 and a grid level with |t| <= 5e-13, which
+    # the profile refuses, in that order, before it steps any level
     prof = _timed(timing, "profile_ms", transport.monodromy_profile, cfg, s0, levels)
 
     # Both denominator conventions ride along on every trajectory report.

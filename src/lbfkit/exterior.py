@@ -27,8 +27,8 @@ fixed per algebra instance; identity checks loop over small n.
 Coefficients are exact and kept in the normal form of ``poly``, whose sparse
 kernel does the scalar ring arithmetic.  Floats are refused with
 ``TypeError`` wherever a coefficient enters (``ScalarExpr.const`` and the
-ring operators, ``substitute``), since ``Fraction(0.1)`` would silently
-take the binary expansion of 0.1.
+ring operators), since ``Fraction(0.1)`` would silently take the binary
+expansion of 0.1.
 
 ``wedge_power`` takes even forms only (every word of even degree, so the
 form is central) and expands the power by the binomial theorem; odd or
@@ -120,9 +120,6 @@ class ScalarExpr:
     def __sub__(self, other: "ScalarExpr | Rational") -> "ScalarExpr":
         return self + (-_as_scalar(other))
 
-    def __rsub__(self, other: Rational) -> "ScalarExpr":
-        return _as_scalar(other) + (-self)
-
     def __mul__(self, other: "ScalarExpr | Rational") -> "ScalarExpr":
         return ScalarExpr(poly.mul(self.terms, _as_scalar(other).terms))
 
@@ -172,23 +169,6 @@ class ScalarExpr:
                 rest = poly.mul_monomials(mono, ((atom, -1),))
                 out = out + ScalarExpr({rest: poly.norm(coeff * exp)}) * datom
         return out
-
-    def substitute(self, values: Mapping[str, Rational]) -> "ScalarExpr":
-        """Replace atoms by int or Fraction constants.  Used e.g. to pin f = 0."""
-        out: dict[ScalarMonomial, Rational] = {}
-        for mono, coeff in self.terms.items():
-            acc = coeff
-            rest: dict[str, int] = {}
-            for atom, exp in mono:
-                if atom in values:
-                    v = _rational(values[atom])
-                    if v == 0 and exp < 0:
-                        raise ZeroDivisionError(f"substituting 0 for {atom}^{exp}")
-                    acc = acc * poly.rpow(v, exp)
-                else:
-                    rest[atom] = exp
-            poly.accumulate(out, poly.monomial(rest), acc)
-        return ScalarExpr(out)
 
     # -- display
 
@@ -435,9 +415,6 @@ class Form:
         factor = _as_scalar(factor)
         return Form(self.algebra, {w: c * factor for w, c in self.terms.items()})
 
-    def __rmul__(self, factor: "ScalarExpr | Rational") -> "Form":
-        return self.scale(factor)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -447,7 +424,8 @@ class Form:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Form):
             return NotImplemented
-        return equals(self, other)
+        self._check(other)
+        return (self - other).is_zero()
 
     # -- display
 
@@ -601,8 +579,3 @@ def interior(v: TangentSymbol, a: Form) -> Form:
                     rest = word[:pos] + word[pos + 1 :]
                     _accumulate(out, rest, coeff * vcoeff * (-1) ** pos)
     return Form(algebra, out)
-
-
-def equals(a: Form, b: Form) -> bool:
-    a._check(b)
-    return (a - b).is_zero()

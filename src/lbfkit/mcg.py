@@ -25,12 +25,9 @@ __all__ = [
     "TwistWord",
     "SubstitutionStep",
     "PatternMismatchError",
-    "NotRelatedError",
     "disk_cotangent_sphere",
     "substitute",
-    "aa_count",
     "enumerate_fillings",
-    "substitution_chain",
 ]
 
 SPHERE = "S"
@@ -40,10 +37,6 @@ _LABELS = {SPHERE: "S0", BOUNDARY: "D"}   # a letter's name in error texts
 
 class PatternMismatchError(ValueError):
     """The requested local replacement does not match the word at pos."""
-
-
-class NotRelatedError(ValueError):
-    """Two words cannot be joined by substitutions (weight or fiber differ)."""
 
 
 def disk_cotangent_sphere(n: int) -> str:
@@ -73,9 +66,6 @@ class TwistWord:
     @property
     def weight(self) -> int:
         return len(self.letters) + self.letters.count(BOUNDARY)
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def serialize(self) -> str:
         return " ".join(self.letters)
@@ -130,14 +120,6 @@ def substitute(word: TwistWord, pos: int, direction: str) -> TwistWord:
     raise ValueError(f"unknown direction {direction!r}; use 'contract' or 'expand'")
 
 
-def aa_count(d: int, n: int) -> int:
-    """d (d-1)^n, the twist count in the cyclic-cover factorization family."""
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
-    if n < 0:
-        raise ValueError(f"exponent must be >= 0, got {n}")
-    return d * (d - 1) ** n
-
 def enumerate_fillings(
     k: int,
     n: int = 2,
@@ -157,47 +139,3 @@ def enumerate_fillings(
     fiber = disk_cotangent_sphere(n)
     return [TwistWord(BOUNDARY * ell + SPHERE * (k + 1 - 2 * ell), fiber)
             for ell in range(0 if include_zero else 1, (k + 1) // 2 + 1)]
-
-
-def substitution_chain(source: TwistWord, target: TwistWord) -> list[SubstitutionStep]:
-    """Greedy left-to-right chain of substitutions carrying source to target.
-
-    Scans both words in parallel.  Where the target wants a boundary twist
-    and the source offers spheres, two spheres are contracted (expanding
-    first if the second letter is itself a boundary twist); where the target
-    wants a sphere and the source offers a boundary twist, it is expanded.
-    Equal weights guarantee the scan never runs off either word.
-    """
-    if source.fiber != target.fiber:
-        raise NotRelatedError(
-            f"not related: fiber descriptors differ "
-            f"({source.fiber} vs {target.fiber})"
-        )
-    if source.weight != target.weight:
-        raise NotRelatedError(
-            f"not related: weights differ ({source.weight} vs {target.weight})"
-        )
-    steps: list[SubstitutionStep] = []
-    current = source
-    i = 0
-    for need in target.letters:
-        if current.letters[i] == need:
-            i += 1
-            continue
-        if need == BOUNDARY:
-            # have a sphere; a second unit of weight follows because the
-            # target still owes weight 2 here and weights agree
-            if current.letters[i + 1] == BOUNDARY:
-                nxt = substitute(current, i + 1, "expand")
-                steps.append(SubstitutionStep(i + 1, "expand", current, nxt))
-                current = nxt
-            nxt = substitute(current, i, "contract")
-            steps.append(SubstitutionStep(i, "contract", current, nxt))
-            current = nxt
-        else:
-            nxt = substitute(current, i, "expand")
-            steps.append(SubstitutionStep(i, "expand", current, nxt))
-            current = nxt
-        i += 1
-    assert current == target, "scan invariant broken"
-    return steps

@@ -48,17 +48,15 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .config import (DEFAULT_CONFIG, SINGULAR_FLOOR, DomainError, ModelConfig,
-                     linspace, smoothstep_and_slope)
+from .config import (SINGULAR_FLOOR, DomainError, ModelConfig, linspace,
+                     smoothstep_and_slope)
 
 __all__ = [
     "Trajectory",
     "SingularTransportError",
     "IntegrationFailureError",
-    "RegimeError",
     "initial_condition",
     "integrate",
-    "closed_form",
     "monodromy_profile",
     "limits_at_zero",
 ]
@@ -107,10 +105,6 @@ class SingularTransportError(RuntimeError):
 
 class IntegrationFailureError(RuntimeError):
     """The adaptive stepper gave up (step-size underflow or similar)."""
-
-
-class RegimeError(ValueError):
-    """Closed-form evaluation requested outside its validity regime."""
 
 
 class Trajectory:
@@ -321,76 +315,6 @@ def integrate(cfg: ModelConfig, t: float, s_max: float) -> dict[str, Trajectory]
             h_drift=[h_value(cfg, a, b) - t for a, b in states],
             radial_residual=[cfg.mu_and_slope(a)[0] * b - s for (a, b), s in zip(states, grid)])
     return trajectories
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-
-
-def closed_form(
-    regime: str,
-    s: float,
-    t: float,
-    cfg: ModelConfig = DEFAULT_CONFIG,
-) -> tuple[float, float]:
-    """Closed-form (r1, r2) at arc parameter s on level t, per regime.
-
-    ``small_t``: valid while the interpolation profile vanishes
-    (r1^2 + r2^2 <= ramp_lo) and the radial reparametrization is the
-    identity (r1 <= collar_width); both branches collapse to
-
-        r1^2 = (sqrt(4s^2 + t^2) - t) / 2,  r2^2 = (sqrt(4s^2 + t^2) + t) / 2,
-
-    which satisfies r2^2 - r1^2 = t and r1 r2 = s exactly.
-
-    ``outer_large_t``: valid for t > 0 with the profile saturated
-    (r1^2 + r2^2 >= ramp_hi) and r1 still below collar_width; uses the
-    real rewriting
-
-        r2 = sqrt((t - s^2 + D) / (2 + t + s^2 - D)),
-        D  = sqrt(t^2 + 4 s^2 + 2 t s^2 + s^4),
-
-    and the algebraically identical but cancellation-free
-    r1 = s sqrt(2 / (D + t + s^2)).
-    """
-    if s < 0:
-        raise RegimeError(f"arc parameter must be nonnegative, got s = {s}")
-    if regime == "small_t":
-        if t == 0:
-            raise RegimeError("t = 0 is the critical value")
-        d = math.hypot(2.0 * s, t)
-        if d > cfg.ramp_lo:
-            raise RegimeError(
-                f"r1^2 + r2^2 = {d:.6g} exceeds ramp_lo = {cfg.ramp_lo}; "
-                "the interpolation profile no longer vanishes"
-            )
-        r1_sq = 0.5 * (d - t)
-        if r1_sq > cfg.collar_width ** 2 + 1e-15:
-            raise RegimeError(
-                f"r1 = {math.sqrt(r1_sq):.6g} exceeds collar_width = "
-                f"{cfg.collar_width}; the radial reparametrization is not the identity"
-            )
-        return math.sqrt(max(r1_sq, 0.0)), math.sqrt(0.5 * (d + t))
-    if regime == "outer_large_t":
-        if t <= 0:
-            raise RegimeError(
-                f"outer closed form starts from (0, sqrt(t)) and needs t > 0, got {t}"
-            )
-        if t < cfg.ramp_hi:
-            raise RegimeError(
-                f"t = {t} below ramp_hi = {cfg.ramp_hi}; "
-                "the interpolation profile is not saturated at the start"
-            )
-        delta = math.hypot(t + s * s, 2.0 * s)
-        r1 = s * math.sqrt(2.0 / (delta + t + s * s))
-        if r1 > cfg.collar_width:
-            raise RegimeError(
-                f"r1 = {r1:.6g} exceeds collar_width = {cfg.collar_width}; "
-                "the radial reparametrization is not the identity"
-            )
-        r2 = math.sqrt((t - s * s + delta) / (2.0 + t + s * s - delta))
-        return r1, r2
-    raise RegimeError(f"unknown regime {regime!r}; use 'small_t' or 'outer_large_t'")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from lbfkit.blowup import (
     resolution_word_chain,
     resolve_A,
 )
+from reference import substitution_chain
 
 
 def var(nvars: int, index: int, power: int = 1) -> MultiPoly:
@@ -280,7 +281,7 @@ def test_milnor_word_examples():
     w = milnor_word(1)
     assert w.serialize() == "S S"
     assert w.fiber == "DT*S2"
-    assert len(milnor_word(3)) == 4
+    assert len(milnor_word(3).letters) == 4
     for k in (1, 4, 9):
         assert milnor_word(k).weight == k + 1
 
@@ -292,5 +293,5 @@ def test_word_chain_mirrors_the_resolution():
         assert len(chain) == trace.step_count
         source = milnor_word(k)
         target = mcg.enumerate_fillings(k)[-1]
-        assert chain == mcg.substitution_chain(source, target)
+        assert chain == substitution_chain(source, target)
         assert all(s.direction == "contract" for s in chain)

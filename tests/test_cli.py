@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import copy
 import importlib
@@ -887,3 +888,94 @@ def test_no_run_loads_typing_on_a_clean_interpreter(name, tmp_path):
     # only a run that writes files loads tempfile
     if "OUT" not in IMPORT_RUNS[name][0]:
         assert "tempfile" not in modules
+
+
+# Each def in src/lbfkit that no run of the CLI matrix below enters, and why
+# it stays.  Code that only tests call belongs in tests/reference.py.
+NOT_RUN_BY_THE_CLI = {
+    "blowup.MultiPoly.__eq__": "tests compare polynomials with ==",
+    "blowup.MultiPoly.__repr__": "names a polynomial in assertion messages",
+    "blowup.MultiPoly.constant": "refuses float constants; tests build polynomials with it",
+    "blowup._rational": "the float refusal behind MultiPoly.constant",
+    "config.ModelConfig.__reduce__": "the copy and pickle contract that tests pin",
+    "config.ModelConfig.__repr__": "names a config in assertion messages",
+    "config.ModelConfig.__setattr__": "the read-only contract that tests pin",
+    "exterior.Algebra.__repr__": "names an algebra in assertion messages",
+    "exterior.Form.__eq__": "criterion 7 and the engine-law tests compare forms with ==",
+    "exterior.Form.__repr__": "names a form in assertion messages",
+    "exterior.ScalarExpr.__eq__": "tests compare coefficients with ==",
+    "exterior.ScalarExpr.__hash__": "equal coefficients hash alike, as tests pin",
+    "exterior.ScalarExpr.__repr__": "names a coefficient in assertion messages",
+    "exterior.ScalarExpr.to_text": "prints the residual of an identity that fails",
+    "exterior.TangentSymbol.__repr__": "names a tangent symbol in assertion messages",
+    "exterior._derivative_table": "runs once, when exterior is imported, before any run",
+    "mcg.SubstitutionStep.__eq__": "criterion 5 compares word chains with ==",
+    "mcg.TwistWord.__eq__": "tests compare words with ==",
+    "mcg.TwistWord.__repr__": "names a word in assertion messages",
+    "models.verify_all": "acceptance criterion 1 checks every identity through it",
+    "transport.SingularTransportError.__init__": "raised where the transport denominator "
+                                                 "vanishes",
+}
+
+
+def _src_defs() -> dict[tuple[Path, int], str]:
+    """Each def in src/lbfkit, named module.Class.function and keyed by its
+    file and first line (its first decorator's, if any), as its code object
+    records them.  ast names it: co_qualname needs Python 3.11."""
+    found = {}
+
+    def visit(node: ast.AST, path: Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[path, first] = name
+                visit(child, path, name)
+            else:
+                visit(child, path, prefix)
+
+    for path in Path(cli.__file__).resolve().parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path, path.stem)
+    return found
+
+
+def test_every_src_function_runs_or_is_listed(tmp_path):
+    # the CLI matrix: each golden run's options in every format, every
+    # --help, all --out in every format and resolve --out, then each kind of
+    # refusal: the option table's, the grid's, each domain's and the writer's
+    bases = {tuple(argv[:argv.index("--format")] if "--format" in argv else argv)
+             for argv in GOLDEN_RUNS.values()}
+    passing = [[*base, "--format", fmt] for base in sorted(bases) for fmt in FORMATS]
+    passing += [["--help"]] + [[command, "--help"] for command in cli.COMMANDS]
+    passing += [["all", "--format", fmt, "--out", str(tmp_path / fmt)] for fmt in FORMATS]
+    passing.append(["resolve", "--out", str(tmp_path / "resolve.json")])
+    refused = [argv for argv, _ in PARSER_REFUSALS.values()] + [
+        ["verify-forms", "--n", "25"], ["transport", "--grid", "0.1:0.2"],
+        ["transport", "--grid", "a:b:3"], ["transport", "--grid=0.1:0.2:0"],
+        ["transport", "--grid", "0.2:0.1:3"], ["transport", "--grid", "0.1:inf:3"],
+        ["transport", "--grid", "0.5:101:3"], ["transport", "--grid=-0.1:0.1:3"],
+        ["transport", "--grid", "1e-13:2e-13:2"], ["transport", "--t", "0"],
+        ["transport", "--t", "1e-13"], ["transport", "--s0", "0"],
+        ["contact-check", "--n", "1025"], ["resolve", "--out", str(tmp_path)],
+        ["all", "--out", str(tmp_path / "resolve.json")]]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    codes = []
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv in passing + refused:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes.append(cli.main(argv))
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(passing) + [2] * len(refused)
+    reached = {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in entered}
+    not_run = {name for key, name in _src_defs().items() if key not in reached}
+    assert not_run == set(NOT_RUN_BY_THE_CLI)

