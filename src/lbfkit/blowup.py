@@ -1,9 +1,11 @@
 """Exact blow-up calculus for isolated A-type hypersurface singularities.
 
 Everything here is exact: ``MultiPoly`` holds a ``poly`` dict with
-rational coefficients, built by ``+`` from variables and constants.  A
-point blow-up of affine space replaces the origin by a projective space;
-on the j-th standard chart the pullback of coordinates reads
+rational coefficients.  ``a_type_polynomial`` writes the integer normal
+form and ``proper_transform`` only rewrites exponents, so no coefficient
+enters from outside.  A point blow-up of affine space replaces the
+origin by a projective space; on the j-th standard chart the pullback
+of coordinates reads
 
     x_i = y_i * y_j   (i != j),        x_j = y_j,
 
@@ -25,7 +27,6 @@ words: each blow-up trades two sphere twists for one boundary twist.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import ceil
 
 from . import poly
@@ -41,36 +42,17 @@ from .poly import Monomial, Rational
 SMOOTH = "Smooth"
 
 
-class NonRationalCoefficientError(TypeError):
-    """Raised when a coefficient cannot be represented exactly."""
-
-
 class OriginError(ValueError):
     """Raised when a blow-up is requested for a polynomial not vanishing at 0."""
-
-
-def _rational(value: object) -> Rational:
-    """Validate an incoming exact coefficient and put it in normal form."""
-    # Fraction(float) would silently take the binary expansion; refuse it.
-    if isinstance(value, (Fraction, str)):
-        return poly.norm(Fraction(value))
-    if isinstance(value, int):
-        return int(value)
-    raise NonRationalCoefficientError(
-        f"coefficient {value!r} of type {type(value).__name__} is not an exact rational; "
-        "use int, Fraction, or a rational string"
-    )
 
 
 class MultiPoly:
     """Multivariate polynomial with exact rational coefficients.
 
     ``terms`` is a ``poly`` dict keyed by sparse ``(index, exp)`` monomials
-    over the slots 0..nvars-1.  The constructor trusts it, so internal
-    results skip validation; ``zero``, ``constant`` and ``variable`` check
-    what enters from outside.  The one ring operation is ``+``.  The
-    printed form is canonical: graded lexicographic, lowest total degree
-    first.
+    over the slots 0..nvars-1, kept as given: ``a_type_polynomial`` and
+    ``proper_transform`` build every one in normal form.  The printed form
+    is canonical: graded lexicographic, lowest total degree first.
     """
 
     __slots__ = ("nvars", "terms", "prefix")
@@ -79,42 +61,6 @@ class MultiPoly:
         self.nvars = nvars
         self.terms = terms
         self.prefix = prefix
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        if nvars < 1:
-            raise ValueError(f"need at least one variable, got nvars={nvars}")
-        return cls(nvars, {})
-
-    @classmethod
-    def constant(cls, nvars: int, value: object) -> "MultiPoly":
-        p = cls.zero(nvars)
-        c = _rational(value)
-        if c:
-            p.terms[()] = c
-        return p
-
-    @classmethod
-    def variable(cls, nvars: int, index: int, power: int = 1) -> "MultiPoly":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} outside 0..{nvars - 1}")
-        if power < 1:
-            raise ValueError(f"power must be >= 1, got {power}")
-        return cls(nvars, {((index, power),): 1})
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "MultiPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(
-                f"mixing rings with {self.nvars} and {other.nvars} variables"
-            )
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        return MultiPoly(self.nvars, poly.add(self.terms, other.terms), prefix=self.prefix)
 
     # -- queries -----------------------------------------------------------
 
@@ -190,11 +136,9 @@ def a_type_polynomial(k: int, n: int) -> MultiPoly:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    nvars = n + 2
-    p = MultiPoly.zero(nvars)
-    for i in range(n + 1):
-        p = p + MultiPoly.variable(nvars, i, 2)
-    return p + MultiPoly.variable(nvars, n + 1, k + 1)
+    terms: poly.Poly = {((i, 2),): 1 for i in range(n + 1)}
+    terms[((n + 1, k + 1),)] = 1
+    return MultiPoly(n + 2, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ import os
 import sys
 import time
 from collections.abc import Callable, Sequence
-from pathlib import Path
 
 from .config import DEFAULT_CONFIG, SINGULAR_FLOOR, DomainError, ModelConfig, linspace
 
@@ -126,7 +125,7 @@ def _config_dict(cfg: ModelConfig, **run_params: object) -> dict:
     return {name: getattr(cfg, name) for name in cfg.FIELDS} | run_params
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: pathlib.Path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file beside it.
 
     A path that cannot be written is a ``DomainError``, and no temporary
@@ -450,11 +449,18 @@ def _suite_contact_check(n: int) -> SuiteResult:
 # dispatch
 
 
+def _path(text: str) -> pathlib.Path:
+    """The --out converter: only a run that writes files loads pathlib."""
+    import pathlib
+
+    return pathlib.Path(text)
+
+
 # One option: its name, converter, default, metavar, help text and, for an
 # integer, the bounds (lo, hi) outside which it is refused.  The converter is
-# int, float, str or Path, a tuple of choices, or None for a flag.
+# int, float, str or _path, a tuple of choices, or None for a flag.
 _FORMAT = ("--format", FORMATS, "json", "|".join(FORMATS), "the report format", None)
-_OUT = ("--out", Path, None, "FILE", "write the report here instead of stdout", None)
+_OUT = ("--out", _path, None, "FILE", "write the report here instead of stdout", None)
 _T_RANGE = "[{!r}, {!r}]".format(*DEFAULT_CONFIG.level_range)
 
 # The option table: each subcommand's summary, its suite, and its options.
@@ -487,7 +493,7 @@ COMMANDS = {
         ("--n", int, 2, "N", "N runs from 1 to 1024", (1, math.inf)), _FORMAT, _OUT)),
     "all": ("every suite with defaults, into a directory", None, (
         _FORMAT,
-        ("--out", Path, None, "DIR", "directory receiving one report per suite (required)",
+        ("--out", _path, None, "DIR", "directory receiving one report per suite (required)",
          None))),
 }
 
@@ -604,7 +610,7 @@ def _execute(command: str, values: dict, prefix: str,
     return 0 if result.passed else 1
 
 
-def _run_all(fmt: str, out_dir: Path) -> int:
+def _run_all(fmt: str, out_dir: pathlib.Path) -> int:
     suffix = {"json": ".json", "csv": ".csv", "table": ".txt"}[fmt]
     worst = 0
     timings: dict[str, float] = {}

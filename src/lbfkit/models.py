@@ -91,8 +91,6 @@ def build_form(name: str, cfg: ModelConfig = DEFAULT_CONFIG) -> Form:
         omega1_tilde  deformed 2-form making the fibration symplectic
         lambda_bar    primitive (1-r^2)(alpha - dtheta) of the dual bundle
         omega_bar     its exterior derivative
-        lambda_nu     primitive of omega1_tilde away from the critical locus
-        h             the fiber-cutting level function (a 0-form)
         beta          collar 1-form fc(r)*lam + gc(r)*dphi
     """
     n = cfg.n
@@ -100,10 +98,8 @@ def build_form(name: str, cfg: ModelConfig = DEFAULT_CONFIG) -> Form:
         A = disk_bundle_algebra(n)
         lam = Form.gen(A, "alpha", _ONE - _R ** 2) - Form.gen(A, "dtheta", _ONE - _R ** 2)
         return lam if name == "lambda_bar" else ext_d(lam)
-    if name in ("omega0", "omega1_tilde", "lambda_nu", "h"):
+    if name in ("omega0", "omega1_tilde"):
         A = double_disk_algebra(n)
-        if name == "h":
-            return Form.scalar(A, _fiber_value())
         if name == "omega0":
             # d((1 + r2^2)(alpha_conn + dtheta2)), connection (1-r1^2)alpha + r1^2 dtheta1
             conn = Form.gen(A, "alpha", _ONE - _R1 ** 2) + Form.gen(A, "dtheta1", _R1 ** 2)
@@ -113,8 +109,7 @@ def build_form(name: str, cfg: ModelConfig = DEFAULT_CONFIG) -> Form:
         inner = (Form.gen(A, "dtheta1") - Form.gen(A, "alpha")).scale(
             (_ONE + _F * _R2 ** 2) * _R1 ** 2
         )
-        prim = outer + inner
-        return prim if name == "lambda_nu" else ext_d(prim)
+        return ext_d(outer + inner)
     if name == "beta":
         A = collar_algebra(n)
         return Form.gen(A, "lam", _FC) + Form.gen(A, "dphi", _GC)

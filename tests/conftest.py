@@ -39,7 +39,7 @@ def random_scalar(rng: random.Random, depth: int = 2) -> ScalarExpr:
     for _ in range(rng.randint(0, depth)):
         term = ScalarExpr.const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         for _ in range(rng.randint(1, 2)):
-            term = term * ScalarExpr.atom(rng.choice(SAFE_ATOMS), rng.randint(1, 2))
+            term = term * ScalarExpr.atom(rng.choice(SAFE_ATOMS)) ** rng.randint(1, 2)
         total = total + term
     return total
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from conftest import make_algebras, random_form, random_homogeneous, random_tangent
-from lbfkit import cli, mcg, models, topo
+from lbfkit import cli, mcg, models, poly, topo
 from lbfkit.blowup import (
     MultiPoly,
     milnor_word,
@@ -177,14 +177,10 @@ def test_criterion_5_resolution():
                 failures.append(f"k={k} n={n}: {trace.step_count} steps")
                 continue
             nv, last = n + 2, n + 1
-            expect = MultiPoly.zero(nv)
-            for i in range(last):
-                expect = expect + MultiPoly.variable(nv, i, power=2)
-            if k == 1:
-                expect = expect + MultiPoly.constant(nv, 1)
-            else:
-                expect = expect + MultiPoly.variable(nv, last, power=k - 1)
-            if trace.steps[0].polynomial != expect:
+            # y_last^(k-1) is the constant 1 when k = 1
+            expect = {poly.monomial({i: 2}): 1 for i in range(last)}
+            expect[poly.monomial({last: k - 1})] = 1
+            if trace.steps[0].polynomial != MultiPoly(nv, expect):
                 failures.append(f"k={k} n={n}: step-1 transform off normal form")
             for j, step in enumerate(trace.steps, start=1):
                 m = k - 2 * j

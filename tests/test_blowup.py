@@ -10,7 +10,6 @@ import pytest
 from lbfkit import cli, mcg, poly
 from lbfkit.blowup import (
     MultiPoly,
-    NonRationalCoefficientError,
     OriginError,
     SMOOTH,
     a_type_polynomial,
@@ -23,13 +22,9 @@ from lbfkit.blowup import (
 from reference import substitution_chain
 
 
-def var(nvars: int, index: int, power: int = 1) -> MultiPoly:
-    return MultiPoly.variable(nvars, index, power=power)
-
-
-def term(nvars: int, powers: dict[int, int], coeff: int | Fraction = 1) -> MultiPoly:
-    """One term, built through the constructor; coeff is in normal form."""
-    return MultiPoly(nvars, {poly.monomial(powers): coeff})
+def poly_of(nvars: int, *terms: dict[int, int]) -> MultiPoly:
+    """The sum of distinct monomials, each a variable -> exponent map, with coefficient 1."""
+    return MultiPoly(nvars, {poly.monomial(powers): 1 for powers in terms})
 
 
 def y_power(p: MultiPoly, j: int) -> int:
@@ -37,41 +32,18 @@ def y_power(p: MultiPoly, j: int) -> int:
     return min(dict(mono).get(j, 0) for mono in p.terms)
 
 
-def test_zero_coefficients_never_stored():
-    x0 = var(1, 0)
-    assert not (x0 + term(1, {0: 1}, -1)).terms
-    assert (MultiPoly.constant(1, 2) + MultiPoly.constant(1, -2)).is_zero()
-    # thirds that sum to an integer are stored as the int
-    third = MultiPoly.constant(1, Fraction(1, 3))
-    whole = (third + third + third).terms
-    assert whole == {(): 1} and type(whole[()]) is int
-
-
-def test_float_coefficients_rejected():
-    with pytest.raises(NonRationalCoefficientError):
-        MultiPoly.constant(2, 0.5)
-    # strings and Fractions pass through exactly
-    assert MultiPoly.constant(1, "1/3").constant_term == Fraction(1, 3)
-
-
-def test_mismatched_variable_counts_rejected():
-    with pytest.raises(ValueError, match="mixing rings"):
-        var(2, 0) + var(3, 0)
-
-
 def test_canonical_text_order():
     # ascending total degree; within a degree the first variable dominates
-    x0, x1 = var(2, 0), var(2, 1)
-    p = var(2, 1, 4) + term(2, {0: 2, 1: 2}) + x0
+    p = poly_of(2, {1: 4}, {0: 2, 1: 2}, {0: 1})
     assert p.to_text() == "x0 + x0^2*x1^2 + x1^4"
-    assert (x0 + term(2, {1: 1}, Fraction(-3, 2))).to_text() == "x0 - 3/2*x1"
-    assert MultiPoly.zero(2).to_text() == "0"
+    assert MultiPoly(2, {((0, 1),): 1, ((1, 1),): Fraction(-3, 2)}).to_text() == "x0 - 3/2*x1"
+    assert MultiPoly(2, {}).to_text() == "0"
 
 
 def test_print_order_is_index_order_above_ten_variables():
     # as strings x10 < x2; the printed order follows the slot index
-    assert (var(12, 10) + var(12, 2)).to_text() == "x2 + x10"
-    assert (var(12, 10, 2) + term(12, {2: 1, 11: 1})).to_text() == "x2*x11 + x10^2"
+    assert poly_of(12, {10: 1}, {2: 1}).to_text() == "x2 + x10"
+    assert poly_of(12, {10: 2}, {2: 1, 11: 1}).to_text() == "x2*x11 + x10^2"
     for k in (1, 2, 5, 12):
         for dim in (9, 10, 30, 100):
             trace = resolve_A(k, dim)
@@ -99,31 +71,31 @@ def test_chart_example_from_the_a3_pattern():
     # total transform y2^2 * (y0^2 + y1^2 + y2^2); the proper one drops y2^2
     q, m = proper_transform(a_type_polynomial(3, 1), 2)
     assert m == 2
-    assert q == var(3, 0, 2) + var(3, 1, 2) + var(3, 2, 2)
+    assert q == poly_of(3, {0: 2}, {1: 2}, {2: 2})
     assert q.to_text() == "y0^2 + y1^2 + y2^2"
 
 
 def test_chart_two_squares():
     # total transform y0^2 * (1 + y1^2)
-    q, m = proper_transform(var(2, 0, 2) + var(2, 1, 2), 0)
-    assert (q, m) == (MultiPoly.constant(2, 1) + var(2, 1, 2), 2)
+    q, m = proper_transform(poly_of(2, {0: 2}, {1: 2}), 0)
+    assert (q, m) == (poly_of(2, {}, {1: 2}), 2)
 
 
 def test_chart_single_variable():
     # total transform y0, so the proper transform is the unit
-    q, m = proper_transform(var(2, 0), 0)
-    assert (q, m) == (MultiPoly.constant(2, 1), 1)
+    q, m = proper_transform(poly_of(2, {0: 1}), 0)
+    assert (q, m) == (poly_of(2, {}), 1)
     assert q.to_text() == "1"
 
 
 def test_chart_requires_vanishing_at_origin():
-    p = MultiPoly.constant(2, 1) + var(2, 0)
+    p = poly_of(2, {}, {0: 1})
     with pytest.raises(OriginError, match="constant term"):
         proper_transform(p, 0)
     with pytest.raises(ValueError, match="zero polynomial"):
-        proper_transform(MultiPoly.zero(2), 0)
+        proper_transform(MultiPoly(2, {}), 0)
     # the chart index is checked first
-    for bad in (var(2, 0), p, MultiPoly.zero(2)):
+    for bad in (poly_of(2, {0: 1}), p, MultiPoly(2, {})):
         with pytest.raises(ValueError, match="chart index"):
             proper_transform(bad, 5)
 
@@ -133,29 +105,26 @@ def test_proper_transform_designated_chart():
         p = a_type_polynomial(k, n)
         q, m = proper_transform(p, n + 1)
         assert m == 2
-        expect = sum(
-            (var(n + 2, i, 2) for i in range(n + 1)),
-            var(n + 2, n + 1, k - 1),
-        )
+        expect = poly_of(n + 2, *({i: 2} for i in range(n + 1)), {n + 1: k - 1})
         assert q == expect
 
 
 def test_proper_transform_k1_lands_smooth():
-    p = var(3, 0, 2) + var(3, 1, 2) + var(3, 2, 2)
+    p = poly_of(3, {0: 2}, {1: 2}, {2: 2})
     q, m = proper_transform(p, 2)
     assert m == 2
-    assert q == MultiPoly.constant(3, 1) + var(3, 0, 2) + var(3, 1, 2)
+    assert q == poly_of(3, {}, {0: 2}, {1: 2})
     assert classify(q) == SMOOTH
 
 
 def test_proper_transform_strips_maximal_power():
     # the single-variable input x1: total transform y0*y1, one factor out
-    q, m = proper_transform(var(2, 1), 0)
-    assert (q, m) == (var(2, 1), 1)
+    q, m = proper_transform(poly_of(2, {1: 1}), 0)
+    assert (q, m) == (poly_of(2, {1: 1}), 1)
     # the product x0*x1 picks up an extra factor from the x0 slot, so the
     # maximal stripped power is 2, not 1
-    q2, m2 = proper_transform(term(2, {0: 1, 1: 1}), 0)
-    assert (q2, m2) == (var(2, 1), 2)
+    q2, m2 = proper_transform(poly_of(2, {0: 1, 1: 1}), 0)
+    assert (q2, m2) == (poly_of(2, {1: 1}), 2)
     assert y_power(q2, 0) == 0
 
 
@@ -185,27 +154,26 @@ def test_classify_accepts_unit_rescale_and_permutation():
     p = MultiPoly(3, {mono: Fraction(-2, 7) for mono in a_type_polynomial(4, 1).terms})
     assert classify(p) == "AType(4)"
     # variables permuted: x1^5 + x0^2 + x2^2
-    q = var(3, 1, 5) + var(3, 0, 2) + var(3, 2, 2)
+    q = poly_of(3, {1: 5}, {0: 2}, {2: 2})
     assert classify(q) == "AType(4)"
 
 
 def test_classify_smooth_cases():
-    assert classify(MultiPoly.constant(2, 3)) == SMOOTH
-    assert classify(var(2, 0) + var(2, 1, 2)) == SMOOTH
-    one = MultiPoly.constant(3, 1)
-    assert classify(one + var(3, 0, 2) + var(3, 1, 2)) == SMOOTH
+    assert classify(MultiPoly(2, {(): 3})) == SMOOTH
+    assert classify(poly_of(2, {0: 1}, {1: 2})) == SMOOTH
+    assert classify(poly_of(3, {}, {0: 2}, {1: 2})) == SMOOTH
 
 
 def test_classify_unclassified_reasons():
-    v = classify(var(2, 0, 3) + var(2, 1, 3))
+    v = classify(poly_of(2, {0: 3}, {1: 3}))
     assert v == "Unclassified(not A-type normal form)"
-    v2 = classify(var(2, 0, 2) + var(2, 0, 4) + var(2, 1, 2))
+    v2 = classify(poly_of(2, {0: 2}, {0: 4}, {1: 2}))
     assert v2 == "Unclassified(variable x0 appears in two terms)"
-    v3 = classify(var(2, 0, 2))
+    v3 = classify(poly_of(2, {0: 2}))
     assert v3 == "Unclassified(variable x1 absent; singular locus not isolated)"
-    v4 = classify(var(2, 0, 2) + term(2, {1: 2}, 9))
+    v4 = classify(MultiPoly(2, {((0, 2),): 1, ((1, 2),): 9}))
     assert v4 == "Unclassified(coefficients differ; not a single unit rescale of the normal form)"
-    assert classify(MultiPoly.zero(2)) == "Unclassified(zero polynomial, no hypersurface)"
+    assert classify(MultiPoly(2, {})) == "Unclassified(zero polynomial, no hypersurface)"
 
 
 def test_resolution_k3():
@@ -241,7 +209,7 @@ def test_resolution_step_counts_sweep():
 def test_resolution_first_step_literal_shape():
     trace = resolve_A(5, 2)
     step = trace.steps[0]
-    assert step.polynomial == var(4, 0, 2) + var(4, 1, 2) + var(4, 2, 2) + var(4, 3, 4)
+    assert step.polynomial == poly_of(4, {0: 2}, {1: 2}, {2: 2}, {3: 4})
     assert step.chart == 3
 
 
@@ -267,12 +235,9 @@ def test_off_chart_reports_match_recomputation():
     for k in (1, 2, 3, 6):
         for j in range(0, last):
             proper, m = proper_transform(a_type_polynomial(k, n), j)
-            expected = MultiPoly.constant(n + 2, 1)
-            for i in range(n + 1):
-                if i != j:
-                    expected = expected + var(n + 2, i, 2)
-            mixed = term(n + 2, {j: k - 1, last: k + 1})
-            assert proper == expected + mixed
+            squares = ({i: 2} for i in range(n + 1) if i != j)
+            mixed = {j: k - 1, last: k + 1}
+            assert proper == poly_of(n + 2, {}, *squares, mixed)
             assert m == 2
             assert classify(proper) == SMOOTH
 

@@ -14,6 +14,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,17 @@ def test_grid_near_zero_or_at_an_end_is_accepted(capsys, spec):
     cells = [cell for row in out.splitlines()[1:] for cell in row.split(",")]
     assert len(cells) == 4 * int(spec.split(":")[2])
     assert all(math.isfinite(float(cell)) for cell in cells), out
+
+
+GRID_CORNERS = {"0.1:0.2:1": [0.1], "0.1:0.1:3": [0.1, 0.1, 0.1]}
+
+
+@pytest.mark.parametrize("spec", sorted(GRID_CORNERS))
+def test_grid_of_one_level_or_equal_ends(capsys, spec):
+    # COUNT = 1 gives LO alone, and LO = HI gives COUNT copies of it
+    code, out, err = run(capsys, "transport", f"--grid={spec}")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["profile"]["t"] == GRID_CORNERS[spec]
 
 
 def test_other_exceptions_are_internal_failures(capsys, monkeypatch, tmp_path):
@@ -885,24 +897,32 @@ def test_no_run_loads_typing_on_a_clean_interpreter(name, tmp_path):
     ((code, _, _),), modules = run_fresh([argv], no_site=True)
     assert code == 0
     assert "typing" not in modules
-    # only a run that writes files loads tempfile
+    # only a run that writes files loads tempfile and pathlib
     if "OUT" not in IMPORT_RUNS[name][0]:
         assert "tempfile" not in modules
+        assert "pathlib" not in modules
 
 
-# Each def in src/lbfkit that no run of the CLI matrix below enters, and why
-# it stays.  Code that only tests call belongs in tests/reference.py.
+# Each def in src/lbfkit with a line that no run of the CLI matrix below
+# executes, and why it stays.  Code that only tests run belongs in
+# tests/reference.py; a program path the matrix misses gets a run added.
 NOT_RUN_BY_THE_CLI = {
     "blowup.MultiPoly.__eq__": "tests compare polynomials with ==",
     "blowup.MultiPoly.__repr__": "names a polynomial in assertion messages",
-    "blowup.MultiPoly.constant": "refuses float constants; tests build polynomials with it",
-    "blowup._rational": "the float refusal behind MultiPoly.constant",
+    "blowup.MultiPoly.to_text": "prints the zero polynomial and non-unit coefficients, "
+                                "which tests build",
+    "blowup.classify": "the non-A-type verdicts, which no A_k transform reaches",
+    "blowup.resolve_A": "the halted traces, which no A_k transform reaches",
+    "cli._execute": "exit 3 and the FAIL: lines of a run whose gate fails",
+    "cli._holds": "the non-finite gate values",
+    "cli._suite_resolve": "the diagnostic of a halted trace",
     "config.ModelConfig.__reduce__": "the copy and pickle contract that tests pin",
     "config.ModelConfig.__repr__": "names a config in assertion messages",
     "config.ModelConfig.__setattr__": "the read-only contract that tests pin",
     "exterior.Algebra.__repr__": "names an algebra in assertion messages",
     "exterior.Form.__eq__": "criterion 7 and the engine-law tests compare forms with ==",
     "exterior.Form.__repr__": "names a form in assertion messages",
+    "exterior.Form.to_text": "prints the residual of an identity that fails",
     "exterior.ScalarExpr.__eq__": "tests compare coefficients with ==",
     "exterior.ScalarExpr.__hash__": "equal coefficients hash alike, as tests pin",
     "exterior.ScalarExpr.__repr__": "names a coefficient in assertion messages",
@@ -912,44 +932,76 @@ NOT_RUN_BY_THE_CLI = {
     "mcg.SubstitutionStep.__eq__": "criterion 5 compares word chains with ==",
     "mcg.TwistWord.__eq__": "tests compare words with ==",
     "mcg.TwistWord.__repr__": "names a word in assertion messages",
+    "mcg.substitute": "the expand move, which README documents and criterion 6 randomizes",
     "models.verify_all": "acceptance criterion 1 checks every identity through it",
     "transport.SingularTransportError.__init__": "raised where the transport denominator "
                                                  "vanishes",
 }
 
 
-def _src_defs() -> dict[tuple[Path, int], str]:
-    """Each def in src/lbfkit, named module.Class.function and keyed by its
-    file and first line (its first decorator's, if any), as its code object
-    records them.  ast names it: co_qualname needs Python 3.11."""
-    found = {}
+def _src_lines() -> dict[tuple[str, int, str], tuple[str, set[int]]]:
+    """The lines each def in src/lbfkit must run, by code object.
 
-    def visit(node: ast.AST, path: Path, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = f"{prefix}.{child.name}"
-                if not isinstance(child, ast.ClassDef):
-                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                    found[path, first] = name
-                visit(child, path, name)
-            else:
-                visit(child, path, prefix)
+    A code object is keyed as its frames show it: (file, first line,
+    name).  Its value names the def it counts toward, module.Class.function,
+    and holds its lines.  A lambda or comprehension counts toward the def
+    that holds it; module and class bodies count toward none.  A code
+    object's first line stands for entering it, so a def that is never
+    entered counts even when its body is one raise statement.  Otherwise the
+    lines of a raise statement and of an except handler are exempt.
+    """
+    found: dict[tuple[str, int, str], tuple[str, set[int]]] = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        exempt: set[int] = set()
+        defs: dict[int, tuple[str, int]] = {}    # first line -> name, first body line
 
-    for path in Path(cli.__file__).resolve().parent.glob("*.py"):
-        visit(ast.parse(path.read_text()), path, path.stem)
+        def visit(node: ast.AST, prefix: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.Raise, ast.ExceptHandler)):
+                    exempt.update(range(child.lineno, child.end_lineno + 1))
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = f"{prefix}.{child.name}"
+                    if not isinstance(child, ast.ClassDef):
+                        # a decorated def's code starts at its first decorator
+                        first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                        defs[first] = name, child.body[0].lineno
+                    visit(child, name)
+                else:
+                    visit(child, prefix)
+
+        visit(ast.parse(source), path.stem)
+
+        def walk(code: types.CodeType, owner: str | None) -> None:
+            lines = {line for _, _, line in code.co_lines() if line} - exempt
+            if code.co_firstlineno in defs and not code.co_name.startswith("<"):
+                owner, body = defs[code.co_firstlineno]
+                lines = {line for line in lines if line >= body} | {code.co_firstlineno}
+            elif not code.co_name.startswith("<") or code.co_name == "<module>":
+                owner = None
+            if owner is not None:
+                key = (str(path), code.co_firstlineno, code.co_name)
+                found.setdefault(key, (owner, set()))[1].update(lines)
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    walk(const, owner)
+
+        walk(compile(source, str(path), "exec"), None)
     return found
 
 
-def test_every_src_function_runs_or_is_listed(tmp_path):
+def test_every_src_line_runs_or_its_def_is_listed(tmp_path):
     # the CLI matrix: each golden run's options in every format, every
-    # --help, all --out in every format and resolve --out, then each kind of
-    # refusal: the option table's, the grid's, each domain's and the writer's
+    # --help, all --out in every format and resolve --out, the grid corners,
+    # then each kind of refusal: the option table's, the grid's, each
+    # domain's and the writer's
     bases = {tuple(argv[:argv.index("--format")] if "--format" in argv else argv)
              for argv in GOLDEN_RUNS.values()}
     passing = [[*base, "--format", fmt] for base in sorted(bases) for fmt in FORMATS]
     passing += [["--help"]] + [[command, "--help"] for command in cli.COMMANDS]
     passing += [["all", "--format", fmt, "--out", str(tmp_path / fmt)] for fmt in FORMATS]
     passing.append(["resolve", "--out", str(tmp_path / "resolve.json")])
+    passing += [["transport", f"--grid={spec}"] for spec in sorted(GRID_CORNERS)]
     refused = [argv for argv, _ in PARSER_REFUSALS.values()] + [
         ["verify-forms", "--n", "25"], ["transport", "--grid", "0.1:0.2"],
         ["transport", "--grid", "a:b:3"], ["transport", "--grid=0.1:0.2:0"],
@@ -959,23 +1011,50 @@ def test_every_src_function_runs_or_is_listed(tmp_path):
         ["transport", "--t", "1e-13"], ["transport", "--s0", "0"],
         ["contact-check", "--n", "1025"], ["resolve", "--out", str(tmp_path)],
         ["all", "--out", str(tmp_path / "resolve.json")]]
-    entered = set()
+    owners = _src_lines()
+    todo = {key: set(lines) for key, (_, lines) in owners.items()}
 
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
+    def trace(frame, event, arg):
+        code = frame.f_code
+        lines = todo.get((code.co_filename, code.co_firstlineno, code.co_name))
+        if lines is None:
+            return None     # not in src/lbfkit
+        lines.discard(code.co_firstlineno)
+        if not lines:
+            return None     # every line already seen
+
+        def on_line(frame, event, arg):
+            lines.discard(frame.f_lineno)
+            if lines:
+                return on_line
+            frame.f_trace = None
+            return None
+
+        return on_line
 
     codes = []
-    previous = sys.getprofile()
-    sys.setprofile(profile)
+    previous = sys.gettrace()
+    sys.settrace(trace)
     try:
         for argv in passing + refused:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 codes.append(cli.main(argv))
     finally:
-        sys.setprofile(previous)
+        sys.settrace(previous)
     assert codes == [0] * len(passing) + [2] * len(refused)
-    reached = {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in entered}
-    not_run = {name for key, name in _src_defs().items() if key not in reached}
-    assert not_run == set(NOT_RUN_BY_THE_CLI)
+    unrun: dict[str, set[tuple[str, int]]] = {}
+    for key, lines in todo.items():
+        if lines:
+            unrun.setdefault(owners[key][0], set()).update((key[0], line) for line in lines)
+    firsts = {key[:2] for key in todo}
+    problems = []
+    for name in sorted(unrun.keys() - NOT_RUN_BY_THE_CLI.keys()):
+        problems.append(f"{name} has lines no run executes:")
+        for path, line in sorted(unrun[name]):
+            text = Path(path).read_text().splitlines()[line - 1].strip()
+            entry = "  (never entered)" if (path, line) in firsts else ""
+            problems.append(f"  {Path(path).name}:{line}: {text}{entry}")
+    for name in sorted(NOT_RUN_BY_THE_CLI.keys() - unrun.keys()):
+        problems.append(f"{name} now runs in full; drop it from NOT_RUN_BY_THE_CLI")
+    assert not problems, "\n".join(problems)

@@ -48,9 +48,9 @@ def test_scalar_arithmetic_is_exact():
 
 
 def test_scalar_power_and_monomial_inverse():
-    a = ScalarExpr.atom("mu", 2) * 4
+    a = ScalarExpr.atom("mu") ** 2 * 4
     assert a ** 0 == ScalarExpr.const(1)
-    assert a ** 2 == ScalarExpr.atom("mu", 4) * 16
+    assert a ** 2 == ScalarExpr.atom("mu") ** 4 * 16
     inv = a ** -1
     assert a * inv == ScalarExpr.const(1)
 
@@ -80,7 +80,7 @@ def test_scalar_negative_power_rejects_sums():
 
 
 def test_substitute_and_evaluate_agree():
-    expr = ScalarExpr.atom("f") * ScalarExpr.atom("r1", 2) + Fraction(1, 2)
+    expr = ScalarExpr.atom("f") * ScalarExpr.atom("r1") ** 2 + Fraction(1, 2)
     subbed = substitute(expr, {"f": Fraction(3), "r1": Fraction(2)})
     assert subbed == ScalarExpr.const(Fraction(25, 2))
 
@@ -92,7 +92,7 @@ def test_coefficients_are_ints_when_the_denominator_is_1():
     assert type((half + half).terms[()]) is int
     assert type((half * 2).terms[()]) is int
     assert type((ScalarExpr.atom("r") * half).diff("r").terms[()]) is Fraction
-    assert type((ScalarExpr.atom("r", 2) * half).diff("r").terms[(("r", 1),)]) is int
+    assert type((ScalarExpr.atom("r") ** 2 * half).diff("r").terms[(("r", 1),)]) is int
     assert type(substitute(ScalarExpr.atom("f") * Fraction(2, 3), {"f": Fraction(3, 2)}).terms[()]) is int
     assert type(((half * ScalarExpr.atom("f")) ** -1).terms[(("f", -1),)]) is int
     # 3 and Fraction(3) print, compare and hash alike
@@ -118,7 +118,7 @@ def test_substitute_refuses_floats():
         substitute(ScalarExpr.atom("f"), {"f": 0.1})
     # an unused binding is never read
     assert substitute(ScalarExpr.atom("r"), {"f": 0.1}) == ScalarExpr.atom("r")
-    assert substitute(ScalarExpr.atom("f", -2), {"f": 2}) == ScalarExpr.const(Fraction(1, 4))
+    assert substitute(ScalarExpr.atom("f") ** -2, {"f": 2}) == ScalarExpr.const(Fraction(1, 4))
 
 
 def test_constants_hash_as_their_coefficients():
@@ -255,9 +255,9 @@ def test_binomial_wedge_power_matches_a_plain_fold(rng):
 
 def test_wedge_power_of_a_model_form_matches_a_plain_fold():
     alg = exterior.double_disk_algebra(4)
-    omega = ext_d(wedge(Form.scalar(alg, ScalarExpr.atom("f") * ScalarExpr.atom("r1", 2)),
+    omega = ext_d(wedge(Form.scalar(alg, ScalarExpr.atom("f") * ScalarExpr.atom("r1") ** 2),
                         Form.gen(alg, "dtheta1") - Form.gen(alg, "alpha"))
-                  + Form.gen(alg, "dtheta2", ScalarExpr.atom("r2", 2)))
+                  + Form.gen(alg, "dtheta2", ScalarExpr.atom("r2") ** 2))
     _assert_power_matches_fold(omega + Form.scalar(alg, Fraction(1, 3)), 6)
 
 
@@ -279,6 +279,19 @@ def test_algebra_mismatch_raises():
     a3 = exterior.disk_bundle_algebra(3)
     with pytest.raises(AlgebraMismatchError):
         wedge(Form.gen(a2, "dr"), Form.gen(a3, "dr"))
+    with pytest.raises(AlgebraMismatchError):
+        Form.gen(a2, "dr") + Form.gen(a3, "dr")
+
+
+def test_forms_over_different_algebras_are_unequal():
+    # == compares, it does not combine: no error, and never equal, even for
+    # two zero forms or the same generator name
+    disk2, disk3, collar2 = (exterior.disk_bundle_algebra(2), exterior.disk_bundle_algebra(3),
+                             exterior.collar_algebra(2))
+    assert Form.zero(disk2) != Form.zero(collar2)
+    assert not Form.gen(disk2, "dr") == Form.gen(disk3, "dr")
+    assert Form.gen(disk2, "dr") not in [Form.gen(disk3, "dr"), Form.zero(collar2)]
+    assert Form.gen(disk2, "dr") in [Form.zero(collar2), Form.gen(exterior.disk_bundle_algebra(2), "dr")]
 
 
 def test_interior_pairings():

@@ -110,13 +110,14 @@ def test_top_power_coefficient_matches_displayed_formula():
 
 
 def test_build_form_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown model form"):
-        models.build_form("omega9")
+    for name in ("omega9", "h", "lambda_nu"):
+        with pytest.raises(ValueError, match="unknown model form"):
+            models.build_form(name)
 
 
 def test_h_is_the_fiber_level_function():
-    h = models.build_form("h")
-    (coeff,) = h.terms.values()
+    # the h that VERTICAL_SPLIT checks
+    coeff = models._fiber_value()
     half, tenth = Fraction(1, 2), Fraction(1, 10)
     for r1, r2, f in [(0, half, 0), (tenth, 3 * tenth, Fraction(1, 3)), (3 * tenth, 0, 1),
                       (half, 7, Fraction(2, 3))]:

@@ -58,7 +58,7 @@ def _random_pair(rng: random.Random):
         term, sterm = ScalarExpr.const(c), sympy.Rational(c.numerator, c.denominator)
         for _ in range(rng.randint(0, 2)):
             v, e = rng.choice(VARS), rng.randint(1, 2)
-            term, sterm = term * ScalarExpr.atom(v, e), sterm * SYMBOLS[v] ** e
+            term, sterm = term * ScalarExpr.atom(v) ** e, sterm * SYMBOLS[v] ** e
         expr, sym = expr + term, sym + sterm
     return expr, sym
 
@@ -108,7 +108,7 @@ def test_monomial_inverse_and_substitution_match_sympy():
     for _ in range(40):
         c = _coeff(rng) or 1
         v, e = rng.choice(VARS), rng.randint(1, 3)
-        mono = ScalarExpr.atom(v, e) * c
+        mono = ScalarExpr.atom(v) ** e * c
         smono = SYMBOLS[v] ** e * sympy.Rational(c.numerator, c.denominator)
         k = rng.randint(-3, -1)
         _assert_same(mono ** k, smono ** k)
