@@ -11,7 +11,13 @@ Modules:
 * ``topo``      -- Euler-characteristic bookkeeping for fillings
 * ``blowup``    -- exact polynomial blow-ups resolving A_k singularities
 * ``contact``   -- contact profile functions and corner smoothing
-* ``cli``       -- the ``lbfkit`` command-line entry point
+* ``report``    -- the suite result every subcommand returns: gates, rows,
+  stage timers
+* ``cli``       -- the ``lbfkit`` entry point: option parsing, report
+  rendering and exit codes
+
+Each of ``models``, ``transport``, ``topo``, ``blowup`` and ``contact``
+ends in the ``suite`` that one subcommand runs.
 """
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ from __future__ import annotations
 from math import ceil
 
 from . import poly
+from .config import DEFAULT_CONFIG
 from .mcg import (
     SPHERE,
     SubstitutionStep,
@@ -38,6 +39,7 @@ from .mcg import (
     substitute,
 )
 from .poly import Monomial, Rational
+from .report import SuiteResult, config_dict, result_row, timed
 
 SMOOTH = "Smooth"
 
@@ -311,3 +313,60 @@ def resolution_word_chain(k: int, n: int = 2) -> list[SubstitutionStep]:
         )
         word = after
     return chain
+
+
+# ---------------------------------------------------------------------------
+# the resolve suite
+
+
+def suite(k: int, dim: int) -> SuiteResult:
+    """resolve: the resolution trace of the A_k singularity in ``dim`` + 2 variables."""
+    timing: dict[str, float] = {}
+    trace = timed(timing, "trace_ms", resolve_A, k, dim)
+    chain = timed(timing, "word_chain_ms", resolution_word_chain, k)
+
+    expected_steps = -(-k // 2)
+    gates = [
+        (trace.resolved, True, "==", trace.diagnostic or "trace did not end Smooth"),
+        (trace.step_count, expected_steps, "==",
+         f"step count {trace.step_count}, expected ceil(k/2) = {expected_steps}"),
+        (len(chain), trace.step_count, "==",
+         f"word chain length {len(chain)} != step count {trace.step_count}"),
+    ]
+
+    # each step's cells, formatted once for the json record and the rows
+    header = ["step", "chart", "polynomial", "multiplicity", "verdict"]
+    steps = timed(timing, "text_ms", lambda: [
+        (s.chart, s.polynomial.to_text(), s.multiplicity, s.verdict) for s in trace.steps])
+    trace_report = {
+        "k": trace.k,
+        "n": trace.n,
+        "initial": trace.initial.to_text(),
+        "initial_verdict": classify(trace.initial),
+        "steps": [dict(zip(header[1:], step)) for step in steps],
+        "step_count": trace.step_count,
+        "resolved": trace.resolved,
+    }
+    if trace.diagnostic is not None:
+        trace_report["diagnostic"] = trace.diagnostic
+
+    report = {
+        "config": config_dict(DEFAULT_CONFIG, k=k, dim=dim),
+        "trace": trace_report,
+        "word_chain": [
+            {
+                "position": s.position,
+                "direction": s.direction,
+                "before": s.before.serialize(),
+                "after": s.after.serialize(),
+            }
+            for s in chain
+        ],
+    }
+
+    cells = [[str(i), str(c), p, str(m), v] for i, (c, p, m, v) in enumerate(steps, 1)]
+    # the csv quotes the polynomial, the one cell that holds spaces and signs
+    csv_rows = [header] + [[i, c, f'"{p}"', m, v] for i, c, p, m, v in cells]
+    table_rows = [header] + cells + [result_row(gates, 5)]
+    return SuiteResult(report, gates, csv_rows, table_rows, timing,
+                       internal_failure=trace.diagnostic)

@@ -20,6 +20,8 @@ import math
 # level t starts it at 2|t|, so this floor alone bounds every stepped level
 # (|t| > SINGULAR_FLOOR / 2) and, through the limit levels, the s0 range.
 SINGULAR_FLOOR = 1e-12
+# Largest --grid COUNT, checked before the grid is allocated; timings in README.
+MAX_GRID_COUNT = 10_000
 
 
 class DomainError(ValueError):

@@ -32,7 +32,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .config import DomainError
+from .config import DomainError, ModelConfig
+from .report import SuiteResult, cell, config_dict, float_rows, pass_fail, result_row, timed
 
 # Mapping-cylinder Hamiltonian value held constant near the boundary.
 BOUNDARY_HAMILTONIAN = 2.0 * math.pi
@@ -349,3 +350,44 @@ def verify_base_profile(bp: BaseProfile) -> dict:
         "increasing": increasing,
         "passed": zero and plateaus and increasing,
     }
+
+
+# ---------------------------------------------------------------------------
+# the contact-check suite
+
+
+def suite(n: int) -> SuiteResult:
+    """contact-check: the profile at ``n``, the corner curve and the base profile."""
+    timing: dict[str, float] = {}
+    profile = make_profile()
+    prof_report = timed(timing, "profile_ms", verify_profile, profile, n=n)
+    _, corner_report = timed(timing, "corner_ms", make_corner_curve, profile.eps)
+    base_report = timed(timing, "base_ms", verify_base_profile, make_base_profile())
+    samples = timed(timing, "samples_ms", profile_samples, profile)
+
+    gates = [
+        (prof_report["min_value"], 0.0, ">", f"profile minimum {prof_report['min_value']} at "
+                                             f"r={prof_report['argmin']} is not positive"),
+        (corner_report["passed"], True, "==", "corner curve bullet verification failed"),
+        (base_report["passed"], True, "==", "base profile verification failed"),
+    ]
+
+    report = {
+        "config": config_dict(ModelConfig(n=max(n, 2)), n=n),
+        "profile": prof_report,
+        "corner": corner_report,
+        "base": base_report,
+        "boundary_hamiltonian": BOUNDARY_HAMILTONIAN,
+    }
+
+    csv_rows = [["r", "f", "g", "determinant"]]
+    csv_rows += float_rows(*samples)
+    table_rows = [
+        ["check", "outcome", "detail"],
+        ["profile min", cell(prof_report["min_value"]),
+         f"at r={cell(prof_report['argmin'])}"],
+        ["corner", pass_fail(corner_report["passed"]), ""],
+        ["base", pass_fail(base_report["passed"]), ""],
+        result_row(gates, 3),
+    ]
+    return SuiteResult(report, gates, csv_rows, table_rows, timing)

@@ -34,6 +34,7 @@ from .exterior import (
     wedge_all,
     wedge_power,
 )
+from .report import SuiteResult, cell, config_dict, holds, result_row, timed
 
 __all__ = [
     "IdentityId",
@@ -42,6 +43,7 @@ __all__ = [
     "verify_all",
     "positivity_grid",
     "top_power_coefficient",
+    "suite",
 ]
 
 
@@ -375,3 +377,34 @@ def positivity_grid(cfg: ModelConfig = DEFAULT_CONFIG) -> dict:
             if f == 1.0 and up == 0.0:
                 break  # the rest of the row is clamped and no smaller (1-4 above)
     return {"min_value": best[0], "argmin": best[1], "resolution": GRID_RESOLUTION}
+
+
+# ---------------------------------------------------------------------------
+# the verify-forms suite
+
+
+def suite(n: int) -> SuiteResult:
+    """verify-forms: the nine identities at ``n`` and the TOP_POWER positivity grid."""
+    cfg = ModelConfig(n=n)
+    identities_ms: dict[str, float] = {}
+    timing = {"identities_ms": identities_ms}
+    reports = [timed(identities_ms, identity.value, verify_identity, identity, cfg)
+               for identity in IdentityId]
+    grid = timed(timing, "top_power_grid_ms", positivity_grid, cfg)
+    grid_gate = (grid["min_value"], 0.0, ">",
+                 f"TOP_POWER grid minimum {grid['min_value']} is not positive")
+    gates = [(r["verdict"], "exact-equal", "==", f"{r['identity']}: {r['verdict']}")
+             for r in reports] + [grid_gate]
+
+    report = {
+        "config": config_dict(cfg),
+        "identities": reports,
+        "top_power_grid": {**grid, "positive": holds(*grid_gate[:3])},
+    }
+
+    rows = [["identity", "verdict"]] + [[r["identity"], r["verdict"]] for r in reports]
+    table_rows = rows + [
+        ["TOP_POWER grid min", cell(grid["min_value"])],
+        result_row(gates, 2),
+    ]
+    return SuiteResult(report, gates, rows, table_rows, timing)

@@ -26,6 +26,10 @@ from __future__ import annotations
 
 from math import ceil
 
+from . import mcg
+from .config import ModelConfig
+from .report import SuiteResult, config_dict, timed
+
 __all__ = [
     "chi_sphere",
     "chi_quadric",
@@ -34,6 +38,7 @@ __all__ = [
     "milnor_fiber_chi",
     "filling_slope",
     "distinctness_report",
+    "suite",
 ]
 
 CONVENTIONS = ("betti", "alternate")
@@ -146,3 +151,55 @@ def distinctness_report(n: int, k: int) -> dict:
         "verdict": verdict,
         "notes": notes,
     }
+
+
+# ---------------------------------------------------------------------------
+# the fillings suite
+
+
+def suite(n: int, k: int, include_zero: bool) -> SuiteResult:
+    """fillings: one row per filling word of the A_k boundary, with both chi columns."""
+    timing: dict[str, float] = {}
+    words = timed(timing, "words_ms", mcg.enumerate_fillings, k, n, include_zero=include_zero)
+    euler = timed(timing, "euler_ms", distinctness_report, n, k)
+
+    rows_data = []
+    for word in words:
+        ell = word.letters.count(mcg.BOUNDARY)
+        _, chi_betti, chi_alternate, differs = euler["rows"][ell]    # rows run over l = 0, 1, ...
+        rows_data.append({
+            "ell": ell,
+            "word": word.serialize(),
+            "weight": word.weight,
+            "chi_betti": chi_betti,
+            "chi_alternate": chi_alternate,
+            "conventions_differ": differs,
+        })
+
+    chis = [row["chi_betti"] for row in rows_data]
+    distinct = len(set(chis)) == len(chis)
+    summary = (
+        f"{len(words)} fillings, "
+        + ("pairwise distinct" if distinct else "not distinguished by chi")
+    )
+
+    bad_weight = [r["ell"] for r in rows_data if r["weight"] != k + 1]
+    gates = [(distinct, True, "==", "emitted Euler characteristics are not pairwise distinct"),
+             (bad_weight, [], "==", f"weight != k+1 at ell in {bad_weight}")]
+
+    report = {
+        "config": config_dict(ModelConfig(n=n), k=k, include_zero=include_zero),
+        "fillings": rows_data,
+        "summary": summary,
+        "milnor_chi": euler["milnor_value"],
+        "slopes": {"betti": euler["betti_slope"], "alternate": euler["alternate_slope"]},
+        "euler_verdict": euler["verdict"],
+        "notes": euler["notes"],
+    }
+
+    rows = [["ell", "word", "weight", "chi_betti", "chi_alternate", "differs"]]
+    rows += [[str(r["ell"]), r["word"], str(r["weight"]), str(r["chi_betti"]),
+              str(r["chi_alternate"]), str(r["conventions_differ"]).lower()]
+             for r in rows_data]
+    table_rows = rows + [[summary, "", "", "", "", ""]]
+    return SuiteResult(report, gates, rows, table_rows, timing)

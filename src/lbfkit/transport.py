@@ -48,8 +48,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .config import (SINGULAR_FLOOR, DomainError, ModelConfig, linspace,
-                     smoothstep_and_slope)
+from .config import (DEFAULT_CONFIG, MAX_GRID_COUNT, SINGULAR_FLOOR, DomainError, ModelConfig,
+                     linspace, smoothstep_and_slope)
+from .report import SuiteResult, cell, config_dict, float_rows, result_row, timed
 
 __all__ = [
     "Trajectory",
@@ -59,6 +60,7 @@ __all__ = [
     "integrate",
     "monodromy_profile",
     "limits_at_zero",
+    "suite",
 ]
 
 
@@ -391,3 +393,94 @@ def limits_at_zero(cfg: ModelConfig, s0: float) -> tuple[float, float]:
     _validate_s0(cfg, s0)
     dR = _angles(cfg, s0, [s0 / 8.0, s0 / 4.0, -s0 / 8.0, -s0 / 4.0])[1]
     return 2.0 * dR[0] - dR[1], 2.0 * dR[2] - dR[3]
+
+
+# ---------------------------------------------------------------------------
+# the transport suite
+
+
+def _parse_grid(spec: str) -> list[float]:
+    """The levels of a LO:HI:COUNT spec, refused before any of them is integrated."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise DomainError(f"grid spec must be lo:hi:count, got {spec!r}")
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+        count = int(parts[2])
+    except ValueError as exc:
+        raise DomainError(f"unparseable grid spec {spec!r}") from exc
+    if not 1 <= count <= MAX_GRID_COUNT:
+        raise DomainError(f"grid count must be in 1..{MAX_GRID_COUNT}, got {count}")
+    if hi < lo:
+        raise DomainError(f"grid bounds out of order in {spec!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid bounds must be finite, got {spec!r}")
+    t_lo, t_hi = DEFAULT_CONFIG.level_range
+    if not (t_lo <= lo and hi <= t_hi):
+        raise DomainError(f"grid {spec!r} leaves the fiber-coordinate range [{t_lo}, {t_hi}]")
+    grid = linspace(lo, hi, count)
+    if 0.0 in grid:
+        raise DomainError(f"grid {spec!r} contains the critical value t = 0")
+    return grid
+
+
+def suite(t: float, s0: float, grid: str) -> SuiteResult:
+    """transport: both trajectories at level ``t``, the limits at 0 and the profile on ``grid``."""
+    cfg = DEFAULT_CONFIG
+    levels = _parse_grid(grid)
+    # a bad --t is a usage error before anything is integrated
+    _validate_t(cfg, t)
+    timing: dict[str, float] = {}
+    # ... and so are a bad --s0 and a grid level with |t| <= 5e-13, which
+    # the profile refuses, in that order, before it steps any level
+    prof = timed(timing, "profile_ms", monodromy_profile, cfg, s0, levels)
+
+    # Both denominator conventions ride along on every trajectory report.
+    # Only the corrected one is expected to conserve mu*r2 - s; the other
+    # column documents how far the uncorrected form drifts.
+    trajectories = {
+        variant: {
+            "max_h_drift": traj.max_h_drift,
+            "max_radial_drift": traj.max_radial_drift,
+            "endpoint": traj.endpoint,
+            "radial_drift_gated": variant == "weighted",
+        }
+        for variant, traj in timed(timing, "integrate_ms", integrate, cfg, t, 0.5).items()
+    }
+
+    lim_plus, lim_minus = timed(timing, "limits_ms", limits_at_zero, cfg, s0)
+
+    gate, target, tol = DRIFT_GATE, LIMIT_TARGET, LIMIT_TOLERANCE
+    gates = []
+    for variant, data in trajectories.items():
+        gates.append((data["max_h_drift"], gate, "<=",
+                      f"{variant} h drift {data['max_h_drift']} above {gate:g}"))
+        if data["radial_drift_gated"]:
+            gates.append((data["max_radial_drift"], gate, "<=",
+                          f"{variant} radial drift {data['max_radial_drift']} above {gate:g}"))
+    gates += [(abs(lim_plus - target), tol, "<=",
+               f"limit at 0+ = {lim_plus}, expected 0.5 within 1e-3"),
+              (abs(lim_minus + target), tol, "<=",
+               f"limit at 0- = {lim_minus}, expected -0.5 within 1e-3")]
+
+    report = {
+        "config": config_dict(cfg, t=t, s0=s0, grid=grid),
+        "trajectory": {"t": t, "s_max": 0.5, "variants": trajectories},
+        "limits_at_zero": {
+            "plus": lim_plus,
+            "minus": lim_minus,
+            "target": target,
+            "tolerance": tol,
+        },
+        "profile": prof,
+    }
+
+    header = ["t", "R", "dR", "dR_cut"]
+    rows = [header] + float_rows(*(prof[key] for key in header))
+    table_rows = rows + [
+        [f"{variant} drifts", cell(data["max_h_drift"]),
+         cell(data["max_radial_drift"]), ""]
+        for variant, data in trajectories.items()
+    ]
+    table_rows += [["limits at 0", cell(lim_plus), cell(lim_minus), ""], result_row(gates, 4)]
+    return SuiteResult(report, gates, rows, table_rows, timing)

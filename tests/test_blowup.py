@@ -18,6 +18,7 @@ from lbfkit.blowup import (
     proper_transform,
     resolution_word_chain,
     resolve_A,
+    suite,
 )
 from reference import substitution_chain
 
@@ -214,7 +215,7 @@ def test_resolution_first_step_literal_shape():
 
 
 def test_trace_json_round_trip():
-    data = json.loads(cli._json_text(cli._suite_resolve(4, 1).report))["trace"]
+    data = json.loads(cli._json_text(suite(4, 1).report))["trace"]
     assert data["k"] == 4
     assert data["n"] == 1
     assert data["initial_verdict"] == "AType(4)"

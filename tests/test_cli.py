@@ -25,6 +25,7 @@ import lbfkit
 from lbfkit import blowup, cli, contact, mcg, models, topo, transport
 from lbfkit.cli import FORMATS
 from lbfkit.config import DEFAULT_CONFIG, SINGULAR_FLOOR, ModelConfig
+from lbfkit.report import config_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 # Each file under tests/golden is the expected stdout of one run, byte for byte.
@@ -421,7 +422,7 @@ def test_model_config_refuses_assignment():
     assert (cfg.n, DEFAULT_CONFIG.ramp_hi) == (3, 0.2)
     # copy and pickle still work: they go through the constructor
     assert repr(copy.copy(cfg)) == repr(pickle.loads(pickle.dumps(cfg))) == repr(cfg)
-    assert cli._config_dict(cfg, k=1) == {
+    assert config_dict(cfg, k=1) == {
         "n": 3, "collar_width": 0.05, "ramp_lo": 0.1, "ramp_hi": 0.2,
         "disk1_radius": 0.5, "disk2_radius": 10.0, "k": 1}
 
@@ -442,7 +443,7 @@ def test_transport_grid_count_is_bounded(capsys):
     assert "usage error" in err and str(cli.MAX_GRID_COUNT) in err
     assert run(capsys, "transport", f"--grid=0.1:0.2:{cli.MAX_GRID_COUNT + 1}")[0] == 2
     assert run(capsys, "transport", "--grid=0.1:0.2:0")[0] == 2
-    assert len(cli._parse_grid(f"0.1:0.2:{cli.MAX_GRID_COUNT}")) == cli.MAX_GRID_COUNT
+    assert len(transport._parse_grid(f"0.1:0.2:{cli.MAX_GRID_COUNT}")) == cli.MAX_GRID_COUNT
     assert run(capsys, "transport", "--help")[1].count(str(cli.MAX_GRID_COUNT)) == 1
 
 
@@ -587,6 +588,28 @@ def test_the_ungated_radial_residual_may_be_non_finite(capsys, monkeypatch, valu
     assert json.loads(out)["passed"] is True
 
 
+# Each subcommand's sidecar stages: the import of its suite's module, then
+# its own stages, each timed in ms under STAGE_ms.
+SIDECAR_STAGES = {
+    "verify-forms": ("imports", "identities", "top_power_grid"),
+    "transport": ("imports", "integrate", "profile", "limits"),
+    "fillings": ("imports", "words", "euler"),
+    "resolve": ("imports", "trace", "word_chain", "text"),
+    "contact-check": ("imports", "profile", "corner", "base", "samples"),
+}
+
+
+def _assert_stages(timing: dict, stages: tuple[str, ...]) -> None:
+    """Each stage is a positive ms value; verify-forms' identities hold one per identity."""
+    for stage in stages:
+        ms = timing[f"{stage}_ms"]
+        if stage == "identities":
+            assert sorted(ms) == sorted(i.value for i in models.IdentityId)
+            assert all(value > 0.0 for value in ms.values())
+        else:
+            assert ms > 0.0, stage
+
+
 def test_out_file_and_timing_sidecar(capsys, tmp_path):
     target = tmp_path / "forms.json"
     code, out, _ = run(capsys, "verify-forms", "--out", str(target))
@@ -599,20 +622,29 @@ def test_out_file_and_timing_sidecar(capsys, tmp_path):
     assert timing["schema"] == "lbf-kit/1-timing"
     assert timing["command"] == "verify-forms"
     assert timing["elapsed_ms"] > 0.0
-    assert sorted(timing["identities_ms"]) == sorted(i.value for i in models.IdentityId)
-    assert all(ms > 0.0 for ms in timing["identities_ms"].values())
-    assert timing["top_power_grid_ms"] > 0.0
     assert '"ms"' not in target.read_text()        # wall clocks stay out of reports
-    # contact-check and transport time each stage; their reports stay the golden bytes
-    for command, stages in (("contact-check", ("profile", "corner", "base", "samples")),
-                            ("transport", ("integrate", "profile", "limits"))):
+    # every subcommand times each stage; its report stays the golden bytes
+    assert list(SIDECAR_STAGES) == list(cli.ALL_SUITES)
+    for command, stages in SIDECAR_STAGES.items():
         target = tmp_path / f"{command}.json"
         assert run(capsys, command, "--out", str(target)) == (0, "", "")
         assert target.read_bytes() == (GOLDEN / f"{command}.json").read_bytes()
         timing = json.loads((tmp_path / f"{command}.json.timing.json").read_text())
         assert sorted(timing) == sorted(["schema", "command", "elapsed_ms",
                                          *(f"{stage}_ms" for stage in stages)])
-        assert all(timing[f"{stage}_ms"] > 0.0 for stage in stages)
+        assert (timing["command"], timing["elapsed_ms"] > 0.0) == (command, True)
+        _assert_stages(timing, stages)
+    # all's timing.json holds each suite's elapsed_ms and, under its name, its stages
+    out_dir = tmp_path / "all"
+    assert run(capsys, "all", "--out", str(out_dir)) == (0, "", "")
+    timing = json.loads((out_dir / "timing.json").read_text())
+    assert sorted(timing) == sorted(["schema", "command", "elapsed_ms", *cli.ALL_SUITES])
+    assert (timing["schema"], timing["command"]) == ("lbf-kit/1-timing", "all")
+    assert sorted(timing["elapsed_ms"]) == sorted(cli.ALL_SUITES)
+    assert all(ms > 0.0 for ms in timing["elapsed_ms"].values())
+    for command, stages in SIDECAR_STAGES.items():
+        assert sorted(timing[command]) == sorted(f"{stage}_ms" for stage in stages)
+        _assert_stages(timing[command], stages)
 
 
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
@@ -776,10 +808,10 @@ PARSER_REFUSALS = {
 
 
 @pytest.fixture(scope="module")
-def parser_refusals_fresh() -> dict[str, tuple[int, str, str]]:
+def parser_refusals_fresh() -> tuple[dict[str, tuple[int, str, str]], list[str]]:
     names = sorted(PARSER_REFUSALS)
-    runs, _ = run_fresh([PARSER_REFUSALS[name][0] for name in names])
-    return dict(zip(names, runs))
+    runs, modules = run_fresh([PARSER_REFUSALS[name][0] for name in names])
+    return dict(zip(names, runs)), modules
 
 
 @pytest.mark.parametrize("name", sorted(PARSER_REFUSALS))
@@ -787,10 +819,16 @@ def test_parser_refusal_is_one_usage_error_line(capsys, parser_refusals_fresh, n
     # in-process and in a fresh interpreter alike: exit 2, no stdout, and one
     # stderr line, with no usage block
     argv, reason = PARSER_REFUSALS[name]
-    for code, out, err in (run(capsys, *argv), parser_refusals_fresh[name]):
+    for code, out, err in (run(capsys, *argv), parser_refusals_fresh[0][name]):
         assert (code, out) == (2, ""), argv
         assert err.startswith("lbfkit: usage error: ") and reason in err, err
         assert len(err.splitlines()) == 1, err
+
+
+def test_parser_refusals_load_only_cli_and_config(parser_refusals_fresh):
+    # a refused argv imports no suite module, not even the shared report module
+    modules = parser_refusals_fresh[1]
+    assert {m for m in modules if m.startswith("lbfkit.")} == {"lbfkit.cli", "lbfkit.config"}
 
 
 # Runs argv lists, given as a Python literal, through cli.main in one fresh
@@ -861,21 +899,23 @@ def test_golden_files_match_without_avx512(golden_runs_without_numpy, name):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
-# Per run: its argv, the layers it may load besides cli and config, and
-# whether it renders json (and so loads json); OUT stands for a fresh directory.
+# Per run: its argv, the modules it may load besides cli and config (its
+# layers and the shared report module), and whether it renders json (and so
+# loads json); OUT stands for a fresh directory.
 IMPORT_RUNS = {
     "help": (["--help"], set(), False),
     "transport-help": (["transport", "--help"], set(), False),
     "all": (["all", "--out", "OUT"],
-            {"models", "exterior", "poly", "transport", "mcg", "topo", "blowup", "contact"},
+            {"models", "exterior", "poly", "transport", "mcg", "topo", "blowup", "contact",
+             "report"},
             True),
-    "fillings": (["fillings"], {"mcg", "topo"}, True),
-    "fillings-csv": (["fillings", "--format", "csv"], {"mcg", "topo"}, False),
-    "resolve": (["resolve"], {"blowup", "mcg", "poly"}, True),
-    "transport": (["transport"], {"transport"}, True),
-    "verify-forms": (["verify-forms"], {"models", "exterior", "poly"}, True),
-    "contact-check": (["contact-check"], {"contact"}, True),
-    "contact-check-table": (["contact-check", "--format", "table"], {"contact"}, False),
+    "fillings": (["fillings"], {"mcg", "topo", "report"}, True),
+    "fillings-csv": (["fillings", "--format", "csv"], {"mcg", "topo", "report"}, False),
+    "resolve": (["resolve"], {"blowup", "mcg", "poly", "report"}, True),
+    "transport": (["transport"], {"transport", "report"}, True),
+    "verify-forms": (["verify-forms"], {"models", "exterior", "poly", "report"}, True),
+    "contact-check": (["contact-check"], {"contact", "report"}, True),
+    "contact-check-table": (["contact-check", "--format", "table"], {"contact", "report"}, False),
 }
 
 
@@ -889,6 +929,25 @@ def test_subcommand_loads_only_its_layers(name, tmp_path):
     assert not [m for m in modules if m.split(".")[0] in (
         "numpy", "scipy", "dataclasses", "argparse", "gettext")]
     assert ("json" in modules) == renders_json
+
+
+@pytest.mark.parametrize("name", sorted(IMPORT_RUNS))
+def test_python_m_never_loads_cli_as_a_module(name, tmp_path):
+    # under python -m the entry file runs as __main__; a module that imported
+    # lbfkit.cli would compile and run it a second time.  The import log of
+    # -X importtime names every module the run loads, with the same layers
+    # as test_subcommand_loads_only_its_layers.
+    argv, layers, _ = IMPORT_RUNS[name]
+    env = {**os.environ, "PYTHONPATH": str(Path(lbfkit.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "lbfkit.cli",
+         *[str(tmp_path) if a == "OUT" else a for a in argv]],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert "lbfkit" in loaded and "lbfkit.cli" not in loaded
+    assert {m for m in loaded if m.startswith("lbfkit.")} == {
+        f"lbfkit.{m}" for m in ("config", *layers)}
 
 
 @pytest.mark.parametrize("name", sorted(IMPORT_RUNS))
@@ -913,9 +972,8 @@ NOT_RUN_BY_THE_CLI = {
                                 "which tests build",
     "blowup.classify": "the non-A-type verdicts, which no A_k transform reaches",
     "blowup.resolve_A": "the halted traces, which no A_k transform reaches",
+    "blowup.suite": "the diagnostic of a halted trace",
     "cli._execute": "exit 3 and the FAIL: lines of a run whose gate fails",
-    "cli._holds": "the non-finite gate values",
-    "cli._suite_resolve": "the diagnostic of a halted trace",
     "config.ModelConfig.__reduce__": "the copy and pickle contract that tests pin",
     "config.ModelConfig.__repr__": "names a config in assertion messages",
     "config.ModelConfig.__setattr__": "the read-only contract that tests pin",
@@ -934,6 +992,7 @@ NOT_RUN_BY_THE_CLI = {
     "mcg.TwistWord.__repr__": "names a word in assertion messages",
     "mcg.substitute": "the expand move, which README documents and criterion 6 randomizes",
     "models.verify_all": "acceptance criterion 1 checks every identity through it",
+    "report.holds": "the non-finite gate values",
     "transport.SingularTransportError.__init__": "raised where the transport denominator "
                                                  "vanishes",
 }

@@ -14,8 +14,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lbfkit
-from lbfkit.cli import MAX_GRID_COUNT
-from lbfkit.config import DEFAULT_CONFIG, ModelConfig, linspace, smoothstep_and_slope
+from lbfkit.config import (DEFAULT_CONFIG, MAX_GRID_COUNT, ModelConfig, linspace,
+                           smoothstep_and_slope)
 from lbfkit.models import GRID_RESOLUTION
 from lbfkit.transport import TRAJECTORY_SAMPLES
 
