@@ -31,13 +31,7 @@ from math import ceil
 
 from . import poly
 from .config import DEFAULT_CONFIG
-from .mcg import (
-    SPHERE,
-    SubstitutionStep,
-    TwistWord,
-    disk_cotangent_sphere,
-    substitute,
-)
+from .mcg import SPHERE, substitute
 from .poly import Monomial, Rational
 from .report import SuiteResult, config_dict, result_row, timed
 
@@ -290,27 +284,26 @@ def resolve_A(k: int, n: int) -> ResolutionTrace:
 # word-rewrite mirror
 
 
-def milnor_word(k: int, n: int = 2) -> TwistWord:
-    """Word of k+1 sphere twists over the disk cotangent fiber."""
+def milnor_word(k: int) -> str:
+    """The word of k+1 sphere twists."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return TwistWord(SPHERE * (k + 1), disk_cotangent_sphere(n))
+    return SPHERE * (k + 1)
 
 
-def resolution_word_chain(k: int, n: int = 2) -> list[SubstitutionStep]:
+def resolution_word_chain(k: int) -> list[tuple[int, str, str, str]]:
     """Word rewrite mirroring resolve_A, one contraction per blow-up.
 
-    The j-th blow-up (1-based) trades the leftmost remaining pair of
-    sphere twists for a boundary twist; j-1 boundary twists already sit
-    to its left, so the contraction lands at position j-1.
+    Each step is (position, direction, before, after).  The j-th blow-up
+    (1-based) trades the leftmost remaining pair of sphere twists for a
+    boundary twist; j-1 boundary twists already sit to its left, so the
+    contraction lands at position j-1.
     """
-    word = milnor_word(k, n)
-    chain: list[SubstitutionStep] = []
+    word = milnor_word(k)
+    chain: list[tuple[int, str, str, str]] = []
     for j in range(ceil(k / 2)):
         after = substitute(word, j, "contract")
-        chain.append(
-            SubstitutionStep(position=j, direction="contract", before=word, after=after)
-        )
+        chain.append((j, "contract", word, after))
         word = after
     return chain
 
@@ -354,13 +347,9 @@ def suite(k: int, dim: int) -> SuiteResult:
         "config": config_dict(DEFAULT_CONFIG, k=k, dim=dim),
         "trace": trace_report,
         "word_chain": [
-            {
-                "position": s.position,
-                "direction": s.direction,
-                "before": s.before.serialize(),
-                "after": s.after.serialize(),
-            }
-            for s in chain
+            {"position": position, "direction": direction,
+             "before": " ".join(before), "after": " ".join(after)}
+            for position, direction, before, after in chain
         ],
     }
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .config import DomainError, ModelConfig
+from .config import DEFAULT_CONFIG, DomainError
 from .report import SuiteResult, cell, config_dict, float_rows, pass_fail, result_row, timed
 
 # Mapping-cylinder Hamiltonian value held constant near the boundary.
@@ -373,7 +373,7 @@ def suite(n: int) -> SuiteResult:
     ]
 
     report = {
-        "config": config_dict(ModelConfig(n=max(n, 2)), n=n),
+        "config": config_dict(DEFAULT_CONFIG, n=n),
         "profile": prof_report,
         "corner": corner_report,
         "base": base_report,

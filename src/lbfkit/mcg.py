@@ -2,19 +2,16 @@
 
 A word is a string over two letters: ``S`` (``SPHERE``), a sphere twist
 along a fixed zero-section cycle, and ``D`` (``BOUNDARY``), a fibered twist
-along the boundary; its serialization is the letters joined by spaces.
+along the boundary; the reports print it with its letters joined by spaces.
 The only relation used is that one boundary twist matches two sphere
 twists, which induces the substitution moves
 
     contract:  (S, S) at a position  ->  (D)
     expand:    (D) at a position     ->  (S, S)
 
-and the invariant weight = #S + 2 #D.  A word carries its fiber by name
-(``disk_cotangent_sphere``), and only words over the same fiber are
-related; the fiber's Euler number is ``topo.chi_sphere``.  Word equality
-beyond this relation (general mapping-class-group equality, Hurwitz moves,
-conjugation) is out of scope on purpose; the A_k filling family needs
-exactly this much.
+and the invariant weight = #S + 2 #D.  Word equality beyond this relation
+(general mapping-class-group equality, Hurwitz moves, conjugation) is out
+of scope on purpose; the A_k filling family needs exactly this much.
 """
 
 from __future__ import annotations
@@ -22,10 +19,8 @@ from __future__ import annotations
 __all__ = [
     "SPHERE",
     "BOUNDARY",
-    "TwistWord",
-    "SubstitutionStep",
     "PatternMismatchError",
-    "disk_cotangent_sphere",
+    "weight",
     "substitute",
     "enumerate_fillings",
 ]
@@ -39,92 +34,39 @@ class PatternMismatchError(ValueError):
     """The requested local replacement does not match the word at pos."""
 
 
-def disk_cotangent_sphere(n: int) -> str:
-    """The name of the fiber, the disk cotangent bundle of the n-sphere."""
-    if n < 1:
-        raise ValueError(f"sphere dimension must be >= 1, got {n}")
-    return f"DT*S{n}"
+def weight(word: str) -> int:
+    """#S + 2 #D, the invariant of every substitution."""
+    return len(word) + word.count(BOUNDARY)
 
 
-class TwistWord:
-    """A word over one fiber; two words are equal when letters and fiber agree."""
-
-    __slots__ = ("letters", "fiber")
-
-    def __init__(self, letters: str, fiber: str) -> None:
-        unknown = letters.strip(SPHERE + BOUNDARY)   # from the first other letter on
-        if unknown:
-            raise ValueError(f"unknown twist letter {unknown[0]!r}; "
-                             f"use {SPHERE!r} or {BOUNDARY!r}")
-        self.letters = letters
-        self.fiber = fiber   # the fiber's name, from disk_cotangent_sphere
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, TwistWord)
-                and (self.letters, self.fiber) == (other.letters, other.fiber))
-
-    @property
-    def weight(self) -> int:
-        return len(self.letters) + self.letters.count(BOUNDARY)
-
-    def serialize(self) -> str:
-        return " ".join(self.letters)
-
-    def __repr__(self) -> str:
-        return f"TwistWord({self.serialize() or 'empty'}; fiber={self.fiber})"
-
-
-class SubstitutionStep:
-    """One move of a chain; two steps are equal when all four fields agree."""
-
-    __slots__ = ("position", "direction", "before", "after")
-
-    def __init__(self, position: int, direction: str, before: TwistWord,
-                 after: TwistWord) -> None:
-        self.position = position
-        self.direction = direction   # "contract" or "expand"
-        self.before = before
-        self.after = after
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, SubstitutionStep)
-                and (self.position, self.direction, self.before, self.after)
-                == (other.position, other.direction, other.before, other.after))
-
-
-def substitute(word: TwistWord, pos: int, direction: str) -> TwistWord:
+def substitute(word: str, pos: int, direction: str) -> str:
     """Apply one local replacement at pos; everything else is untouched."""
-    letters = word.letters
     if direction == "contract":
-        if pos < 0 or pos + 1 >= len(letters):
+        if pos < 0 or pos + 1 >= len(word):
             raise PatternMismatchError(
                 f"contract needs two letters at positions {pos}, {pos + 1}; "
-                f"word has length {len(letters)}"
+                f"word has length {len(word)}"
             )
-        if letters[pos : pos + 2] != SPHERE * 2:
+        if word[pos : pos + 2] != SPHERE * 2:
             raise PatternMismatchError(
                 f"pattern mismatch at {pos}: contract expects (S, S), "
-                f"found ({_LABELS[letters[pos]]}, {_LABELS[letters[pos + 1]]})"
+                f"found ({_LABELS[word[pos]]}, {_LABELS[word[pos + 1]]})"
             )
-        return TwistWord(letters[:pos] + BOUNDARY + letters[pos + 2 :], word.fiber)
+        return word[:pos] + BOUNDARY + word[pos + 2 :]
     if direction == "expand":
-        if pos < 0 or pos >= len(letters):
+        if pos < 0 or pos >= len(word):
             raise PatternMismatchError(
-                f"expand needs a letter at position {pos}; word has length {len(letters)}"
+                f"expand needs a letter at position {pos}; word has length {len(word)}"
             )
-        if letters[pos] != BOUNDARY:
+        if word[pos] != BOUNDARY:
             raise PatternMismatchError(
-                f"pattern mismatch at {pos}: expand expects (D), found ({_LABELS[letters[pos]]})"
+                f"pattern mismatch at {pos}: expand expects (D), found ({_LABELS[word[pos]]})"
             )
-        return TwistWord(letters[:pos] + SPHERE * 2 + letters[pos + 1 :], word.fiber)
+        return word[:pos] + SPHERE * 2 + word[pos + 1 :]
     raise ValueError(f"unknown direction {direction!r}; use 'contract' or 'expand'")
 
 
-def enumerate_fillings(
-    k: int,
-    n: int = 2,
-    include_zero: bool = False,
-) -> list[TwistWord]:
+def enumerate_fillings(k: int, include_zero: bool = False) -> list[str]:
     """The filling family for the A_k boundary: one word per l.
 
     For l = 1 .. ceil(k/2), the word carries l boundary twists followed by
@@ -134,8 +76,5 @@ def enumerate_fillings(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if n < 2:
-        raise ValueError(f"fiber half-dimension must be >= 2, got {n}")
-    fiber = disk_cotangent_sphere(n)
-    return [TwistWord(BOUNDARY * ell + SPHERE * (k + 1 - 2 * ell), fiber)
+    return [BOUNDARY * ell + SPHERE * (k + 1 - 2 * ell)
             for ell in range(0 if include_zero else 1, (k + 1) // 2 + 1)]

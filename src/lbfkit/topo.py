@@ -160,17 +160,17 @@ def distinctness_report(n: int, k: int) -> dict:
 def suite(n: int, k: int, include_zero: bool) -> SuiteResult:
     """fillings: one row per filling word of the A_k boundary, with both chi columns."""
     timing: dict[str, float] = {}
-    words = timed(timing, "words_ms", mcg.enumerate_fillings, k, n, include_zero=include_zero)
+    words = timed(timing, "words_ms", mcg.enumerate_fillings, k, include_zero=include_zero)
     euler = timed(timing, "euler_ms", distinctness_report, n, k)
 
     rows_data = []
     for word in words:
-        ell = word.letters.count(mcg.BOUNDARY)
+        ell = word.count(mcg.BOUNDARY)
         _, chi_betti, chi_alternate, differs = euler["rows"][ell]    # rows run over l = 0, 1, ...
         rows_data.append({
             "ell": ell,
-            "word": word.serialize(),
-            "weight": word.weight,
+            "word": " ".join(word),
+            "weight": mcg.weight(word),
             "chi_betti": chi_betti,
             "chi_alternate": chi_alternate,
             "conventions_differ": differs,

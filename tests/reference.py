@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from lbfkit import exterior, poly
 from lbfkit.config import DEFAULT_CONFIG, ModelConfig
 from lbfkit.exterior import ScalarExpr
-from lbfkit.mcg import BOUNDARY, SubstitutionStep, TwistWord
+from lbfkit.mcg import BOUNDARY, weight
 from lbfkit.mcg import substitute as substitute_word
 from lbfkit.poly import Rational
 
@@ -102,7 +102,7 @@ def closed_form(
 
 
 class NotRelatedError(ValueError):
-    """Two words cannot be joined by substitutions (weight or fiber differ)."""
+    """Two words cannot be joined by substitutions (their weights differ)."""
 
 
 def aa_count(d: int, n: int) -> int:
@@ -114,44 +114,41 @@ def aa_count(d: int, n: int) -> int:
     return d * (d - 1) ** n
 
 
-def substitution_chain(source: TwistWord, target: TwistWord) -> list[SubstitutionStep]:
+def substitution_chain(source: str, target: str) -> list[tuple[int, str, str, str]]:
     """Greedy left-to-right chain of substitutions carrying source to target.
 
-    Scans both words in parallel.  Where the target wants a boundary twist
-    and the source offers spheres, two spheres are contracted (expanding
-    first if the second letter is itself a boundary twist); where the target
-    wants a sphere and the source offers a boundary twist, it is expanded.
-    Equal weights guarantee the scan never runs off either word.
+    Each step is (position, direction, before, after), as in
+    ``blowup.resolution_word_chain``.  Scans both words in parallel.  Where
+    the target wants a boundary twist and the source offers spheres, two
+    spheres are contracted (expanding first if the second letter is itself
+    a boundary twist); where the target wants a sphere and the source offers
+    a boundary twist, it is expanded.  Equal weights guarantee the scan
+    never runs off either word.
     """
-    if source.fiber != target.fiber:
+    if weight(source) != weight(target):
         raise NotRelatedError(
-            f"not related: fiber descriptors differ "
-            f"({source.fiber} vs {target.fiber})"
+            f"not related: weights differ ({weight(source)} vs {weight(target)})"
         )
-    if source.weight != target.weight:
-        raise NotRelatedError(
-            f"not related: weights differ ({source.weight} vs {target.weight})"
-        )
-    steps: list[SubstitutionStep] = []
+    steps: list[tuple[int, str, str, str]] = []
     current = source
     i = 0
-    for need in target.letters:
-        if current.letters[i] == need:
+    for need in target:
+        if current[i] == need:
             i += 1
             continue
         if need == BOUNDARY:
             # have a sphere; a second unit of weight follows because the
             # target still owes weight 2 here and weights agree
-            if current.letters[i + 1] == BOUNDARY:
+            if current[i + 1] == BOUNDARY:
                 nxt = substitute_word(current, i + 1, "expand")
-                steps.append(SubstitutionStep(i + 1, "expand", current, nxt))
+                steps.append((i + 1, "expand", current, nxt))
                 current = nxt
             nxt = substitute_word(current, i, "contract")
-            steps.append(SubstitutionStep(i, "contract", current, nxt))
+            steps.append((i, "contract", current, nxt))
             current = nxt
         else:
             nxt = substitute_word(current, i, "expand")
-            steps.append(SubstitutionStep(i, "expand", current, nxt))
+            steps.append((i, "expand", current, nxt))
             current = nxt
         i += 1
     assert current == target, "scan invariant broken"

@@ -144,10 +144,10 @@ def test_criterion_4_fillings_table():
     failures: list[str] = []
     for n in range(2, 7):
         for k in range(1, 13):
-            words = mcg.enumerate_fillings(k, n)
+            words = mcg.enumerate_fillings(k)
             if len(words) != -(-k // 2):
                 failures.append(f"n={n} k={k}: {len(words)} words")
-            if any(w.weight != k + 1 for w in words):
+            if any(mcg.weight(w) != k + 1 for w in words):
                 failures.append(f"n={n} k={k}: weight != k+1")
             rep = topo.distinctness_report(n, k)
             chis = [row[1] for row in rep["rows"]]
@@ -207,25 +207,23 @@ def test_criterion_6_relation_constants(rng):
     if aa_count(3, 2) != 12:
         failures.append("aa_count(3, 2) != 12")
 
-    fiber = mcg.disk_cotangent_sphere(2)
-    word = mcg.TwistWord(mcg.SPHERE * 20, fiber)
+    word = mcg.SPHERE * 20
     applied = 0
     for _ in range(10_000):
-        letters = word.letters
         moves = [
             (i, "contract")
-            for i in range(len(letters) - 1)
-            if letters[i] == mcg.SPHERE and letters[i + 1] == mcg.SPHERE
+            for i in range(len(word) - 1)
+            if word[i] == mcg.SPHERE and word[i + 1] == mcg.SPHERE
         ]
         moves += [
-            (i, "expand") for i in range(len(letters))
-            if letters[i] == mcg.BOUNDARY
+            (i, "expand") for i in range(len(word))
+            if word[i] == mcg.BOUNDARY
         ]
         pos, direction = rng.choice(moves)
         word = mcg.substitute(word, pos, direction)
         applied += 1
-        if word.weight != 20:
-            failures.append(f"weight drifted to {word.weight} after {applied} moves")
+        if mcg.weight(word) != 20:
+            failures.append(f"weight drifted to {mcg.weight(word)} after {applied} moves")
             break
     if applied != 10_000:
         failures.append(f"only {applied} substitutions applied")

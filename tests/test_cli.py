@@ -496,7 +496,7 @@ GATE_FAILURES = {
     "limits": (["transport"], [(transport, "limits_at_zero", lambda cfg, s0: (0.4, -0.7))],
                ["limit at 0+ = 0.4, expected 0.5 within 1e-3",
                 "limit at 0- = -0.7, expected -0.5 within 1e-3"], "result FAIL"),
-    "weight": (["fillings"], [(mcg.TwistWord, "weight", property(lambda self: 99))],
+    "weight": (["fillings"], [(mcg, "weight", lambda word: 99)],
                ["weight != k+1 at ell in [1, 2, 3]"], "3 fillings, pairwise distinct"),
     # the trace of k + 2 takes one step more than k = 3 and its word chain
     "step-count": (["resolve"], [(blowup, "resolve_A", lambda k, dim, resolve=blowup.resolve_A:
@@ -987,9 +987,6 @@ NOT_RUN_BY_THE_CLI = {
     "exterior.ScalarExpr.to_text": "prints the residual of an identity that fails",
     "exterior.TangentSymbol.__repr__": "names a tangent symbol in assertion messages",
     "exterior._derivative_table": "runs once, when exterior is imported, before any run",
-    "mcg.SubstitutionStep.__eq__": "criterion 5 compares word chains with ==",
-    "mcg.TwistWord.__eq__": "tests compare words with ==",
-    "mcg.TwistWord.__repr__": "names a word in assertion messages",
     "mcg.substitute": "the expand move, which README documents and criterion 6 randomizes",
     "models.verify_all": "acceptance criterion 1 checks every identity through it",
     "report.holds": "the non-finite gate values",

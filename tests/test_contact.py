@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lbfkit import cli
 from lbfkit.cli import main
-from lbfkit.config import DomainError
+from lbfkit.config import DEFAULT_CONFIG, DomainError
 from lbfkit.contact import (
     BOUNDARY_HAMILTONIAN,
     make_base_profile,
@@ -126,6 +126,14 @@ def test_make_profile_validation():
         make_profile(k=-2.0)
     with pytest.raises(ValueError):
         make_profile(eps=0.5)
+
+
+def test_n_1_prints_the_default_config_with_its_n(capsys):
+    # --n 1 lies below ModelConfig's floor of 2; the config is the default one
+    assert main(["contact-check", "--n", "1"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {**{name: getattr(DEFAULT_CONFIG, name) for name in DEFAULT_CONFIG.FIELDS},
+                      "n": 1}
 
 
 def test_profile_csv_shape(capsys):

@@ -4,57 +4,43 @@ from __future__ import annotations
 
 import pytest
 
+from lbfkit import topo
 from lbfkit.mcg import (
     BOUNDARY,
     SPHERE,
     PatternMismatchError,
-    TwistWord,
-    disk_cotangent_sphere,
     enumerate_fillings,
     substitute,
+    weight,
 )
 from lbfkit.topo import chi_sphere
 from reference import NotRelatedError, aa_count, substitution_chain
 
-FIBER = disk_cotangent_sphere(2)
 
-
-def word(text: str) -> TwistWord:
-    """Build a word from its serialized form, e.g. 'D S S'."""
-    return TwistWord("".join(text.split()), FIBER)
+def word(text: str) -> str:
+    """A word from its printed form, e.g. 'D S S'."""
+    return "".join(text.split())
 
 
 def test_generator_defaults_and_weights():
-    # the letters are the characters of the serialized word
+    # the letters are the characters of the printed word
     assert (SPHERE, BOUNDARY) == ("S", "D")
-    assert TwistWord(SPHERE, FIBER).weight == 1
-    assert TwistWord(BOUNDARY, FIBER).weight == 2
-    assert word("D S S").letters == "DSS"
-
-
-def test_generator_rejects_unknown_kind():
-    for letters in ("SxD", "T", "S D", "s"):
-        with pytest.raises(ValueError, match="unknown twist letter"):
-            TwistWord(letters, FIBER)
-    with pytest.raises(ValueError, match="unknown twist letter 'x'; use 'S' or 'D'"):
-        TwistWord("DSxS", FIBER)
+    assert weight(SPHERE) == 1
+    assert weight(BOUNDARY) == 2
+    assert word("D S S") == "DSS"
 
 
 def test_fiber_descriptor_euler_numbers():
-    assert disk_cotangent_sphere(2) == "DT*S2"
-    assert disk_cotangent_sphere(3) == "DT*S3"
-    # the fiber's Euler number is chi(S^n), kept in topo
+    # the fiber DT*S^n has the Euler number chi(S^n), kept in topo
     assert [chi_sphere(n) for n in (2, 3, 5, 6)] == [2, 0, 0, 2]
-    with pytest.raises(ValueError):
-        disk_cotangent_sphere(0)
 
 
 def test_contract_at_front():
-    assert substitute(word("S S S S"), 0, "contract").serialize() == "D S S"
+    assert substitute(word("S S S S"), 0, "contract") == word("D S S")
 
 
 def test_expand_at_front():
-    assert substitute(word("D S"), 0, "expand").serialize() == "S S S"
+    assert substitute(word("D S"), 0, "expand") == word("S S S")
 
 
 def test_contract_needs_two_spheres():
@@ -86,26 +72,27 @@ def test_unknown_direction():
 def test_substitute_leaves_other_letters_alone():
     w = word("S D S S D")
     out = substitute(w, 2, "contract")
-    assert out.serialize() == "S D D D"
-    assert out.letters[0] == w.letters[0]
-    assert out.letters[-1] == w.letters[-1]
+    assert out == word("S D D D")
+    assert out[0] == w[0]
+    assert out[-1] == w[-1]
 
 
 def test_weight_examples():
-    assert word("S S S S").weight == 4
-    assert word("D S S").weight == 4
-    assert TwistWord("", FIBER).weight == 0
+    assert weight(word("S S S S")) == 4
+    assert weight(word("D S S")) == 4
+    assert weight("") == 0
 
 
 def test_weight_counts_both_kinds():
-    assert word("D D S").weight == 5
+    assert weight(word("D D S")) == 5
 
 
-def test_serialize_and_repr():
-    w = word("D S")
-    assert w.serialize() == "D S"
-    assert "fiber=DT*S2" in repr(w)
-    assert "empty" in repr(TwistWord("", FIBER))
+def test_reports_print_words_space_joined():
+    # the fillings report prints each word with its letters joined by spaces
+    rows = topo.suite(2, 5, include_zero=True).report["fillings"]
+    assert [row["word"] for row in rows] == [
+        "S S S S S S", "D S S S S", "D D S S", "D D D"]
+    assert [word(row["word"]) for row in rows] == enumerate_fillings(5, include_zero=True)
 
 
 def test_aa_count_values():
@@ -125,36 +112,33 @@ def test_aa_count_rejects_bad_arguments():
 
 def test_filling_family_k5():
     words = enumerate_fillings(5)
-    assert [len(w.letters) for w in words] == [5, 4, 3]
-    assert [w.serialize() for w in words] == ["D S S S S", "D D S S", "D D D"]
-    assert all(w.weight == 6 for w in words)
+    assert [len(w) for w in words] == [5, 4, 3]
+    assert words == ["DSSSS", "DDSS", "DDD"]
+    assert all(weight(w) == 6 for w in words)
 
 
 def test_filling_family_k1():
     (only,) = enumerate_fillings(1)
-    assert only.serialize() == "D"
+    assert only == BOUNDARY
 
 
 def test_filling_family_include_zero_prepends_milnor_word():
     words = enumerate_fillings(4, include_zero=True)
-    assert words[0].serialize() == "S S S S S"
+    assert words[0] == SPHERE * 5
     assert len(words) == 3      # l = 0, 1, 2
-    assert all(w.weight == 5 for w in words)
+    assert all(weight(w) == 5 for w in words)
 
 
 def test_filling_family_weights_and_counts():
     for k in range(1, 13):
         words = enumerate_fillings(k)
         assert len(words) == -(-k // 2)
-        assert all(w.weight == k + 1 for w in words)
-        assert all(w.fiber == FIBER for w in words)
+        assert all(weight(w) == k + 1 for w in words)
 
 
 def test_filling_family_validation():
     with pytest.raises(ValueError):
         enumerate_fillings(0)
-    with pytest.raises(ValueError):
-        enumerate_fillings(3, n=1)
 
 
 def test_chain_full_contraction_count():
@@ -163,7 +147,7 @@ def test_chain_full_contraction_count():
         target = enumerate_fillings(k)[-1]
         steps = substitution_chain(milnor, target)
         assert len(steps) == -(-k // 2)
-        assert all(s.direction == "contract" for s in steps)
+        assert all(direction == "contract" for _, direction, _, _ in steps)
 
 
 def test_chain_of_equal_words_is_empty():
@@ -176,19 +160,12 @@ def test_chain_rejects_unequal_weights():
         substitution_chain(word("S S"), word("S"))
 
 
-def test_chain_rejects_fiber_mismatch():
-    a = word("S S")
-    b = TwistWord(a.letters, disk_cotangent_sphere(3))
-    with pytest.raises(NotRelatedError, match="fiber descriptors differ"):
-        substitution_chain(a, b)
-
-
-def replay(source: TwistWord, steps) -> TwistWord:
+def replay(source: str, steps) -> str:
     current = source
-    for step in steps:
-        assert step.before == current
-        current = substitute(current, step.position, step.direction)
-        assert step.after == current
+    for position, direction, before, after in steps:
+        assert before == current
+        current = substitute(current, position, direction)
+        assert after == current
     return current
 
 
@@ -196,7 +173,7 @@ def test_chain_replay_mixed_directions():
     # needs a contract then an expand
     src, dst = word("S S D"), word("D S S")
     steps = substitution_chain(src, dst)
-    assert [s.direction for s in steps] == ["contract", "expand"]
+    assert [direction for _, direction, _, _ in steps] == ["contract", "expand"]
     assert replay(src, steps) == dst
 
 
@@ -205,7 +182,7 @@ def test_chain_expand_before_contract_when_boundary_blocks():
     # so the chain must expand it first to free two spheres
     src, dst = word("S D S"), word("D S S")
     steps = substitution_chain(src, dst)
-    assert [s.direction for s in steps] == ["expand", "contract"]
+    assert [direction for _, direction, _, _ in steps] == ["expand", "contract"]
     assert replay(src, steps) == dst
 
 
@@ -216,32 +193,31 @@ def test_all_fillings_pairwise_related():
             assert replay(a, substitution_chain(a, b)) == b
 
 
-def random_word(rng, max_len: int = 12) -> TwistWord:
+def random_word(rng, max_len: int = 12) -> str:
     n = rng.randrange(0, max_len + 1)
-    letters = "".join(SPHERE if rng.random() < 0.6 else BOUNDARY for _ in range(n))
-    return TwistWord(letters, FIBER)
+    return "".join(SPHERE if rng.random() < 0.6 else BOUNDARY for _ in range(n))
 
 
 def test_weight_invariant_under_random_substitutions(rng):
     hits = 0
     for _ in range(500):
         w = random_word(rng)
-        before = w.weight
-        pos = rng.randrange(0, max(len(w.letters), 1))
+        before = weight(w)
+        pos = rng.randrange(0, max(len(w), 1))
         direction = rng.choice(("contract", "expand"))
         try:
             out = substitute(w, pos, direction)
         except PatternMismatchError:
             continue
         hits += 1
-        assert out.weight == before
+        assert weight(out) == before
     assert hits > 100     # the loop must actually exercise the invariant
 
 
 def test_random_chains_replay_exactly(rng):
     for _ in range(200):
         a, b = random_word(rng), random_word(rng)
-        if a.weight != b.weight:
+        if weight(a) != weight(b):
             with pytest.raises(NotRelatedError):
                 substitution_chain(a, b)
             continue
