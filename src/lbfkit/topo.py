@@ -27,7 +27,7 @@ from __future__ import annotations
 from math import ceil
 
 from . import mcg
-from .config import ModelConfig
+from .config import DEFAULT_CONFIG
 from .report import SuiteResult, config_dict, timed
 
 __all__ = [
@@ -188,7 +188,7 @@ def suite(n: int, k: int, include_zero: bool) -> SuiteResult:
              (bad_weight, [], "==", f"weight != k+1 at ell in {bad_weight}")]
 
     report = {
-        "config": config_dict(ModelConfig(n=n), k=k, include_zero=include_zero),
+        "config": config_dict(DEFAULT_CONFIG, n=n, k=k, include_zero=include_zero),
         "fillings": rows_data,
         "summary": summary,
         "milnor_chi": euler["milnor_value"],

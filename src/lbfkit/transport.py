@@ -400,7 +400,10 @@ def limits_at_zero(cfg: ModelConfig, s0: float) -> tuple[float, float]:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """The levels of a LO:HI:COUNT spec, refused before any of them is integrated."""
+    """The levels of a LO:HI:COUNT spec; LO and HI, its ends, meet ``_validate_t`` here.
+
+    The levels between them meet it in ``_transport``, after ``--t`` and ``--s0``.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid spec must be lo:hi:count, got {spec!r}")
@@ -415,24 +418,19 @@ def _parse_grid(spec: str) -> list[float]:
         raise DomainError(f"grid bounds out of order in {spec!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"grid bounds must be finite, got {spec!r}")
-    t_lo, t_hi = DEFAULT_CONFIG.level_range
-    if not (t_lo <= lo and hi <= t_hi):
-        raise DomainError(f"grid {spec!r} leaves the fiber-coordinate range [{t_lo}, {t_hi}]")
-    grid = linspace(lo, hi, count)
-    if 0.0 in grid:
-        raise DomainError(f"grid {spec!r} contains the critical value t = 0")
-    return grid
+    _validate_t(DEFAULT_CONFIG, lo)
+    _validate_t(DEFAULT_CONFIG, hi)
+    return linspace(lo, hi, count)
 
 
 def suite(t: float, s0: float, grid: str) -> SuiteResult:
     """transport: both trajectories at level ``t``, the limits at 0 and the profile on ``grid``."""
     cfg = DEFAULT_CONFIG
+    # usage errors, refused in this order before any level is stepped: the
+    # grid spec and its two bounds, --t, --s0, then the grid's other levels
     levels = _parse_grid(grid)
-    # a bad --t is a usage error before anything is integrated
     _validate_t(cfg, t)
     timing: dict[str, float] = {}
-    # ... and so are a bad --s0 and a grid level with |t| <= 5e-13, which
-    # the profile refuses, in that order, before it steps any level
     prof = timed(timing, "profile_ms", monodromy_profile, cfg, s0, levels)
 
     # Both denominator conventions ride along on every trajectory report.

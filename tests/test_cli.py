@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import lbfkit
 from lbfkit import blowup, cli, contact, mcg, models, topo, transport
 from lbfkit.cli import FORMATS
-from lbfkit.config import DEFAULT_CONFIG, SINGULAR_FLOOR, ModelConfig
+from lbfkit.config import DEFAULT_CONFIG, SINGULAR_FLOOR, ModelConfig, linspace
 from lbfkit.report import config_dict
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -140,10 +140,11 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run(capsys, "transport", spec)
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and "finite" in err, err
-    # so are bounds outside the documented level range [-0.25, 100]
+    # so are bounds outside the documented level range [-0.25, 100], with
+    # the text that refuses any level there
     code, out, err = run(capsys, "transport", "--grid=-5:-1:3")
     assert (code, out) == (2, "")
-    assert err == ("lbfkit: usage error: grid '-5:-1:3' leaves the "
+    assert err == ("lbfkit: usage error: t = -5.0 outside the "
                    "fiber-coordinate range [-0.25, 100.0]\n")
     # --k stops at MAX_K, which --help states: both reports grow as k^2
     for command in ("fillings", "resolve"):
@@ -162,6 +163,7 @@ def test_usage_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize("arg", ["--grid=-5:-1:3", "--grid=99:101:3", "--grid=1e-13:2e-13:2",
+                                 "--grid=-0.1:0.1:3", "--grid=-1e308:1e308:3",
                                  "--t=200", "--t=1e-14", "--s0=0.5", "--s0=0"])
 def test_transport_input_is_refused_before_integrating(capsys, monkeypatch, arg):
     def integrator(*args, **kwargs):
@@ -171,6 +173,24 @@ def test_transport_input_is_refused_before_integrating(capsys, monkeypatch, arg)
     code, out, err = run(capsys, "transport", arg)
     assert (code, out) == (2, "")
     assert err.startswith("lbfkit: usage error: ") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    # a grid bound comes before --t ...
+    (["--t", "200", "--grid=-5:-1:3"],
+     "t = -5.0 outside the fiber-coordinate range [-0.25, 100.0]"),
+    # (checked before linspace, whose step would overflow here)
+    (["--t", "200", "--grid=-1e308:1e308:3"],
+     "t = -1e+308 outside the fiber-coordinate range [-0.25, 100.0]"),
+    # ... but a level between the bounds comes after --s0 and --t
+    (["--s0", "1", "--grid=-0.1:0.1:3"], "s0 = 1.0 outside ("),
+    (["--t", "200", "--grid=-0.1:0.1:3"],
+     "t = 200.0 outside the fiber-coordinate range [-0.25, 100.0]"),
+])
+def test_transport_refusal_order(capsys, argv, reason):
+    code, out, err = run(capsys, "transport", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("lbfkit: usage error: " + reason) and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("spec", [
@@ -272,9 +292,10 @@ T_LO, T_HI = DEFAULT_CONFIG.level_range
 T_FLOOR = SINGULAR_FLOOR / 2     # --t must exceed it in magnitude
 
 
-def _assert_contract(argv: list[str], inside: bool) -> None:
+def _assert_contract(argv: list[str], inside: bool, reason: str | None = None) -> None:
     """Run argv in-process: inside the documented domain exit 0 with empty
-    stderr (and ``passed`` true in json), outside it one usage error line."""
+    stderr (and ``passed`` true in json), outside it one usage error line,
+    which is ``lbfkit: usage error: `` and ``reason`` when one is given."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -286,6 +307,8 @@ def _assert_contract(argv: list[str], inside: bool) -> None:
         assert (code, out.getvalue()) == (2, ""), argv
         assert err.getvalue().startswith("lbfkit: usage error: "), argv
         assert len(err.getvalue().splitlines()) == 1, argv
+        if reason is not None:
+            assert err.getvalue() == f"lbfkit: usage error: {reason}\n", argv
 
 
 @settings(max_examples=30, deadline=None)
@@ -363,13 +386,15 @@ def test_contact_check_contract(n):
 
 
 @st.composite
-def grid_specs(draw) -> tuple[str, bool]:
-    """A LO:HI:COUNT spec and whether it lies in the documented domain.
+def grid_specs(draw) -> str:
+    """A LO:HI:COUNT spec, in the documented domain or with one flaw.
 
     The drawn levels lie on one side of t = 0, at least 1e-6 from it and
     1e-4 inside the range's ends, or spread evenly across 0 with an even
     COUNT.  Then at most one flaw is put in: COUNT 0 or 10,001, LO above
-    HI, or a bound outside [-0.25, 100].
+    HI, a bound outside [-0.25, 100], an odd COUNT across 0 (whose middle
+    level is 0, or off it by a rounding error), or the bound nearest 0
+    moved to within 5e-13 of it.
     """
     if draw(st.booleans()):
         a = draw(st.floats(1e-3, -T_LO - 1e-4))
@@ -378,7 +403,7 @@ def grid_specs(draw) -> tuple[str, bool]:
         side = draw(st.sampled_from([(1e-6, T_HI - 1e-4), (T_LO + 1e-4, -1e-6)]))
         lo, hi = sorted(draw(st.tuples(st.floats(*side), st.floats(*side))))
         count = draw(st.integers(1, 12))
-    flaw = draw(st.sampled_from([None, None, "count", "order", "range"]))
+    flaw = draw(st.sampled_from([None, None, "count", "order", "range", "zero", "floor"]))
     if flaw == "count":
         count = draw(st.sampled_from([0, cli.MAX_GRID_COUNT + 1]))
     elif flaw == "order":
@@ -387,24 +412,56 @@ def grid_specs(draw) -> tuple[str, bool]:
         lo = draw(st.floats(-1e300, math.nextafter(T_LO, -math.inf)))
     elif flaw == "range":
         hi = draw(st.floats(math.nextafter(T_HI, math.inf), 1e300))
-    return f"{lo!r}:{hi!r}:{count}", flaw is None
+    elif flaw == "zero":
+        a = draw(st.floats(1e-3, -T_LO - 1e-4))
+        lo, hi, count = -a, a, 2 * draw(st.integers(1, 6)) + 1
+    elif flaw == "floor" and hi < 0:
+        hi = -draw(st.floats(0.0, T_FLOOR))
+    elif flaw == "floor":
+        lo = math.copysign(draw(st.floats(0.0, T_FLOOR)), lo)
+    return f"{lo!r}:{hi!r}:{count}"
+
+
+def _grid_refusal(spec: str) -> str | None:
+    """The usage error a well-formed finite grid spec gets, or None if it is in the domain.
+
+    COUNT and the order of the bounds are checked first.  Then each level
+    is checked, LO first, then HI, then the levels in order, against the
+    documented rule: inside [-0.25, 100], not 0, and |t| > 5e-13.
+    """
+    lo, hi, count = (f(part) for f, part in zip((float, float, int), spec.split(":")))
+    if not 1 <= count <= cli.MAX_GRID_COUNT:
+        return f"grid count must be in 1..{cli.MAX_GRID_COUNT}, got {count}"
+    if hi < lo:
+        return f"grid bounds out of order in {spec!r}"
+    for t in [lo, hi, *linspace(lo, hi, count)]:
+        if not T_LO <= t <= T_HI:
+            return f"t = {t} outside the fiber-coordinate range [-0.25, 100.0]"
+        if t == 0:
+            return "t = 0 is the critical value; no transport is defined there"
+        if abs(t) <= T_FLOOR:
+            return (f"|t| = {abs(t)} is at most 5e-13: the transport denominator "
+                    "starts at 2|t|, not above the singular floor 1e-12")
+    return None
 
 
 @settings(max_examples=12, deadline=None)
 @given(spec=grid_specs())
-@example(spec=("-0.2:0.2:4", True))
-@example(spec=("0.1:0.2:0", False))
-@example(spec=(f"0.1:0.2:{cli.MAX_GRID_COUNT + 1}", False))
-@example(spec=("0.2:0.1:3", False))
-@example(spec=("-0.3:-0.2:3", False))
-@example(spec=("0.5:101:3", False))
+@example(spec="-0.2:0.2:4")
+@example(spec="0.1:0.2:0")
+@example(spec=f"0.1:0.2:{cli.MAX_GRID_COUNT + 1}")
+@example(spec="0.2:0.1:3")
+@example(spec="-0.3:-0.2:3")
+@example(spec="0.5:101:3")
+@example(spec="-0.1:0.1:3")
+@example(spec="-4e-13:0.1:3")
 def test_transport_grid_contract(spec):
     # a grid in the documented domain passes in every format, spaced and with '=';
-    # each flaw is one usage error line
-    spec, inside = spec
+    # each flaw is one usage error line naming the first level that breaks the rule
+    reason = _grid_refusal(spec)
     for fmt in FORMATS:
         for argv in (["transport", "--grid", spec], ["transport", f"--grid={spec}"]):
-            _assert_contract(argv + ["--format", fmt], inside)
+            _assert_contract(argv + ["--format", fmt], reason is None, reason)
 
 
 def test_transport_help_states_the_level_range(capsys):
