@@ -232,14 +232,12 @@ class ResolutionStep:
 class ResolutionTrace:
     __slots__ = ("k", "n", "initial", "steps", "diagnostic")
 
-    def __init__(self, k: int, n: int, initial: MultiPoly,
-                 steps: list[ResolutionStep] | None = None,
-                 diagnostic: str | None = None) -> None:
+    def __init__(self, k: int, n: int, initial: MultiPoly) -> None:
         self.k = k
         self.n = n
         self.initial = initial
-        self.steps = [] if steps is None else steps
-        self.diagnostic = diagnostic
+        self.steps: list[ResolutionStep] = []
+        self.diagnostic: str | None = None
 
     @property
     def step_count(self) -> int:

@@ -38,7 +38,9 @@ from .report import SuiteResult, cell, config_dict, float_rows, pass_fail, resul
 # Mapping-cylinder Hamiltonian value held constant near the boundary.
 BOUNDARY_HAMILTONIAN = 2.0 * math.pi
 
-# Sample points of the corner curve's and the base profile's sampled checks.
+# Sample points of the profile's, the corner curve's and the base profile's
+# sampled checks.
+PROFILE_SAMPLES = 10_000
 CORNER_SAMPLES = BASE_SAMPLES = 2_000
 
 
@@ -161,17 +163,15 @@ def make_profile(c0: float = 2.0, c1: float = 1.0, k: float = 1.0,
     return ContactProfile(c0=c0, c1=c1, k=k, eps=eps)
 
 
-def verify_profile(profile: ContactProfile, n: int = 2, grid: int = 10_000) -> dict:
+def verify_profile(profile: ContactProfile, n: int) -> dict:
     """Sample f^(n-1) (f g' - f' g) on (0, 1+eps]: the report's ``profile`` entry.
 
-    Works on anything exposing ``point_and_tangent`` and ``r_max``, so a
-    deliberately degenerate profile can be fed in to watch it fail.  The
+    The PROFILE_SAMPLES points are evenly spaced and end at r_max.  The
     argmin is the first sample that attains the minimum.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
+    grid = PROFILE_SAMPLES
     r_max, best, argmin = profile.r_max, math.inf, 0.0
     for i in range(1, grid + 1):
         r = r_max * i / grid if i < grid else r_max    # r_max * i / grid can round past it
@@ -184,14 +184,13 @@ def verify_profile(profile: ContactProfile, n: int = 2, grid: int = 10_000) -> d
             raise DomainError(f"n = {n} overflows f^(n-1) (f g' - f' g) in floating point")
         if value < best:
             best, argmin = value, r
-    params = profile.params() if hasattr(profile, "params") else {}
     return {
         "n": n,
         "grid": grid,
         "min_value": best,
         "argmin": argmin,
         "passed": best > 0.0,
-        "params": params,
+        "params": profile.params(),
         "notes": ["blend regularity: C2 quintic joins, not C-infinity"],
     }
 

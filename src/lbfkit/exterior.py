@@ -91,8 +91,8 @@ class ScalarExpr:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[ScalarMonomial, Rational] | None = None):
-        self.terms: dict[ScalarMonomial, Rational] = {} if terms is None else terms
+    def __init__(self, terms: dict[ScalarMonomial, Rational]):
+        self.terms = terms
 
     # -- constructors
 

@@ -20,7 +20,7 @@ from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 
-from .config import DEFAULT_CONFIG, ModelConfig, linspace
+from .config import ModelConfig, linspace
 from .exterior import (
     Form,
     ScalarExpr,
@@ -40,7 +40,6 @@ __all__ = [
     "IdentityId",
     "build_form",
     "verify_identity",
-    "verify_all",
     "positivity_grid",
     "top_power_coefficient",
     "suite",
@@ -85,7 +84,7 @@ def _fiber_value() -> ScalarExpr:
 # model forms
 
 
-def build_form(name: str, cfg: ModelConfig = DEFAULT_CONFIG) -> Form:
+def build_form(name: str, cfg: ModelConfig) -> Form:
     """Return a named model form, expanded to normal form.
 
     Known names:
@@ -308,7 +307,7 @@ _CHECKERS: dict[IdentityId, Callable[[ModelConfig], Form]] = {
 }
 
 
-def verify_identity(identity: IdentityId, cfg: ModelConfig = DEFAULT_CONFIG) -> dict:
+def verify_identity(identity: IdentityId, cfg: ModelConfig) -> dict:
     """Run one symbolic check; its report entry, with verdict "exact-equal" or "residual"."""
     identity = IdentityId(identity)
     residual = _CHECKERS[identity](cfg)
@@ -321,10 +320,6 @@ def verify_identity(identity: IdentityId, cfg: ModelConfig = DEFAULT_CONFIG) -> 
     }
 
 
-def verify_all(cfg: ModelConfig = DEFAULT_CONFIG) -> list[dict]:
-    return [verify_identity(identity, cfg) for identity in IdentityId]
-
-
 # ---------------------------------------------------------------------------
 # numeric positivity grid
 
@@ -332,7 +327,7 @@ def verify_all(cfg: ModelConfig = DEFAULT_CONFIG) -> list[dict]:
 GRID_RESOLUTION = 200
 
 
-def positivity_grid(cfg: ModelConfig = DEFAULT_CONFIG) -> dict:
+def positivity_grid(cfg: ModelConfig) -> dict:
     """Minimum of the TOP_POWER coefficient on the stated parameter window.
 
     Returns its ``min_value``, its ``argmin`` (r1, r2) and the grid's

@@ -33,7 +33,7 @@ def norm(q: Rational) -> Rational:
 
 def rpow(q: Rational, exp: int) -> Rational:
     """Exact power of a coefficient; a negative exponent inverts exactly."""
-    return norm(q ** exp if exp >= 0 else Fraction(q) ** exp)
+    return norm(Fraction(q) ** exp)
 
 
 def monomial(powers: Mapping[Hashable, int]) -> Monomial:

@@ -39,13 +39,13 @@ class SuiteResult:
     __slots__ = ("report", "gates", "csv_rows", "table_rows", "timing", "internal_failure")
 
     def __init__(self, report: dict, gates: list[tuple], csv_rows: list[list[str]],
-                 table_rows: list[list[str]], timing: dict | None = None,
+                 table_rows: list[list[str]], timing: dict,
                  internal_failure: str | None = None) -> None:
         self.report = report
         self.gates = gates
         self.csv_rows = csv_rows
         self.table_rows = table_rows
-        self.timing = {} if timing is None else timing   # per-stage wall times for the sidecar
+        self.timing = timing                             # per-stage wall times for the sidecar
         self.internal_failure = internal_failure         # exit 3, after the report is written
 
     @property

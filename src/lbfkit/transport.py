@@ -16,8 +16,9 @@ The denominator above carries a mu' factor on its first term.  The variant
 without it ("unweighted") is also implemented: the two coincide wherever
 mu(r) = r, but only the weighted one keeps mu(r1) r2 = s once mu flattens,
 which the flat-region argument r2(s0, t) = s0 depends on.  ``integrate``
-steps both variants of one level, and reports print their invariant
-drifts side by side.
+steps both variants of one level and returns, per variant, the largest
+drift of each invariant over its samples and the endpoint: the records
+the report prints side by side.
 
 The ODE is stepped by one Dormand & Prince (1980) 5(4) pair with the step
 control of Hairer, Norsett and Wanner (Solving ODEs I, II.4-5), on Python
@@ -53,7 +54,6 @@ from .config import (DEFAULT_CONFIG, MAX_GRID_COUNT, SINGULAR_FLOOR, DomainError
 from .report import SuiteResult, cell, config_dict, float_rows, result_row, timed
 
 __all__ = [
-    "Trajectory",
     "SingularTransportError",
     "IntegrationFailureError",
     "initial_condition",
@@ -109,31 +109,6 @@ class IntegrationFailureError(RuntimeError):
     """The adaptive stepper gave up (step-size underflow or similar)."""
 
 
-class Trajectory:
-    __slots__ = ("t", "s", "r1", "r2", "h_drift", "radial_residual")
-
-    def __init__(self, t: float, s: list[float], r1: list[float], r2: list[float],
-                 h_drift: list[float], radial_residual: list[float]) -> None:
-        self.t = t
-        self.s = s
-        self.r1 = r1
-        self.r2 = r2
-        self.h_drift = h_drift                  # h(r1, r2) - t per sample
-        self.radial_residual = radial_residual  # mu(r1) r2 - s per sample
-
-    @property
-    def max_h_drift(self) -> float:
-        return _max_abs(self.h_drift)
-
-    @property
-    def max_radial_drift(self) -> float:
-        return _max_abs(self.radial_residual)
-
-    @property
-    def endpoint(self) -> tuple[float, float]:
-        return self.r1[-1], self.r2[-1]
-
-
 def _max_abs(values: list[float]) -> float:
     """The largest |value|, or NaN if any value is NaN (``max`` skips a NaN after the first)."""
     return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
@@ -175,7 +150,7 @@ def _field(cfg: ModelConfig, weight: bool):
         blend, slope = smooth((r1 - collar) / mu_w)
         m, m_d = r1 + (1.0 - r1) * blend, (1.0 - blend) + (1.0 - r1) * slope / mu_w
         den = (m_d * r2 if weight else r2) * dh_r2 - m * dh_r1
-        if -SINGULAR_FLOOR < den < SINGULAR_FLOOR:
+        if abs(den) < SINGULAR_FLOOR:
             raise SingularTransportError(s, r1, r2, den)
         return dh_r2 / den, -dh_r1 / den
 
@@ -249,10 +224,9 @@ def _dopri5(rhs, start: tuple[float, float],
             k7y, k7z = rhs(s + step, y_new, z_new)
             err_y = 0.0 + E1 * k1y + E3 * k3y + E4 * k4y + E5 * k5y + E6 * k6y + E7 * k7y
             err_z = 0.0 + E1 * k1z + E3 * k3z + E4 * k4z + E5 * k5z + E6 * k6z + E7 * k7z
+            ey = step * err_y / (ATOL + RTOL * max(abs(y), abs(y_new)))
+            ez = step * err_z / (ATOL + RTOL * max(abs(z), abs(z_new)))
             # _rms, max and min written out as the builtins compare, NaN included
-            a, b, c, d = abs(y), abs(y_new), abs(z), abs(z_new)
-            ey = step * err_y / (ATOL + RTOL * (b if b > a else a))
-            ez = step * err_z / (ATOL + RTOL * (d if d > c else c))
             norm = math.sqrt(0.5 * (ey * ey + ez * ez))
             ok = norm <= 1.0
             # step-size control of II.4: no growth right after a rejection
@@ -297,26 +271,29 @@ def _transport(cfg: ModelConfig, levels: Sequence[float], stops: Sequence[float]
     return [_dopri5(rhs, initial_condition(t), stops) for t in levels]
 
 
-def integrate(cfg: ModelConfig, t: float, s_max: float) -> dict[str, Trajectory]:
-    """Integrate the transport ODE from s = 0 to s = s_max at level t.
+def integrate(cfg: ModelConfig, t: float, s_max: float) -> dict[str, dict]:
+    """Integrate the transport ODE from s = 0 to s = s_max at level t, and audit it.
 
-    Both denominator variants are stepped; the result maps "weighted" and
-    "unweighted" to their trajectories.  The stepper lands on each of
-    ``TRAJECTORY_SAMPLES`` evenly spaced values of s.
+    Both denominator variants are stepped, each landing on the
+    ``TRAJECTORY_SAMPLES`` evenly spaced values of s.  The result maps
+    "weighted" and "unweighted" to the record the report prints:
+    ``max_h_drift``, the largest |h(r1, r2) - t|, ``max_radial_drift``, the
+    largest |mu(r1) r2 - s|, both over the samples through ``_max_abs``,
+    and ``endpoint``, (r1, r2) at s_max.
     """
     if not 0.0 <= s_max <= 1.0:
         raise ValueError(f"s_max must lie in [0, 1], got {s_max}")
-    grid = linspace(0.0, s_max, TRAJECTORY_SAMPLES if s_max > 0 else 1)
-    trajectories = {}
+    grid = linspace(0.0, s_max, TRAJECTORY_SAMPLES)
+    audit = {}
     for name, weight in (("weighted", True), ("unweighted", False)):
         (states,) = _transport(cfg, [t], grid, weight)
-        r1 = [y[0] for y in states]
-        r2 = [y[1] for y in states]
-        trajectories[name] = Trajectory(
-            t=t, s=grid, r1=r1, r2=r2,
-            h_drift=[h_value(cfg, a, b) - t for a, b in states],
-            radial_residual=[cfg.mu_and_slope(a)[0] * b - s for (a, b), s in zip(states, grid)])
-    return trajectories
+        audit[name] = {
+            "max_h_drift": _max_abs([h_value(cfg, a, b) - t for a, b in states]),
+            "max_radial_drift": _max_abs([cfg.mu_and_slope(a)[0] * b - s
+                                          for (a, b), s in zip(states, grid)]),
+            "endpoint": states[-1],
+        }
+    return audit
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +414,8 @@ def suite(t: float, s0: float, grid: str) -> SuiteResult:
     # Only the corrected one is expected to conserve mu*r2 - s; the other
     # column documents how far the uncorrected form drifts.
     trajectories = {
-        variant: {
-            "max_h_drift": traj.max_h_drift,
-            "max_radial_drift": traj.max_radial_drift,
-            "endpoint": traj.endpoint,
-            "radial_drift_gated": variant == "weighted",
-        }
-        for variant, traj in timed(timing, "integrate_ms", integrate, cfg, t, 0.5).items()
+        variant: {**audit, "radial_drift_gated": variant == "weighted"}
+        for variant, audit in timed(timing, "integrate_ms", integrate, cfg, t, 0.5).items()
     }
 
     lim_plus, lim_minus = timed(timing, "limits_ms", limits_at_zero, cfg, s0)

@@ -40,7 +40,8 @@ def test_criterion_1_symbolic_identities():
     started = time.perf_counter()
     failures: list[str] = []
     for n in (2, 3, 4, 5):
-        for rep in models.verify_all(ModelConfig(n=n)):
+        for identity in models.IdentityId:
+            rep = models.verify_identity(identity, ModelConfig(n=n))
             if rep["verdict"] != "exact-equal":
                 failures.append(f"n={n} {rep['identity']}: {rep['verdict']}")
     # the top-power coefficient, rebuilt from scratch in the atoms
@@ -96,11 +97,11 @@ def test_criterion_3_transport():
     drift_ts = [float(t) for t in np.linspace(-0.16, 0.16, 9) if t != 0.0]
     drift_ts += [1.0, 5.0, 25.0, 60.0, 99.0, -0.24, -0.235, -0.23]
     for t in drift_ts:
-        traj = integrate(cfg, t, s0)["weighted"]
-        if traj.max_h_drift >= 1e-8:
-            failures.append(f"h drift {traj.max_h_drift} at t={t}")
-        if traj.max_radial_drift >= 1e-8:
-            failures.append(f"radial drift {traj.max_radial_drift} at t={t}")
+        audit = integrate(cfg, t, s0)["weighted"]
+        if audit["max_h_drift"] >= 1e-8:
+            failures.append(f"h drift {audit['max_h_drift']} at t={t}")
+        if audit["max_radial_drift"] >= 1e-8:
+            failures.append(f"radial drift {audit['max_radial_drift']} at t={t}")
 
     # 50 (s, t) pairs against the corrected closed form; the wide-collar
     # configuration keeps the whole arc inside the small-t regime
@@ -109,7 +110,7 @@ def test_criterion_3_transport():
     for s in np.linspace(5e-4, 0.05, 10):
         for t in (-0.02, -0.008, 0.002, 0.008, 0.02):
             ref = closed_form("small_t", float(s), float(t), wide)
-            got = integrate(wide, float(t), float(s))["weighted"].endpoint
+            got = integrate(wide, float(t), float(s))["weighted"]["endpoint"]
             rel = math.hypot(ref[0] - got[0], ref[1] - got[1]) / math.hypot(*ref)
             if rel >= 1e-6:
                 failures.append(f"closed form off by {rel} at (s={s}, t={t})")
@@ -118,7 +119,7 @@ def test_criterion_3_transport():
         failures.append(f"expected 50 pairs, ran {pairs}")
 
     for t in (-0.24, -0.235, -0.23):
-        r2 = integrate(cfg, t, s0)["weighted"].endpoint[1]
+        r2 = integrate(cfg, t, s0)["weighted"]["endpoint"][1]
         if abs(r2 - s0) > 1e-6:
             failures.append(f"mu=1 region: r2(s0, {t}) = {r2}, not s0")
 

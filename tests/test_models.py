@@ -21,7 +21,7 @@ from reference import substitute
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_all_nine_identities_exact(n):
-    reports = models.verify_all(ModelConfig(n=n))
+    reports = [models.verify_identity(identity, ModelConfig(n=n)) for identity in IdentityId]
     assert len(reports) == 9
     for report in reports:
         assert report["verdict"] == "exact-equal", f"{report['identity']}: {report['residual_text']}"
@@ -76,7 +76,7 @@ MUTANT_RESIDUALS = {
 
 
 def _mutant_build_form(build_form):
-    def build(name, cfg=DEFAULT_CONFIG):
+    def build(name, cfg):
         form = build_form(name, cfg)
         A = form.algebra
         if name == "omega1_tilde":
@@ -90,7 +90,8 @@ def _mutant_build_form(build_form):
 @pytest.mark.parametrize("n", [2, 3])
 def test_broken_forms_report_their_exact_residuals(n, monkeypatch):
     monkeypatch.setattr(models, "build_form", _mutant_build_form(models.build_form))
-    for report in models.verify_all(ModelConfig(n=n)):
+    for identity in IdentityId:
+        report = models.verify_identity(identity, ModelConfig(n=n))
         identity = IdentityId(report["identity"])
         expected = MUTANT_RESIDUALS.get((identity, n), "0")
         assert report["verdict"] == ("exact-equal" if expected == "0" else "residual"), identity
@@ -112,7 +113,7 @@ def test_top_power_coefficient_matches_displayed_formula():
 def test_build_form_rejects_unknown_name():
     for name in ("omega9", "h", "lambda_nu"):
         with pytest.raises(ValueError, match="unknown model form"):
-            models.build_form(name)
+            models.build_form(name, DEFAULT_CONFIG)
 
 
 def test_h_is_the_fiber_level_function():
@@ -303,7 +304,7 @@ def test_positivity_grid_equals_the_numpy_full_scan(cfg):
 
 
 def test_contact_volume_grid_positive():
-    result = contact.verify_profile(contact.make_profile(), n=2, grid=2000)
+    result = contact.verify_profile(contact.make_profile(), n=2)
     assert result["min_value"] > 0.0
 
 
