@@ -226,10 +226,10 @@ def _dopri5(rhs, start: tuple[float, float],
             err_z = 0.0 + E1 * k1z + E3 * k3z + E4 * k4z + E5 * k5z + E6 * k6z + E7 * k7z
             ey = step * err_y / (ATOL + RTOL * max(abs(y), abs(y_new)))
             ez = step * err_z / (ATOL + RTOL * max(abs(z), abs(z_new)))
-            # _rms, max and min written out as the builtins compare, NaN included
-            norm = math.sqrt(0.5 * (ey * ey + ez * ez))
+            norm = math.sqrt(0.5 * (ey * ey + ez * ez))    # _rms written out
             ok = norm <= 1.0
-            # step-size control of II.4: no growth right after a rejection
+            # step-size control of II.4: no growth right after a rejection;
+            # max and min written out as the builtins compare, NaN included
             grow = 0.9 * (1e-10 if 1e-10 > norm else norm) ** -0.2
             grow, cap = grow if grow > 0.2 else 0.2, 1.0 if rejected else 10.0
             grow = grow if grow < cap else cap

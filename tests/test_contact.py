@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lbfkit import cli
+from lbfkit import cli, contact
 from lbfkit.cli import main
 from lbfkit.config import DEFAULT_CONFIG, DomainError
 from lbfkit.contact import (
@@ -219,7 +219,7 @@ def test_base_profile_validation():
 
 @settings(max_examples=30, deadline=None)
 @given(eps=st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True))
-@example(eps=0.4172110217520951).via("verify_profile sampled r = 1 + eps + 1 ulp at 1,000 samples")
+@example(eps=0.4172110217520951).via("verify_profile sampled r = 1 + eps + 1 ulp")
 @example(eps=0.15207751844459297).via("make_corner_curve sampled r = eps + 1 ulp")
 @example(eps=0.2228028226392911).via("verify_base_profile took eps * 10 / 10 for a plateau")
 @example(eps=5e-16).via("the corner bridge's g' lost its sign")
@@ -227,8 +227,13 @@ def test_base_profile_validation():
 @example(eps=math.nextafter(0.5, 0.0))
 def test_contact_verifiers_pass_for_every_eps(eps):
     # every sample stays in its domain, and every check holds; the corner
-    # curve refuses a subnormal eps
-    assert verify_profile(make_profile(eps=eps), n=2)["passed"]
+    # curve refuses a subnormal eps.  verify_profile reads PROFILE_SAMPLES
+    # when called; at 1,000 samples the first example's r_max * i / grid
+    # rounds past r_max
+    for samples in (1_000, contact.PROFILE_SAMPLES):
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(contact, "PROFILE_SAMPLES", samples)
+            assert verify_profile(make_profile(eps=eps), n=2)["passed"], samples
     if eps < sys.float_info.min:
         with pytest.raises(ValueError, match="subnormal"):
             make_corner_curve(eps)
