@@ -20,6 +20,10 @@ generator d<contact>, last in index order.  Three builders name the models:
 * ``collar_algebra``       -- a collar [0, 1+eps] x boundary x S^1
   (dr, dphi, lam, dlam).
 
+A tangent field is a dict from dual symbol to coefficient, such as
+``{"reeb": 1, "d_theta": -1}``: ``d_<coord>`` pairs to 1 with d<coord>,
+``reeb`` with the contact form.  ``interior`` contracts a form with one.
+
 Truncation encodes the contact dimension: odd generators square to zero and
 the even generator satisfies (dalpha)^m = 0 for m >= n.  The parameter n is
 fixed per algebra instance; identity checks loop over small n.
@@ -59,7 +63,7 @@ class MissingRuleError(KeyError):
 
 
 class AlgebraMismatchError(ValueError):
-    """Raised when two forms built over different algebras are combined."""
+    """Raised when forms over different algebras meet, or a name is not in the algebra."""
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +379,6 @@ class Form:
     # -- constructors
 
     @staticmethod
-    def zero(algebra: Algebra) -> "Form":
-        return Form(algebra)
-
-    @staticmethod
     def scalar(algebra: Algebra, value: "ScalarExpr | Rational") -> "Form":
         return Form(algebra, {(): _as_scalar(value)})
 
@@ -448,27 +448,6 @@ class Form:
         return f"Form[{self.algebra.name}]({self.to_text()})"
 
 
-class TangentSymbol:
-    """A formal combination of dual symbols with ScalarExpr coefficients."""
-
-    __slots__ = ("algebra", "parts")
-
-    def __init__(self, algebra: Algebra, parts: Mapping[str, "ScalarExpr | Rational"]):
-        for name in parts:
-            if name not in algebra.duals:
-                raise AlgebraMismatchError(
-                    f"algebra '{algebra.name}' has no dual symbol '{name}'"
-                )
-        self.algebra = algebra
-        self.parts: dict[str, ScalarExpr] = {
-            name: _as_scalar(c) for name, c in parts.items() if not _as_scalar(c).is_zero()
-        }
-
-    def __repr__(self) -> str:
-        inner = " + ".join(f"({c.to_text()})*{n}" for n, c in sorted(self.parts.items()))
-        return f"TangentSymbol({inner or '0'})"
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -481,15 +460,6 @@ def wedge(a: Form, b: Form) -> Form:
         for w2, c2 in b.terms.items():
             _add_product(out, algebra, w1, c1, w2, c2)
     return Form(algebra, out)
-
-
-def wedge_all(*forms: Form) -> Form:
-    if not forms:
-        raise ValueError("wedge_all needs at least one form")
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = wedge(acc, f)
-    return acc
 
 
 def wedge_power(a: Form, k: int) -> Form:
@@ -526,7 +496,7 @@ def wedge_power(a: Form, k: int) -> Form:
     q_power = Form.scalar(algebra, 1)
     for _ in range(k - top):
         q_power = wedge(q_power, q)
-    out = Form.zero(algebra)
+    out = Form(algebra)
     for j in range(top, -1, -1):
         out = out + wedge(p_powers[j], q_power).scale(comb(k, j))
         if j:
@@ -559,18 +529,20 @@ def ext_d(a: Form) -> Form:
     return Form(algebra, out)
 
 
-def interior(v: TangentSymbol, a: Form) -> Form:
-    """Contraction with a formal tangent symbol: a graded degree -1 derivation.
+def interior(v: Mapping[str, "ScalarExpr | Rational"], a: Form) -> Form:
+    """Contraction with a tangent field: a graded degree -1 derivation.
 
-    Each dual contracts its one odd generator to 1; the generators before it
-    in a word are odd, so the sign is (-1)^position.
+    The field is a dict from dual symbol to coefficient, over the form's
+    algebra.  Each dual contracts its one odd generator to 1; the generators
+    before it in a word are odd, so the sign is (-1)^position.
     """
-    if not _same_algebra(v.algebra, a.algebra):
-        raise AlgebraMismatchError("tangent symbol and form live over different algebras")
     algebra = a.algebra
     out: dict[WedgeWord, ScalarExpr] = {}
-    for dual, vcoeff in v.parts.items():
-        target = algebra.duals[dual]
+    for dual, vcoeff in v.items():
+        target = algebra.duals.get(dual)
+        if target is None:
+            raise AlgebraMismatchError(f"algebra '{algebra.name}' has no dual symbol '{dual}'")
+        vcoeff = _as_scalar(vcoeff)
         for word, coeff in a.terms.items():
             for pos, (idx, _) in enumerate(word):
                 if idx == target:

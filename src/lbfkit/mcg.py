@@ -66,7 +66,7 @@ def substitute(word: str, pos: int, direction: str) -> str:
     raise ValueError(f"unknown direction {direction!r}; use 'contract' or 'expand'")
 
 
-def enumerate_fillings(k: int, include_zero: bool = False) -> list[str]:
+def enumerate_fillings(k: int, include_zero: bool) -> list[str]:
     """The filling family for the A_k boundary: one word per l.
 
     For l = 1 .. ceil(k/2), the word carries l boundary twists followed by

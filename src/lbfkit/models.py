@@ -19,19 +19,18 @@ import math
 from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 
 from .config import ModelConfig, linspace
 from .exterior import (
     Form,
     ScalarExpr,
-    TangentSymbol,
     collar_algebra,
     disk_bundle_algebra,
     double_disk_algebra,
     ext_d,
     interior,
     wedge,
-    wedge_all,
     wedge_power,
 )
 from .report import SuiteResult, cell, config_dict, holds, result_row, timed
@@ -148,13 +147,10 @@ def _top_power(n, r1, r2, f, up, one):
 
 
 def _check_liouville_dual(cfg: ModelConfig) -> Form:
-    A = disk_bundle_algebra(cfg.n)
     lam = build_form("lambda_bar", cfg)
     omega = ext_d(lam)
     # radial Liouville field -((1 - r^2)/(2r)) d_r, written with exact 1/r
-    liouville = TangentSymbol(
-        A, {"d_r": _R * Fraction(1, 2) - (_R ** -1) * Fraction(1, 2)}
-    )
+    liouville = {"d_r": _R * Fraction(1, 2) - (_R ** -1) * Fraction(1, 2)}
     return interior(liouville, omega) - lam
 
 
@@ -162,14 +158,13 @@ def _check_omega_alpha_kernel(cfg: ModelConfig) -> Form:
     A = disk_bundle_algebra(cfg.n)
     prim = (Form.gen(A, "alpha") + Form.gen(A, "dtheta")).scale(_ONE + _R ** 2)
     omega = ext_d(prim)
-    kernel = TangentSymbol(A, {"reeb": 1, "d_theta": -1})
+    kernel = {"reeb": 1, "d_theta": -1}
     return interior(kernel, omega)
 
 
 def _check_omega_alphabar_kernel(cfg: ModelConfig) -> Form:
-    A = disk_bundle_algebra(cfg.n)
     omega = build_form("omega_bar", cfg)
-    kernel = TangentSymbol(A, {"reeb": 1, "d_theta": 1})
+    kernel = {"reeb": 1, "d_theta": 1}
     return interior(kernel, omega)
 
 
@@ -177,20 +172,19 @@ def _check_top_power(cfg: ModelConfig) -> Form:
     n = cfg.n
     A = double_disk_algebra(n)
     lhs = wedge_power(build_form("omega1_tilde", cfg), n + 1)
-    frame = wedge_all(
+    frame = reduce(wedge, (
         Form.gen(A, "dr1", ScalarExpr.const(2) * _R1),
         Form.gen(A, "dtheta1") - Form.gen(A, "alpha"),
         Form.gen(A, "dr2", ScalarExpr.const(2) * _R2),
         Form.gen(A, "dtheta2") + Form.gen(A, "alpha"),
         wedge_power(Form.gen(A, "dalpha"), n - 1),
-    )
+    ))
     return lhs - frame.scale(top_power_coefficient(n))
 
 
 def _check_omega1_kernel(cfg: ModelConfig) -> Form:
-    A = double_disk_algebra(cfg.n)
     omega = build_form("omega1_tilde", cfg)
-    kernel = TangentSymbol(A, {"d_theta1": 1, "d_theta2": -1, "reeb": 1})
+    kernel = {"d_theta1": 1, "d_theta2": -1, "reeb": 1}
     return interior(kernel, omega)
 
 
@@ -221,25 +215,11 @@ def _check_vertical_split(cfg: ModelConfig) -> Form:
     angular_sq = _R2 ** 2 - _F * _R1 ** 2 * _R2 ** 2         # r2^2 - f r1^2 r2^2
     mixed = _F * _R1 ** 2 * _R2 ** 2
 
-    kernels = [
-        TangentSymbol(A, {"d_r1": _MU, "d_r2": -(_MUP * _R2)}),
-        TangentSymbol(A, {"d_theta1": 1, "d_theta2": -1}),
-    ]
+    kernels = [{"d_r1": _MU, "d_r2": -(_MUP * _R2)}, {"d_theta1": 1, "d_theta2": -1}]
     complements = [
-        TangentSymbol(
-            A,
-            {
-                "d_theta1": ScalarExpr.const(2) * _MUP * _R2 ** 2,
-                "d_theta2": _MU * radial_sq.diff("r1") - _MUP * _R2 * mixed.diff("r2"),
-            },
-        ),
-        TangentSymbol(
-            A,
-            {
-                "d_r1": angular_sq.diff("r2"),
-                "d_r2": radial_sq.diff("r1"),
-            },
-        ),
+        {"d_theta1": ScalarExpr.const(2) * _MUP * _R2 ** 2,
+         "d_theta2": _MU * radial_sq.diff("r1") - _MUP * _R2 * mixed.diff("r2")},
+        {"d_r1": angular_sq.diff("r2"), "d_r2": radial_sq.diff("r1")},
     ]
 
     dh = ext_d(Form.scalar(A, h))
@@ -247,7 +227,7 @@ def _check_vertical_split(cfg: ModelConfig) -> Form:
     conditions += [interior(comp, dh) for comp in complements]
     tags = [Form.gen(A, g) for g in ("dr1", "dtheta1", "dr2", "dtheta2", "alpha")]
     tags.append(wedge(Form.gen(A, "dr1"), Form.gen(A, "dtheta1")))
-    residual = Form.zero(A)
+    residual = Form(A)
     for condition, tag in zip(conditions, tags, strict=True):
         residual = residual + wedge(condition, tag)
     return residual
@@ -275,7 +255,7 @@ def _check_hessian(cfg: ModelConfig) -> Form:
             delta = hessian[i][j] - expected[i][j]
             mismatch = mismatch + delta * delta
     mismatch = mismatch + (det - ScalarExpr.const(-1)) ** 2
-    A = disk_bundle_algebra(max(cfg.n, 2))
+    A = disk_bundle_algebra(cfg.n)
     return Form.scalar(A, mismatch)
 
 
@@ -285,12 +265,12 @@ def _check_contact_volume(cfg: ModelConfig) -> Form:
     beta = build_form("beta", cfg)
     lhs = wedge(beta, wedge_power(ext_d(beta), n))
     det = ScalarExpr.const(n) * _FC ** (n - 1) * (_FC * _GCP - _FCP * _GC)
-    volume = wedge_all(
+    volume = reduce(wedge, (
         Form.gen(A, "lam"),
         wedge_power(Form.gen(A, "dlam"), n - 1),
         Form.gen(A, "dr"),
         Form.gen(A, "dphi"),
-    )
+    ))
     return lhs - volume.scale(det)
 
 

@@ -77,7 +77,7 @@ def chi_fiber_sum(parts: list[int], chi_fiber: int) -> int:
     return sum(parts) - (len(parts) - 1) * chi_fiber
 
 
-def chi_filling(n: int, k: int, ell: int, convention: str = "betti") -> int:
+def chi_filling(n: int, k: int, ell: int, convention: str) -> int:
     """chi of the l-th filling of the A_k boundary in half-dimension n.
 
     betti: l disk-bundle-over-quadric summands and k + 1 - 2l disk
@@ -107,7 +107,7 @@ def milnor_fiber_chi(n: int, k: int) -> int:
     return 1 + k * (-1) ** (n + 1)
 
 
-def filling_slope(n: int, convention: str = "betti") -> int:
+def filling_slope(n: int, convention: str) -> int:
     """Increment of chi_filling per unit of l, exact in the integers."""
     _check_convention(convention)
     if convention == "betti":

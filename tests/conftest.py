@@ -1,7 +1,7 @@
 """Shared generators for randomized algebra tests.
 
 The builders here produce small random scalar expressions, forms, and
-tangent symbols over each of the three generator algebras.  Sizes stay
+tangent fields over each of the three generator algebras.  Sizes stay
 tiny on purpose: the laws under test are linear in each argument, so
 small dense cases probe every code path without blowing up runtime.
 """
@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from lbfkit import exterior
-from lbfkit.exterior import Algebra, Form, ScalarExpr, TangentSymbol
+from lbfkit.exterior import Algebra, Form, ScalarExpr
 
 # Atoms with registered derivative chains deep enough for d-after-d.
 SAFE_ATOMS = ("f", "up", "mu", "sigma", "fc", "gc", "r1", "r2", "r", "t", "s")
@@ -46,7 +46,7 @@ def random_scalar(rng: random.Random, depth: int = 2) -> ScalarExpr:
 
 def random_form(algebra: Algebra, rng: random.Random, max_terms: int = 3) -> Form:
     """A random inhomogeneous form with small scalar coefficients."""
-    result = Form.zero(algebra)
+    result = Form(algebra)
     for _ in range(rng.randint(0, max_terms)):
         word = []
         for idx in range(len(algebra.names)):
@@ -88,14 +88,15 @@ def random_homogeneous(algebra: Algebra, rng: random.Random) -> Form:
     return form
 
 
-def random_tangent(algebra: Algebra, kind: str, rng: random.Random) -> TangentSymbol:
+def random_tangent(algebra: Algebra, kind: str, rng: random.Random) -> dict[str, ScalarExpr]:
+    """A random tangent field over ``algebra``: a dict from some of its duals to coefficients."""
     parts = {}
     for dual in DUALS[kind]:
         if rng.random() < 0.7:
             parts[dual] = random_scalar(rng, depth=1)
     if not parts:
         parts[DUALS[kind][0]] = ScalarExpr.const(1)
-    return TangentSymbol(algebra, parts)
+    return parts
 
 
 @pytest.fixture

@@ -145,7 +145,7 @@ def test_criterion_4_fillings_table():
     failures: list[str] = []
     for n in range(2, 7):
         for k in range(1, 13):
-            words = mcg.enumerate_fillings(k)
+            words = mcg.enumerate_fillings(k, include_zero=False)
             if len(words) != -(-k // 2):
                 failures.append(f"n={n} k={k}: {len(words)} words")
             if any(mcg.weight(w) != k + 1 for w in words):
@@ -154,7 +154,7 @@ def test_criterion_4_fillings_table():
             chis = [row[1] for row in rep["rows"]]
             if len(set(chis)) != len(chis):
                 failures.append(f"n={n} k={k}: oracle column not distinct")
-            slope = topo.filling_slope(n)
+            slope = topo.filling_slope(n, "betti")
             if any(c != chis[0] + slope * i for i, c in enumerate(chis)):
                 failures.append(f"n={n} k={k}: oracle column not affine")
             if chis[0] != topo.milnor_fiber_chi(n, k):
@@ -190,7 +190,8 @@ def test_criterion_5_resolution():
                     failures.append(f"k={k} n={n} step {j}: {step.verdict}")
     for k in range(1, 16):
         mirrored = resolution_word_chain(k)
-        direct = substitution_chain(milnor_word(k), mcg.enumerate_fillings(k)[-1])
+        filling = mcg.enumerate_fillings(k, include_zero=False)[-1]
+        direct = substitution_chain(milnor_word(k), filling)
         if mirrored != direct:
             failures.append(f"k={k}: word chain differs from the mcg chain")
     _finish(

@@ -1066,7 +1066,6 @@ NOT_RUN_BY_THE_CLI = {
     "exterior.ScalarExpr.__hash__": "equal coefficients hash alike, as tests pin",
     "exterior.ScalarExpr.__repr__": "names a coefficient in assertion messages",
     "exterior.ScalarExpr.to_text": "prints the residual of an identity that fails",
-    "exterior.TangentSymbol.__repr__": "names a tangent symbol in assertion messages",
     "exterior._derivative_table": "runs once, when exterior is imported, before any run",
     "mcg.substitute": "the expand move, which README documents and criterion 6 randomizes",
     "transport.SingularTransportError.__init__": "raised where the transport denominator "

@@ -15,12 +15,10 @@ from lbfkit.exterior import (
     MissingRuleError,
     ONE,
     ScalarExpr,
-    TangentSymbol,
     ZERO,
     ext_d,
     interior,
     wedge,
-    wedge_all,
     wedge_power,
 )
 
@@ -270,8 +268,8 @@ def test_wedge_power_refuses_odd_and_mixed_forms():
             wedge_power(form, 2)
     with pytest.raises(ValueError):
         wedge_power(Form.gen(alg, "dalpha"), -1)
-    assert wedge_power(Form.zero(alg), 0) == Form.scalar(alg, 1)
-    assert wedge_power(Form.zero(alg), 3).is_zero()
+    assert wedge_power(Form(alg), 0) == Form.scalar(alg, 1)
+    assert wedge_power(Form(alg), 3).is_zero()
 
 
 def test_algebra_mismatch_raises():
@@ -288,32 +286,40 @@ def test_forms_over_different_algebras_are_unequal():
     # two zero forms or the same generator name
     disk2, disk3, collar2 = (exterior.disk_bundle_algebra(2), exterior.disk_bundle_algebra(3),
                              exterior.collar_algebra(2))
-    assert Form.zero(disk2) != Form.zero(collar2)
+    assert Form(disk2) != Form(collar2)
     assert not Form.gen(disk2, "dr") == Form.gen(disk3, "dr")
-    assert Form.gen(disk2, "dr") not in [Form.gen(disk3, "dr"), Form.zero(collar2)]
-    assert Form.gen(disk2, "dr") in [Form.zero(collar2), Form.gen(exterior.disk_bundle_algebra(2), "dr")]
+    assert Form.gen(disk2, "dr") not in [Form.gen(disk3, "dr"), Form(collar2)]
+    assert Form.gen(disk2, "dr") in [Form(collar2), Form.gen(exterior.disk_bundle_algebra(2), "dr")]
 
 
 def test_interior_pairings():
     alg = exterior.disk_bundle_algebra(2)
-    reeb = TangentSymbol(alg, {"reeb": 1})
-    d_r = TangentSymbol(alg, {"d_r": 1})
+    reeb = {"reeb": 1}
+    d_r = {"d_r": 1}
     assert interior(reeb, Form.gen(alg, "alpha")) == Form.scalar(alg, 1)
     assert interior(reeb, Form.gen(alg, "dr")).is_zero()
     assert interior(d_r, Form.gen(alg, "dr")) == Form.scalar(alg, 1)
     # even generators contract to zero against every dual
     assert interior(reeb, Form.gen(alg, "dalpha")).is_zero()
+    # a zero coefficient contributes nothing
+    both = Form.gen(alg, "dr") + Form.gen(alg, "alpha")
+    assert interior({"d_r": 0, "reeb": 1}, both) == Form.scalar(alg, 1)
 
 
-def test_tangent_symbol_rejects_unknown_dual():
+def test_interior_rejects_unknown_dual():
+    # the names are checked against the form's algebra: a dual of another
+    # algebra is refused like a misspelt one
     alg = exterior.disk_bundle_algebra(2)
-    with pytest.raises(AlgebraMismatchError):
-        TangentSymbol(alg, {"d_bogus": 1})
+    for dual in ("d_bogus", "d_theta1"):
+        with pytest.raises(AlgebraMismatchError) as refusal:
+            interior({"reeb": 1, dual: 1}, Form.gen(alg, "alpha"))
+        assert str(refusal.value) == f"algebra 'disk_bundle' has no dual symbol '{dual}'"
 
 
-def test_wedge_all_needs_an_argument():
-    with pytest.raises(ValueError):
-        wedge_all()
+def test_interior_refuses_a_float_coefficient():
+    alg = exterior.disk_bundle_algebra(2)
+    with pytest.raises(TypeError, match="0.5 of type float"):
+        interior({"d_r": 0.5}, Form.gen(alg, "dr"))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +342,7 @@ def test_d_squared_vanishes_randomized(rng):
 def _ext_d_reference(a: Form) -> Form:
     """d with every piece a wedge of two forms, summed with +."""
     alg = a.algebra
-    out = Form.zero(alg)
+    out = Form(alg)
     for word, coeff in a.terms.items():
         for var, idx in alg.coord_forms.items():
             dc = coeff.diff(var)
@@ -414,6 +420,6 @@ def test_interior_squares_to_zero_on_basis_duals(rng):
         kind = rng.choice(list(algebras))
         alg = algebras[kind]
         dual = rng.choice(DUALS[kind])
-        v = TangentSymbol(alg, {dual: 1})
+        v = {dual: 1}
         form = random_form(alg, rng)
         assert interior(v, interior(v, form)).is_zero()

@@ -111,14 +111,14 @@ def test_aa_count_rejects_bad_arguments():
 
 
 def test_filling_family_k5():
-    words = enumerate_fillings(5)
+    words = enumerate_fillings(5, include_zero=False)
     assert [len(w) for w in words] == [5, 4, 3]
     assert words == ["DSSSS", "DDSS", "DDD"]
     assert all(weight(w) == 6 for w in words)
 
 
 def test_filling_family_k1():
-    (only,) = enumerate_fillings(1)
+    (only,) = enumerate_fillings(1, include_zero=False)
     assert only == BOUNDARY
 
 
@@ -131,20 +131,20 @@ def test_filling_family_include_zero_prepends_milnor_word():
 
 def test_filling_family_weights_and_counts():
     for k in range(1, 13):
-        words = enumerate_fillings(k)
+        words = enumerate_fillings(k, include_zero=False)
         assert len(words) == -(-k // 2)
         assert all(weight(w) == k + 1 for w in words)
 
 
 def test_filling_family_validation():
     with pytest.raises(ValueError):
-        enumerate_fillings(0)
+        enumerate_fillings(0, include_zero=False)
 
 
 def test_chain_full_contraction_count():
     for k in (1, 2, 5, 8, 11):
         milnor = word("S " * (k + 1))
-        target = enumerate_fillings(k)[-1]
+        target = enumerate_fillings(k, include_zero=False)[-1]
         steps = substitution_chain(milnor, target)
         assert len(steps) == -(-k // 2)
         assert all(direction == "contract" for _, direction, _, _ in steps)

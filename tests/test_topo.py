@@ -76,21 +76,21 @@ def test_fiber_sum_associative(rng):
 
 
 def test_filling_chi_examples():
-    assert chi_filling(2, 3, 1) == 2
-    assert chi_filling(2, 3, 0) == -2
-    assert chi_filling(2, 3, 0) == milnor_fiber_chi(2, 3)
-    assert [chi_filling(2, 5, ell) for ell in (1, 2, 3)] == [0, 4, 8]
+    assert chi_filling(2, 3, 1, "betti") == 2
+    assert chi_filling(2, 3, 0, "betti") == -2
+    assert chi_filling(2, 3, 0, "betti") == milnor_fiber_chi(2, 3)
+    assert [chi_filling(2, 5, ell, "betti") for ell in (1, 2, 3)] == [0, 4, 8]
 
 
 def test_filling_chi_validation():
     with pytest.raises(ValueError, match="0 <= 2l <= k\\+1"):
-        chi_filling(2, 3, 3)
+        chi_filling(2, 3, 3, "betti")
     with pytest.raises(ValueError):
-        chi_filling(2, 3, -1)
+        chi_filling(2, 3, -1, "betti")
     with pytest.raises(ValueError):
-        chi_filling(0, 3, 1)
+        chi_filling(0, 3, 1, "betti")
     with pytest.raises(ValueError):
-        chi_filling(2, 0, 0)
+        chi_filling(2, 0, 0, "betti")
     with pytest.raises(ValueError):
         chi_filling(2, 3, 1, convention="paper")
 
@@ -98,16 +98,16 @@ def test_filling_chi_validation():
 def test_milnor_cross_check_everywhere():
     for n in range(1, 9):
         for k in range(1, 16):
-            assert chi_filling(n, k, 0) == milnor_fiber_chi(n, k)
+            assert chi_filling(n, k, 0, "betti") == milnor_fiber_chi(n, k)
 
 
 def test_filling_chi_affine_in_ell():
     for n in range(1, 7):
         for k in (1, 4, 9, 15):
-            base = chi_filling(n, k, 0)
-            slope = filling_slope(n)
+            base = chi_filling(n, k, 0, "betti")
+            slope = filling_slope(n, "betti")
             for ell in range((k + 1) // 2 + 1):
-                assert chi_filling(n, k, ell) == base + slope * ell
+                assert chi_filling(n, k, ell, "betti") == base + slope * ell
 
 
 def test_alternate_column_is_affine_too():
@@ -121,14 +121,14 @@ def test_alternate_column_is_affine_too():
 
 def test_oracle_column_monotone_for_n_at_least_2():
     for n in (2, 3, 4, 5):
-        vals = [chi_filling(n, 11, ell) for ell in range(7)]
+        vals = [chi_filling(n, 11, ell, "betti") for ell in range(7)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_slope_examples():
-    assert filling_slope(3) == 2            # chi(Q^3) - 2 + chi(S^3) = 4 - 2 + 0
+    assert filling_slope(3, "betti") == 2        # chi(Q^3) - 2 + chi(S^3) = 4 - 2 + 0
     assert filling_slope(2, "alternate") == -1   # 3 + 2 - 6
-    assert filling_slope(1) == 0
+    assert filling_slope(1, "betti") == 0
     with pytest.raises(ValueError):
         filling_slope(2, "typo")
 
