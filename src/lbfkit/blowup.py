@@ -32,7 +32,7 @@ from math import ceil
 from . import poly
 from .config import DEFAULT_CONFIG
 from .mcg import SPHERE, substitute
-from .poly import Monomial, Rational
+from .poly import Rational
 from .report import SuiteResult, config_dict, result_row, timed
 
 SMOOTH = "Smooth"
@@ -67,14 +67,6 @@ class MultiPoly:
     def constant_term(self) -> Rational:
         return self.terms.get((), 0)
 
-    def gradient_at_origin(self) -> tuple[Rational, ...]:
-        """Coefficients of the linear part, one slot per variable."""
-        grad: list[Rational] = [0] * self.nvars
-        for mono, c in self.terms.items():
-            if len(mono) == 1 and mono[0][1] == 1:
-                grad[mono[0][0]] += c
-        return tuple(grad)
-
     def multiplicity_at_origin(self) -> int:
         """Minimal total degree over all terms; the order of vanishing at 0."""
         if not self.terms:
@@ -83,38 +75,19 @@ class MultiPoly:
 
     # -- canonical form ----------------------------------------------------
 
-    def _ordered(self) -> list[tuple[Monomial, Rational]]:
-        # Graded lex, ascending degree; within a degree the variable with
-        # the smallest index dominates, so y0^2 prints before y1^2.  The
-        # (index, -exp) pairs order like the negated dense exponent vectors,
-        # because of two monomials of one degree neither is a proper prefix.
-        def key(item: tuple[Monomial, Rational]) -> tuple[int, Monomial]:
-            mono = item[0]
-            return sum(e for _, e in mono), tuple((i, -e) for i, e in mono)
-
-        return sorted(self.terms.items(), key=key)
-
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces: list[str] = []
-        for mono, coeff in self._ordered():
-            mono_text = "*".join(
-                f"{self.prefix}{i}" + (f"^{e}" if e > 1 else "") for i, e in mono
-            )
-            if not mono_text:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = mono_text
-            else:
-                body = f"{abs(coeff)}*{mono_text}"
-            sign = "-" if coeff < 0 else "+"
-            pieces.append((sign, body))
-        head_sign, head = pieces[0]
-        text = ("-" if head_sign == "-" else "") + head
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        """The printed form, which takes every coefficient to be 1, as in a trace.
+
+        Within a degree the variable with the smallest index dominates, so
+        y0^2 prints before y1^2: the (index, -exp) pairs order like the
+        negated dense exponent vectors, because of two monomials of one
+        degree neither is a proper prefix.
+        """
+        ordered = sorted(self.terms, key=lambda mono: (sum(e for _, e in mono),
+                                                       tuple((i, -e) for i, e in mono)))
+        return " + ".join([
+            "*".join([f"{self.prefix}{i}" + (f"^{e}" if e > 1 else "") for i, e in mono]) or "1"
+            for mono in ordered])
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.to_text()})"
@@ -173,45 +146,22 @@ def proper_transform(p: MultiPoly, j: int) -> tuple[MultiPoly, int]:
 
 
 def classify(p: MultiPoly) -> str:
-    """Classify the hypersurface p = 0 at the origin of its chart.
+    """The verdict the report prints for the hypersurface p = 0 at its chart's origin.
 
-    The verdict is the text the report prints.  "Smooth" when the origin
-    is off the surface or a regular point of it.  "AType(m)" when p is a
-    unit rescale of a permuted A_m normal form, a sum of squares of all
-    but one variable plus the last variable to the power m+1.  Anything
-    else is "Unclassified(reason)"; that is a value, not an error.
+    "Smooth" when p's multiplicity at 0 is at most 1, so the origin is off
+    the surface or a regular point of it.  "AType(m)" when p is the A_m
+    normal form ``a_type_polynomial(m, nvars - 2)``, whatever its prefix.
+    Those are the only transforms an A_k trace reaches; any other p raises
+    ValueError naming it.
     """
-    if p.is_zero():
-        return "Unclassified(zero polynomial, no hypersurface)"
-    if p.constant_term != 0:
-        # The surface misses the origin entirely; nothing to classify there.
+    if p.multiplicity_at_origin() <= 1:
         return SMOOTH
-    if any(p.gradient_at_origin()):
-        return SMOOTH
-
-    per_var: dict[int, tuple[int, Rational]] = {}
-    for mono, c in p.terms.items():
-        if len(mono) != 1:
-            return "Unclassified(not A-type normal form)"
-        ((i, e),) = mono
-        if i in per_var:
-            return f"Unclassified(variable {p.prefix}{i} appears in two terms)"
-        per_var[i] = (e, c)
-    missing = [i for i in range(p.nvars) if i not in per_var]
-    if missing:
-        return f"Unclassified(variable {p.prefix}{missing[0]} absent; singular locus not isolated)"
-    coeffs = {c for _, c in per_var.values()}
-    if len(coeffs) != 1:
-        return "Unclassified(coefficients differ; not a single unit rescale of the normal form)"
-    exps = sorted(e for e, _ in per_var.values())
-    if exps[0] < 2:
-        # Exponent 1 cannot occur: it would have shown in the gradient.
-        return "Unclassified(not A-type normal form)"
-    if all(e == 2 for e in exps):
-        return "AType(1)"
-    if exps[:-1] == [2] * (len(exps) - 1) and exps[-1] > 2:
-        return f"AType({exps[-1] - 1})"
-    return "Unclassified(not A-type normal form)"
+    # the normal form's top degree is the last variable's exponent, m + 1
+    m = max(sum(e for _, e in mono) for mono in p.terms) - 1
+    if p.nvars >= 2 and p == a_type_polynomial(m, p.nvars - 2):
+        return f"AType({m})"
+    raise ValueError(f"the polynomial {p.terms} in {p.nvars} variables is neither smooth at "
+                     "the origin nor an A-type normal form")
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +180,13 @@ class ResolutionStep:
 
 
 class ResolutionTrace:
-    __slots__ = ("k", "n", "initial", "steps", "diagnostic")
+    __slots__ = ("k", "n", "initial", "steps")
 
     def __init__(self, k: int, n: int, initial: MultiPoly) -> None:
         self.k = k
         self.n = n
         self.initial = initial
         self.steps: list[ResolutionStep] = []
-        self.diagnostic: str | None = None
 
     @property
     def step_count(self) -> int:
@@ -245,7 +194,7 @@ class ResolutionTrace:
 
     @property
     def resolved(self) -> bool:
-        return bool(self.steps) and self.steps[-1].verdict == SMOOTH and self.diagnostic is None
+        return self.steps[-1].verdict == SMOOTH
 
 
 def resolve_A(k: int, n: int) -> ResolutionTrace:
@@ -253,29 +202,23 @@ def resolve_A(k: int, n: int) -> ResolutionTrace:
 
     The residual singularity always sits at the origin of the last
     chart, so each step recurses there.  The trace records the proper
-    transform, the stripped multiplicity, and a fresh classification;
-    a non-A-type verdict before smoothness halts with a diagnostic.
+    transform, the stripped multiplicity, and its classification.
+    ceil(k/2) steps are expected.  A transform that ``classify`` refuses
+    raises its ValueError, and no smooth transform after k + 1 steps
+    raises RuntimeError.
     """
     trace = ResolutionTrace(k=k, n=n, initial=a_type_polynomial(k, n))
     last = n + 1
     current = trace.initial
-    # ceil(k/2) steps are expected; anything beyond k is a runaway.
     for _ in range(k + 1):
-        proper, mult = proper_transform(current, last)
-        verdict = classify(proper)
+        current, mult = proper_transform(current, last)
+        verdict = classify(current)
         trace.steps.append(
-            ResolutionStep(chart=last, polynomial=proper, multiplicity=mult, verdict=verdict)
+            ResolutionStep(chart=last, polynomial=current, multiplicity=mult, verdict=verdict)
         )
         if verdict == SMOOTH:
             return trace
-        if not verdict.startswith("AType("):
-            trace.diagnostic = (
-                f"classification failed after {trace.step_count} steps: {verdict}"
-            )
-            return trace
-        current = proper
-    trace.diagnostic = f"no smooth transform after {trace.step_count} steps"
-    return trace
+    raise RuntimeError(f"no smooth transform after {k + 1} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +261,7 @@ def suite(k: int, dim: int) -> SuiteResult:
 
     expected_steps = -(-k // 2)
     gates = [
-        (trace.resolved, True, "==", trace.diagnostic or "trace did not end Smooth"),
+        (trace.resolved, True, "==", "trace did not end Smooth"),
         (trace.step_count, expected_steps, "==",
          f"step count {trace.step_count}, expected ceil(k/2) = {expected_steps}"),
         (len(chain), trace.step_count, "==",
@@ -338,8 +281,6 @@ def suite(k: int, dim: int) -> SuiteResult:
         "step_count": trace.step_count,
         "resolved": trace.resolved,
     }
-    if trace.diagnostic is not None:
-        trace_report["diagnostic"] = trace.diagnostic
 
     report = {
         "config": config_dict(DEFAULT_CONFIG, k=k, dim=dim),
@@ -355,5 +296,4 @@ def suite(k: int, dim: int) -> SuiteResult:
     # the csv quotes the polynomial, the one cell that holds spaces and signs
     csv_rows = [header] + [[i, c, f'"{p}"', m, v] for i, c, p, m, v in cells]
     table_rows = [header] + cells + [result_row(gates, 5)]
-    return SuiteResult(report, gates, csv_rows, table_rows, timing,
-                       internal_failure=trace.diagnostic)
+    return SuiteResult(report, gates, csv_rows, table_rows, timing)

@@ -18,14 +18,14 @@ import and the whole run, and ``report.timed``, around each stage.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage
 (input outside the documented domain, raised as ``DomainError``), 3 an
-internal failure: any other exception, or a resolution trace that halted
-with a diagnostic.  An ``--out`` that cannot be written is a usage error
-too.  Exits 2 and 3 print one line on stderr and no traceback.  Each suite
-states each check once, as a ``(value, bound, sense, failure text)`` gate
-in ``SuiteResult.gates`` that ``report.holds`` alone decides (a NaN or
-infinite value fails it).  The report's ``passed``, the table's ``result``
-row, exit 0 or 1 and the stderr ``FAIL:`` lines (one per failed gate, in
-order) follow.
+internal failure: any other exception, such as a resolution trace that
+finds no smooth transform, with no report.  An ``--out`` that cannot be
+written is a usage error too.  Exits 2 and 3 print one line on stderr and
+no traceback.  Each suite states each check once, as a ``(value, bound,
+sense, failure text)`` gate in ``SuiteResult.gates`` that ``report.holds``
+alone decides (a NaN or infinite value fails it).  The report's
+``passed``, the table's ``result`` row, exit 0 or 1 and the stderr
+``FAIL:`` lines (one per failed gate, in order) follow.
 
 Subcommands and their options live in one option table, ``COMMANDS``:
 each subcommand's summary and suite module, and each option's converter,
@@ -267,9 +267,8 @@ def _execute(command: str, values: dict, prefix: str,
     The suite's module is imported here, and the import's wall time is the
     sidecar's ``imports_ms``.  A ``DomainError``, from the suite or from
     writing its report, is exit 2 and any other exception exit 3, each with
-    one stderr line; a halted trace is exit 3 after its report is emitted.
-    Otherwise every failed gate gets a stderr line, in gate order, and the
-    code is 1 if any failed, else 0.
+    one stderr line.  Otherwise every failed gate gets a stderr line, in
+    gate order, and the code is 1 if any failed, else 0.
     """
     name = COMMANDS[command][1]
     started = time.perf_counter()
@@ -284,9 +283,6 @@ def _execute(command: str, values: dict, prefix: str,
         return 2
     except Exception as exc:
         print(f"{prefix}: internal failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 3
-    if result.internal_failure:
-        print(f"{prefix}: internal failure: {result.internal_failure}", file=sys.stderr)
         return 3
     for line in result.failures:
         print(f"{prefix}: FAIL: {line}", file=sys.stderr)

@@ -121,10 +121,6 @@ class ModelConfig:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"ModelConfig is read-only: cannot assign {name!r}")
 
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through the constructor, which assigns and validates
-        return ModelConfig, tuple(getattr(self, name) for name in self.FIELDS)
-
     def __repr__(self) -> str:
         return f"ModelConfig({', '.join(f'{k}={getattr(self, k)!r}' for k in self.FIELDS)})"
 

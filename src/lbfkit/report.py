@@ -36,17 +36,15 @@ class SuiteResult:
     rendered.  Rows are lists of string cells, the header first.
     """
 
-    __slots__ = ("report", "gates", "csv_rows", "table_rows", "timing", "internal_failure")
+    __slots__ = ("report", "gates", "csv_rows", "table_rows", "timing")
 
     def __init__(self, report: dict, gates: list[tuple], csv_rows: list[list[str]],
-                 table_rows: list[list[str]], timing: dict,
-                 internal_failure: str | None = None) -> None:
+                 table_rows: list[list[str]], timing: dict) -> None:
         self.report = report
         self.gates = gates
         self.csv_rows = csv_rows
         self.table_rows = table_rows
         self.timing = timing                             # per-stage wall times for the sidecar
-        self.internal_failure = internal_failure         # exit 3, after the report is written
 
     @property
     def failures(self) -> list[str]:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lbfkit import cli, mcg, poly
 from lbfkit.blowup import (
@@ -37,8 +40,6 @@ def test_canonical_text_order():
     # ascending total degree; within a degree the first variable dominates
     p = poly_of(2, {1: 4}, {0: 2, 1: 2}, {0: 1})
     assert p.to_text() == "x0 + x0^2*x1^2 + x1^4"
-    assert MultiPoly(2, {((0, 1),): 1, ((1, 1),): Fraction(-3, 2)}).to_text() == "x0 - 3/2*x1"
-    assert MultiPoly(2, {}).to_text() == "0"
 
 
 def test_print_order_is_index_order_above_ten_variables():
@@ -151,30 +152,32 @@ def test_classify_normal_forms():
     assert classify(a_type_polynomial(1, 3)) == "AType(1)"
 
 
-def test_classify_accepts_unit_rescale_and_permutation():
-    p = MultiPoly(3, {mono: Fraction(-2, 7) for mono in a_type_polynomial(4, 1).terms})
-    assert classify(p) == "AType(4)"
-    # variables permuted: x1^5 + x0^2 + x2^2
-    q = poly_of(3, {1: 5}, {0: 2}, {2: 2})
-    assert classify(q) == "AType(4)"
-
-
 def test_classify_smooth_cases():
     assert classify(MultiPoly(2, {(): 3})) == SMOOTH
     assert classify(poly_of(2, {0: 1}, {1: 2})) == SMOOTH
     assert classify(poly_of(3, {}, {0: 2}, {1: 2})) == SMOOTH
+    # the zero polynomial has no verdict
+    with pytest.raises(ValueError, match="the zero polynomial has no multiplicity"):
+        classify(MultiPoly(2, {}))
 
 
-def test_classify_unclassified_reasons():
-    v = classify(poly_of(2, {0: 3}, {1: 3}))
-    assert v == "Unclassified(not A-type normal form)"
-    v2 = classify(poly_of(2, {0: 2}, {0: 4}, {1: 2}))
-    assert v2 == "Unclassified(variable x0 appears in two terms)"
-    v3 = classify(poly_of(2, {0: 2}))
-    assert v3 == "Unclassified(variable x1 absent; singular locus not isolated)"
-    v4 = classify(MultiPoly(2, {((0, 2),): 1, ((1, 2),): 9}))
-    assert v4 == "Unclassified(coefficients differ; not a single unit rescale of the normal form)"
-    assert classify(MultiPoly(2, {})) == "Unclassified(zero polynomial, no hypersurface)"
+@pytest.mark.parametrize("p", [
+    pytest.param(poly_of(2, {0: 3}, {1: 3}), id="no-square"),
+    pytest.param(poly_of(2, {0: 2}, {0: 4}, {1: 2}), id="variable-in-two-terms"),
+    pytest.param(poly_of(2, {0: 2}), id="variable-absent"),
+    pytest.param(MultiPoly(2, {((0, 2),): 1, ((1, 2),): 9}), id="coefficients-differ"),
+    pytest.param(MultiPoly(3, {mono: Fraction(-2, 7) for mono in a_type_polynomial(4, 1).terms}),
+                 id="unit-rescale"),
+    pytest.param(poly_of(3, {1: 5}, {0: 2}, {2: 2}), id="permuted"),
+    pytest.param(poly_of(1, {0: 2}), id="one-variable"),
+])
+def test_classify_refuses_what_is_not_a_normal_form(p):
+    # only Smooth and the A_m normal forms themselves are verdicts; the
+    # refusal names the polynomial by its terms
+    with pytest.raises(ValueError, match=re.escape(
+            f"the polynomial {p.terms} in {p.nvars} variables is neither smooth at the "
+            "origin nor an A-type normal form")):
+        classify(p)
 
 
 def test_resolution_k3():
@@ -225,8 +228,29 @@ def test_trace_json_round_trip():
     assert first["multiplicity"] == 2
     assert first["polynomial"] == "y0^2 + y1^2 + y2^3"
     assert first["verdict"] == "AType(2)"
-    assert "diagnostic" not in data      # only present on halted runs
     assert data["resolved"] is True
+
+
+@settings(max_examples=8, deadline=None)
+@given(k=st.integers(1, cli.MAX_K), dim=st.integers(0, cli.MAX_DIM))
+@example(k=1, dim=0)
+@example(k=1, dim=cli.MAX_DIM)
+@example(k=cli.MAX_K, dim=0)
+@example(k=cli.MAX_K, dim=cli.MAX_DIM)
+def test_resolution_ladder_over_the_documented_domain(k, dim):
+    # over resolve's whole --k and --dim domain, step j is AType(k - 2j)
+    # until Smooth at step ceil(k/2), each of multiplicity 2 in the last
+    # chart, and its transform is y_0^2 + ... + y_dim^2 + y_last^(k+1-2j):
+    # the chart's normal form, ending in y_last or the constant 1
+    trace = resolve_A(k, dim)
+    last = dim + 1
+    assert trace.step_count == -(-k // 2)
+    assert classify(trace.initial) == f"AType({k})"
+    for j, step in enumerate(trace.steps, 1):
+        assert step.verdict == (f"AType({k - 2 * j})" if k - 2 * j >= 1 else SMOOTH), (k, dim, j)
+        assert (step.chart, step.multiplicity) == (last, 2)
+        squares = ({i: 2} for i in range(last))
+        assert step.polynomial == poly_of(dim + 2, *squares, {last: k + 1 - 2 * j}), (k, dim, j)
 
 
 def test_off_chart_reports_match_recomputation():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import ast
 import collections
 import contextlib
-import copy
 import dis
 import importlib
 import io
@@ -13,7 +12,6 @@ import itertools
 import json
 import math
 import os
-import pickle
 import pkgutil
 import subprocess
 import sys
@@ -240,26 +238,21 @@ def test_other_exceptions_are_internal_failures(capsys, monkeypatch, tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("branch", ["classification", "runaway"])
-def test_halted_trace_is_an_internal_failure_after_its_report(capsys, monkeypatch, branch):
-    if branch == "classification":
-        verdict = "Unclassified(patched)"
-        message = "classification failed after 1 steps: Unclassified(patched)"
-    else:
-        # the transform never changes, so no step is ever smooth
-        verdict = "AType(1)"
-        monkeypatch.setattr(blowup, "proper_transform", lambda p, j: (p, 2))
-        message = "no smooth transform after 6 steps"
-    monkeypatch.setattr(blowup, "classify", lambda p: verdict)
-    code, out, err = run(capsys, "resolve", "--k", "5", "--dim", "1")
-    assert code == 3
-    assert err == f"lbfkit: internal failure: {message}\n"
-    data = json.loads(out)
-    assert data["trace"]["diagnostic"] == message
-    assert data["trace"]["resolved"] is False and data["passed"] is False
-    code, out, err = run(capsys, "resolve", "--k", "5", "--dim", "1", "--format", "table")
-    assert (code, err) == (3, f"lbfkit: internal failure: {message}\n")
-    assert out.splitlines()[-1].split() == ["result", "FAIL"]
+@pytest.mark.parametrize("transform, message", [
+    # the transform never changes, so no step is ever smooth; the k + 1 step
+    # bound ends the loop
+    pytest.param(lambda p, j: (p, 2), "no smooth transform after 6 steps", id="runaway"),
+    pytest.param(lambda p, j: (blowup.MultiPoly(p.nvars, {((0, 3),): 1}), 3),
+                 "the polynomial {((0, 3),): 1} in 3 variables is neither smooth at the origin "
+                 "nor an A-type normal form", id="unclassified"),
+])
+def test_trace_breakdown_is_an_internal_failure_without_a_report(capsys, monkeypatch,
+                                                                  transform, message):
+    monkeypatch.setattr(blowup, "proper_transform", transform)
+    for fmt in ("json", "table"):
+        code, out, err = run(capsys, "resolve", "--k", "5", "--dim", "1", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == f"lbfkit: internal failure: {message}\n"
 
 
 def test_fillings_n_has_no_upper_bound(capsys):
@@ -480,8 +473,6 @@ def test_model_config_refuses_assignment():
     with pytest.raises(AttributeError):
         DEFAULT_CONFIG.ramp_hi = 0.9
     assert (cfg.n, DEFAULT_CONFIG.ramp_hi) == (3, 0.2)
-    # copy and pickle still work: they go through the constructor
-    assert repr(copy.copy(cfg)) == repr(pickle.loads(pickle.dumps(cfg))) == repr(cfg)
     assert config_dict(cfg, k=1) == {
         "n": 3, "collar_width": 0.05, "ramp_lo": 0.1, "ramp_hi": 0.2,
         "disk1_radius": 0.5, "disk2_radius": 10.0, "k": 1}
@@ -980,6 +971,23 @@ def test_golden_files_match_without_avx512(golden_runs_without_numpy, name):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_golden_files_match_on_other_interpreters(version):
+    # src needs only the standard library, so each golden argv runs in a
+    # fresh python -m lbfkit.cli child of the CPython of that version that
+    # pyenv installs, with src alone on its path, and prints its file's bytes
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    found = sorted(versions.glob(f"{version}.*/bin/python"))
+    if not found:
+        pytest.skip(f"no CPython {version} installed by pyenv")
+    env = {**os.environ, "PYTHONPATH": str(Path(lbfkit.__file__).resolve().parents[1])}
+    for name, argv in sorted(GOLDEN_RUNS.items()):
+        proc = subprocess.run([str(found[-1]), "-m", "lbfkit.cli", *argv], env=env,
+                              capture_output=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, b""), (found[-1], name)
+        assert proc.stdout == (GOLDEN / name).read_bytes(), (found[-1], name)
+
+
 # Per run: its argv, the modules it may load besides cli and config (its
 # layers and the shared report module), and whether it renders json (and so
 # loads json); OUT stands for a fresh directory.
@@ -1047,15 +1055,9 @@ def test_no_run_loads_typing_on_a_clean_interpreter(name, tmp_path):
 # executes, and why it stays.  Code that only tests run belongs in
 # tests/reference.py; a program path the matrix misses gets a run added.
 NOT_RUN_BY_THE_CLI = {
-    "blowup.MultiPoly.__eq__": "tests compare polynomials with ==",
+    "blowup.MultiPoly.__eq__": "classify runs it; only its NotImplemented branch, for a "
+                               "non-polynomial, does not run",
     "blowup.MultiPoly.__repr__": "names a polynomial in assertion messages",
-    "blowup.MultiPoly.to_text": "prints the zero polynomial and non-unit coefficients, "
-                                "which tests build",
-    "blowup.classify": "the non-A-type verdicts, which no A_k transform reaches",
-    "blowup.resolve_A": "the halted traces, which no A_k transform reaches",
-    "blowup.suite": "the diagnostic of a halted trace",
-    "cli._execute": "exit 3 after the report of a halted trace, which no A_k transform gives",
-    "config.ModelConfig.__reduce__": "the copy and pickle contract that tests pin",
     "config.ModelConfig.__repr__": "names a config in assertion messages",
     "config.ModelConfig.__setattr__": "the read-only contract that tests pin",
     "exterior.Algebra.__repr__": "names an algebra in assertion messages",
