@@ -19,10 +19,10 @@ total transform.  For the family
     x_0^2 + ... + x_n^2 + x_{n+1}^{k+1}
 
 the transform in the last chart is again of the same shape with k
-dropped by two, which is why ceil(k/2) blow-ups smooth it out.  The
-resolution trace records each step together with a classification of
-the transform, and the whole process mirrors a word rewrite on twist
-words: each blow-up trades two sphere twists for one boundary twist.
+dropped by two, which is why ceil(k/2) blow-ups smooth it out.
+``resolve_A`` lists each step together with a classification of the
+transform, and the whole process mirrors a word rewrite on twist words:
+each blow-up trades two sphere twists for one boundary twist.
 """
 
 from __future__ import annotations
@@ -179,45 +179,27 @@ class ResolutionStep:
         self.verdict = verdict
 
 
-class ResolutionTrace:
-    __slots__ = ("k", "n", "initial", "steps")
-
-    def __init__(self, k: int, n: int, initial: MultiPoly) -> None:
-        self.k = k
-        self.n = n
-        self.initial = initial
-        self.steps: list[ResolutionStep] = []
-
-    @property
-    def step_count(self) -> int:
-        return len(self.steps)
-
-    @property
-    def resolved(self) -> bool:
-        return self.steps[-1].verdict == SMOOTH
-
-
-def resolve_A(k: int, n: int) -> ResolutionTrace:
+def resolve_A(k: int, n: int) -> list[ResolutionStep]:
     """Blow up x_0^2+...+x_n^2+x_{n+1}^(k+1) in the last chart until smooth.
 
     The residual singularity always sits at the origin of the last
-    chart, so each step recurses there.  The trace records the proper
-    transform, the stripped multiplicity, and its classification.
-    ceil(k/2) steps are expected.  A transform that ``classify`` refuses
-    raises its ValueError, and no smooth transform after k + 1 steps
-    raises RuntimeError.
+    chart, so each step recurses there.  Each step records the proper
+    transform, the stripped multiplicity, and its classification; the
+    last step's is "Smooth".  ceil(k/2) steps are expected.  A transform
+    that ``classify`` refuses raises its ValueError, and no smooth
+    transform after k + 1 steps raises RuntimeError.
     """
-    trace = ResolutionTrace(k=k, n=n, initial=a_type_polynomial(k, n))
     last = n + 1
-    current = trace.initial
+    current = a_type_polynomial(k, n)
+    steps: list[ResolutionStep] = []
     for _ in range(k + 1):
         current, mult = proper_transform(current, last)
         verdict = classify(current)
-        trace.steps.append(
+        steps.append(
             ResolutionStep(chart=last, polynomial=current, multiplicity=mult, verdict=verdict)
         )
         if verdict == SMOOTH:
-            return trace
+            return steps
     raise RuntimeError(f"no smooth transform after {k + 1} steps")
 
 
@@ -261,25 +243,25 @@ def suite(k: int, dim: int) -> SuiteResult:
 
     expected_steps = -(-k // 2)
     gates = [
-        (trace.resolved, True, "==", "trace did not end Smooth"),
-        (trace.step_count, expected_steps, "==",
-         f"step count {trace.step_count}, expected ceil(k/2) = {expected_steps}"),
-        (len(chain), trace.step_count, "==",
-         f"word chain length {len(chain)} != step count {trace.step_count}"),
+        (len(trace), expected_steps, "==",
+         f"step count {len(trace)}, expected ceil(k/2) = {expected_steps}"),
+        (len(chain), len(trace), "==",
+         f"word chain length {len(chain)} != step count {len(trace)}"),
     ]
 
     # each step's cells, formatted once for the json record and the rows
     header = ["step", "chart", "polynomial", "multiplicity", "verdict"]
     steps = timed(timing, "text_ms", lambda: [
-        (s.chart, s.polynomial.to_text(), s.multiplicity, s.verdict) for s in trace.steps])
+        (s.chart, s.polynomial.to_text(), s.multiplicity, s.verdict) for s in trace])
+    initial = a_type_polynomial(k, dim)
     trace_report = {
-        "k": trace.k,
-        "n": trace.n,
-        "initial": trace.initial.to_text(),
-        "initial_verdict": classify(trace.initial),
+        "k": k,
+        "n": dim,
+        "initial": initial.to_text(),
+        "initial_verdict": classify(initial),
         "steps": [dict(zip(header[1:], step)) for step in steps],
-        "step_count": trace.step_count,
-        "resolved": trace.resolved,
+        "step_count": len(trace),
+        "resolved": True,                   # resolve_A ends each trace Smooth or raises
     }
 
     report = {

@@ -82,13 +82,13 @@ class ModelConfig:
         disk1_radius: outer radius of the first disk factor.
         disk2_radius: outer radius of the second disk factor.
 
-    A validated config refuses assignment: the cached ramp widths and the
-    positivity grid's proof rely on its fields as checked.
+    A validated config refuses assignment: the positivity grid's proof
+    relies on its fields as checked.
     """
 
     # the six parameters, in constructor order; the reports print these
     FIELDS = ("n", "collar_width", "ramp_lo", "ramp_hi", "disk1_radius", "disk2_radius")
-    __slots__ = FIELDS + ("_ramp_width", "_mu_width")
+    __slots__ = FIELDS
 
     def __init__(self, n: int = 2, collar_width: float = 0.05, ramp_lo: float = 0.1,
                  ramp_hi: float = 0.2, disk1_radius: float = 0.5,
@@ -114,9 +114,6 @@ class ModelConfig:
                 and math.isfinite(self.disk2_radius * self.disk2_radius)):
             raise ValueError("disk2_radius must be finite and positive, with a finite "
                              f"square, got {self.disk2_radius}")
-        # the widths of the two smoothstep ramps, which every profile call divides by
-        object.__setattr__(self, "_ramp_width", self.ramp_hi - self.ramp_lo)
-        object.__setattr__(self, "_mu_width", self.mu_flat_radius - self.collar_width)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"ModelConfig is read-only: cannot assign {name!r}")
@@ -129,7 +126,7 @@ class ModelConfig:
 
     def ramp_and_slope(self, sq: float) -> tuple[float, float]:
         """u and u': 0 below ramp_lo, 1 above ramp_hi, monotone C^2 in between."""
-        w = self._ramp_width
+        w = self.ramp_hi - self.ramp_lo
         s, ds = smoothstep_and_slope((sq - self.ramp_lo) / w)
         return s, ds / w
 
@@ -148,7 +145,7 @@ class ModelConfig:
         from mu_flat_radius on, and radius + (1 - radius) rounds to exactly
         1 for every radius in [0, 1].
         """
-        w = self._mu_width
+        w = self.mu_flat_radius - self.collar_width
         s, ds = smoothstep_and_slope((radius - self.collar_width) / w)
         rest = 1.0 - radius
         # S <= 1 by its clamp, S' >= 0 and radius < 1, so mu' >= 0

@@ -139,8 +139,8 @@ def _field(cfg: ModelConfig, weight: bool):
     variant drops it.  ``s`` only locates a vanished denominator.
     """
     # ramp_and_slope and mu_and_slope written out, operation for operation
-    smooth, ramp_lo, ramp_w = smoothstep_and_slope, cfg.ramp_lo, cfg._ramp_width
-    collar, mu_w = cfg.collar_width, cfg._mu_width
+    smooth, ramp_lo, ramp_w = smoothstep_and_slope, cfg.ramp_lo, cfg.ramp_hi - cfg.ramp_lo
+    collar, mu_w = cfg.collar_width, cfg.mu_flat_radius - cfg.collar_width
 
     def rhs(s: float, r1: float, r2: float) -> tuple[float, float]:
         f, up = smooth((r1 * r1 + r2 * r2 - ramp_lo) / ramp_w)

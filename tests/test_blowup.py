@@ -48,11 +48,11 @@ def test_print_order_is_index_order_above_ten_variables():
     assert poly_of(12, {10: 2}, {2: 1, 11: 1}).to_text() == "x2*x11 + x10^2"
     for k in (1, 2, 5, 12):
         for dim in (9, 10, 30, 100):
-            trace = resolve_A(k, dim)
+            steps = resolve_A(k, dim)
             squares = [f"y{i}^2" for i in range(dim + 1)]
             last = f"y{dim + 1}"
-            assert trace.step_count == -(-k // 2)
-            for step, s in enumerate(trace.steps, 1):
+            assert len(steps) == -(-k // 2)
+            for step, s in enumerate(steps, 1):
                 e = k + 1 - 2 * step
                 if e >= 2:
                     expected = squares + [f"{last}^{e}"]
@@ -181,38 +181,31 @@ def test_classify_refuses_what_is_not_a_normal_form(p):
 
 
 def test_resolution_k3():
-    trace = resolve_A(3, 1)
-    assert trace.step_count == 2
-    assert trace.resolved
-    assert [s.verdict for s in trace.steps] == ["AType(1)", "Smooth"]
-    assert classify(trace.initial) == "AType(3)"
+    assert [s.verdict for s in resolve_A(3, 1)] == ["AType(1)", "Smooth"]
+    assert classify(a_type_polynomial(3, 1)) == "AType(3)"
 
 
 def test_resolution_k1_immediately_smooth():
-    trace = resolve_A(1, 1)
-    assert trace.step_count == 1
-    assert trace.steps[0].verdict == SMOOTH
+    assert [s.verdict for s in resolve_A(1, 1)] == [SMOOTH]
 
 
 def test_resolution_k8_type_ladder():
-    trace = resolve_A(8, 2)
-    kinds = [s.verdict for s in trace.steps]
+    kinds = [s.verdict for s in resolve_A(8, 2)]
     assert kinds == ["AType(6)", "AType(4)", "AType(2)", "Smooth"]
 
 
 def test_resolution_step_counts_sweep():
     for k in range(1, 16):
         for n in range(0, 5):
-            trace = resolve_A(k, n)
-            assert trace.resolved, (k, n)
-            assert trace.step_count == -(-k // 2)
-            assert all(s.multiplicity == 2 for s in trace.steps)
-            assert all(y_power(s.polynomial, s.chart) == 0 for s in trace.steps)
+            steps = resolve_A(k, n)
+            assert steps[-1].verdict == SMOOTH, (k, n)
+            assert len(steps) == -(-k // 2)
+            assert all(s.multiplicity == 2 for s in steps)
+            assert all(y_power(s.polynomial, s.chart) == 0 for s in steps)
 
 
 def test_resolution_first_step_literal_shape():
-    trace = resolve_A(5, 2)
-    step = trace.steps[0]
+    step = resolve_A(5, 2)[0]
     assert step.polynomial == poly_of(4, {0: 2}, {1: 2}, {2: 2}, {3: 4})
     assert step.chart == 3
 
@@ -242,11 +235,11 @@ def test_resolution_ladder_over_the_documented_domain(k, dim):
     # until Smooth at step ceil(k/2), each of multiplicity 2 in the last
     # chart, and its transform is y_0^2 + ... + y_dim^2 + y_last^(k+1-2j):
     # the chart's normal form, ending in y_last or the constant 1
-    trace = resolve_A(k, dim)
+    steps = resolve_A(k, dim)
     last = dim + 1
-    assert trace.step_count == -(-k // 2)
-    assert classify(trace.initial) == f"AType({k})"
-    for j, step in enumerate(trace.steps, 1):
+    assert len(steps) == -(-k // 2)
+    assert classify(a_type_polynomial(k, dim)) == f"AType({k})"
+    for j, step in enumerate(steps, 1):
         assert step.verdict == (f"AType({k - 2 * j})" if k - 2 * j >= 1 else SMOOTH), (k, dim, j)
         assert (step.chart, step.multiplicity) == (last, 2)
         squares = ({i: 2} for i in range(last))
@@ -277,8 +270,7 @@ def test_milnor_word_examples():
 def test_word_chain_mirrors_the_resolution():
     for k in (1, 2, 5, 8, 11):
         chain = resolution_word_chain(k)
-        trace = resolve_A(k, 2)
-        assert len(chain) == trace.step_count
+        assert len(chain) == len(resolve_A(k, 2))
         source = milnor_word(k)
         target = mcg.enumerate_fillings(k, include_zero=False)[-1]
         assert chain == substitution_chain(source, target)

@@ -905,15 +905,12 @@ def test_parser_refusals_load_only_cli_and_config(parser_refusals_fresh):
 
 # Runs argv lists, given as a Python literal, through cli.main in one fresh
 # interpreter and prints, as json, each run's [exit code, stdout, stderr] and
-# then the modules loaded before the probe imports json to print them.  With
-# "block-numpy" first, every import of numpy raises ImportError.
+# then the modules loaded before the probe imports json to print them.
 FRESH_PROBE = """
 import ast, contextlib, io, sys
-if sys.argv[1] == "block-numpy":
-    sys.modules["numpy"] = None
 from lbfkit import cli
 runs = []
-for argv in ast.literal_eval(sys.argv[2]):
+for argv in ast.literal_eval(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         runs.append([cli.main(argv), out.getvalue(), err.getvalue()])
@@ -923,7 +920,7 @@ print(json.dumps([runs, modules]))
 """
 
 
-def run_fresh(argvs: list[list[str]], block_numpy: bool = False, no_site: bool = False,
+def run_fresh(argvs: list[list[str]], no_site: bool = False,
               **env: str) -> tuple[list[tuple[int, str, str]], list[str]]:
     """Each argv's (exit code, stdout, stderr) from one fresh interpreter, and its modules.
 
@@ -932,9 +929,8 @@ def run_fresh(argvs: list[list[str]], block_numpy: bool = False, no_site: bool =
     """
     env = {**os.environ, **env,
            "PYTHONPATH": str(Path(lbfkit.__file__).resolve().parents[1])}
-    mode = "block-numpy" if block_numpy else "numpy"
     flags = ["-S"] if no_site else []
-    out = subprocess.run([sys.executable, *flags, "-c", FRESH_PROBE, mode, repr(argvs)],
+    out = subprocess.run([sys.executable, *flags, "-c", FRESH_PROBE, repr(argvs)],
                          env=env, capture_output=True, text=True, check=True,
                          timeout=300).stdout
     runs, modules = json.loads(out)
@@ -944,8 +940,8 @@ def run_fresh(argvs: list[list[str]], block_numpy: bool = False, no_site: bool =
 def test_contact_check_runs_without_numpy(capsys):
     argvs = [["contact-check", "--n", n, "--format", fmt]
              for n in ("1", "7", "1024") for fmt in FORMATS]
-    runs, modules = run_fresh(argvs + [["contact-check", "--n", "1025"]], block_numpy=True)
-    assert not [m for m in modules if m.startswith("numpy.")]
+    runs, modules = run_fresh(argvs + [["contact-check", "--n", "1025"]])
+    assert not [m for m in modules if m.split(".")[0] == "numpy"]
     for argv, got in zip(argvs, runs):
         assert got == run(capsys, *argv), argv
         assert got[0] == 0, argv
@@ -955,18 +951,20 @@ def test_contact_check_runs_without_numpy(capsys):
 
 
 @pytest.fixture(scope="module")
-def golden_runs_without_numpy() -> dict[str, tuple[int, str, str]]:
+def golden_runs_without_numpy() -> tuple[dict[str, tuple[int, str, str]], list[str]]:
     names = sorted(GOLDEN_RUNS)
-    runs, _ = run_fresh([GOLDEN_RUNS[name] for name in names], block_numpy=True)
-    return dict(zip(names, runs))
+    runs, modules = run_fresh([GOLDEN_RUNS[name] for name in names])
+    return dict(zip(names, runs)), modules
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_golden_files_match_without_avx512(golden_runs_without_numpy, name):
-    # numpy's AVX-512 power loop rounds differently from its other loops, so
-    # no report may pass through numpy: rerun in a process where importing
-    # numpy fails, every report still matches its file
-    code, out, err = golden_runs_without_numpy[name]
+    # numpy's AVX-512 power loop, which the name recalls, rounds differently
+    # from its other loops, so no report may pass through numpy: rerun in one
+    # fresh process, every report matches its file and no numpy module loads
+    runs, modules = golden_runs_without_numpy
+    assert not [m for m in modules if m.split(".")[0] == "numpy"]
+    code, out, err = runs[name]
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / name).read_bytes()
 
@@ -1008,35 +1006,45 @@ IMPORT_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(IMPORT_RUNS))
-def test_subcommand_loads_only_its_layers(name, tmp_path):
-    argv, layers, renders_json = IMPORT_RUNS[name]
-    ((code, _, _),), modules = run_fresh([[str(tmp_path) if a == "OUT" else a for a in argv]])
-    assert code == 0
-    assert {m for m in modules if m.startswith("lbfkit.")} == {
-        f"lbfkit.{m}" for m in ("cli", "config", *layers)}
-    assert not [m for m in modules if m.split(".")[0] in (
-        "numpy", "scipy", "dataclasses", "argparse", "gettext")]
-    assert ("json" in modules) == renders_json
+@pytest.fixture(scope="module")
+def import_logs(tmp_path_factory) -> dict[str, tuple[int, str, list[str]]]:
+    """Each IMPORT_RUNS argv run once as python -X importtime -m lbfkit.cli.
 
-
-@pytest.mark.parametrize("name", sorted(IMPORT_RUNS))
-def test_python_m_never_loads_cli_as_a_module(name, tmp_path):
-    # under python -m the entry file runs as __main__; a module that imported
-    # lbfkit.cli would compile and run it a second time.  The import log of
-    # -X importtime names every module the run loads, with the same layers
-    # as test_subcommand_loads_only_its_layers.
-    argv, layers, _ = IMPORT_RUNS[name]
+    Per name: the exit code, the stderr, and the modules that the import
+    log names, which are every module the run loads.
+    """
+    out = str(tmp_path_factory.mktemp("out"))
     env = {**os.environ, "PYTHONPATH": str(Path(lbfkit.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "lbfkit.cli",
-         *[str(tmp_path) if a == "OUT" else a for a in argv]],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    loaded = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
-    assert "lbfkit" in loaded and "lbfkit.cli" not in loaded
+    logs = {}
+    for name, (argv, _, _) in IMPORT_RUNS.items():
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "lbfkit.cli",
+             *[out if a == "OUT" else a for a in argv]],
+            env=env, capture_output=True, text=True, timeout=300)
+        loaded = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+        logs[name] = proc.returncode, proc.stderr, loaded
+    return logs
+
+
+@pytest.mark.parametrize("name", sorted(IMPORT_RUNS))
+def test_subcommand_loads_only_its_layers(import_logs, name):
+    _, layers, renders_json = IMPORT_RUNS[name]
+    code, err, loaded = import_logs[name]
+    assert code == 0, err
     assert {m for m in loaded if m.startswith("lbfkit.")} == {
         f"lbfkit.{m}" for m in ("config", *layers)}
+    assert not [m for m in loaded if m.split(".")[0] in (
+        "numpy", "scipy", "dataclasses", "argparse", "gettext")]
+    assert ("json" in loaded) == renders_json
+
+
+@pytest.mark.parametrize("name", sorted(IMPORT_RUNS))
+def test_python_m_never_loads_cli_as_a_module(import_logs, name):
+    # under python -m the entry file runs as __main__; a module that imported
+    # lbfkit.cli would compile and run it a second time
+    code, err, loaded = import_logs[name]
+    assert code == 0, err
+    assert "lbfkit" in loaded and "lbfkit.cli" not in loaded
 
 
 @pytest.mark.parametrize("name", sorted(IMPORT_RUNS))
