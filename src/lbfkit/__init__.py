@@ -2,7 +2,6 @@
 
 Modules:
 
-* ``poly``      -- the sparse exact polynomial kernel under exterior and blowup
 * ``exterior``  -- symbolic exterior calculus engine (exact rationals)
 * ``config``    -- model constants, smooth profiles on floats, ``DomainError``
 * ``models``    -- named model forms and the identity checks over them

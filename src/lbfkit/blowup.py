@@ -1,11 +1,11 @@
 """Exact blow-up calculus for isolated A-type hypersurface singularities.
 
-Everything here is exact: ``MultiPoly`` holds a ``poly`` dict with
-rational coefficients.  ``a_type_polynomial`` writes the integer normal
-form and ``proper_transform`` only rewrites exponents, so no coefficient
-enters from outside.  A point blow-up of affine space replaces the
-origin by a projective space; on the j-th standard chart the pullback
-of coordinates reads
+Everything here is exact: ``MultiPoly`` keeps the coefficients it is
+given, ``a_type_polynomial`` writes the normal form with unit
+coefficients and ``proper_transform`` only rewrites exponents, so every
+term of a resolution trace has coefficient 1.  A point blow-up of affine
+space replaces the origin by a projective space; on the j-th standard
+chart the pullback of coordinates reads
 
     x_i = y_i * y_j   (i != j),        x_j = y_j,
 
@@ -29,10 +29,8 @@ from __future__ import annotations
 
 from math import ceil
 
-from . import poly
 from .config import DEFAULT_CONFIG
 from .mcg import SPHERE, substitute
-from .poly import Rational
 from .report import SuiteResult, config_dict, result_row, timed
 
 SMOOTH = "Smooth"
@@ -45,15 +43,16 @@ class OriginError(ValueError):
 class MultiPoly:
     """Multivariate polynomial with exact rational coefficients.
 
-    ``terms`` is a ``poly`` dict keyed by sparse ``(index, exp)`` monomials
-    over the slots 0..nvars-1, kept as given: ``a_type_polynomial`` and
-    ``proper_transform`` build every one in normal form.  The printed form
-    is canonical: graded lexicographic, lowest total degree first.
+    ``terms`` maps each monomial to its coefficient, kept as given.  A
+    monomial is a tuple of ``(index, exp)`` pairs over the slots
+    0..nvars-1, sorted by index, with no zero exponent; the constant
+    monomial is ``()``.  The printed form is canonical: graded
+    lexicographic, lowest total degree first.
     """
 
     __slots__ = ("nvars", "terms", "prefix")
 
-    def __init__(self, nvars: int, terms: poly.Poly, *, prefix: str = "x") -> None:
+    def __init__(self, nvars: int, terms: dict, *, prefix: str = "x") -> None:
         self.nvars = nvars
         self.terms = terms
         self.prefix = prefix
@@ -64,7 +63,7 @@ class MultiPoly:
         return not self.terms
 
     @property
-    def constant_term(self) -> Rational:
+    def constant_term(self) -> int:
         return self.terms.get((), 0)
 
     def multiplicity_at_origin(self) -> int:
@@ -105,7 +104,7 @@ def a_type_polynomial(k: int, n: int) -> MultiPoly:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    terms: poly.Poly = {((i, 2),): 1 for i in range(n + 1)}
+    terms = {((i, 2),): 1 for i in range(n + 1)}
     terms[((n + 1, k + 1),)] = 1
     return MultiPoly(n + 2, terms)
 
@@ -134,10 +133,11 @@ def proper_transform(p: MultiPoly, j: int) -> tuple[MultiPoly, int]:
     if p.is_zero():
         raise ValueError("the zero polynomial has no proper transform")
     m = p.multiplicity_at_origin()
-    terms = {
-        poly.monomial({**dict(mono), j: sum(e for _, e in mono) - m}): c
-        for mono, c in p.terms.items()
-    }
+    terms = {}
+    for mono, c in p.terms.items():
+        powers = dict(mono)
+        powers[j] = sum(powers.values()) - m
+        terms[tuple(sorted((i, e) for i, e in powers.items() if e))] = c
     return MultiPoly(p.nvars, terms, prefix="y"), m
 
 

@@ -28,8 +28,14 @@ Truncation encodes the contact dimension: odd generators square to zero and
 the even generator satisfies (dalpha)^m = 0 for m >= n.  The parameter n is
 fixed per algebra instance; identity checks loop over small n.
 
-Coefficients are exact and kept in the normal form of ``poly``, whose sparse
-kernel does the scalar ring arithmetic.  Floats are refused with
+A scalar is a sparse polynomial in the atoms: a dict from monomial to
+coefficient.  A monomial is a tuple of ``(atom, exp)`` pairs sorted by atom,
+with no zero exponent; the constant monomial is ``()``.  Exponents may be
+negative (the Liouville field needs 1/r).  Coefficients are exact and in
+normal form: never zero, an ``int`` when the denominator is 1 and a
+``Fraction`` only otherwise, so the common integer case never pays for
+``Fraction`` arithmetic and a dict of coefficients compares, hashes and
+prints alike whichever type built it.  Floats are refused with
 ``TypeError`` wherever a coefficient enters (``ScalarExpr.const`` and the
 ring operators), since ``Fraction(0.1)`` would silently take the binary
 expansion of 0.1.
@@ -47,10 +53,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import comb
 
-from . import poly
-from .poly import Rational
-
-# A scalar monomial is a ``poly`` monomial over atom names.
+Rational = int | Fraction
 ScalarMonomial = tuple[tuple[str, int], ...]
 
 # A wedge monomial maps generator index -> exponent, sorted by index.  Odd
@@ -70,10 +73,43 @@ class AlgebraMismatchError(ValueError):
 # scalar layer
 
 
+def _norm(q: Rational) -> Rational:
+    """Coefficient normal form: an int when the denominator is 1."""
+    if q.__class__ is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
+def _mul_monomials(m1: ScalarMonomial, m2: ScalarMonomial) -> ScalarMonomial:
+    """Merge two atom-sorted monomials, adding exponents and dropping zeros."""
+    if not m2:
+        return m1
+    if not m1:
+        return m2
+    out: list[tuple[str, int]] = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        (a, e), (b, f) = m1[i], m2[j]
+        if a < b:
+            out.append(m1[i])
+            i += 1
+        elif b < a:
+            out.append(m2[j])
+            j += 1
+        else:
+            if e + f:
+                out.append((a, e + f))
+            i += 1
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out)
+
+
 def _rational(value: object) -> Rational:
     """Validate an incoming exact coefficient and put it in normal form."""
     if isinstance(value, Fraction):
-        return poly.norm(value)
+        return _norm(value)
     if isinstance(value, int):
         return int(value)
     raise TypeError(
@@ -85,12 +121,11 @@ def _rational(value: object) -> Rational:
 class ScalarExpr:
     """A finite sum of atom monomials with exact rational coefficients.
 
-    The stored dict *is* the normal form: no zero coefficients, monomials
-    keyed canonically, and each coefficient an ``int`` when its denominator
-    is 1, a ``Fraction`` otherwise.  Equality is therefore dict equality;
-    ``3`` and ``Fraction(3)`` print, compare and hash alike.  Anything
-    other than an int or a Fraction raises ``TypeError``.  The constructor
-    keeps the dict it is given, uncopied; every caller passes a new one.
+    The stored dict *is* the normal form of the module docstring, so
+    equality is dict equality; ``3`` and ``Fraction(3)`` print, compare and
+    hash alike.  Anything other than an int or a Fraction raises
+    ``TypeError``.  The constructor keeps the dict it is given, uncopied;
+    every caller passes a new one.
     """
 
     __slots__ = ("terms",)
@@ -112,7 +147,14 @@ class ScalarExpr:
     # -- ring structure
 
     def __add__(self, other: "ScalarExpr | Rational") -> "ScalarExpr":
-        return ScalarExpr(poly.add(self.terms, _as_scalar(other).terms))
+        out = dict(self.terms)
+        for mono, coeff in _as_scalar(other).terms.items():
+            acc = out.get(mono, 0) + coeff
+            if acc:
+                out[mono] = _norm(acc)
+            else:
+                out.pop(mono, None)
+        return ScalarExpr(out)
 
     __radd__ = __add__
 
@@ -123,7 +165,19 @@ class ScalarExpr:
         return self + (-_as_scalar(other))
 
     def __mul__(self, other: "ScalarExpr | Rational") -> "ScalarExpr":
-        return ScalarExpr(poly.mul(self.terms, _as_scalar(other).terms))
+        b = _as_scalar(other).terms
+        out: dict[ScalarMonomial, Rational] = {}
+        get = out.get
+        # this loop is most of the TOP_POWER identity's time
+        for m1, c1 in self.terms.items():
+            for m2, c2 in b.items():
+                mono = _mul_monomials(m1, m2)
+                acc = get(mono, 0) + c1 * c2
+                if acc:
+                    out[mono] = _norm(acc)
+                else:
+                    out.pop(mono, None)
+        return ScalarExpr(out)
 
     __rmul__ = __mul__
 
@@ -133,7 +187,7 @@ class ScalarExpr:
             if len(self.terms) == 1:
                 ((mono, coeff),) = self.terms.items()
                 return ScalarExpr(
-                    {tuple((a, e * exponent) for a, e in mono): poly.rpow(coeff, exponent)}
+                    {tuple((a, e * exponent) for a, e in mono): _norm(Fraction(coeff) ** exponent)}
                 )
             raise ValueError("negative power of a non-monomial expression")
         # a left fold: for a sparse base it beats repeated squaring
@@ -168,8 +222,8 @@ class ScalarExpr:
                 datom = derivative(atom, var)
                 if datom.is_zero():
                     continue
-                rest = poly.mul_monomials(mono, ((atom, -1),))
-                out = out + ScalarExpr({rest: poly.norm(coeff * exp)}) * datom
+                rest = _mul_monomials(mono, ((atom, -1),))
+                out = out + ScalarExpr({rest: _norm(coeff * exp)}) * datom
         return out
 
     # -- display

@@ -7,20 +7,22 @@ No program path runs these; each is kept apart from the code it checks:
 * ``substitution_chain`` -- the greedy twist-word chain, which criterion 5
   checks ``blowup.resolution_word_chain`` against;
 * ``aa_count``           -- the cyclic-cover twist count of criterion 6;
+* ``monomial``           -- a monomial in the normal form of ``ScalarExpr``
+  and ``blowup.MultiPoly``, built from a variable -> exponent map;
 * ``substitute``         -- exact evaluation of a ``ScalarExpr`` at constants.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Hashable, Mapping
+from fractions import Fraction
 
-from lbfkit import exterior, poly
+from lbfkit import exterior
 from lbfkit.config import DEFAULT_CONFIG, ModelConfig
-from lbfkit.exterior import ScalarExpr
+from lbfkit.exterior import Rational, ScalarExpr
 from lbfkit.mcg import BOUNDARY, weight
 from lbfkit.mcg import substitute as substitute_word
-from lbfkit.poly import Rational
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +161,14 @@ def substitution_chain(source: str, target: str) -> list[tuple[int, str, str, st
 # scalar expressions
 
 
+def monomial(powers: Mapping[Hashable, int]) -> tuple[tuple[Hashable, int], ...]:
+    """The monomial of a variable -> exponent map: sorted pairs, zero exponents dropped."""
+    return tuple(sorted((v, e) for v, e in powers.items() if e != 0))
+
+
 def substitute(expr: ScalarExpr, values: Mapping[str, Rational]) -> ScalarExpr:
     """Replace atoms of expr by int or Fraction constants; floats raise ``TypeError``."""
-    out: dict = {}
+    out = exterior.ZERO
     for mono, coeff in expr.terms.items():
         acc = coeff
         rest: dict[str, int] = {}
@@ -170,8 +177,9 @@ def substitute(expr: ScalarExpr, values: Mapping[str, Rational]) -> ScalarExpr:
                 v = exterior._rational(values[atom])
                 if v == 0 and exp < 0:
                     raise ZeroDivisionError(f"substituting 0 for {atom}^{exp}")
-                acc = acc * poly.rpow(v, exp)
+                acc = acc * Fraction(v) ** exp
             else:
                 rest[atom] = exp
-        poly.accumulate(out, poly.monomial(rest), acc)
-    return ScalarExpr(out)
+        # the sum puts each coefficient in normal form and drops a zero one
+        out = out + ScalarExpr({monomial(rest): acc})
+    return out

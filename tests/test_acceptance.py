@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from conftest import make_algebras, random_form, random_homogeneous, random_tangent
-from lbfkit import cli, mcg, models, poly, topo
+from lbfkit import cli, mcg, models, topo
 from lbfkit.blowup import (
     MultiPoly,
     milnor_word,
@@ -28,7 +28,7 @@ from lbfkit.transport import (
     limits_at_zero,
     monodromy_profile,
 )
-from reference import aa_count, closed_form, substitution_chain
+from reference import aa_count, closed_form, monomial, substitution_chain
 
 
 def _finish(label: str, failures: list[str]) -> None:
@@ -179,8 +179,8 @@ def test_criterion_5_resolution():
                 continue
             nv, last = n + 2, n + 1
             # y_last^(k-1) is the constant 1 when k = 1
-            expect = {poly.monomial({i: 2}): 1 for i in range(last)}
-            expect[poly.monomial({last: k - 1})] = 1
+            expect = {monomial({i: 2}): 1 for i in range(last)}
+            expect[monomial({last: k - 1})] = 1
             if steps[0].polynomial != MultiPoly(nv, expect):
                 failures.append(f"k={k} n={n}: step-1 transform off normal form")
             for j, step in enumerate(steps, start=1):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lbfkit import cli, mcg, poly
+from lbfkit import cli, mcg
 from lbfkit.blowup import (
     MultiPoly,
     OriginError,
@@ -23,12 +23,12 @@ from lbfkit.blowup import (
     resolve_A,
     suite,
 )
-from reference import substitution_chain
+from reference import monomial, substitution_chain
 
 
 def poly_of(nvars: int, *terms: dict[int, int]) -> MultiPoly:
     """The sum of distinct monomials, each a variable -> exponent map, with coefficient 1."""
-    return MultiPoly(nvars, {poly.monomial(powers): 1 for powers in terms})
+    return MultiPoly(nvars, {monomial(powers): 1 for powers in terms})
 
 
 def y_power(p: MultiPoly, j: int) -> int:
@@ -138,7 +138,7 @@ def test_proper_transform_never_divisible(rng):
             exps = [rng.randrange(0, 4) for _ in range(nv)]
             if sum(exps) == 0:
                 exps[rng.randrange(nv)] = 1
-            terms[poly.monomial(dict(enumerate(exps)))] = rng.choice((1, 2, -1, Fraction(1, 2)))
+            terms[monomial(dict(enumerate(exps)))] = rng.choice((1, 2, -1, Fraction(1, 2)))
         p = MultiPoly(nv, terms)
         j = rng.randrange(nv)
         q, m = proper_transform(p, j)

@@ -13,6 +13,8 @@ import json
 import math
 import os
 import pkgutil
+import random
+import shutil
 import subprocess
 import sys
 import types
@@ -920,17 +922,18 @@ print(json.dumps([runs, modules]))
 """
 
 
-def run_fresh(argvs: list[list[str]], no_site: bool = False,
+def run_fresh(argvs: list[list[str]], no_site: bool = False, python: str = sys.executable,
               **env: str) -> tuple[list[tuple[int, str, str]], list[str]]:
     """Each argv's (exit code, stdout, stderr) from one fresh interpreter, and its modules.
 
-    With ``no_site`` the interpreter runs under -S, so no ``site`` preload
-    (a .pth file's imports) hides a module that lbfkit itself loads.
+    The interpreter is ``python``, by default the one running the tests.
+    With ``no_site`` it runs under -S, so no ``site`` preload (a .pth
+    file's imports) hides a module that lbfkit itself loads.
     """
     env = {**os.environ, **env,
            "PYTHONPATH": str(Path(lbfkit.__file__).resolve().parents[1])}
     flags = ["-S"] if no_site else []
-    out = subprocess.run([sys.executable, *flags, "-c", FRESH_PROBE, repr(argvs)],
+    out = subprocess.run([python, *flags, "-c", FRESH_PROBE, repr(argvs)],
                          env=env, capture_output=True, text=True, check=True,
                          timeout=300).stdout
     runs, modules = json.loads(out)
@@ -969,21 +972,82 @@ def test_golden_files_match_without_avx512(golden_runs_without_numpy, name):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+OTHER_INTERPRETERS = ["3.10", "3.12", "3.13"]
+
+
+def other_interpreter(version: str) -> str:
+    """The CPython ``version`` that pyenv installs, else ``python<version>`` on PATH.
+
+    Each candidate runs once to confirm its version, so one that does not
+    start (a pyenv shim for a version that is not selected exits non-zero)
+    is passed over; the test skips when none is left.
+    """
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    candidates = [str(p) for p in sorted(versions.glob(f"{version}.*/bin/python"))[-1:]]
+    candidates.append(shutil.which(f"python{version}"))
+    for python in filter(None, candidates):
+        proc = subprocess.run([python, "-c", "import sys; print(*sys.version_info[:2], sep='.')"],
+                              capture_output=True, text=True, timeout=60)
+        if (proc.returncode, proc.stdout) == (0, f"{version}\n"):
+            return python
+    pytest.skip(f"no CPython {version} under PYENV_ROOT or on PATH")
+
+
+@pytest.mark.parametrize("version", OTHER_INTERPRETERS)
 def test_golden_files_match_on_other_interpreters(version):
     # src needs only the standard library, so each golden argv runs in a
-    # fresh python -m lbfkit.cli child of the CPython of that version that
-    # pyenv installs, with src alone on its path, and prints its file's bytes
-    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
-    found = sorted(versions.glob(f"{version}.*/bin/python"))
-    if not found:
-        pytest.skip(f"no CPython {version} installed by pyenv")
+    # fresh python -m lbfkit.cli child of the CPython of that version, with
+    # src alone on its path, and prints its file's bytes
+    python = other_interpreter(version)
     env = {**os.environ, "PYTHONPATH": str(Path(lbfkit.__file__).resolve().parents[1])}
     for name, argv in sorted(GOLDEN_RUNS.items()):
-        proc = subprocess.run([str(found[-1]), "-m", "lbfkit.cli", *argv], env=env,
+        proc = subprocess.run([python, "-m", "lbfkit.cli", *argv], env=env,
                               capture_output=True, timeout=300)
-        assert (proc.returncode, proc.stderr) == (0, b""), (found[-1], name)
-        assert proc.stdout == (GOLDEN / name).read_bytes(), (found[-1], name)
+        assert (proc.returncode, proc.stderr) == (0, b""), (python, name)
+        assert proc.stdout == (GOLDEN / name).read_bytes(), (python, name)
+
+
+def _sampled_argvs() -> list[list[str]]:
+    """A fixed draw of transport and contact-check argvs over their documented domains.
+
+    Single levels, log-uniform in |t| from 1e-12 up to either end, are
+    where a one-ulp change in the stepper moves a step; the grids hold 2-6
+    levels on one side of 0.  Each argv picks a format.
+    """
+    rng = random.Random(15)
+
+    def level() -> float:
+        sign = rng.choice((-1, 1))
+        return sign * 10 ** rng.uniform(-12, math.log10(0.25 if sign < 0 else 100))
+
+    argvs = [["transport", f"--t={level()!r}"] for _ in range(10)]
+    for _ in range(5):
+        lo, hi = sorted((level(), level()))
+        while lo < 0 < hi:
+            lo, hi = sorted((level(), level()))
+        argvs.append(["transport", f"--grid={lo!r}:{hi!r}:{rng.randint(2, 6)}"])
+    argvs += [["contact-check", "--n", str(rng.randint(1, 1024))] for _ in range(5)]
+    return [argv + ["--format", rng.choice(FORMATS)] for argv in argvs]
+
+
+SAMPLED_ARGVS = _sampled_argvs()
+
+
+@pytest.fixture(scope="module")
+def sampled_runs() -> list[tuple[int, str, str]]:
+    runs, _ = run_fresh(SAMPLED_ARGVS)
+    # every draw lies in its domain: none is a usage error or an internal failure
+    assert [code for code, _, _ in runs if code >= 2] == []
+    return runs
+
+
+@pytest.mark.parametrize("version", OTHER_INTERPRETERS)
+def test_sampled_reports_match_on_other_interpreters(sampled_runs, version):
+    # one fresh child of that CPython runs the whole draw; each run's exit
+    # code, stdout and stderr must equal this interpreter's
+    runs, _ = run_fresh(SAMPLED_ARGVS, python=other_interpreter(version))
+    for argv, got, expected in zip(SAMPLED_ARGVS, runs, sampled_runs, strict=True):
+        assert got == expected, argv
 
 
 # Per run: its argv, the modules it may load besides cli and config (its
@@ -993,14 +1057,13 @@ IMPORT_RUNS = {
     "help": (["--help"], set(), False),
     "transport-help": (["transport", "--help"], set(), False),
     "all": (["all", "--out", "OUT"],
-            {"models", "exterior", "poly", "transport", "mcg", "topo", "blowup", "contact",
-             "report"},
+            {"models", "exterior", "transport", "mcg", "topo", "blowup", "contact", "report"},
             True),
     "fillings": (["fillings"], {"mcg", "topo", "report"}, True),
     "fillings-csv": (["fillings", "--format", "csv"], {"mcg", "topo", "report"}, False),
-    "resolve": (["resolve"], {"blowup", "mcg", "poly", "report"}, True),
+    "resolve": (["resolve"], {"blowup", "mcg", "report"}, True),
     "transport": (["transport"], {"transport", "report"}, True),
-    "verify-forms": (["verify-forms"], {"models", "exterior", "poly", "report"}, True),
+    "verify-forms": (["verify-forms"], {"models", "exterior", "report"}, True),
     "contact-check": (["contact-check"], {"contact", "report"}, True),
     "contact-check-table": (["contact-check", "--format", "table"], {"contact", "report"}, False),
 }
@@ -1053,6 +1116,9 @@ def test_no_run_loads_typing_on_a_clean_interpreter(name, tmp_path):
     ((code, _, _),), modules = run_fresh([argv], no_site=True)
     assert code == 0
     assert "typing" not in modules
+    # only the exact engine's coefficients are Fractions; blowup's are ints
+    if "exterior" not in IMPORT_RUNS[name][1]:
+        assert not {"fractions", "decimal", "numbers"} & set(modules)
     # only a run that writes files loads tempfile and pathlib
     if "OUT" not in IMPORT_RUNS[name][0]:
         assert "tempfile" not in modules

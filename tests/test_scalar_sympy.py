@@ -7,9 +7,9 @@ vanish at the origin, over 1-12 variables, go through ``proper_transform``
 on a random chart j; the result must equal sympy's pullback
 x_i -> x_i*x_j (i != j) divided by x_j^m, where m is the smallest total
 degree, and must not be divisible by y_j.  Every stored term must be in the
-normal form of ``lbfkit.poly``: a variable-sorted monomial with no zero
-exponent, and a coefficient that is an int, or a Fraction whose denominator
-is not 1.  sympy is in the ``test`` extra, not a runtime dependency of
+normal form that ``exterior`` defines: a variable-sorted monomial with no
+zero exponent, and a coefficient that is an int, or a Fraction whose
+denominator is not 1.  sympy is in the ``test`` extra, not a runtime dependency of
 lbfkit; the module is skipped when it is absent.
 """
 
@@ -20,10 +20,10 @@ from fractions import Fraction
 
 import pytest
 
-from lbfkit import poly
+from lbfkit import exterior
 from lbfkit.blowup import MultiPoly, proper_transform
 from lbfkit.exterior import ScalarExpr
-from reference import substitute
+from reference import monomial, substitute
 
 sympy = pytest.importorskip("sympy")
 
@@ -126,7 +126,7 @@ def _random_vanishing(rng: random.Random, nvars: int):
         exps = [rng.randint(0, 3) if rng.random() < 0.4 else 0 for _ in range(nvars)]
         if not any(exps):
             exps[rng.randrange(nvars)] = rng.randint(1, 3)
-        terms[poly.monomial(dict(enumerate(exps)))] = poly.norm(_coeff(rng)) or 1
+        terms[monomial(dict(enumerate(exps)))] = exterior._norm(_coeff(rng)) or 1
     return MultiPoly(nvars, terms)
 
 
